@@ -206,7 +206,7 @@ let writer () =
   { buf = Bytes.create 64; base = 0; wire = 0; words = 0; budget = 0;
     grow = true; guard = false; crc = crc_init }
 
-let attach_writer ?(guard = false) w buf ~base ~budget =
+let attach_writer ~guard w buf ~base ~budget =
   w.buf <- buf;
   w.base <- base;
   w.wire <- 0;

@@ -110,13 +110,16 @@ val writer : unit -> writer
 (** Fresh writer with its own small growable scratch buffer. *)
 
 val attach_writer :
-  ?guard:bool -> writer -> Bytes.t -> base:int -> budget:int -> unit
+  guard:bool -> writer -> Bytes.t -> base:int -> budget:int -> unit
 (** Reposition onto a fixed arena region at byte offset [base] with a
     logical-word [budget].  The region must have room for
     [max_wire_words * budget] wire words ([+ guard_words] when
     [~guard:true]).  With [~guard:true] the writer maintains a running
     CRC and {!seal} appends the guard word.  A writer that has been
-    attached to foreign bytes must not be reused in scratch mode. *)
+    attached to foreign bytes must not be reused in scratch mode.
+    [guard] is a plain labelled argument, not an optional one: the engine
+    calls this once per emitted frame, and passing [~guard] to an
+    optional parameter would box a [Some] on every call. *)
 
 val scratch_writer : ?guard:bool -> writer -> budget:int -> unit
 (** Reposition onto the writer's own buffer (grown on demand), with a

@@ -423,6 +423,80 @@ module Sink = struct
     }
 end
 
+(* Double the capacity of an int array, new cells set to [fill]. *)
+let grow_ints a fill =
+  let len = Array.length a in
+  let b = Array.make (max 16 (2 * len)) fill in
+  Array.blit a 0 b 0 len;
+  b
+
+(* Timer wheel for [Next]/[At] wake-ups: one int stack per absolute round,
+   all chained through a single flat pool with a free list.  Once the pool
+   has grown to the peak number of pending entries, a wake costs a few
+   array stores and no allocation (an [int list] bucket would cons 3
+   words per wake).  Entries are invalidated lazily — a rescheduled or
+   cancelled wake leaves its entry behind and the consumer checks
+   [wake_at] on pop — and pop order is irrelevant, because the frontier
+   is sorted after it is collected. *)
+module Timers = struct
+  type t = {
+    mutable head : int array; (* head.(r): top entry of round r's stack, -1 = empty *)
+    mutable node : int array; (* pool: the node an entry wakes *)
+    mutable next : int array; (* pool: entry below in its stack, or next free entry *)
+    mutable free : int;       (* free-list head, -1 = none *)
+    mutable used : int;       (* pool entries ever handed out *)
+  }
+
+  let create () =
+    {
+      head = Array.make 16 (-1);
+      node = Array.make 16 0;
+      next = Array.make 16 (-1);
+      free = -1;
+      used = 0;
+    }
+
+  let clear t =
+    Array.fill t.head 0 (Array.length t.head) (-1);
+    t.free <- -1;
+    t.used <- 0
+
+  let push t r v =
+    while r >= Array.length t.head do
+      t.head <- grow_ints t.head (-1)
+    done;
+    let i =
+      if t.free >= 0 then begin
+        let i = t.free in
+        t.free <- t.next.(i);
+        i
+      end
+      else begin
+        if t.used = Array.length t.node then begin
+          t.node <- grow_ints t.node 0;
+          t.next <- grow_ints t.next (-1)
+        end;
+        t.used <- t.used + 1;
+        t.used - 1
+      end
+    in
+    t.node.(i) <- v;
+    t.next.(i) <- t.head.(r);
+    t.head.(r) <- i
+
+  (* A node due at round [r], or -1 once round [r]'s stack is empty; the
+     popped entry goes back on the free list. *)
+  let pop t r =
+    if r >= Array.length t.head || t.head.(r) < 0 then -1
+    else begin
+      let i = t.head.(r) in
+      t.head.(r) <- t.next.(i);
+      t.next.(i) <- t.free;
+      t.free <- i;
+      t.node.(i)
+    end
+end
+
 (* One direction of the double buffer: slot-indexed payloads plus the
    bookkeeping needed to visit and clear only what was touched. *)
 type buf = {
@@ -459,7 +533,7 @@ type t = {
   is_always : bool array;
   always : int array;   (* nodes in Always mode, ascending when clean *)
   wake_at : int array;  (* pending timer round per node, -1 = none *)
-  mutable buckets : int list array;  (* buckets.(r) = nodes to wake at round r *)
+  timers : Timers.t;    (* nodes to wake at each round *)
   ib : Inbox.t;         (* reusable inbox arena, sized for the max in-degree *)
   mutable running : bool;
   mutable dirty : bool;
@@ -564,7 +638,7 @@ let create g =
     is_always = Array.make (max 1 n) false;
     always = Array.make (max 1 n) 0;
     wake_at = Array.make (max 1 n) (-1);
-    buckets = Array.make 16 [];
+    timers = Timers.create ();
     ib = Inbox.create ~cap:!max_indeg ();
     running = false;
     dirty = false;
@@ -909,35 +983,32 @@ let reset_buf b =
    in ascending node id (the reference's visiting order), and its three
    sources — timer buckets, receiver stack, always-list — append out of
    order.  Heapsort keeps the cost a guaranteed O(f log f) with zero
-   allocation. *)
-let sort_prefix a len =
+   allocation — [sift] is top level, since a local helper closing over
+   [a] would be a closure allocated on every sort.  The [int array]
+   annotations matter: left polymorphic, every comparison would be a
+   [caml_compare] call. *)
+let rec sift (a : int array) r stop =
+  let child = (2 * r) + 1 in
+  if child < stop then begin
+    let c = if child + 1 < stop && a.(child + 1) > a.(child) then child + 1 else child in
+    if a.(c) > a.(r) then begin
+      let tmp = a.(c) in
+      a.(c) <- a.(r);
+      a.(r) <- tmp;
+      sift a c stop
+    end
+  end
+
+let sort_prefix (a : int array) len =
   if len > 1 then begin
-    let sift root stop =
-      let r = ref root in
-      let continue = ref true in
-      while !continue do
-        let child = (2 * !r) + 1 in
-        if child >= stop then continue := false
-        else begin
-          let c = if child + 1 < stop && a.(child + 1) > a.(child) then child + 1 else child in
-          if a.(c) > a.(!r) then begin
-            let tmp = a.(c) in
-            a.(c) <- a.(!r);
-            a.(!r) <- tmp;
-            r := c
-          end
-          else continue := false
-        end
-      done
-    in
     for root = (len / 2) - 1 downto 0 do
-      sift root len
+      sift a root len
     done;
     for stop = len - 1 downto 1 do
       let tmp = a.(0) in
       a.(0) <- a.(stop);
       a.(stop) <- tmp;
-      sift 0 stop
+      sift a 0 stop
     done
   end
 
@@ -1013,7 +1084,7 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   for v = 0 to n - 1 do
     e.is_always.(v) <- is_live.(v)
   done;
-  Array.fill e.buckets 0 (Array.length e.buckets) [];
+  Timers.clear e.timers;
   let alen = ref 0 in
   let hinted = ref false in
   let transition = ref false in
@@ -1021,13 +1092,7 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   let always_unsorted = ref false in
   let schedule v k =
     e.wake_at.(v) <- k;
-    let len = Array.length e.buckets in
-    if k >= len then begin
-      let b = Array.make (max (k + 1) (2 * len)) [] in
-      Array.blit e.buckets 0 b 0 len;
-      e.buckets <- b
-    end;
-    e.buckets.(k) <- v :: e.buckets.(k)
+    Timers.push e.timers k v
   in
   let apply_wake v st r =
     match a_wake st with
@@ -1309,6 +1374,120 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
             ib.Inbox.len <- ib.Inbox.len + 1
           end
         done);
+  (* Per-round scratch, declared once per run and reset at the top of each
+     round: a ref captured by a closure lives on the heap, and so does the
+     closure, so declaring these inside the round loop would allocate on
+     every round.  Hoisted, a steady-state round allocates nothing. *)
+  let newly_crashed = ref 0 and newly_arrived = ref 0 in
+  let newly_departed = ref 0 and newly_inserted = ref 0 in
+  let crashed_live = ref 0 and churn_killed = ref false in
+  let live_unsorted = ref false and corrupt_dropped = ref 0 in
+  let v_min = ref (-1) and compacted = ref false and plen = ref 0 in
+  let step_node v =
+    let r = !round in
+    if !v_min >= 0 && !v_min < v then
+      raise
+        (Congestion_violation
+           (Printf.sprintf "round %d: halted node %d received a message" r !v_min));
+    (* mark the inbox for a lazy fill: the in-port scan runs only if
+       the kernel touches its mail this step *)
+    let ib = e.ib in
+    ib.Inbox.len <- 0;
+    ib.Inbox.fill_node <- v;
+    let st =
+      match algo with
+      | A_list a ->
+        let sd = !nxt in
+        let st, outbox = a.step g ~round:r ~node:v states.(v) ib in
+        List.iter
+          (fun (u, p) ->
+            let slot = find_port e ~src:v ~dst:u in
+            if slot < 0 then
+              raise
+                (Congestion_violation
+                   (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r v u));
+            if
+              churn_on
+              && (churn_edge_down.(slot) || churn_crashed.(u)
+                 || churn_dormant.(u))
+            then begin
+              (* frame onto a dead port or to a crashed node: silently lost
+                 (and counted).  The width check still applies — churn must
+                 not mask an algorithm exceeding its budget — but the
+                 duplicate-slot check cannot (nothing occupies the slot). *)
+              let w = Array.length p in
+              if w > max_words then
+                raise
+                  (Congestion_violation
+                     (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
+                        r v w max_words));
+              incr churn_dropped
+            end
+            else begin
+            if sd.wire.(slot) >= 0 then
+              raise
+                (Congestion_violation
+                   (Printf.sprintf "round %d: node %d sent twice over edge to %d" r v u));
+            let w = Array.length p in
+            if w > max_words then
+              raise
+                (Congestion_violation
+                   (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
+                      r v w max_words));
+            let wire =
+              if guard then Codec.encode_guarded sd.data ~base:(slot * stride) p
+              else Codec.encode sd.data ~base:(slot * stride) p
+            in
+            sd.wire.(slot) <- wire;
+            sd.wlog.(slot) <- w;
+            sd.written.(sd.wlen) <- slot;
+            sd.wlen <- sd.wlen + 1;
+            if sd.count.(u) = 0 then begin
+              sd.active.(sd.alen) <- u;
+              sd.alen <- sd.alen + 1
+            end;
+            sd.count.(u) <- sd.count.(u) + 1;
+            sd.total <- sd.total + 1;
+            sd.words <- sd.words + w;
+            sd.bits <- sd.bits + (word_bits * wire);
+            if instrumented then sink.on_message ~round:r ~src:v ~dst:u ~words:w
+            end)
+          outbox;
+        st
+      | A_emit a ->
+        em.Emit.enode <- v;
+        let st =
+          try a.estep g ~round:r ~node:v states.(v) ib em
+          with Codec.Width_exceeded { budget; words } ->
+            raise
+              (Congestion_violation
+                 (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
+                    r v words budget))
+        in
+        if em.Emit.eopen then
+          invalid_arg "Engine.Emit: frame left open at end of step";
+        st
+    in
+    states.(v) <- st;
+    if a_halted st then begin
+      is_live.(v) <- false;
+      compacted := true;
+      if e.is_always.(v) then begin
+        e.is_always.(v) <- false;
+        always_dirty := true
+      end;
+      e.wake_at.(v) <- -1
+    end
+    else if not degrade then apply_wake v st r
+  in
+  (* frontier insertion for the sparse path, deduplicated per round *)
+  let push v =
+    if e.fstamp.(v) <> !round then begin
+      e.fstamp.(v) <- !round;
+      e.frontier.(!plen) <- v;
+      incr plen
+    end
+  in
   while !live_len > 0 || (!nxt).total > 0 do
     if !round > max_rounds then raise (Round_limit_exceeded !round);
     let tmp = !cur in
@@ -1324,13 +1503,13 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
        before its crash are still delivered — the crash kills the
        processor, not the wires. *)
     churn_dropped := 0;
-    let newly_crashed = ref 0 in
-    let newly_arrived = ref 0 in
-    let newly_departed = ref 0 in
-    let newly_inserted = ref 0 in
-    let crashed_live = ref 0 in
-    let churn_killed = ref false in
-    let live_unsorted = ref false in
+    newly_crashed := 0;
+    newly_arrived := 0;
+    newly_departed := 0;
+    newly_inserted := 0;
+    crashed_live := 0;
+    churn_killed := false;
+    live_unsorted := false;
     (match churn with
     | Some c ->
       let len = Array.length c.Churn.ops in
@@ -1431,7 +1610,7 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
        frame to a halted node is dropped, never delivered).  Every
        decision is a pure (cseed, round, slot, lane) hash, so the pass is
        iteration-order-free. *)
-    let corrupt_dropped = ref 0 in
+    corrupt_dropped := 0;
     (match corrupt with
     | Some (cs : Corrupt.spec) ->
       let inten = Corrupt.intensity cs ~round:r in
@@ -1506,108 +1685,13 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     (* The reference semantics raise at the first offending node in id
        order; a halted receiver competes with live-node send violations.
        [v_min] is the smallest halted node holding undeliverable mail. *)
-    let v_min = ref (-1) in
+    v_min := -1;
     for i = 0 to dv.alen - 1 do
       let v = dv.active.(i) in
       if (not is_live.(v)) && dv.count.(v) > 0 && (!v_min < 0 || v < !v_min) then
         v_min := v
     done;
-    let compacted = ref !churn_killed in
-    let step_node v =
-      if !v_min >= 0 && !v_min < v then
-        raise
-          (Congestion_violation
-             (Printf.sprintf "round %d: halted node %d received a message" r !v_min));
-      (* mark the inbox for a lazy fill: the in-port scan runs only if
-         the kernel touches its mail this step *)
-      let ib = e.ib in
-      ib.Inbox.len <- 0;
-      ib.Inbox.fill_node <- v;
-      let st =
-        match algo with
-        | A_list a ->
-          let st, outbox = a.step g ~round:r ~node:v states.(v) ib in
-          List.iter
-            (fun (u, p) ->
-              let slot = find_port e ~src:v ~dst:u in
-              if slot < 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r v u));
-              if
-                churn_on
-                && (churn_edge_down.(slot) || churn_crashed.(u)
-                   || churn_dormant.(u))
-              then begin
-                (* frame onto a dead port or to a crashed node: silently lost
-                   (and counted).  The width check still applies — churn must
-                   not mask an algorithm exceeding its budget — but the
-                   duplicate-slot check cannot (nothing occupies the slot). *)
-                let w = Array.length p in
-                if w > max_words then
-                  raise
-                    (Congestion_violation
-                       (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                          r v w max_words));
-                incr churn_dropped
-              end
-              else begin
-              if sd.wire.(slot) >= 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d sent twice over edge to %d" r v u));
-              let w = Array.length p in
-              if w > max_words then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                        r v w max_words));
-              let wire =
-                if guard then Codec.encode_guarded sd.data ~base:(slot * stride) p
-                else Codec.encode sd.data ~base:(slot * stride) p
-              in
-              sd.wire.(slot) <- wire;
-              sd.wlog.(slot) <- w;
-              sd.written.(sd.wlen) <- slot;
-              sd.wlen <- sd.wlen + 1;
-              if sd.count.(u) = 0 then begin
-                sd.active.(sd.alen) <- u;
-                sd.alen <- sd.alen + 1
-              end;
-              sd.count.(u) <- sd.count.(u) + 1;
-              sd.total <- sd.total + 1;
-              sd.words <- sd.words + w;
-              sd.bits <- sd.bits + (word_bits * wire);
-              if instrumented then sink.on_message ~round:r ~src:v ~dst:u ~words:w
-              end)
-            outbox;
-          st
-        | A_emit a ->
-          em.Emit.enode <- v;
-          let st =
-            try a.estep g ~round:r ~node:v states.(v) ib em
-            with Codec.Width_exceeded { budget; words } ->
-              raise
-                (Congestion_violation
-                   (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                      r v words budget))
-          in
-          if em.Emit.eopen then
-            invalid_arg "Engine.Emit: frame left open at end of step";
-          st
-      in
-      states.(v) <- st;
-      if a_halted st then begin
-        is_live.(v) <- false;
-        compacted := true;
-        if e.is_always.(v) then begin
-          e.is_always.(v) <- false;
-          always_dirty := true
-        end;
-        e.wake_at.(v) <- -1
-      end
-      else if not degrade then apply_wake v st r
-    in
+    compacted := !churn_killed;
     let stepped = ref 0 in
     let woken = ref 0 in
     if not !hinted then begin
@@ -1622,30 +1706,20 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     else begin
       (* sparse path: frontier = valid timer wake-ups + receivers + the
          Always set, stepped in ascending node id *)
-      let plen = ref 0 in
-      let push v =
-        if e.fstamp.(v) <> r then begin
-          e.fstamp.(v) <- r;
-          e.frontier.(!plen) <- v;
-          incr plen
-        end
-      in
-      if r < Array.length e.buckets then begin
-        let fired = e.buckets.(r) in
-        e.buckets.(r) <- [];
-        List.iter
-          (fun v ->
-            (* lazy invalidation: a rescheduled or cancelled wake leaves a
-               stale entry behind; only the latest hint counts *)
-            if e.wake_at.(v) = r then begin
-              e.wake_at.(v) <- -1;
-              if is_live.(v) then begin
-                incr woken;
-                push v
-              end
-            end)
-          fired
-      end;
+      plen := 0;
+      let v = ref (Timers.pop e.timers r) in
+      while !v >= 0 do
+        (* lazy invalidation: a rescheduled or cancelled wake leaves a
+           stale entry behind; only the latest hint counts *)
+        if e.wake_at.(!v) = r then begin
+          e.wake_at.(!v) <- -1;
+          if is_live.(!v) then begin
+            incr woken;
+            push !v
+          end
+        end;
+        v := Timers.pop e.timers r
+      done;
       for i = 0 to dv.alen - 1 do
         let v = dv.active.(i) in
         (* the count guard matters only under churn: a receiver whose whole
@@ -1653,7 +1727,10 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
         if is_live.(v) && dv.count.(v) > 0 then push v
       done;
       for i = 0 to !alen - 1 do
-        push e.always.(i)
+        (* a node churn crashed this round is still listed until the
+           end-of-round compaction *)
+        let v = e.always.(i) in
+        if is_live.(v) then push v
       done;
       sort_prefix e.frontier !plen;
       stepped := !plen;
@@ -1825,9 +1902,10 @@ type shard = {
   sh_live : int array;
   mutable sh_live_len : int;
   sh_frontier : int array;
+  mutable sh_plen : int;  (* frontier length this round *)
   sh_always : int array;
   mutable sh_alen : int;
-  mutable sh_buckets : int list array;
+  sh_timers : Timers.t;
   sh_ib : Inbox.t;
   sh_a : sbuf;
   sh_b : sbuf;
@@ -1967,9 +2045,10 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           sh_live = Array.make cap 0;
           sh_live_len = 0;
           sh_frontier = Array.make cap 0;
+          sh_plen = 0;
           sh_always = Array.make cap 0;
           sh_alen = 0;
-          sh_buckets = Array.make 16 [];
+          sh_timers = Timers.create ();
           sh_ib = Inbox.create ~cap:(max 1 max_indeg.(s)) ();
           sh_a = mk_sbuf ();
           sh_b = mk_sbuf ();
@@ -2102,13 +2181,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   in
   let schedule sh v k =
     wake_at.(v) <- k;
-    let len = Array.length sh.sh_buckets in
-    if k >= len then begin
-      let b = Array.make (max (k + 1) (2 * len)) [] in
-      Array.blit sh.sh_buckets 0 b 0 len;
-      sh.sh_buckets <- b
-    end;
-    sh.sh_buckets.(k) <- v :: sh.sh_buckets.(k)
+    Timers.push sh.sh_timers k v
   in
   let apply_wake sh v st r =
     match a_wake st with
@@ -2324,21 +2397,148 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
               end
             done))
     shards;
+  (* Step one node of shard [s] in round [!round].  Defined once per run,
+     not per phase: a per-phase local closure would allocate every round. *)
+  let step_node sh s v =
+    let r = !round in
+    let v_min = !vmin_flag in
+    if v_min >= 0 && v_min < v then
+      record sh v 0
+        (Congestion_violation
+           (Printf.sprintf "round %d: halted node %d received a message" r
+              v_min));
+    (* mark the inbox for a lazy fill, as in the sequential executor *)
+    let ib = sh.sh_ib in
+    ib.Inbox.len <- 0;
+    ib.Inbox.fill_node <- v;
+    let st =
+      match algo with
+      | A_list a ->
+        let svb = sbuf_of sh ~delivery:false in
+        let sdata = if !cur_is_a then data_b else data_a in
+        let swire = if !cur_is_a then wire_b else wire_a in
+        let swlog = if !cur_is_a then wlog_b else wlog_a in
+        let scount = if !cur_is_a then count_b else count_a in
+        let st, outbox =
+          try a.step g ~round:r ~node:v states.(v) ib
+          with
+          | Stop_shard as exn -> raise exn
+          | exn -> record sh v 1 exn
+        in
+        List.iter
+          (fun (u, p) ->
+            let slot = find_port e ~src:v ~dst:u in
+            if slot < 0 then
+              record sh v 1
+                (Congestion_violation
+                   (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r
+                      v u));
+            if
+              churn_on
+              && (churn_edge_down.(slot) || churn_crashed.(u)
+                 || churn_dormant.(u))
+            then begin
+              let w = Array.length p in
+              if w > max_words then
+                record sh v 1
+                  (Congestion_violation
+                     (Printf.sprintf
+                        "round %d: node %d payload of %d words exceeds %d" r v w
+                        max_words));
+              sh.sh_send_dropped <- sh.sh_send_dropped + 1
+            end
+            else begin
+              if sent_stamp.(slot) = r then
+                record sh v 1
+                  (Congestion_violation
+                     (Printf.sprintf "round %d: node %d sent twice over edge to %d"
+                        r v u));
+              let w = Array.length p in
+              if w > max_words then
+                record sh v 1
+                  (Congestion_violation
+                     (Printf.sprintf
+                        "round %d: node %d payload of %d words exceeds %d" r v w
+                        max_words));
+              sent_stamp.(slot) <- r;
+              let wire =
+                if guard then
+                  Codec.encode_guarded sdata ~base:(slot * stride) p
+                else Codec.encode sdata ~base:(slot * stride) p
+              in
+              swire.(slot) <- wire;
+              swlog.(slot) <- w;
+              let t = shard_of.(u) in
+              if t = s then begin
+                svb.s_written.(svb.s_wlen) <- slot;
+                svb.s_wlen <- svb.s_wlen + 1;
+                if scount.(u) = 0 then begin
+                  svb.s_active.(svb.s_alen) <- u;
+                  svb.s_alen <- svb.s_alen + 1
+                end;
+                scount.(u) <- scount.(u) + 1;
+                svb.s_total <- svb.s_total + 1;
+                svb.s_words <- svb.s_words + w;
+                svb.s_bits <- svb.s_bits + (word_bits * wire)
+              end
+              else xpush xas.(s).(t) slot;
+              sh.sh_emitted <- sh.sh_emitted + 1;
+              if instrumented then evpush sh v u w
+            end)
+          outbox;
+        st
+      | A_emit a ->
+        let em = sh.sh_em in
+        em.Emit.enode <- v;
+        let st =
+          try a.estep g ~round:r ~node:v states.(v) ib em
+          with
+          | Stop_shard as exn -> raise exn
+          | Codec.Width_exceeded { budget; words } ->
+            record sh v 1
+              (Congestion_violation
+                 (Printf.sprintf
+                    "round %d: node %d payload of %d words exceeds %d" r v
+                    words budget))
+          | exn -> record sh v 1 exn
+        in
+        if em.Emit.eopen then begin
+          em.Emit.eopen <- false;
+          record sh v 1
+            (Invalid_argument "Engine.Emit: frame left open at end of step")
+        end;
+        st
+    in
+    states.(v) <- st;
+    if a_halted st then begin
+      is_live.(v) <- false;
+      sh.sh_compact <- true;
+      if is_always.(v) then begin
+        is_always.(v) <- false;
+        sh.sh_always_dirty <- true
+      end;
+      wake_at.(v) <- -1
+    end
+    else if not degrade then apply_wake sh v st r
+  in
+  (* frontier insertion for shard [sh]'s sparse path, deduplicated per
+     round *)
+  let push sh v =
+    if fstamp.(v) <> !round then begin
+      fstamp.(v) <- !round;
+      sh.sh_frontier.(sh.sh_plen) <- v;
+      sh.sh_plen <- sh.sh_plen + 1
+    end
+  in
   (* phase A: step this shard's frontier for round [!round] *)
   let phase_step s =
     let sh = shards.(s) in
     let r = !round in
-    let v_min = !vmin_flag in
     let dvb = sbuf_of sh ~delivery:true in
-    let svb = sbuf_of sh ~delivery:false in
     let ddata = if !cur_is_a then data_a else data_b in
     let dwire = if !cur_is_a then wire_a else wire_b in
     let dwlog = if !cur_is_a then wlog_a else wlog_b in
     let dcount = if !cur_is_a then count_a else count_b in
-    let sdata = if !cur_is_a then data_b else data_a in
-    let swire = if !cur_is_a then wire_b else wire_a in
-    let swlog = if !cur_is_a then wlog_b else wlog_a in
-    let scount = if !cur_is_a then count_b else count_a in
     Inbox.attach sh.sh_ib ~data:ddata ~wire:dwire ~wlog:dwlog ~stride;
     sh.sh_stepped <- 0;
     sh.sh_woken <- 0;
@@ -2360,163 +2560,39 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       sh.sh_always_dirty <- false;
       sh.sh_always_unsorted <- false
     end;
-    let step_node v =
-      if v_min >= 0 && v_min < v then
-        record sh v 0
-          (Congestion_violation
-             (Printf.sprintf "round %d: halted node %d received a message" r
-                v_min));
-      (* mark the inbox for a lazy fill, as in the sequential executor *)
-      let ib = sh.sh_ib in
-      ib.Inbox.len <- 0;
-      ib.Inbox.fill_node <- v;
-      let st =
-        match algo with
-        | A_list a ->
-          let st, outbox =
-            try a.step g ~round:r ~node:v states.(v) ib
-            with
-            | Stop_shard as exn -> raise exn
-            | exn -> record sh v 1 exn
-          in
-          List.iter
-            (fun (u, p) ->
-              let slot = find_port e ~src:v ~dst:u in
-              if slot < 0 then
-                record sh v 1
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r
-                        v u));
-              if
-                churn_on
-                && (churn_edge_down.(slot) || churn_crashed.(u)
-                   || churn_dormant.(u))
-              then begin
-                let w = Array.length p in
-                if w > max_words then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf
-                          "round %d: node %d payload of %d words exceeds %d" r v w
-                          max_words));
-                sh.sh_send_dropped <- sh.sh_send_dropped + 1
-              end
-              else begin
-                if sent_stamp.(slot) = r then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf "round %d: node %d sent twice over edge to %d"
-                          r v u));
-                let w = Array.length p in
-                if w > max_words then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf
-                          "round %d: node %d payload of %d words exceeds %d" r v w
-                          max_words));
-                sent_stamp.(slot) <- r;
-                let wire =
-                  if guard then
-                    Codec.encode_guarded sdata ~base:(slot * stride) p
-                  else Codec.encode sdata ~base:(slot * stride) p
-                in
-                swire.(slot) <- wire;
-                swlog.(slot) <- w;
-                let t = shard_of.(u) in
-                if t = s then begin
-                  svb.s_written.(svb.s_wlen) <- slot;
-                  svb.s_wlen <- svb.s_wlen + 1;
-                  if scount.(u) = 0 then begin
-                    svb.s_active.(svb.s_alen) <- u;
-                    svb.s_alen <- svb.s_alen + 1
-                  end;
-                  scount.(u) <- scount.(u) + 1;
-                  svb.s_total <- svb.s_total + 1;
-                  svb.s_words <- svb.s_words + w;
-                  svb.s_bits <- svb.s_bits + (word_bits * wire)
-                end
-                else xpush xas.(s).(t) slot;
-                sh.sh_emitted <- sh.sh_emitted + 1;
-                if instrumented then evpush sh v u w
-              end)
-            outbox;
-          st
-        | A_emit a ->
-          let em = sh.sh_em in
-          em.Emit.enode <- v;
-          let st =
-            try a.estep g ~round:r ~node:v states.(v) ib em
-            with
-            | Stop_shard as exn -> raise exn
-            | Codec.Width_exceeded { budget; words } ->
-              record sh v 1
-                (Congestion_violation
-                   (Printf.sprintf
-                      "round %d: node %d payload of %d words exceeds %d" r v
-                      words budget))
-            | exn -> record sh v 1 exn
-          in
-          if em.Emit.eopen then begin
-            em.Emit.eopen <- false;
-            record sh v 1
-              (Invalid_argument "Engine.Emit: frame left open at end of step")
-          end;
-          st
-      in
-      states.(v) <- st;
-      if a_halted st then begin
-        is_live.(v) <- false;
-        sh.sh_compact <- true;
-        if is_always.(v) then begin
-          is_always.(v) <- false;
-          sh.sh_always_dirty <- true
-        end;
-        wake_at.(v) <- -1
-      end
-      else if not degrade then apply_wake sh v st r
-    in
     (try
        if !dense_flag then begin
          sh.sh_stepped <- sh.sh_live_len - sh.sh_crashed_live;
          for i = 0 to sh.sh_live_len - 1 do
            let v = sh.sh_live.(i) in
-           if is_live.(v) then step_node v
+           if is_live.(v) then step_node sh s v
          done
        end
        else begin
-         let plen = ref 0 in
-         let push v =
-           if fstamp.(v) <> r then begin
-             fstamp.(v) <- r;
-             sh.sh_frontier.(!plen) <- v;
-             incr plen
-           end
-         in
-         if r < Array.length sh.sh_buckets then begin
-           let fired = sh.sh_buckets.(r) in
-           sh.sh_buckets.(r) <- [];
-           List.iter
-             (fun v ->
-               if wake_at.(v) = r then begin
-                 wake_at.(v) <- -1;
-                 if is_live.(v) then begin
-                   sh.sh_woken <- sh.sh_woken + 1;
-                   push v
-                 end
-               end)
-             fired
-         end;
+         sh.sh_plen <- 0;
+         let v = ref (Timers.pop sh.sh_timers r) in
+         while !v >= 0 do
+           if wake_at.(!v) = r then begin
+             wake_at.(!v) <- -1;
+             if is_live.(!v) then begin
+               sh.sh_woken <- sh.sh_woken + 1;
+               push sh !v
+             end
+           end;
+           v := Timers.pop sh.sh_timers r
+         done;
          for i = 0 to dvb.s_alen - 1 do
            let v = dvb.s_active.(i) in
-           if is_live.(v) && dcount.(v) > 0 then push v
+           if is_live.(v) && dcount.(v) > 0 then push sh v
          done;
          for i = 0 to sh.sh_alen - 1 do
-           push sh.sh_always.(i)
+           let v = sh.sh_always.(i) in
+           if is_live.(v) then push sh v
          done;
-         sort_prefix sh.sh_frontier !plen;
-         sh.sh_stepped <- !plen;
-         for i = 0 to !plen - 1 do
-           step_node sh.sh_frontier.(i)
+         sort_prefix sh.sh_frontier sh.sh_plen;
+         sh.sh_stepped <- sh.sh_plen;
+         for i = 0 to sh.sh_plen - 1 do
+           step_node sh s sh.sh_frontier.(i)
          done
        end
      with Stop_shard -> ());
@@ -2609,6 +2685,14 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       then sh.sh_vmin <- v
     done
   in
+  (* Per-round counters of the serial section, declared once and reset
+     every round (the churn and corruption closures capture them, so
+     declared per round they would be heap-allocated every round). *)
+  let churn_dropped = ref 0 and newly_crashed = ref 0 in
+  let newly_arrived = ref 0 and newly_departed = ref 0 in
+  let newly_inserted = ref 0 and churn_applied = ref false in
+  let live_unsorted = ref false and corrupt_dropped = ref 0 in
+  let corrupt_killed = ref false in
   let body pool =
     while !live_total > 0 || !pending_next > 0 do
       if !round > max_rounds then raise (Round_limit_exceeded !round);
@@ -2620,13 +2704,13 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       let dcount = if !cur_is_a then count_a else count_b in
       (* churn is applied serially: it is rare, touches arbitrary shards,
          and must be globally ordered before the halted-receiver minimum *)
-      let churn_dropped = ref 0 in
-      let newly_crashed = ref 0 in
-      let newly_arrived = ref 0 in
-      let newly_departed = ref 0 in
-      let newly_inserted = ref 0 in
-      let churn_applied = ref false in
-      let live_unsorted = ref false in
+      churn_dropped := 0;
+      newly_crashed := 0;
+      newly_arrived := 0;
+      newly_departed := 0;
+      newly_inserted := 0;
+      churn_applied := false;
+      live_unsorted := false;
       Array.iter
         (fun sh ->
           sh.sh_crashed_live <- 0;
@@ -2734,8 +2818,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
          makes, and each kill touches only the destination shard's
          delivery buffer — bit-identity with the sequential executor is
          per-slot exact *)
-      let corrupt_dropped = ref 0 in
-      let corrupt_killed = ref false in
+      corrupt_dropped := 0;
+      corrupt_killed := false;
       (match corrupt with
       | Some (cs : Corrupt.spec) ->
         let inten = Corrupt.intensity cs ~round:r in
@@ -2810,35 +2894,36 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
             shards
         end
       | None -> ());
+      (* plain loops over the shards, here and below: an [Array.iter]
+         closure capturing these refs would allocate both every round *)
       let this_round = ref 0 in
       let live_snapshot = ref 0 in
-      Array.iter
-        (fun sh ->
-          this_round := !this_round + (sbuf_of sh ~delivery:true).s_total;
-          live_snapshot := !live_snapshot + sh.sh_live_len - sh.sh_crashed_live)
-        shards;
+      for s = 0 to d - 1 do
+        let sh = shards.(s) in
+        this_round := !this_round + (sbuf_of sh ~delivery:true).s_total;
+        live_snapshot := !live_snapshot + sh.sh_live_len - sh.sh_crashed_live
+      done;
       max_inflight := max !max_inflight !this_round;
       messages := !messages + !this_round;
       let v_min = ref (-1) in
       if !churn_applied || !corrupt_killed then
         (* churn can only remove candidates, but removing the minimum
            exposes the next one: recompute from the surviving counts *)
-        Array.iter
-          (fun sh ->
-            let dvb = sbuf_of sh ~delivery:true in
-            for i = 0 to dvb.s_alen - 1 do
-              let v = dvb.s_active.(i) in
-              if (not is_live.(v)) && dcount.(v) > 0
-                 && (!v_min < 0 || v < !v_min)
-              then v_min := v
-            done)
-          shards
+        for s = 0 to d - 1 do
+          let dvb = sbuf_of shards.(s) ~delivery:true in
+          for i = 0 to dvb.s_alen - 1 do
+            let v = dvb.s_active.(i) in
+            if (not is_live.(v)) && dcount.(v) > 0
+               && (!v_min < 0 || v < !v_min)
+            then v_min := v
+          done
+        done
       else
-        Array.iter
-          (fun sh ->
-            if sh.sh_vmin >= 0 && (!v_min < 0 || sh.sh_vmin < !v_min) then
-              v_min := sh.sh_vmin)
-          shards;
+        for s = 0 to d - 1 do
+          let sh = shards.(s) in
+          if sh.sh_vmin >= 0 && (!v_min < 0 || sh.sh_vmin < !v_min) then
+            v_min := sh.sh_vmin
+        done;
       vmin_flag := !v_min;
       dense_flag := not !hinted;
       trans_flag := !transition;
@@ -2870,13 +2955,12 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
                 !v_min))
       end;
       if not !hinted then
-        Array.iter
-          (fun sh ->
-            if sh.sh_hinted then begin
-              hinted := true;
-              transition := true
-            end)
-          shards;
+        for s = 0 to d - 1 do
+          if shards.(s).sh_hinted then begin
+            hinted := true;
+            transition := true
+          end
+        done;
       if instrumented then begin
         emit_events ~round:r ~limit:max_int ~owner:(-1);
         (* merge the per-shard counters with the associative combine; the
@@ -2924,11 +3008,11 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       Pool.run pool phase_exchange;
       pending_next := 0;
       live_total := 0;
-      Array.iter
-        (fun sh ->
-          pending_next := !pending_next + (sbuf_of sh ~delivery:false).s_total;
-          live_total := !live_total + sh.sh_live_len)
-        shards;
+      for s = 0 to d - 1 do
+        let sh = shards.(s) in
+        pending_next := !pending_next + (sbuf_of sh ~delivery:false).s_total;
+        live_total := !live_total + sh.sh_live_len
+      done;
       incr round
     done
   in
@@ -2952,7 +3036,7 @@ let exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
   (* clear [running] on abnormal exit so the engine stays usable; [dirty]
      stays set, forcing a buffer scrub on the next exec *)
   try
-    if domains = 1 then
+    if domains = 1 && partition = None then
       exec_unguarded ?max_rounds ?max_words ?sink ?degrade ?churn ?guard
         ?corrupt e algo
     else

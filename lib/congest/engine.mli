@@ -615,9 +615,12 @@ val exec :
     execution}: same outputs, same stats, same sink events in the same
     order, same violations with the same messages — the differential
     property [test_engine_diff] checks for [d] ∈ {1, 2, 4}.  [partition]
-    (only meaningful with [domains > 1]) assigns each node a shard in
-    [0, domains); default is contiguous ranges.  Use
-    [Generators.shard_partition] for a degree-balanced assignment.
+    assigns each node a shard in [0, domains); default is contiguous
+    ranges.  Use [Generators.shard_partition] for a degree-balanced
+    assignment.  Passing a [partition] always selects the sharded core,
+    so [~domains:1 ~partition] runs it as a single shard on the calling
+    domain — the configuration the differential and allocation tests use
+    to check the sharded core against the sequential engine.
 
     With [domains > 1] the algorithm's [step]/[halted]/[wake] functions
     are called concurrently from several domains ([init] stays serial;

@@ -4,7 +4,8 @@ open Kdom_graph
    favor of the shorter path.  Shared with [Leader]'s flood-wave upgrade so
    the takeover election below is the same rule restricted to the orphan
    set. *)
-let wave_prefers (id1, d1) (id2, d2) = (id1, -d1) > (id2, -d2)
+let wave_prefers (id1 : int) (d1 : int) (id2 : int) (d2 : int) =
+  id1 > id2 || (id1 = id2 && d1 < d2)
 
 type plan = { dominator : int array; parent : int array; depth : int array }
 
@@ -196,7 +197,7 @@ let ealgorithm g cfg : state Engine.ealgorithm =
             match !best_newdom with
             | None -> true
             | Some (s0, w0, d0) ->
-              wave_prefers (w, d) (w0, d0) || ((w, d) = (w0, d0) && u < s0)
+              wave_prefers w d w0 d0 || (w = w0 && d = d0 && u < s0)
           in
           if better then best_newdom := Some (u, w, d)
         | t -> invalid_arg (Printf.sprintf "Repair: unknown tag %d" t)
@@ -336,7 +337,7 @@ let ealgorithm g cfg : state Engine.ealgorithm =
         let adopted, st =
           if st.phase = Takeover then
             match !best_newdom with
-            | Some (u, w, d) when wave_prefers (w, d + 1) (st.dom, st.depth) ->
+            | Some (u, w, d) when wave_prefers w (d + 1) st.dom st.depth ->
               let depth = d + 1 in
               let st =
                 {

@@ -64,10 +64,10 @@
 
 open Kdom_graph
 
-val wave_prefers : int * int -> int * int -> bool
-(** [wave_prefers (id1, d1) (id2, d2)]: wave 1 strictly beats wave 2 —
-    higher originator id, then smaller depth.  The flood-wave upgrade rule
-    shared with {!Leader}. *)
+val wave_prefers : int -> int -> int -> int -> bool
+(** [wave_prefers id1 d1 id2 d2]: wave 1 strictly beats wave 2 — higher
+    originator id, then smaller depth.  The flood-wave upgrade rule shared
+    with {!Leader}; plain int comparisons, so it allocates nothing. *)
 
 type plan = {
   dominator : int array;  (** dominator of each node's cluster *)

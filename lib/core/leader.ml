@@ -13,140 +13,188 @@ let tag_accept = 1 (* [tag; wave id] — sender adopted us as its parent *)
 let tag_echo = 2 (* [tag; wave id] *)
 let tag_leader = 3 (* [tag; leader id] *)
 
+(* Per-neighbour membership in the current wave, one bit each in the
+   neighbour's flag byte: a non-child neighbour known to be in the wave, a
+   child that accepted but did not echo yet, a child whose echo arrived. *)
+let f_same = 1
+let f_pending = 2
+let f_done = 4
+
+(* Mutable per-node state, updated in place by [estep]: the flags replace
+   three membership lists, and the two counters make the settledness test
+   O(1).  Every field is reset when the node adopts a stronger wave. *)
 type state = {
-  neighbors : int list;
-  best : int;                (* id of the wave this node belongs to *)
-  depth : int;
-  parent : int;              (* -1 when this node originated the wave *)
-  same_wave : int list;      (* non-child neighbors known to be in the wave *)
-  pending : int list;        (* children that accepted but did not echo yet *)
-  done_children : int list;  (* children whose echo arrived *)
-  echoed : bool;
-  just_adopted : bool;       (* suppresses same-round echo after an accept *)
-  leader : int;              (* -1 until the final broadcast *)
-  halted : bool;
+  nbrs : int array;          (* neighbour ids, ascending *)
+  flags : Bytes.t;           (* flag byte per neighbour, indexed like [nbrs] *)
+  mutable best : int;        (* id of the wave this node belongs to *)
+  mutable depth : int;
+  mutable parent : int;      (* -1 when this node originated the wave *)
+  mutable parent_ix : int;   (* index of [parent] in [nbrs], -1 if none *)
+  mutable uncovered : int;   (* neighbours neither parent, same-wave nor done *)
+  mutable pending : int;     (* neighbours flagged pending *)
+  mutable echoed : bool;
+  mutable just_adopted : bool; (* suppresses same-round echo after an accept *)
+  mutable leader : int;      (* -1 until the final broadcast *)
+  mutable halted : bool;
 }
 
-let algorithm g : state Engine.algorithm =
-  let init _g v =
+(* Index of neighbour [u] in the ascending [nbrs]: the engine only delivers
+   frames from neighbours, so the search always succeeds. *)
+let index_of (nbrs : int array) u =
+  let lo = ref 0 and hi = ref (Array.length nbrs - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if nbrs.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let covered st i =
+  i = st.parent_ix
+  || Bytes.get_uint8 st.flags i land (f_same lor f_done) <> 0
+
+let set_flag st i f =
+  let was = covered st i in
+  Bytes.set_uint8 st.flags i (Bytes.get_uint8 st.flags i lor f);
+  if (not was) && covered st i then st.uncovered <- st.uncovered - 1
+
+(* Send the final broadcast to every child whose echo arrived. *)
+let broadcast_leader st em leader =
+  for i = 0 to Array.length st.nbrs - 1 do
+    if Bytes.get_uint8 st.flags i land f_done <> 0 then
+      Engine.Emit.frame2 em ~dst:st.nbrs.(i) tag_leader leader
+  done
+
+let ealgorithm g : state Engine.ealgorithm =
+  let einit _g v =
+    let nbrs = Array.map fst (Graph.neighbors g v) in
     {
-      neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+      nbrs;
+      flags = Bytes.make (Array.length nbrs) '\000';
       best = v;
       depth = 0;
       parent = -1;
-      same_wave = [];
-      pending = [];
-      done_children = [];
+      parent_ix = -1;
+      uncovered = Array.length nbrs;
+      pending = 0;
       echoed = false;
       just_adopted = false;
       leader = -1;
       halted = false;
     }
   in
-  let step _g ~round ~node st inbox =
-    let out = ref [] in
-    let send u payload = out := (u, payload) :: !out in
+  let estep _g ~round ~node st inbox em =
+    let deg = Array.length st.nbrs in
     if round = 0 then begin
-      List.iter (fun u -> send u [| tag_offer; node; 0 |]) st.neighbors;
+      for i = 0 to deg - 1 do
+        Engine.Emit.frame3 em ~dst:st.nbrs.(i) tag_offer node 0
+      done;
       (* [just_adopted] doubles as "check settledness next round even with
          an empty inbox" — a node with no neighbors (n = 1) gets no offers
          and must still reach the leader check at round 1 *)
-      ({ st with just_adopted = true }, !out)
+      st.just_adopted <- true
     end
     else begin
+      let len = Engine.Inbox.length inbox in
       (* the strongest wave offered this round, if it beats the current —
          same preference rule as [Repair]'s takeover election *)
-      let upgrade = ref None in
-      Engine.Inbox.iter
-        (fun u payload ->
-          if payload.(0) = tag_offer && payload.(1) > st.best then
-            match !upgrade with
-            | Some (w, d, _) when not (Repair.wave_prefers (payload.(1), payload.(2)) (w, d))
-              -> ()
-            | _ -> upgrade := Some (payload.(1), payload.(2), u))
-        inbox;
-      let st =
-        match !upgrade with
-        | Some (w, d, via) ->
-          send via [| tag_accept; w |];
-          List.iter
-            (fun u -> if u <> via then send u [| tag_offer; w; d + 1 |])
-            st.neighbors;
-          {
-            st with
-            best = w;
-            depth = d + 1;
-            parent = via;
-            same_wave = [];
-            pending = [];
-            done_children = [];
-            echoed = false;
-            just_adopted = true;
-          }
-        | None -> { st with just_adopted = false }
-      in
+      let up_w = ref (-1) and up_d = ref 0 and up_via = ref (-1) in
+      for i = 0 to len - 1 do
+        let rd = Engine.Inbox.read inbox i in
+        if Codec.get rd = tag_offer then begin
+          let w = Codec.get rd in
+          if w > st.best then begin
+            let d = Codec.get rd in
+            if !up_via < 0 || Repair.wave_prefers w d !up_w !up_d then begin
+              up_w := w;
+              up_d := d;
+              up_via := Engine.Inbox.sender inbox i
+            end
+          end
+        end
+      done;
+      if !up_via >= 0 then begin
+        let w = !up_w and d = !up_d and via = !up_via in
+        Engine.Emit.frame2 em ~dst:via tag_accept w;
+        for i = 0 to deg - 1 do
+          let u = st.nbrs.(i) in
+          if u <> via then Engine.Emit.frame3 em ~dst:u tag_offer w (d + 1)
+        done;
+        st.best <- w;
+        st.depth <- d + 1;
+        st.parent <- via;
+        st.parent_ix <- index_of st.nbrs via;
+        Bytes.fill st.flags 0 deg '\000';
+        st.uncovered <- deg - 1;
+        st.pending <- 0;
+        st.echoed <- false;
+        st.just_adopted <- true
+      end
+      else st.just_adopted <- false;
       (* bookkeeping for the (possibly new) current wave *)
-      let st =
-        Engine.Inbox.fold
-          (fun st u payload ->
-            match payload.(0) with
-            | t when t = tag_offer ->
-              if payload.(1) = st.best && not (List.mem u st.same_wave) then
-                { st with same_wave = u :: st.same_wave }
-              else st (* weaker or already-counted offers need no reply *)
-            | t when t = tag_accept ->
-              if payload.(1) = st.best then { st with pending = u :: st.pending } else st
-            | t when t = tag_echo ->
-              if payload.(1) = st.best then
-                {
-                  st with
-                  pending = List.filter (fun x -> x <> u) st.pending;
-                  done_children = u :: st.done_children;
-                }
-              else st
-            | t when t = tag_leader ->
-              { st with leader = payload.(1) }
-            | t -> invalid_arg (Printf.sprintf "Leader: unknown tag %d" t))
-          st inbox
-      in
+      for i = 0 to len - 1 do
+        let rd = Engine.Inbox.read inbox i in
+        let t = Codec.get rd in
+        if t = tag_leader then st.leader <- Codec.get rd
+        else if t = tag_offer || t = tag_accept || t = tag_echo then begin
+          (* weaker or stale waves need no reply *)
+          if Codec.get rd = st.best then begin
+            let ix = index_of st.nbrs (Engine.Inbox.sender inbox i) in
+            let fl = Bytes.get_uint8 st.flags ix in
+            if t = tag_offer then set_flag st ix f_same
+            else if t = tag_accept then begin
+              if fl land f_pending = 0 then begin
+                set_flag st ix f_pending;
+                st.pending <- st.pending + 1
+              end
+            end
+            else begin
+              if fl land f_pending <> 0 then begin
+                Bytes.set_uint8 st.flags ix (fl lxor f_pending);
+                st.pending <- st.pending - 1
+              end;
+              set_flag st ix f_done
+            end
+          end
+        end
+        else invalid_arg (Printf.sprintf "Leader: unknown tag %d" t)
+      done;
       (* forward the final broadcast and halt *)
       if st.leader >= 0 then begin
-        List.iter (fun c -> send c [| tag_leader; st.leader |]) st.done_children;
-        ({ st with halted = true }, !out)
+        broadcast_leader st em st.leader;
+        st.halted <- true
       end
       else begin
-        let settled =
-          (not st.just_adopted)
-          && List.for_all
-               (fun u ->
-                 u = st.parent || List.mem u st.same_wave || List.mem u st.done_children)
-               st.neighbors
-          && st.pending = []
-        in
+        let settled = (not st.just_adopted) && st.uncovered = 0 && st.pending = 0 in
         if settled && st.parent = -1 && st.best = node then begin
           (* complete echo of our own wave: we are the leader *)
-          List.iter (fun c -> send c [| tag_leader; node |]) st.done_children;
-          ({ st with leader = node; halted = true }, !out)
+          broadcast_leader st em node;
+          st.leader <- node;
+          st.halted <- true
         end
         else if settled && st.parent <> -1 && not st.echoed then begin
-          send st.parent [| tag_echo; st.best |];
-          ({ st with echoed = true }, !out)
+          Engine.Emit.frame2 em ~dst:st.parent tag_echo st.best;
+          st.echoed <- true
         end
-        else (st, !out)
       end
-    end
+    end;
+    st
   in
-  let halted st = st.halted in
+  let ehalted st = st.halted in
   (* Wake hints: wave adoption, bookkeeping and the final broadcast are all
      message-driven.  The one empty-inbox transition is the echo check the
      round after an adoption ([just_adopted] suppresses the same-round
      echo), so an adopter asks to be stepped next round. *)
-  let wake st = if st.just_adopted then Engine.Next else Engine.OnMessage in
-  { Engine.init; step; halted; wake }
+  let ewake st = if st.just_adopted then Engine.Next else Engine.OnMessage in
+  { Engine.einit; estep; ehalted; ewake }
 
 (* Word budget: the widest message is [| tag_offer; wave id; depth |] — 3
    words. *)
 let max_words = 3
+
+(* Legacy list shape, derived — the differential suites, the async layer
+   and every external caller share the one Emit step. *)
+let algorithm g : state Engine.algorithm =
+  Engine.to_algorithm ~max_words (ealgorithm g)
 
 let result_of_states states stats =
   let leader_id = states.(0).leader in
@@ -167,7 +215,7 @@ let elect ?trace ?sink g =
   Option.iter (fun t -> Trace.set_budget t max_words) trace;
   let sink = Trace.wrap ?trace ?sink () in
   Trace.span_opt trace "leader.elect" (fun () ->
-      let states, stats = Engine.run ~max_words ~sink g (algorithm g) in
+      let states, stats = Engine.run_emit ~max_words ~sink g (ealgorithm g) in
       result_of_states states stats)
 
 let round_bound ~diam = (5 * diam) + 10

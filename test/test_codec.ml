@@ -60,7 +60,7 @@ let check_roundtrip p =
   let base = 6 in
   let arena = Bytes.make (base + cap) '\xff' in
   let w = Codec.writer () in
-  Codec.attach_writer w arena ~base ~budget:words;
+  Codec.attach_writer ~guard:false w arena ~base ~budget:words;
   Array.iter (Codec.put w) p;
   if Codec.words w <> words || Codec.wire w <> wire then
     Alcotest.fail "writer words/wire differ from measure";
@@ -459,6 +459,96 @@ let test_bounds_regression () =
   Alcotest.(check bool) "verify rejects over-span" false
     (Codec.verify buf ~base:0 ~wire:8)
 
+(* ------------------------------------------------------------------ *)
+(* Group 4: zero allocation on the emit path.
+
+   A steady-state round of a kernel that sends through every emit flavor
+   — [frame1]..[frame4] and an explicit [start]/[put]/[commit] — and
+   drains its inbox in place with [Inbox.read]/[Codec.get] allocates 0
+   minor words, guard off and on, in the sequential executor and in the
+   sharded executor on one domain.  The state is an immediate int and
+   the wake hint is [Next], so the sparse frontier, its sort and the
+   timer wheel are all on the measured loop.
+
+   Per-round cost is the difference between a long and a short run on
+   the same prebuilt engine, divided by the extra rounds: per-run setup
+   (state array, emitter closures, shard buffers) cancels.  Both lengths
+   fit the same timer-wheel capacity, so its doubling growth cancels
+   too. *)
+
+let frames_kernel ~rounds : int Engine.ealgorithm =
+  let estep g ~round ~node st ib em =
+    let acc = ref st in
+    for i = 0 to Engine.Inbox.length ib - 1 do
+      let rd = Engine.Inbox.read ib i in
+      for _ = 1 to Codec.remaining rd do
+        acc := (!acc * 31) + Codec.get rd
+      done
+    done;
+    let d = !acc land 0xFFFF in
+    if round >= rounds then -d - 1
+    else begin
+      let nbrs = Graph.neighbors g node in
+      for i = 0 to Array.length nbrs - 1 do
+        let u = fst nbrs.(i) in
+        match (round + i) mod 5 with
+        | 0 -> Engine.Emit.frame1 em ~dst:u d
+        | 1 -> Engine.Emit.frame2 em ~dst:u d node
+        | 2 -> Engine.Emit.frame3 em ~dst:u d node round
+        | 3 -> Engine.Emit.frame4 em ~dst:u d node round i
+        | _ ->
+          let w = Engine.Emit.start em ~dst:u in
+          Codec.put w d;
+          Codec.put w (-node);
+          Engine.Emit.commit em
+      done;
+      d
+    end
+  in
+  {
+    Engine.einit = (fun _ v -> v);
+    estep;
+    ehalted = (fun st -> st < 0);
+    ewake = (fun _ -> Engine.Next);
+  }
+
+let words_per_round ~guard ~sharded g =
+  let e = Engine.create g in
+  (* with a partition the sharded core runs even on one domain *)
+  let partition = if sharded then Some (Array.make (Graph.n g) 0) else None in
+  let run rounds =
+    let w0 = Gc.minor_words () in
+    ignore (Engine.exec_emit ~guard ~domains:1 ?partition e (frames_kernel ~rounds));
+    Gc.minor_words () -. w0
+  in
+  ignore (run 60);
+  let short = run 40 and long = run 60 in
+  (long -. short) /. 20.
+
+let test_alloc_frames () =
+  let g = Generators.grid ~rng:(Rng.create 3) ~rows:12 ~cols:12 in
+  List.iter
+    (fun (guard, sharded) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "minor words per round (guard %b, %s)" guard
+           (if sharded then "sharded, 1 domain" else "sequential"))
+        0.
+        (words_per_round ~guard ~sharded g))
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
+(* Leader election end to end, setup included: the port keeps it within
+   4 minor words per delivered message. *)
+let test_alloc_leader () =
+  let g = Generators.grid ~rng:(Rng.create 5) ~rows:50 ~cols:50 in
+  ignore (Kdom.Leader.elect g);
+  let w0 = Gc.minor_words () in
+  let r = Kdom.Leader.elect g in
+  let words = Gc.minor_words () -. w0 in
+  let per_msg = words /. float_of_int r.stats.messages in
+  if per_msg > 4. then
+    Alcotest.failf "Leader.elect allocates %.2f minor words per message (budget 4)"
+      per_msg
+
 let () =
   Alcotest.run "codec"
     [
@@ -487,4 +577,10 @@ let () =
         :: [
              Alcotest.test_case "width violation" `Quick test_broadcast_width;
            ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "emit frames allocate nothing" `Quick test_alloc_frames;
+          Alcotest.test_case "leader within 4 words per message" `Quick
+            test_alloc_leader;
+        ] );
     ]

@@ -348,13 +348,13 @@ let record_sink () =
     },
     fun () -> (List.rev !rounds, List.rev !msgs) )
 
-let sharded_diff what ?partition ~domains ~max_words g mk =
+(* [run sink d] executes on [d] domains, [d = 0] being the sequential
+   baseline the sharded run is checked against. *)
+let sharded_check what ~domains run =
   let s1, r1 = record_sink () in
-  let b_states, b_stats = Engine.run ~max_words ~sink:s1 g (mk ()) in
+  let b_states, b_stats = run s1 0 in
   let s2, r2 = record_sink () in
-  let d_states, d_stats =
-    Engine.run ~max_words ~sink:s2 ~domains ?partition g (mk ())
-  in
+  let d_states, d_stats = run s2 domains in
   let what = Printf.sprintf "%s (domains=%d)" what domains in
   if d_states <> b_states then Alcotest.failf "%s: final states differ" what;
   check_stats what d_stats b_stats;
@@ -369,6 +369,22 @@ let sharded_diff what ?partition ~domains ~max_words g mk =
     rounds1 rounds2;
   if msgs1 <> msgs2 then
     Alcotest.failf "%s: on_message event streams differ" what
+
+let sharded_diff what ?partition ~domains ~max_words g mk =
+  sharded_check what ~domains (fun sink d ->
+      if d = 0 then Engine.run ~max_words ~sink g (mk ())
+      else Engine.run ~max_words ~sink ~domains:d ?partition g (mk ()))
+
+(* The same check on the Emit path.  At one domain an all-zero partition
+   selects the sharded core, so [d = 1] compares two distinct executors. *)
+let sharded_diff_emit what ~domains ~max_words g mk =
+  sharded_check what ~domains (fun sink d ->
+      if d = 0 then Engine.run_emit ~max_words ~sink g (mk ())
+      else
+        let partition =
+          if d = 1 then Some (Array.make (Graph.n g) 0) else None
+        in
+        Engine.run_emit ~max_words ~sink ~domains:d ?partition g (mk ()))
 
 let prop_sharded_bit_identical =
   QCheck2.Test.make
@@ -385,10 +401,24 @@ let prop_sharded_bit_identical =
               sharded_diff ("leader/" ^ fam) ~domains
                 ~max_words:Kdom.Leader.max_words g (fun () ->
                   Kdom.Leader.algorithm g);
+              sharded_diff_emit ("leader-emit/" ^ fam) ~domains
+                ~max_words:Kdom.Leader.max_words g (fun () ->
+                  Kdom.Leader.ealgorithm g);
               sharded_diff ("smc/" ^ fam) ~domains
                 ~max_words:Kdom.Simple_mst_congest.max_words g (fun () ->
                   Kdom.Simple_mst_congest.algorithm g ~k:2))
             domain_counts;
+          (* the Emit step and its derived list shape agree *)
+          let es, est =
+            Engine.run_emit ~max_words:Kdom.Leader.max_words g
+              (Kdom.Leader.ealgorithm g)
+          in
+          let ls, lst =
+            Engine.run ~max_words:Kdom.Leader.max_words g
+              (Kdom.Leader.algorithm g)
+          in
+          if es <> ls then Alcotest.failf "leader/%s: emit <> list states" fam;
+          check_stats ("leader emit/list " ^ fam) est lst;
           (* a degree-balanced (non-contiguous) partition must behave the
              same; 3 shards so cross-shard frames are guaranteed *)
           let partition = Generators.shard_partition g ~shards:3 in

@@ -141,6 +141,36 @@ let test_engine_reference_churn_differential () =
         st2.Runtime.messages)
     [ 5; 23; 71 ]
 
+(* A crash of a node in the [Always] set while other nodes run on hints
+   (the sparse scheduler): the crashed node must not step in its crash
+   round, in any executor.  Node 0 pings node 1 every round until it
+   crashes at round 3; node 1 wakes by timer at round 9 and halts. *)
+let test_crashed_always_node_sparse () =
+  let alg : int Engine.algorithm =
+    {
+      Engine.init = (fun _ v -> v * 1000);
+      step =
+        (fun _ ~round ~node st _ib ->
+          if round > 8 then (-1, [])
+          else if node = 0 then (st + 1, [ (1, [| round |]) ])
+          else (st + 1, []));
+      halted = (fun st -> st < 0);
+      wake = (fun st -> if st >= 0 && st < 1000 then Engine.Always else Engine.At 9);
+    }
+  in
+  let g = Generators.path ~rng:(Rng.create 1) 2 in
+  let e = Engine.create g in
+  let churn = Engine.Churn.compile e [ Engine.Churn.Crash { node = 0; at = 3 } ] in
+  let rs, rst = Runtime.run_reference ~churn g alg in
+  Alcotest.(check (array int)) "reference: node 0 stepped rounds 0..2" [| 3; -1 |] rs;
+  List.iter
+    (fun domains ->
+      let s, st = Engine.exec ~churn ~domains e alg in
+      let what = Printf.sprintf "domains=%d" domains in
+      Alcotest.(check (array int)) (what ^ ": states") rs s;
+      Alcotest.(check int) (what ^ ": messages") rst.Runtime.messages st.Engine.messages)
+    [ 1; 2 ]
+
 (* The sharded engine must make the same churn observations as the
    sequential one: identical final states, identical stats, and identical
    per-round [crashed]/[dropped] sink counters, at every domain count.
@@ -605,6 +635,8 @@ let () =
             test_sharded_churn_differential;
           Alcotest.test_case "crashed counter sums" `Quick
             test_crashed_counter_sums;
+          Alcotest.test_case "crashed Always node under hints" `Quick
+            test_crashed_always_node_sparse;
         ] );
       ( "repair",
         [
