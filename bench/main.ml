@@ -1492,16 +1492,15 @@ let trace_overhead ~smoke () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* PAR — the sharded multicore executor ([Engine.exec ~domains]) against
-   the sequential engine on large instances.  Every run is asserted
+(* PAR — the engine's round loop on d > 1 shards ([Engine.exec ~domains])
+   against its one-shard case on large instances.  Every run is asserted
    bit-identical to the [domains = 1] baseline (states and stats), so the
-   table measures pure executor overhead/scaling, never divergence.
+   table measures pure sharding overhead/scaling, never divergence.
 
    Honesty note: the JSON records the host's recommended domain count.
-   On a single-core host the sharded executor cannot beat the sequential
-   one — the table then quantifies the barrier + shard bookkeeping
-   overhead, which is exactly what a reader needs to know before turning
-   [~domains] on. *)
+   On a single-core host several shards cannot beat one — the table then
+   quantifies the barrier + shard bookkeeping overhead, which is exactly
+   what a reader needs to know before turning [~domains] on. *)
 
 type par_row = {
   pr_kernel : string;
@@ -1512,7 +1511,7 @@ type par_row = {
   pr_rounds : int;
   pr_messages : int;
   pr_secs : float;
-  pr_speedup : float; (* sequential secs / this run's secs *)
+  pr_speedup : float; (* domains=1 secs / this run's secs *)
   pr_minor : float;
   pr_promoted : float;
 }
@@ -1548,7 +1547,7 @@ let par_case ~kernel ~family ?partition_for g mk =
             if states <> bstates || stats <> bstats then
               failwith
                 (Printf.sprintf
-                   "par bench %s/%s: domains=%d diverges from the sequential \
+                   "par bench %s/%s: domains=%d diverges from the domains=1 \
                     run"
                    kernel family domains);
             bsecs
@@ -1624,7 +1623,7 @@ let par_json rows =
 
 let par_bench () =
   header "PAR  sharded executor scaling"
-    "run ~domains:d is bit-identical to the sequential engine (asserted)";
+    "run ~domains:d is bit-identical to ~domains:1 (asserted)";
   pf "host recommended domains: %d@." (Domain.recommended_domain_count ());
   pf "%-7s %-8s %8s %8s %7s %7s %10s %12s %8s@." "kernel" "family" "n" "m"
     "domains" "rounds" "secs" "ms/round" "speedup";
@@ -1650,7 +1649,7 @@ let par_bench () =
       then
         failwith
           (Printf.sprintf
-             "par bench %s/%s: domains=%d ran at %.2fx vs sequential on a \
+             "par bench %s/%s: domains=%d ran at %.2fx vs domains=1 on a \
               host recommending %d domains"
              r.pr_kernel r.pr_family r.pr_domains r.pr_speedup
              (Domain.recommended_domain_count ())))
@@ -1669,7 +1668,7 @@ let par_bench () =
   pf "@.wrote BENCH_par.json (%d rows)@." (List.length rows)
 
 (* CI pass: small instances, every row still asserted bit-identical to the
-   sequential baseline inside [par_case]. *)
+   domains=1 baseline inside [par_case]. *)
 let par_smoke () =
   let rows = par_rows ~smoke:true () in
   List.iter

@@ -55,8 +55,8 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Run every engine execution on $(docv) OCaml domains (the sharded \
-           multicore executor; bit-identical to the sequential engine).")
+          "Run every engine execution as $(docv) shards on $(docv) OCaml \
+           domains (bit-identical results at every domain count).")
 
 (* The composite drivers (FastDOM, FastMST, repair) call [Runtime.run]
    internally, so the domain count is threaded through the engine's

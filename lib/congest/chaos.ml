@@ -262,11 +262,14 @@ let run_message ?(max_delay = 1.0) ~seed ~storm g
       fail what "%s diverged from the fault-free synchronous baseline" stage
   in
   (* the guard word changes frames on the wire, never the algorithm:
-     guarded executions agree bit for bit across all three executors *)
-  expect_same "guarded sequential run"
-    (fst (Runtime.run ~max_words ~guard:true ~domains:1 g (mk ())));
-  expect_same "guarded 4-domain run"
-    (fst (Runtime.run ~max_words ~guard:true ~domains:4 g (mk ())));
+     guarded executions agree bit for bit on 1, 2 and 4 domains and under
+     the independent reference simulator *)
+  List.iter
+    (fun d ->
+      expect_same
+        (Printf.sprintf "guarded %d-domain run" d)
+        (fst (Runtime.run ~max_words ~guard:true ~domains:d g (mk ()))))
+    [ 1; 2; 4 ];
   expect_same "guarded reference run"
     (fst (Runtime.run_reference ~max_words ~guard:true g (mk ())));
   (* the composed storm, recovered by ack/retransmit *)
@@ -337,9 +340,9 @@ let run_repair ?(beta = 3) ?(lease = 2) ~seed ~storm g plan =
   let states, churn, infos = run_engine 1 in
   let tally = tally_of corrupt in
   check_tally what tally;
-  (* the sharded executor reaches identical states and identical
-     corruption verdicts (decisions are keyed by the port map, not by
-     iteration order) *)
+  (* four shards reach identical states and identical corruption
+     verdicts (decisions are keyed by the port map, not by iteration
+     order) *)
   let states4, _, _ = run_engine 4 in
   if states4 <> states then fail what "4-domain run diverged";
   if tally_of corrupt <> tally then

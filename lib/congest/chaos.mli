@@ -13,8 +13,8 @@
       the storm back into a reliable network — final states must be
       bit-identical to the fault-free synchronous {!Runtime.run}, and the
       per-algorithm oracle must accept them.  The same run cross-checks
-      that the guarded sequential, 4-domain sharded and reference
-      executors agree on the benign network, so the guard word itself is
+      that guarded runs on 1, 2 and 4 domains and under the reference
+      simulator agree on the benign network, so the guard word itself is
       covered by the differential.
     - {e Survived} ({!run_repair}, {!run_serve}): the maintenance
       protocols take the round-time plane head on — permanent churn via
@@ -23,7 +23,8 @@
       retransmission, to outlive detected-and-dropped frames.  The judge
       is the eventual-quality oracle over the survivors
       ({!Oracle.eventual_k_domination}, {!Serve.check_handover}), plus a
-      three-executor bit-identity differential for {!run_repair}.
+      1-domain / 4-domain / reference bit-identity differential for
+      {!run_repair}.
 
     Everything is deterministic in [(storm, seed)]: the corruption plane
     draws from {!Engine.Corrupt.decide} hashes keyed by the port map, the
@@ -144,7 +145,7 @@ val run_message :
   ?max_delay:float -> seed:int -> storm:storm -> Graph.t -> case -> verdict
 (** Execute the case's algorithm three ways and require bit-identical
     final states throughout: fault-free synchronous baseline; guarded
-    sequential / 4-domain / reference differential; then the full storm
+    1/2/4-domain / reference differential; then the full storm
     under {!Async.run_reliable} ([max_delay] defaults to 1.0).  The
     case's oracle judges the storm states; the corruption tally must
     account for every rejected copy.  Raises {!Diverged} on any
@@ -159,8 +160,8 @@ val run_repair :
   Repair.plan ->
   verdict * Repair.report
 (** Run the {!Repair} maintenance protocol over the storm's churn plane
-    with engine-level corruption, on the sequential, 4-domain sharded and
-    reference executors — states and corruption tallies must be
+    with engine-level corruption, on 1 and 4 domains and under the
+    reference simulator — states and corruption tallies must be
     bit-identical.  Every surviving node must end dominated and
     {!Oracle.eventual_k_domination} must hold over the survivors.
     [beta] defaults to 3, [lease] to 2; the horizon is sized from the

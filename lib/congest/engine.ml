@@ -42,12 +42,12 @@ module Inbox = struct
     mutable a_stride : int;
     rd : Codec.reader; (* shared repositionable frame decoder *)
     wr : Codec.writer; (* scratch encoder for [read] on boxed entries *)
-    (* Lazy arena fill: the executors mark the stepping node instead of
+    (* Lazy arena fill: the round loop marks the stepping node instead of
        scanning its in-ports up front; the scan runs on the first
        accessor call, so kernels that ignore their mail this step
        (flood-style broadcasts) never pay for it. *)
     mutable fill_node : int; (* node awaiting a deferred fill, -1 = none *)
-    mutable filler : t -> unit; (* installed per executor *)
+    mutable filler : t -> unit; (* installed per run *)
   }
 
   let no_fill (_ : t) = ()
@@ -179,9 +179,9 @@ let always _ = Always
 let list_step step g ~round ~node st ib = step g ~round ~node st (Inbox.to_list ib)
 
 (* The allocation-free send path.  An emitter is a reusable cursor the
-   executor attaches to its own send machinery: [start] positions the
+   round loop attaches to its own send machinery: [start] positions the
    shared writer directly on the destination slot's arena region (after
-   the same non-neighbor / duplicate-edge checks the list path performs),
+   the non-neighbor / duplicate-edge checks),
    the algorithm [Codec.put]s the frame's words, and [commit] publishes
    the frame — no payload array, no cons cell, no copy.  [frame1]..
    [frame4] are closure-free shorthands for fixed-shape frames; [send]
@@ -189,12 +189,12 @@ let list_step step g ~round ~node st ib = step g ~round ~node st (Inbox.to_list 
 module Emit = struct
   type t = {
     ew : Codec.writer;
-    mutable enode : int; (* current sender, set by the executor *)
+    mutable enode : int; (* current sender, set by the round loop *)
     mutable eslot : int; (* destination slot of the open frame *)
     mutable edst : int;
     mutable edead : bool; (* open frame targets a churn-dead endpoint *)
     mutable eopen : bool;
-    mutable estart : t -> int -> Codec.writer; (* installed per executor *)
+    mutable estart : t -> int -> Codec.writer; (* installed per run *)
     mutable ecommit : t -> unit;
     mutable ebroadcast1 : t -> int -> unit;
   }
@@ -264,10 +264,6 @@ type 'st ealgorithm = {
   ewake : 'st -> wake;
 }
 
-(* Internal sum the executors dispatch on: both the legacy list shape and
-   the emit shape run through the same scheduling/delivery machinery. *)
-type 'st anyalg = A_list of 'st algorithm | A_emit of 'st ealgorithm
-
 module Sink = struct
   type round_info = {
     round : int;
@@ -325,7 +321,7 @@ module Sink = struct
 
   (* Associative, commutative merge of two views of the same round: every
      field is a sum except [round], which must agree.  This is the combine
-     the sharded executor folds per-shard counters with at the barrier, and
+     the round loop folds per-shard counters with at the barrier, and
      it makes [counters]/[activity] aggregation merge-safe: teeing a sink
      across shards and combining per-round records is equivalent to one
      sink observing the whole round. *)
@@ -497,21 +493,91 @@ module Timers = struct
     end
 end
 
-(* One direction of the double buffer: slot-indexed payloads plus the
-   bookkeeping needed to visit and clear only what was touched. *)
-type buf = {
-  mutable data : Bytes.t; (* packed frame arena, [stride] bytes per slot;
-                             sized lazily at [exec] once max_words is known *)
+(* One direction of the double buffer, shared by every shard: the packed
+   frame arena with its slot-indexed wire/word counts, and the per-node
+   receive counts.  Each cell has exactly one owning shard per phase (see
+   the round loop below). *)
+type side = {
+  mutable data : Bytes.t; (* [stride] bytes per slot; sized at [exec] once
+                             max_words is known, then reused *)
   wire : int array;       (* per slot: wire words of the frame, -1 = empty *)
   wlog : int array;       (* per slot: logical words of the frame *)
-  written : int array;    (* stack of slot ids written this round *)
-  mutable wlen : int;
-  count : int array;      (* per node: messages addressed to it *)
-  active : int array;     (* stack of receivers with count > 0 *)
-  mutable alen : int;
-  mutable total : int;
-  mutable words : int;    (* logical words buffered *)
-  mutable bits : int;     (* measured wire bits buffered *)
+  count : int array;      (* per node: frames addressed to it *)
+}
+
+(* Per-shard bookkeeping for one direction of the double buffer: the
+   stacks that let a shard visit and clear only what it touched.  Private
+   to the shard, so clearing stays shard-local. *)
+type sbuf = {
+  s_written : int array;  (* in-slots of this shard written this round *)
+  mutable s_wlen : int;
+  s_active : int array;   (* owned receivers with count > 0 *)
+  mutable s_alen : int;
+  mutable s_total : int;
+  mutable s_words : int;  (* logical words buffered *)
+  mutable s_bits : int;   (* measured wire bits buffered *)
+}
+
+(* Cross-shard frame list for one (src shard, dst shard) pair: appended by
+   the source in stepping order during phase A, drained and reset by the
+   destination during phase B.  The phases are barrier-separated, so the
+   two owners never touch it concurrently.  The frame data does not travel
+   through here: every directed slot has a unique sender, which encodes the
+   frame straight into the shared send arena, so the destination only
+   learns *which* slots arrived. *)
+type xarena = {
+  mutable x_slot : int array;
+  mutable x_len : int;
+}
+
+type shard = {
+  sh_live : int array;    (* owned live nodes, ascending *)
+  mutable sh_live_len : int;
+  sh_frontier : int array;
+  mutable sh_plen : int;  (* frontier length this round *)
+  sh_always : int array;  (* owned nodes in Always mode, ascending when clean *)
+  mutable sh_alen : int;
+  sh_timers : Timers.t;   (* owned nodes to wake at each round *)
+  sh_ib : Inbox.t;        (* inbox arena, sized for the shard's max in-degree *)
+  mutable sh_dv : sbuf;   (* delivery side this round *)
+  mutable sh_sd : sbuf;   (* send side this round *)
+  (* per-round outputs (phase A) *)
+  mutable sh_stepped : int;
+  mutable sh_woken : int;
+  mutable sh_receivers : int;
+  mutable sh_delivered_words : int;
+  mutable sh_delivered_bits : int;
+  mutable sh_emitted : int;
+  mutable sh_send_dropped : int;
+  mutable sh_hinted : bool;
+  mutable sh_vmin : int;  (* halted-receiver candidate for the next round *)
+  (* control flags written serially / by the owner *)
+  mutable sh_crashed_live : int;
+  mutable sh_compact : bool;
+  mutable sh_hit : bool;  (* an in-flight frame to this shard was dropped *)
+  mutable sh_always_dirty : bool;
+  mutable sh_always_unsorted : bool;
+  (* first violation: node, priority (0 halted < 1 send), exception *)
+  mutable sh_vnode : int;
+  mutable sh_vprio : int;
+  mutable sh_vexn : exn option;
+  (* deferred on_message events, (src, dst, words), src-ascending *)
+  mutable sh_ev_src : int array;
+  mutable sh_ev_dst : int array;
+  mutable sh_ev_w : int array;
+  mutable sh_ev_len : int;
+  sh_em : Emit.t;
+}
+
+(* A node partition and the shards built for it.  [local] marks the nodes
+   whose out-ports all stay inside their own shard — every node at d = 1 —
+   so [broadcast1] can take its lean loops. *)
+type layout = {
+  l_domains : int;
+  shard_of : int array;
+  local : Bytes.t;
+  shards : shard array;
+  xas : xarena array array; (* xas.(src shard).(dst shard) *)
 }
 
 type t = {
@@ -523,35 +589,26 @@ type t = {
   in_off : int array;   (* n+1: in-port range of each destination *)
   in_slot : int array;  (* slots delivering to v, sender-ascending *)
   in_src : int array;   (* sender of in_slot.(j) *)
-  buf_a : buf;
-  buf_b : buf;
-  live : int array;     (* scratch: live node ids, ascending *)
+  side_a : side;
+  side_b : side;
+  (* per-node scheduling state, shared across shards (one owner each) *)
   is_live : bool array;
-  (* activation frontier: the nodes stepped in the current round *)
-  frontier : int array;
-  fstamp : int array;   (* fstamp.(v) = r  <=>  v already in round r's frontier *)
   is_always : bool array;
-  always : int array;   (* nodes in Always mode, ascending when clean *)
   wake_at : int array;  (* pending timer round per node, -1 = none *)
-  timers : Timers.t;    (* nodes to wake at each round *)
-  ib : Inbox.t;         (* reusable inbox arena, sized for the max in-degree *)
+  fstamp : int array;   (* fstamp.(v) = r  <=>  v already in round r's frontier *)
+  mutable layout : layout option;
+      (* the contiguous layout of the last [exec] without a partition,
+         reused while the domain count stays the same *)
   mutable running : bool;
-  mutable dirty : bool;
+  mutable dirty : bool; (* the last run aborted: the sides need a scrub *)
 }
 
-let make_buf ~n ~ports =
+let make_side ~n ~ports =
   {
     data = Bytes.empty;
     wire = Array.make (max 1 ports) (-1);
     wlog = Array.make (max 1 ports) 0;
-    written = Array.make (max 1 ports) 0;
-    wlen = 0;
     count = Array.make (max 1 n) 0;
-    active = Array.make (max 1 n) 0;
-    alen = 0;
-    total = 0;
-    words = 0;
-    bits = 0;
   }
 
 (* Arena stride for a given per-message word budget: every logical word
@@ -561,9 +618,9 @@ let stride_for ?(guard = false) ~max_words () =
   (2 * Codec.max_wire_words * max 1 max_words)
   + if guard then 2 * Codec.guard_words else 0
 
-let ensure_arena buf ~ports ~stride =
+let ensure_arena side ~ports ~stride =
   let need = max 2 (ports * stride) in
-  if Bytes.length buf.data < need then buf.data <- Bytes.create need
+  if Bytes.length side.data < need then side.data <- Bytes.create need
 
 let create g =
   let n = Graph.n g in
@@ -616,10 +673,6 @@ let create g =
       fill.(d) <- fill.(d) + 1
     done
   done;
-  let max_indeg = ref 0 in
-  for v = 0 to n - 1 do
-    max_indeg := max !max_indeg (in_off.(v + 1) - in_off.(v))
-  done;
   {
     g;
     n;
@@ -629,17 +682,13 @@ let create g =
     in_off;
     in_slot;
     in_src;
-    buf_a = make_buf ~n ~ports;
-    buf_b = make_buf ~n ~ports;
-    live = Array.make (max 1 n) 0;
+    side_a = make_side ~n ~ports;
+    side_b = make_side ~n ~ports;
     is_live = Array.make (max 1 n) false;
-    frontier = Array.make (max 1 n) 0;
-    fstamp = Array.make (max 1 n) (-1);
     is_always = Array.make (max 1 n) false;
-    always = Array.make (max 1 n) 0;
     wake_at = Array.make (max 1 n) (-1);
-    timers = Timers.create ();
-    ib = Inbox.create ~cap:!max_indeg ();
+    fstamp = Array.make (max 1 n) (-1);
+    layout = None;
     running = false;
     dirty = false;
   }
@@ -880,7 +929,7 @@ end
    flight are garbled (bursts of bit flips on the packed wire words) or
    truncated, and every decision is a pure hash of (cseed, delivery
    round, slot, lane): the verdict for a frame does not depend on
-   iteration order, so the sequential, emit, sharded and reference paths
+   iteration order, so every domain count and the reference simulator
    corrupt — and drop — exactly the same frames.  Enabling corruption
    forces the codec guard word onto every frame; the delivery pass
    verifies each garbled frame and kills what the guard catches, so
@@ -908,7 +957,7 @@ module Corrupt = struct
            (1.0 before the first step).  Chaos storms use this to ramp
            intensity up and carve quiescent windows out. *)
     cseed : int;
-    tally : counters; (* reset by the executor at the start of each run *)
+    tally : counters; (* reset by [exec] at the start of each run *)
   }
 
   let make ?(flip = 0.) ?(burst = 1) ?(truncate = 0.) ?(ramp = []) ~seed () =
@@ -970,14 +1019,39 @@ module Corrupt = struct
     if m = 0 then 1 else m
 end
 
-let reset_buf b =
-  Array.fill b.wire 0 (Array.length b.wire) (-1);
-  Array.fill b.count 0 (Array.length b.count) 0;
-  b.wlen <- 0;
-  b.alen <- 0;
-  b.total <- 0;
-  b.words <- 0;
-  b.bits <- 0
+(* ------------------------------------------------------------------ *)
+(* The round loop.  Every execution runs through [exec_core], with the
+   node set partitioned into [d] shards stepped on [d] OCaml 5 domains;
+   [d = 1] is simply the one-shard case, stepped on the calling domain.
+   The round structure is
+
+     serial: buffer swap, churn application, corruption, halted-receiver
+       minimum
+     phase A: each shard steps its own frontier in ascending node id;
+       intra-shard frames land directly in the send buffer, cross-shard
+       frames are appended to a per-(src-shard, dst-shard) slot list
+     serial: violation resolution, deferred sink dispatch, round record
+     phase B: each destination shard drains the slot lists addressed to
+       it in src-shard order
+
+   Determinism does not depend on scheduling: every mutable cell is owned
+   by exactly one shard within a phase (slots by their unique sender in
+   phase A, receive counts by the destination, node state by the owner),
+   the slot lists are filled in each source's deterministic stepping order
+   and drained in fixed src-shard order, and the buffers are slot-indexed
+   so final contents are independent of drain interleaving.  Sink
+   callbacks are deferred to the barrier and replayed in ascending source
+   id — the order one shard emits them in — so instrumented runs are
+   identical at every d.
+
+   Violations cannot abort mid-phase without racing the other shards, so
+   each shard records its first violation (the node it fired at, plus a
+   priority bit ordering the halted-receiver check before the send checks
+   at the same node) and stops stepping; the barrier re-raises the
+   lexicographically smallest one — exactly the violation a single
+   ascending sweep hits first. *)
+
+exception Stop_shard
 
 (* In-place heapsort of [a.(0) .. a.(len-1)]: the frontier must be stepped
    in ascending node id (the reference's visiting order), and its three
@@ -1012,931 +1086,6 @@ let sort_prefix (a : int array) len =
     done
   end
 
-let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
-    ?churn ?(guard = false) ?corrupt e algo =
-  let n = e.n in
-  let g = e.g in
-  (match churn with
-  | Some (c : Churn.t) ->
-    if Array.length c.Churn.crashed <> max 1 n
-       || Array.length c.Churn.edge_down <> max 1 e.ports
-    then invalid_arg "Engine.exec: churn compiled against a different engine";
-    Churn.reset c
-  | None -> ());
-  (match corrupt with
-  | Some (cs : Corrupt.spec) ->
-    Corrupt.validate cs;
-    cs.Corrupt.tally.Corrupt.injected <- 0;
-    cs.Corrupt.tally.Corrupt.detected <- 0;
-    cs.Corrupt.tally.Corrupt.truncated <- 0
-  | None -> ());
-  (* corruption is only detectable with the guard word on every frame *)
-  let guard = guard || corrupt <> None in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> default_max_rounds n
-  in
-  let max_words =
-    match max_words with Some w -> w | None -> default_max_words n
-  in
-  if e.dirty then begin
-    (* a previous run aborted mid-round (violation / limit); scrub *)
-    reset_buf e.buf_a;
-    reset_buf e.buf_b
-  end;
-  let stride = stride_for ~guard ~max_words () in
-  ensure_arena e.buf_a ~ports:e.ports ~stride;
-  ensure_arena e.buf_b ~ports:e.ports ~stride;
-  e.running <- true;
-  e.dirty <- true;
-  let a_init, a_halted, a_wake =
-    match algo with
-    | A_list a -> (a.init, a.halted, a.wake)
-    | A_emit a -> (a.einit, a.ehalted, a.ewake)
-  in
-  let states = Array.init n (fun v -> a_init g v) in
-  (* Hoisted churn views: the empty arrays are never indexed (short-circuit
-     on [churn_on]), so the no-churn send path costs one extra branch. *)
-  let churn_edge_down, churn_crashed, churn_dormant =
-    match churn with
-    | Some (c : Churn.t) ->
-      (c.Churn.edge_down, c.Churn.crashed, c.Churn.dormant)
-    | None -> ([||], [||], [||])
-  in
-  let churn_on = churn <> None in
-  let live = e.live and is_live = e.is_live in
-  let live_len = ref 0 in
-  for v = 0 to n - 1 do
-    if a_halted states.(v) || (churn_on && churn_dormant.(v)) then
-      is_live.(v) <- false
-    else begin
-      is_live.(v) <- true;
-      live.(!live_len) <- v;
-      incr live_len
-    end
-  done;
-  (* Frontier state.  Every node starts in Always mode: hints are consulted
-     only after a step, and round 0 (the init round) steps every live node
-     regardless.  [hinted] stays false — and the engine stays on the dense
-     legacy path, byte-for-byte — until some step returns a non-Always
-     hint. *)
-  Array.fill e.fstamp 0 (max 1 n) (-1);
-  Array.fill e.wake_at 0 (max 1 n) (-1);
-  for v = 0 to n - 1 do
-    e.is_always.(v) <- is_live.(v)
-  done;
-  Timers.clear e.timers;
-  let alen = ref 0 in
-  let hinted = ref false in
-  let transition = ref false in
-  let always_dirty = ref false in
-  let always_unsorted = ref false in
-  let schedule v k =
-    e.wake_at.(v) <- k;
-    Timers.push e.timers k v
-  in
-  let apply_wake v st r =
-    match a_wake st with
-    | Always ->
-      if not e.is_always.(v) then begin
-        e.is_always.(v) <- true;
-        e.always.(!alen) <- v;
-        incr alen;
-        always_unsorted := true
-      end;
-      e.wake_at.(v) <- -1
-    | hint ->
-      if not !hinted then begin
-        hinted := true;
-        transition := true
-      end;
-      if e.is_always.(v) then begin
-        e.is_always.(v) <- false;
-        always_dirty := true
-      end;
-      (match hint with
-      | Next -> schedule v (r + 1)
-      | At k -> if k > r then schedule v k else e.wake_at.(v) <- -1
-      | OnMessage -> e.wake_at.(v) <- -1
-      | Always -> assert false)
-  in
-  let cur = ref e.buf_a and nxt = ref e.buf_b in
-  let messages = ref 0 and max_inflight = ref 0 and round = ref 0 in
-  let instrumented = sink != Sink.null in
-  (* Hoisted out of the round loop so the emitter closures (created once
-     per exec) can account churn-dropped frames; reset every round. *)
-  let churn_dropped = ref 0 in
-  (* The emit fast path: one reusable emitter whose start/commit write the
-     frame straight into the send arena.  [start] performs the same checks
-     as the list path's store loop (non-neighbor, then churn-dead, then
-     duplicate edge); width is enforced by the writer budget as the frame
-     is built; [commit] publishes the slot and bumps the counters. *)
-  let em = Emit.make () in
-  (if match algo with A_emit _ -> true | A_list _ -> false then begin
-     em.Emit.estart <-
-       (fun t u ->
-         if t.Emit.eopen then
-           invalid_arg "Engine.Emit.start: frame already open";
-         let v = t.Emit.enode in
-         let slot = find_port e ~src:v ~dst:u in
-         if slot < 0 then
-           raise
-             (Congestion_violation
-                (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
-                   !round v u));
-         let sd = !nxt in
-         if
-           churn_on
-           && (churn_edge_down.(slot) || churn_crashed.(u)
-              || churn_dormant.(u))
-         then
-           (* frame onto a dead port or to a crashed node: build it (the
-              width budget still applies) but never publish the slot *)
-           t.Emit.edead <- true
-         else begin
-           if sd.wire.(slot) >= 0 then
-             raise
-               (Congestion_violation
-                  (Printf.sprintf "round %d: node %d sent twice over edge to %d"
-                     !round v u));
-           t.Emit.edead <- false
-         end;
-         t.Emit.edst <- u;
-         t.Emit.eslot <- slot;
-         t.Emit.eopen <- true;
-         Codec.attach_writer ~guard t.Emit.ew sd.data ~base:(slot * stride)
-           ~budget:max_words;
-         t.Emit.ew);
-     em.Emit.ecommit <-
-       (fun t ->
-         if not t.Emit.eopen then
-           invalid_arg "Engine.Emit.commit: no open frame";
-         t.Emit.eopen <- false;
-         if t.Emit.edead then incr churn_dropped
-         else begin
-           let sd = !nxt in
-           let slot = t.Emit.eslot and u = t.Emit.edst in
-           let w = Codec.words t.Emit.ew and wire = Codec.seal t.Emit.ew in
-           sd.wire.(slot) <- wire;
-           sd.wlog.(slot) <- w;
-           sd.written.(sd.wlen) <- slot;
-           sd.wlen <- sd.wlen + 1;
-           if sd.count.(u) = 0 then begin
-             sd.active.(sd.alen) <- u;
-             sd.alen <- sd.alen + 1
-           end;
-           sd.count.(u) <- sd.count.(u) + 1;
-           sd.total <- sd.total + 1;
-           sd.words <- sd.words + w;
-           sd.bits <- sd.bits + (word_bits * wire);
-           if instrumented then
-             sink.on_message ~round:!round ~src:t.Emit.enode ~dst:u ~words:w
-         end);
-     (* Broadcast fast path: encode the one-word frame once into a scratch
-        region, then walk the node's contiguous out-port segment directly —
-        no per-neighbor binary search, no per-frame start/commit pair.
-        Totals are batched after the churn-free loop; the churn loop keeps
-        per-slot accounting because dropped ports send nothing. *)
-     let bscratch =
-       Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
-     in
-     (* Broadcast memo: consecutive [broadcast1] calls with the same value
-        re-use the encoded scratch frame, so a flood round encodes (and
-        CRCs, when the guard is on) once instead of n times.  Nothing else
-        writes [bscratch], so the memo never goes stale. *)
-     let bmemo_live = ref false and bmemo_a = ref 0 and bmemo_wire = ref 0 in
-     em.Emit.ebroadcast1 <-
-       (fun t a ->
-         if t.Emit.eopen then
-           invalid_arg "Engine.Emit.broadcast1: frame already open";
-         let v = t.Emit.enode in
-         if max_words < 1 then
-           raise
-             (Congestion_violation
-                (Printf.sprintf
-                   "round %d: node %d payload of %d words exceeds %d" !round v
-                   1 max_words));
-         let wire =
-           if !bmemo_live && !bmemo_a = a then !bmemo_wire
-           else begin
-             let w =
-               if guard then Codec.encode1_guarded bscratch ~base:0 a
-               else Codec.encode1 bscratch ~base:0 a
-             in
-             bmemo_live := true;
-             bmemo_a := a;
-             bmemo_wire := w;
-             w
-           end
-         in
-         let sd = !nxt in
-         let first = e.out_off.(v) and stop = e.out_off.(v + 1) in
-         if not churn_on then begin
-           (* arrays hoisted into locals: without flambda every
-              [sd.field.(slot)] reloads the field inside the loop *)
-           let data = sd.data
-           and swire = sd.wire
-           and swlog = sd.wlog
-           and written = sd.written
-           and count = sd.count
-           and active = sd.active
-           and out_dst = e.out_dst in
-           (* every slot of the range is written, so the [written] cursor
-              is [wbase + slot] — no loop-carried ref (a ref would be a
-              per-step allocation on the zero-alloc path) *)
-           let wbase = sd.wlen - first in
-           if wire = 1 && not instrumented then begin
-             (* the lean loop: a small value on an uninstrumented run is
-                one u16 store plus the minimum bookkeeping *)
-             let g = Bytes.get_uint16_le bscratch 0 in
-             for slot = first to stop - 1 do
-               let u = out_dst.(slot) in
-               if swire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               Bytes.set_uint16_le data (slot * stride) g;
-               swire.(slot) <- 1;
-               swlog.(slot) <- 1;
-               written.(wbase + slot) <- slot;
-               let c = count.(u) in
-               if c = 0 then begin
-                 active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               count.(u) <- c + 1
-             done
-           end
-           else if wire = 2 && not instrumented then begin
-             (* guarded lean loop: a one-word value plus its CRC guard
-                word is exactly one 32-bit store — the stride is always
-                at least [2 * max_wire_words] bytes, so the wide store
-                stays inside the slot's frame region *)
-             let g = Bytes.get_int32_le bscratch 0 in
-             for slot = first to stop - 1 do
-               let u = out_dst.(slot) in
-               if swire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               Bytes.set_int32_le data (slot * stride) g;
-               swire.(slot) <- 2;
-               swlog.(slot) <- 1;
-               written.(wbase + slot) <- slot;
-               let c = count.(u) in
-               if c = 0 then begin
-                 active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               count.(u) <- c + 1
-             done
-           end
-           else
-             for slot = first to stop - 1 do
-               let u = out_dst.(slot) in
-               if swire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               if wire = 1 then
-                 Bytes.set_uint16_le data (slot * stride)
-                   (Bytes.get_uint16_le bscratch 0)
-               else Bytes.blit bscratch 0 data (slot * stride) (2 * wire);
-               swire.(slot) <- wire;
-               swlog.(slot) <- 1;
-               written.(wbase + slot) <- slot;
-               let c = count.(u) in
-               if c = 0 then begin
-                 active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               count.(u) <- c + 1;
-               if instrumented then
-                 sink.on_message ~round:!round ~src:v ~dst:u ~words:1
-             done;
-           let sent = stop - first in
-           sd.wlen <- sd.wlen + sent;
-           sd.total <- sd.total + sent;
-           sd.words <- sd.words + sent;
-           sd.bits <- sd.bits + (word_bits * wire * sent)
-         end
-         else
-           for slot = first to stop - 1 do
-             let u = e.out_dst.(slot) in
-             if
-               churn_edge_down.(slot) || churn_crashed.(u)
-               || churn_dormant.(u)
-             then incr churn_dropped
-             else begin
-               if sd.wire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               Bytes.blit bscratch 0 sd.data (slot * stride) (2 * wire);
-               sd.wire.(slot) <- wire;
-               sd.wlog.(slot) <- 1;
-               sd.written.(sd.wlen) <- slot;
-               sd.wlen <- sd.wlen + 1;
-               if sd.count.(u) = 0 then begin
-                 sd.active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               sd.count.(u) <- sd.count.(u) + 1;
-               sd.total <- sd.total + 1;
-               sd.words <- sd.words + 1;
-               sd.bits <- sd.bits + (word_bits * wire);
-               if instrumented then
-                 sink.on_message ~round:!round ~src:v ~dst:u ~words:1
-             end
-           done)
-   end);
-  (* The deferred in-port scan behind [Inbox.ensure]: forward order is
-     sender-ascending, preserving the inbox ordering guarantee.  [!cur]
-     is the delivery side for the round being stepped. *)
-  e.ib.Inbox.filler <-
-    (fun ib ->
-      let v = ib.Inbox.fill_node in
-      ib.Inbox.fill_node <- -1;
-      let dv = !cur in
-      if dv.count.(v) > 0 then
-        for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
-          let slot = e.in_slot.(j) in
-          if dv.wire.(slot) >= 0 then begin
-            ib.Inbox.src.(ib.Inbox.len) <- e.in_src.(j);
-            ib.Inbox.slot.(ib.Inbox.len) <- slot;
-            ib.Inbox.len <- ib.Inbox.len + 1
-          end
-        done);
-  (* Per-round scratch, declared once per run and reset at the top of each
-     round: a ref captured by a closure lives on the heap, and so does the
-     closure, so declaring these inside the round loop would allocate on
-     every round.  Hoisted, a steady-state round allocates nothing. *)
-  let newly_crashed = ref 0 and newly_arrived = ref 0 in
-  let newly_departed = ref 0 and newly_inserted = ref 0 in
-  let crashed_live = ref 0 and churn_killed = ref false in
-  let live_unsorted = ref false and corrupt_dropped = ref 0 in
-  let v_min = ref (-1) and compacted = ref false and plen = ref 0 in
-  let step_node v =
-    let r = !round in
-    if !v_min >= 0 && !v_min < v then
-      raise
-        (Congestion_violation
-           (Printf.sprintf "round %d: halted node %d received a message" r !v_min));
-    (* mark the inbox for a lazy fill: the in-port scan runs only if
-       the kernel touches its mail this step *)
-    let ib = e.ib in
-    ib.Inbox.len <- 0;
-    ib.Inbox.fill_node <- v;
-    let st =
-      match algo with
-      | A_list a ->
-        let sd = !nxt in
-        let st, outbox = a.step g ~round:r ~node:v states.(v) ib in
-        List.iter
-          (fun (u, p) ->
-            let slot = find_port e ~src:v ~dst:u in
-            if slot < 0 then
-              raise
-                (Congestion_violation
-                   (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r v u));
-            if
-              churn_on
-              && (churn_edge_down.(slot) || churn_crashed.(u)
-                 || churn_dormant.(u))
-            then begin
-              (* frame onto a dead port or to a crashed node: silently lost
-                 (and counted).  The width check still applies — churn must
-                 not mask an algorithm exceeding its budget — but the
-                 duplicate-slot check cannot (nothing occupies the slot). *)
-              let w = Array.length p in
-              if w > max_words then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                        r v w max_words));
-              incr churn_dropped
-            end
-            else begin
-            if sd.wire.(slot) >= 0 then
-              raise
-                (Congestion_violation
-                   (Printf.sprintf "round %d: node %d sent twice over edge to %d" r v u));
-            let w = Array.length p in
-            if w > max_words then
-              raise
-                (Congestion_violation
-                   (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                      r v w max_words));
-            let wire =
-              if guard then Codec.encode_guarded sd.data ~base:(slot * stride) p
-              else Codec.encode sd.data ~base:(slot * stride) p
-            in
-            sd.wire.(slot) <- wire;
-            sd.wlog.(slot) <- w;
-            sd.written.(sd.wlen) <- slot;
-            sd.wlen <- sd.wlen + 1;
-            if sd.count.(u) = 0 then begin
-              sd.active.(sd.alen) <- u;
-              sd.alen <- sd.alen + 1
-            end;
-            sd.count.(u) <- sd.count.(u) + 1;
-            sd.total <- sd.total + 1;
-            sd.words <- sd.words + w;
-            sd.bits <- sd.bits + (word_bits * wire);
-            if instrumented then sink.on_message ~round:r ~src:v ~dst:u ~words:w
-            end)
-          outbox;
-        st
-      | A_emit a ->
-        em.Emit.enode <- v;
-        let st =
-          try a.estep g ~round:r ~node:v states.(v) ib em
-          with Codec.Width_exceeded { budget; words } ->
-            raise
-              (Congestion_violation
-                 (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                    r v words budget))
-        in
-        if em.Emit.eopen then
-          invalid_arg "Engine.Emit: frame left open at end of step";
-        st
-    in
-    states.(v) <- st;
-    if a_halted st then begin
-      is_live.(v) <- false;
-      compacted := true;
-      if e.is_always.(v) then begin
-        e.is_always.(v) <- false;
-        always_dirty := true
-      end;
-      e.wake_at.(v) <- -1
-    end
-    else if not degrade then apply_wake v st r
-  in
-  (* frontier insertion for the sparse path, deduplicated per round *)
-  let push v =
-    if e.fstamp.(v) <> !round then begin
-      e.fstamp.(v) <- !round;
-      e.frontier.(!plen) <- v;
-      incr plen
-    end
-  in
-  while !live_len > 0 || (!nxt).total > 0 do
-    if !round > max_rounds then raise (Round_limit_exceeded !round);
-    let tmp = !cur in
-    cur := !nxt;
-    nxt := tmp;
-    let dv = !cur and sd = !nxt in
-    Inbox.attach e.ib ~data:dv.data ~wire:dv.wire ~wlog:dv.wlog ~stride;
-    let r = !round in
-    (* Apply the churn events due this round before anything is delivered:
-       a node crashing at round r does not execute round r and the frames
-       already in flight to it (sent at r-1) are lost; an edge going down
-       at round r loses the frame it was carrying.  Frames a node sent
-       before its crash are still delivered — the crash kills the
-       processor, not the wires. *)
-    churn_dropped := 0;
-    newly_crashed := 0;
-    newly_arrived := 0;
-    newly_departed := 0;
-    newly_inserted := 0;
-    crashed_live := 0;
-    churn_killed := false;
-    live_unsorted := false;
-    (match churn with
-    | Some c ->
-      let len = Array.length c.Churn.ops in
-      let kill v =
-        if dv.count.(v) > 0 then begin
-          for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
-            let slot = e.in_slot.(j) in
-            let wv = dv.wire.(slot) in
-            if wv >= 0 then begin
-              dv.wire.(slot) <- -1;
-              dv.total <- dv.total - 1;
-              dv.words <- dv.words - dv.wlog.(slot);
-              dv.bits <- dv.bits - (word_bits * wv);
-              incr churn_dropped
-            end
-          done;
-          dv.count.(v) <- 0
-        end;
-        if is_live.(v) then begin
-          is_live.(v) <- false;
-          incr crashed_live;
-          churn_killed := true;
-          if e.is_always.(v) then begin
-            e.is_always.(v) <- false;
-            always_dirty := true
-          end;
-          e.wake_at.(v) <- -1
-        end
-      in
-      while
-        c.Churn.cursor < len
-        && Churn.round_of c.Churn.events.(c.Churn.cursor) <= r
-      do
-        (match c.Churn.ops.(c.Churn.cursor) with
-        | Churn.Op_crash v ->
-          if not c.Churn.crashed.(v) then begin
-            c.Churn.crashed.(v) <- true;
-            incr newly_crashed;
-            kill v
-          end
-        | Churn.Op_depart v ->
-          (* a graceful departure is mechanically a fail-stop — the node
-             leaves without ceremony — but accounted separately *)
-          if not c.Churn.crashed.(v) then begin
-            c.Churn.crashed.(v) <- true;
-            incr newly_departed;
-            kill v
-          end
-        | Churn.Op_arrive v ->
-          if c.Churn.dormant.(v) then begin
-            c.Churn.dormant.(v) <- false;
-            incr newly_arrived;
-            if (not c.Churn.crashed.(v)) && not (a_halted states.(v))
-            then begin
-              is_live.(v) <- true;
-              live.(!live_len) <- v;
-              incr live_len;
-              live_unsorted := true;
-              (* the arrival round steps the node unconditionally, like the
-                 init round steps every live node: it enters Always mode
-                 until its own first hint says otherwise *)
-              e.is_always.(v) <- true;
-              if !hinted then begin
-                e.always.(!alen) <- v;
-                incr alen;
-                always_unsorted := true
-              end
-            end
-          end
-        | Churn.Op_down slot ->
-          if not c.Churn.edge_down.(slot) then begin
-            c.Churn.edge_down.(slot) <- true;
-            let wv = dv.wire.(slot) in
-            if wv >= 0 then begin
-              dv.wire.(slot) <- -1;
-              dv.total <- dv.total - 1;
-              dv.words <- dv.words - dv.wlog.(slot);
-              dv.bits <- dv.bits - (word_bits * wv);
-              dv.count.(e.out_dst.(slot)) <- dv.count.(e.out_dst.(slot)) - 1;
-              incr churn_dropped
-            end
-          end
-        | Churn.Op_add slot ->
-          (* reserved capacity coming online: the slot was pre-downed at
-             reset, nothing can be in flight through it *)
-          if c.Churn.edge_down.(slot) then begin
-            c.Churn.edge_down.(slot) <- false;
-            incr newly_inserted
-          end
-        | Churn.Op_up slot -> c.Churn.edge_down.(slot) <- false);
-        c.Churn.cursor <- c.Churn.cursor + 1
-      done;
-      if !live_unsorted then sort_prefix live !live_len
-    | None -> ());
-    (* Deterministic wire corruption: a serial pass over the delivery-side
-       written stack, after churn (a frame churn killed cannot also be
-       corrupted) and before the halted-receiver minimum (a corrupted
-       frame to a halted node is dropped, never delivered).  Every
-       decision is a pure (cseed, round, slot, lane) hash, so the pass is
-       iteration-order-free. *)
-    corrupt_dropped := 0;
-    (match corrupt with
-    | Some (cs : Corrupt.spec) ->
-      let inten = Corrupt.intensity cs ~round:r in
-      let fthr = Corrupt.threshold (cs.Corrupt.flip *. inten) in
-      let tthr = Corrupt.threshold (cs.Corrupt.truncate *. inten) in
-      if fthr > 0 || tthr > 0 then begin
-        let cseed = cs.Corrupt.cseed and burst = cs.Corrupt.burst in
-        let tally = cs.Corrupt.tally in
-        for j = 0 to dv.wlen - 1 do
-          let slot = dv.written.(j) in
-          let wv = dv.wire.(slot) in
-          if wv >= 0 then begin
-            let kill () =
-              dv.wire.(slot) <- -1;
-              dv.total <- dv.total - 1;
-              dv.words <- dv.words - dv.wlog.(slot);
-              dv.bits <- dv.bits - (word_bits * wv);
-              dv.count.(e.out_dst.(slot)) <- dv.count.(e.out_dst.(slot)) - 1;
-              incr corrupt_dropped
-            in
-            let h0 = Corrupt.decide ~cseed ~round:r ~slot ~lane:0 in
-            if tthr > 0 && Corrupt.hit h0 tthr && wv > 1 then begin
-              (* truncation shortens the frame below what its logical
-                 words need: the decoder would raise Truncated_frame, so
-                 it is always detected — drop at the recv path *)
-              tally.Corrupt.injected <- tally.Corrupt.injected + 1;
-              tally.Corrupt.truncated <- tally.Corrupt.truncated + 1;
-              kill ()
-            end
-            else if fthr > 0 then begin
-              let base = slot * stride in
-              let hitany = ref false in
-              for i = 0 to wv - 1 do
-                let h = Corrupt.decide ~cseed ~round:r ~slot ~lane:(i + 1) in
-                if Corrupt.hit h fthr then begin
-                  hitany := true;
-                  let stop = min (i + burst - 1) (wv - 1) in
-                  for jj = i to stop do
-                    let hm =
-                      if jj = i then h
-                      else
-                        Corrupt.decide ~cseed ~round:r ~slot
-                          ~lane:(wv + 1 + jj)
-                    in
-                    let off = base + (2 * jj) in
-                    Bytes.set_uint16_le dv.data off
-                      (Bytes.get_uint16_le dv.data off lxor Corrupt.mask hm)
-                  done
-                end
-              done;
-              if !hitany then begin
-                tally.Corrupt.injected <- tally.Corrupt.injected + 1;
-                let clean =
-                  Codec.verify dv.data ~base ~wire:wv
-                  && Codec.well_formed dv.data ~base
-                       ~wire:(wv - Codec.guard_words) ~words:dv.wlog.(slot)
-                in
-                if not clean then begin
-                  tally.Corrupt.detected <- tally.Corrupt.detected + 1;
-                  kill ()
-                end
-              end
-            end
-          end
-        done
-      end
-    | None -> ());
-    let this_round = dv.total in
-    max_inflight := max !max_inflight this_round;
-    messages := !messages + this_round;
-    let live_snapshot = !live_len - !crashed_live in
-    (* The reference semantics raise at the first offending node in id
-       order; a halted receiver competes with live-node send violations.
-       [v_min] is the smallest halted node holding undeliverable mail. *)
-    v_min := -1;
-    for i = 0 to dv.alen - 1 do
-      let v = dv.active.(i) in
-      if (not is_live.(v)) && dv.count.(v) > 0 && (!v_min < 0 || v < !v_min) then
-        v_min := v
-    done;
-    compacted := !churn_killed;
-    let stepped = ref 0 in
-    let woken = ref 0 in
-    if not !hinted then begin
-      (* dense path: every live node steps, exactly the legacy schedule
-         (the guard only skips nodes churn crashed before compaction) *)
-      stepped := live_snapshot;
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if is_live.(v) then step_node v
-      done
-    end
-    else begin
-      (* sparse path: frontier = valid timer wake-ups + receivers + the
-         Always set, stepped in ascending node id *)
-      plen := 0;
-      let v = ref (Timers.pop e.timers r) in
-      while !v >= 0 do
-        (* lazy invalidation: a rescheduled or cancelled wake leaves a
-           stale entry behind; only the latest hint counts *)
-        if e.wake_at.(!v) = r then begin
-          e.wake_at.(!v) <- -1;
-          if is_live.(!v) then begin
-            incr woken;
-            push !v
-          end
-        end;
-        v := Timers.pop e.timers r
-      done;
-      for i = 0 to dv.alen - 1 do
-        let v = dv.active.(i) in
-        (* the count guard matters only under churn: a receiver whose whole
-           inbox was churned away is not woken *)
-        if is_live.(v) && dv.count.(v) > 0 then push v
-      done;
-      for i = 0 to !alen - 1 do
-        (* a node churn crashed this round is still listed until the
-           end-of-round compaction *)
-        let v = e.always.(i) in
-        if is_live.(v) then push v
-      done;
-      sort_prefix e.frontier !plen;
-      stepped := !plen;
-      for i = 0 to !plen - 1 do
-        step_node e.frontier.(i)
-      done
-    end;
-    if !v_min >= 0 then
-      raise
-        (Congestion_violation
-           (Printf.sprintf "round %d: halted node %d received a message" r !v_min));
-    let receivers =
-      (* an active entry whose inbox was entirely churned or corrupted
-         away received nothing; without drops every entry keeps its count *)
-      if !churn_dropped = 0 && !corrupt_dropped = 0 then dv.alen
-      else begin
-        let c = ref 0 in
-        for i = 0 to dv.alen - 1 do
-          if dv.count.(dv.active.(i)) > 0 then incr c
-        done;
-        !c
-      end
-    and delivered_words = dv.words
-    and delivered_bits = dv.bits in
-    for j = 0 to dv.wlen - 1 do
-      dv.wire.(dv.written.(j)) <- -1
-    done;
-    for i = 0 to dv.alen - 1 do
-      dv.count.(dv.active.(i)) <- 0
-    done;
-    dv.wlen <- 0;
-    dv.alen <- 0;
-    dv.total <- 0;
-    dv.words <- 0;
-    dv.bits <- 0;
-    if !compacted then begin
-      (* stable compaction keeps the live list ascending *)
-      let w = ref 0 in
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if is_live.(v) then begin
-          live.(!w) <- v;
-          incr w
-        end
-      done;
-      live_len := !w
-    end;
-    if !transition then begin
-      (* first non-Always hint this run: seed the Always set from the live
-         list (ascending, so it starts sorted) *)
-      transition := false;
-      alen := 0;
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if e.is_always.(v) then begin
-          e.always.(!alen) <- v;
-          incr alen
-        end
-      done;
-      always_dirty := false;
-      always_unsorted := false
-    end
-    else if !always_dirty || !always_unsorted then begin
-      let w = ref 0 in
-      for i = 0 to !alen - 1 do
-        let v = e.always.(i) in
-        if is_live.(v) && e.is_always.(v) then begin
-          e.always.(!w) <- v;
-          incr w
-        end
-      done;
-      alen := !w;
-      if !always_unsorted then sort_prefix e.always !alen;
-      always_dirty := false;
-      always_unsorted := false
-    end;
-    if instrumented then
-      sink.on_round
-        {
-          round = r;
-          delivered = this_round;
-          delivered_words;
-          delivered_bits;
-          receivers;
-          stepped = !stepped;
-          skipped = live_snapshot - !stepped;
-          woken = !woken;
-          sent = sd.total;
-          dropped = !churn_dropped;
-          duplicated = 0;
-          retransmits = 0;
-          corrupted = !corrupt_dropped;
-          crashed = !newly_crashed;
-          arrived = !newly_arrived;
-          departed = !newly_departed;
-          inserted = !newly_inserted;
-        };
-    incr round
-  done;
-  e.running <- false;
-  e.dirty <- false;
-  if instrumented then sink.on_finish ();
-  (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
-
-(* ------------------------------------------------------------------ *)
-(* Sharded execution: the same semantics as [exec_unguarded], bit for bit,
-   but with the node set partitioned into [d] shards stepped on [d] OCaml 5
-   domains.  The round structure is
-
-     serial: buffer swap, churn application, halted-receiver minimum
-     parallel phase A: each shard steps its own frontier in ascending node
-       id; intra-shard frames land directly in the send buffer, cross-shard
-       frames are appended to a fixed per-(src-shard, dst-shard) arena
-     serial: violation resolution, deferred sink dispatch, round record
-     parallel phase B: each destination shard drains the cross arenas
-       addressed to it in src-shard order
-
-   Determinism does not depend on scheduling: every mutable cell is owned
-   by exactly one shard within a phase (slots and counts are owned by the
-   destination, send stamps by the source, node state by the owner), the
-   arenas are filled in each source's deterministic stepping order and
-   drained in fixed src-shard order, and the buffers are slot-indexed so
-   final contents are independent of drain interleaving.  Sink callbacks
-   are deferred to the barrier and replayed in ascending source id — the
-   sequential emission order — so instrumented runs are also identical.
-
-   Violations cannot abort mid-phase without racing the other shards, so
-   each shard records its first violation (the node it fired at, plus a
-   priority bit ordering the halted-receiver check before the send checks
-   at the same node) and stops stepping; the barrier re-raises the
-   lexicographically smallest one — exactly the violation the sequential
-   sweep would have hit first. *)
-
-exception Stop_shard
-
-(* Per-shard bookkeeping for one direction of the double buffer.  The
-   payload slots and per-node counts live in arrays shared across shards
-   (every entry has a unique owning shard); the written / active stacks are
-   private so clearing stays shard-local. *)
-type sbuf = {
-  s_written : int array;  (* in-slots of this shard written this round *)
-  mutable s_wlen : int;
-  s_active : int array;   (* owned receivers with count > 0 *)
-  mutable s_alen : int;
-  mutable s_total : int;
-  mutable s_words : int;
-  mutable s_bits : int;
-}
-
-(* Cross-shard frame list for one (src shard, dst shard) pair: appended by
-   the source in stepping order during phase A, drained and reset by the
-   destination during phase B.  The phases are barrier-separated, so the
-   two owners never touch it concurrently.
-
-   With the packed arena the frame *data* no longer travels through here:
-   every directed slot has a unique sender, so the source encodes the
-   frame straight into the shared send arena (bytes, wire and word counts
-   are all slot-indexed cells only that source writes this round) and the
-   destination merely learns *which* slots arrived — the per-frame boxed
-   copy of the old exchange, and the flat blit that was to replace it,
-   both optimize away to an int push. *)
-type xarena = {
-  mutable x_slot : int array;
-  mutable x_len : int;
-}
-
-type shard = {
-  sh_nodes : int array;  (* owned nodes, ascending *)
-  sh_live : int array;
-  mutable sh_live_len : int;
-  sh_frontier : int array;
-  mutable sh_plen : int;  (* frontier length this round *)
-  sh_always : int array;
-  mutable sh_alen : int;
-  sh_timers : Timers.t;
-  sh_ib : Inbox.t;
-  sh_a : sbuf;
-  sh_b : sbuf;
-  (* per-round outputs (phase A) *)
-  mutable sh_stepped : int;
-  mutable sh_woken : int;
-  mutable sh_receivers : int;
-  mutable sh_delivered_words : int;
-  mutable sh_delivered_bits : int;
-  mutable sh_emitted : int;
-  mutable sh_send_dropped : int;
-  mutable sh_hinted : bool;
-  mutable sh_vmin : int;  (* halted-receiver candidate for the next round *)
-  (* control flags written serially / by the owner *)
-  mutable sh_crashed_live : int;
-  mutable sh_compact : bool;
-  mutable sh_hit : bool;  (* an in-flight frame to this shard was churned *)
-  mutable sh_always_dirty : bool;
-  mutable sh_always_unsorted : bool;
-  (* first violation: node, priority (0 halted < 1 send), exception *)
-  mutable sh_vnode : int;
-  mutable sh_vprio : int;
-  mutable sh_vexn : exn option;
-  (* deferred on_message events, (src, dst, words), src-ascending *)
-  mutable sh_ev_src : int array;
-  mutable sh_ev_dst : int array;
-  mutable sh_ev_w : int array;
-  mutable sh_ev_len : int;
-  sh_em : Emit.t; (* per-shard emitter for the emit fast path *)
-}
-
 let contiguous_partition ~n ~shards =
   let shard_of = Array.make (max 1 n) 0 in
   for s = 0 to shards - 1 do
@@ -1946,73 +1095,19 @@ let contiguous_partition ~n ~shards =
   done;
   shard_of
 
-let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
-    ?churn ?(guard = false) ?corrupt ~domains ?partition e algo =
+let make_sbuf ~wcap ~cap =
+  {
+    s_written = Array.make wcap 0;
+    s_wlen = 0;
+    s_active = Array.make cap 0;
+    s_alen = 0;
+    s_total = 0;
+    s_words = 0;
+    s_bits = 0;
+  }
+
+let build_layout e ~d shard_of =
   let n = e.n in
-  let g = e.g in
-  (match churn with
-  | Some (c : Churn.t) ->
-    if Array.length c.Churn.crashed <> max 1 n
-       || Array.length c.Churn.edge_down <> max 1 e.ports
-    then invalid_arg "Engine.exec: churn compiled against a different engine";
-    Churn.reset c
-  | None -> ());
-  (match corrupt with
-  | Some (cs : Corrupt.spec) ->
-    Corrupt.validate cs;
-    cs.Corrupt.tally.Corrupt.injected <- 0;
-    cs.Corrupt.tally.Corrupt.detected <- 0;
-    cs.Corrupt.tally.Corrupt.truncated <- 0
-  | None -> ());
-  let guard = guard || corrupt <> None in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> default_max_rounds n
-  in
-  let max_words =
-    match max_words with Some w -> w | None -> default_max_words n
-  in
-  let d = max 1 (min domains (max 1 n)) in
-  let shard_of =
-    match partition with
-    | None -> contiguous_partition ~n ~shards:d
-    | Some p ->
-      if Array.length p <> n then
-        invalid_arg "Engine.exec: partition length differs from node count";
-      Array.iter
-        (fun s ->
-          if s < 0 || s >= d then
-            invalid_arg "Engine.exec: partition shard id out of range")
-        p;
-      p
-  in
-  e.running <- true;
-  let a_init, a_halted, a_wake =
-    match algo with
-    | A_list a -> (a.init, a.halted, a.wake)
-    | A_emit a -> (a.einit, a.ehalted, a.ewake)
-  in
-  let states = Array.init n (fun v -> a_init g v) in
-  (* shared per-node / per-port arrays; each entry has one owning shard *)
-  let is_live = Array.make (max 1 n) false in
-  let is_always = Array.make (max 1 n) false in
-  let wake_at = Array.make (max 1 n) (-1) in
-  let fstamp = Array.make (max 1 n) (-1) in
-  let sent_stamp = Array.make (max 1 e.ports) (-1) in
-  (* Packed frame arenas, one per buffer direction.  Every slot-indexed
-     cell (bytes region, wire count, word count) is written by exactly one
-     shard per phase — the slot's unique sender during phase A, nobody
-     afterwards — and read only after the phase barrier, so the shards
-     never race on them. *)
-  let stride = stride_for ~guard ~max_words () in
-  let data_a = Bytes.create (max 2 (e.ports * stride)) in
-  let data_b = Bytes.create (max 2 (e.ports * stride)) in
-  let wire_a = Array.make (max 1 e.ports) (-1) in
-  let wire_b = Array.make (max 1 e.ports) (-1) in
-  let wlog_a = Array.make (max 1 e.ports) 0 in
-  let wlog_b = Array.make (max 1 e.ports) 0 in
-  let count_a = Array.make (max 1 n) 0 in
-  let count_b = Array.make (max 1 n) 0 in
-  (* build shards: sizes, in-port write capacities, max in-degrees *)
   let sizes = Array.make d 0 in
   let inports = Array.make d 0 in
   let max_indeg = Array.make d 0 in
@@ -2023,25 +1118,21 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     inports.(s) <- inports.(s) + indeg;
     if indeg > max_indeg.(s) then max_indeg.(s) <- indeg
   done;
+  let local = Bytes.make (max 1 n) '\001' in
+  if d > 1 then
+    for v = 0 to n - 1 do
+      for slot = e.out_off.(v) to e.out_off.(v + 1) - 1 do
+        if shard_of.(e.out_dst.(slot)) <> shard_of.(v) then
+          Bytes.set local v '\000'
+      done
+    done;
   let shards =
     Array.init d (fun s ->
         let cap = max 1 sizes.(s) in
         (* every slot written for this shard delivers to one of its nodes,
            so the written-stack capacity is its in-port count *)
         let wcap = max 1 inports.(s) in
-        let mk_sbuf () =
-          {
-            s_written = Array.make wcap 0;
-            s_wlen = 0;
-            s_active = Array.make cap 0;
-            s_alen = 0;
-            s_total = 0;
-            s_words = 0;
-            s_bits = 0;
-          }
-        in
         {
-          sh_nodes = Array.make cap 0;
           sh_live = Array.make cap 0;
           sh_live_len = 0;
           sh_frontier = Array.make cap 0;
@@ -2050,8 +1141,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           sh_alen = 0;
           sh_timers = Timers.create ();
           sh_ib = Inbox.create ~cap:(max 1 max_indeg.(s)) ();
-          sh_a = mk_sbuf ();
-          sh_b = mk_sbuf ();
+          sh_dv = make_sbuf ~wcap ~cap;
+          sh_sd = make_sbuf ~wcap ~cap;
           sh_stepped = 0;
           sh_woken = 0;
           sh_receivers = 0;
@@ -2076,20 +1167,152 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           sh_em = Emit.make ();
         })
   in
-  let fill = Array.make d 0 in
-  for v = 0 to n - 1 do
-    let s = shard_of.(v) in
-    shards.(s).sh_nodes.(fill.(s)) <- v;
-    fill.(s) <- fill.(s) + 1
-  done;
   let xas =
     Array.init d (fun _ -> Array.init d (fun _ -> { x_slot = [||]; x_len = 0 }))
   in
+  { l_domains = d; shard_of; local; shards; xas }
+
+(* The layout for this run: a caller's partition is validated and built
+   fresh; the contiguous one is cached on the engine, so repeated runs at
+   one domain count build nothing. *)
+let layout_for e ~domains ~partition =
+  let n = e.n in
+  let d = max 1 (min domains (max 1 n)) in
+  match partition with
+  | Some p ->
+    if Array.length p <> n then
+      invalid_arg "Engine.exec: partition length differs from node count";
+    Array.iter
+      (fun s ->
+        if s < 0 || s >= d then
+          invalid_arg "Engine.exec: partition shard id out of range")
+      p;
+    build_layout e ~d p
+  | None -> (
+    match e.layout with
+    | Some l when l.l_domains = d -> l
+    | _ ->
+      let l = build_layout e ~d (contiguous_partition ~n ~shards:d) in
+      e.layout <- Some l;
+      l)
+
+let reset_sbuf b =
+  b.s_wlen <- 0;
+  b.s_alen <- 0;
+  b.s_total <- 0;
+  b.s_words <- 0;
+  b.s_bits <- 0
+
+(* Rewind a shard's run state; an aborted run may leave any of it set,
+   including an open frame on the emitter. *)
+let reset_shard sh =
+  sh.sh_live_len <- 0;
+  sh.sh_plen <- 0;
+  sh.sh_alen <- 0;
+  Timers.clear sh.sh_timers;
+  reset_sbuf sh.sh_dv;
+  reset_sbuf sh.sh_sd;
+  sh.sh_vmin <- -1;
+  sh.sh_crashed_live <- 0;
+  sh.sh_compact <- false;
+  sh.sh_hit <- false;
+  sh.sh_always_dirty <- false;
+  sh.sh_always_unsorted <- false;
+  sh.sh_vnode <- -1;
+  sh.sh_vprio <- 0;
+  sh.sh_vexn <- None;
+  sh.sh_ev_len <- 0;
+  sh.sh_em.Emit.eopen <- false
+
+(* Receiver-side bookkeeping of one frame landing in [side] for shard
+   buffer [b]: the sender publishes intra-shard frames with it, the
+   destination shard drains cross-shard ones with it at phase B. *)
+let land_frame b side slot u w wire =
+  b.s_written.(b.s_wlen) <- slot;
+  b.s_wlen <- b.s_wlen + 1;
+  let c = side.count.(u) in
+  if c = 0 then begin
+    b.s_active.(b.s_alen) <- u;
+    b.s_alen <- b.s_alen + 1
+  end;
+  side.count.(u) <- c + 1;
+  b.s_total <- b.s_total + 1;
+  b.s_words <- b.s_words + w;
+  b.s_bits <- b.s_bits + (word_bits * wire)
+
+(* Drop the in-flight frame in [slot] from the delivery side (churn or
+   corruption killed it). *)
+let drop_frame b side slot u wv =
+  side.wire.(slot) <- -1;
+  b.s_total <- b.s_total - 1;
+  b.s_words <- b.s_words - side.wlog.(slot);
+  b.s_bits <- b.s_bits - (word_bits * wv);
+  side.count.(u) <- side.count.(u) - 1
+
+(* Copy a [wire]-word frame from [src] to [dst] at [off]: the 1- and
+   2-word (guarded one-word) broadcast frames skip the blit call. *)
+let copy_frame src dst off wire =
+  if wire = 1 then Bytes.set_uint16_le dst off (Bytes.get_uint16_le src 0)
+  else if wire = 2 then Bytes.set_int32_le dst off (Bytes.get_int32_le src 0)
+  else Bytes.blit src 0 dst off (2 * wire)
+
+let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
+    ?churn ?(guard = false) ?corrupt ~domains ?partition e algo =
+  let n = e.n in
+  let g = e.g in
+  (match churn with
+  | Some (c : Churn.t) ->
+    if Array.length c.Churn.crashed <> max 1 n
+       || Array.length c.Churn.edge_down <> max 1 e.ports
+    then invalid_arg "Engine.exec: churn compiled against a different engine";
+    Churn.reset c
+  | None -> ());
+  (match corrupt with
+  | Some (cs : Corrupt.spec) ->
+    Corrupt.validate cs;
+    cs.Corrupt.tally.Corrupt.injected <- 0;
+    cs.Corrupt.tally.Corrupt.detected <- 0;
+    cs.Corrupt.tally.Corrupt.truncated <- 0
+  | None -> ());
+  (* corruption is only detectable with the guard word on every frame *)
+  let guard = guard || corrupt <> None in
+  let max_rounds =
+    match max_rounds with Some r -> r | None -> default_max_rounds n
+  in
+  let max_words =
+    match max_words with Some w -> w | None -> default_max_words n
+  in
+  let { l_domains = d; shard_of; local; shards; xas } =
+    layout_for e ~domains ~partition
+  in
+  if e.dirty then
+    (* a previous run aborted mid-round (violation / limit): frames it left
+       in either direction of the buffer must not leak into this one *)
+    List.iter
+      (fun side ->
+        Array.fill side.wire 0 (Array.length side.wire) (-1);
+        Array.fill side.count 0 (Array.length side.count) 0)
+      [ e.side_a; e.side_b ];
+  e.running <- true;
+  e.dirty <- true;
+  Array.iter reset_shard shards;
+  Array.iter (Array.iter (fun xa -> xa.x_len <- 0)) xas;
+  let stride = stride_for ~guard ~max_words () in
+  ensure_arena e.side_a ~ports:e.ports ~stride;
+  ensure_arena e.side_b ~ports:e.ports ~stride;
+  let states = Array.init n (fun v -> algo.einit g v) in
+  let a_halted = algo.ehalted and a_wake = algo.ewake in
+  let is_live = e.is_live and is_always = e.is_always in
+  let wake_at = e.wake_at and fstamp = e.fstamp in
+  Array.fill fstamp 0 (max 1 n) (-1);
+  Array.fill wake_at 0 (max 1 n) (-1);
+  (* [dside] is the delivery side of the round being stepped, [sside] the
+     side it sends into; swapped at the top of every round *)
+  let dside = ref e.side_b and sside = ref e.side_a in
   let xpush xa slot =
     let cap = Array.length xa.x_slot in
     if xa.x_len = cap then begin
-      let ncap = max 8 (2 * cap) in
-      let ns = Array.make ncap 0 in
+      let ns = Array.make (max 8 (2 * cap)) 0 in
       Array.blit xa.x_slot 0 ns 0 cap;
       xa.x_slot <- ns
     end;
@@ -2114,11 +1337,11 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     sh.sh_ev_w.(sh.sh_ev_len) <- w;
     sh.sh_ev_len <- sh.sh_ev_len + 1
   in
-  (* replay deferred on_message events in ascending source id — the
-     sequential emission order.  [limit]/[owner] truncate the replay to
-     what the sequential sweep emitted before raising at node [limit]:
-     everything from sources below it, plus the violating shard's own
-     events at the violating node. *)
+  let round = ref 0 in
+  (* replay deferred on_message events in ascending source id.
+     [limit]/[owner] truncate the replay to what an ascending sweep emitted
+     before raising at node [limit]: everything from sources below it,
+     plus the violating shard's own events at the violating node. *)
   let emit_events ~round ~limit ~owner =
     let idx = Array.make d 0 in
     let continue = ref true in
@@ -2146,6 +1369,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       end
     done
   in
+  (* Hoisted churn views: the empty arrays are never indexed (short-circuit
+     on [churn_on]), so the churn-free send path costs one extra branch. *)
   let churn_edge_down, churn_crashed, churn_dormant =
     match churn with
     | Some (c : Churn.t) ->
@@ -2153,7 +1378,9 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     | None -> ([||], [||], [||])
   in
   let churn_on = churn <> None in
-  (* initial liveness *)
+  (* Initial liveness.  Every node starts in Always mode: hints are
+     consulted only after a step, and round 0 (the init round) steps every
+     live node regardless. *)
   for v = 0 to n - 1 do
     if (not (a_halted states.(v))) && not (churn_on && churn_dormant.(v))
     then begin
@@ -2163,10 +1390,14 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       sh.sh_live.(sh.sh_live_len) <- v;
       sh.sh_live_len <- sh.sh_live_len + 1
     end
+    else begin
+      is_live.(v) <- false;
+      is_always.(v) <- false
+    end
   done;
-  (* serially-written controls read by the phase bodies *)
-  let cur_is_a = ref false in  (* true when buffer A is the delivery side *)
-  let round = ref 0 in
+  (* Serially-written controls read by the phase bodies.  [hinted] stays
+     false — and every round steps the whole live set, the legacy dense
+     schedule — until some step returns a non-Always hint. *)
   let hinted = ref false in
   let transition = ref false in
   let trans_flag = ref false in
@@ -2176,9 +1407,6 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   let live_total = ref 0 in
   Array.iter (fun sh -> live_total := !live_total + sh.sh_live_len) shards;
   let pending_next = ref 0 in
-  let sbuf_of sh ~delivery =
-    if !cur_is_a = delivery then sh.sh_a else sh.sh_b
-  in
   let schedule sh v k =
     wake_at.(v) <- k;
     Timers.push sh.sh_timers k v
@@ -2205,310 +1433,268 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       | OnMessage -> wake_at.(v) <- -1
       | Always -> assert false)
   in
+  (* Record shard [sh]'s first violation and return the exception that
+     stops it.  Call sites [raise] the result, so the compiler sees the
+     violation path end there and keeps hot-loop values out of the
+     stack. *)
   let record sh v prio exn =
     sh.sh_vnode <- v;
     sh.sh_vprio <- prio;
     sh.sh_vexn <- Some exn;
-    raise Stop_shard
+    Stop_shard
   in
-  (* Per-shard emitters: same checks and bookkeeping as the list path's
-     store loop, but the frame is encoded directly into the shared send
-     arena by its unique sender.  Cross-shard destinations get an int
-     push; the owning destination shard completes the receiver-side
-     bookkeeping at phase B. *)
-  (match algo with
-  | A_list _ -> ()
-  | A_emit _ ->
-    Array.iteri
-      (fun s sh ->
-        let em = sh.sh_em in
-        em.Emit.estart <-
-          (fun t u ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.start: frame already open";
-            let v = t.Emit.enode in
-            let r = !round in
-            let slot = find_port e ~src:v ~dst:u in
-            if slot < 0 then
-              record sh v 1
-                (Congestion_violation
-                   (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
-                      r v u));
-            if
-              churn_on
-              && (churn_edge_down.(slot) || churn_crashed.(u)
-                 || churn_dormant.(u))
-            then t.Emit.edead <- true
+  let dead slot u =
+    churn_edge_down.(slot) || churn_crashed.(u) || churn_dormant.(u)
+  in
+  let sent_twice sh v u =
+    record sh v 1
+      (Congestion_violation
+         (Printf.sprintf "round %d: node %d sent twice over edge to %d" !round
+            v u))
+  in
+  (* Publish a frame the sender [v] of shard [s] has encoded into [slot]:
+     intra-shard frames land at once, cross-shard ones get a slot push for
+     the destination to land at phase B. *)
+  let publish sh s v slot u w wire =
+    let sd = !sside in
+    sd.wire.(slot) <- wire;
+    sd.wlog.(slot) <- w;
+    let tgt = shard_of.(u) in
+    if tgt = s then land_frame sh.sh_sd sd slot u w wire
+    else xpush xas.(s).(tgt) slot;
+    sh.sh_emitted <- sh.sh_emitted + 1;
+    if instrumented then evpush sh v u w
+  in
+  (* Per-shard emitters.  [start] performs the send checks (non-neighbor,
+     then churn-dead, then duplicate edge) and positions the writer on the
+     slot's arena region in the shared send side, which only this slot's
+     sender writes; the width is enforced by the writer budget as the frame
+     is built; [commit] publishes the slot. *)
+  Array.iteri
+    (fun s sh ->
+      let em = sh.sh_em in
+      em.Emit.estart <-
+        (fun t u ->
+          if t.Emit.eopen then
+            invalid_arg "Engine.Emit.start: frame already open";
+          let v = t.Emit.enode in
+          let slot = find_port e ~src:v ~dst:u in
+          if slot < 0 then
+            raise
+              (record sh v 1
+                 (Congestion_violation
+                    (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
+                       !round v u)));
+          let sd = !sside in
+          if churn_on && dead slot u then
+            (* frame onto a dead port or to a crashed node: build it (the
+               width budget still applies) but never publish the slot *)
+            t.Emit.edead <- true
+          else begin
+            if sd.wire.(slot) >= 0 then raise (sent_twice sh v u);
+            t.Emit.edead <- false
+          end;
+          t.Emit.edst <- u;
+          t.Emit.eslot <- slot;
+          t.Emit.eopen <- true;
+          Codec.attach_writer ~guard t.Emit.ew sd.data ~base:(slot * stride)
+            ~budget:max_words;
+          t.Emit.ew);
+      em.Emit.ecommit <-
+        (fun t ->
+          if not t.Emit.eopen then
+            invalid_arg "Engine.Emit.commit: no open frame";
+          t.Emit.eopen <- false;
+          if t.Emit.edead then sh.sh_send_dropped <- sh.sh_send_dropped + 1
+          else begin
+            let w = Codec.words t.Emit.ew in
+            let wire = Codec.seal t.Emit.ew in
+            publish sh s t.Emit.enode t.Emit.eslot t.Emit.edst w wire
+          end);
+      (* Broadcast fast path: encode the one-word frame once into a scratch
+         region, then walk the sender's contiguous out-port segment — no
+         per-neighbor binary search, no per-frame start/commit pair. *)
+      let bscratch =
+        Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
+      in
+      (* Broadcast memo: consecutive [broadcast1] calls with the same value
+         re-use the encoded scratch frame, so a flood round encodes (and
+         CRCs, when the guard is on) once per shard instead of n times.
+         Nothing else writes [bscratch], so the memo never goes stale. *)
+      let bmemo_live = ref false and bmemo_a = ref 0 and bmemo_wire = ref 0 in
+      em.Emit.ebroadcast1 <-
+        (fun t a ->
+          if t.Emit.eopen then
+            invalid_arg "Engine.Emit.broadcast1: frame already open";
+          let v = t.Emit.enode in
+          if max_words < 1 then
+            raise
+              (record sh v 1
+                 (Congestion_violation
+                    (Printf.sprintf
+                       "round %d: node %d payload of %d words exceeds %d"
+                       !round v 1 max_words)));
+          let wire =
+            if !bmemo_live && !bmemo_a = a then !bmemo_wire
             else begin
-              if sent_stamp.(slot) = r then
-                record sh v 1
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent twice over edge to %d" r v u));
-              sent_stamp.(slot) <- r;
-              t.Emit.edead <- false
-            end;
-            t.Emit.edst <- u;
-            t.Emit.eslot <- slot;
-            t.Emit.eopen <- true;
-            let sdata = if !cur_is_a then data_b else data_a in
-            Codec.attach_writer ~guard t.Emit.ew sdata ~base:(slot * stride)
-              ~budget:max_words;
-            t.Emit.ew);
-        em.Emit.ecommit <-
-          (fun t ->
-            if not t.Emit.eopen then
-              invalid_arg "Engine.Emit.commit: no open frame";
-            t.Emit.eopen <- false;
-            if t.Emit.edead then
-              sh.sh_send_dropped <- sh.sh_send_dropped + 1
-            else begin
-              let slot = t.Emit.eslot and u = t.Emit.edst in
-              let w = Codec.words t.Emit.ew
-              and wire = Codec.seal t.Emit.ew in
-              let swire = if !cur_is_a then wire_b else wire_a in
-              let swlog = if !cur_is_a then wlog_b else wlog_a in
-              swire.(slot) <- wire;
-              swlog.(slot) <- w;
-              let tgt = shard_of.(u) in
-              if tgt = s then begin
-                let svb = sbuf_of sh ~delivery:false in
-                let scount = if !cur_is_a then count_b else count_a in
-                svb.s_written.(svb.s_wlen) <- slot;
-                svb.s_wlen <- svb.s_wlen + 1;
-                if scount.(u) = 0 then begin
-                  svb.s_active.(svb.s_alen) <- u;
-                  svb.s_alen <- svb.s_alen + 1
+              let w =
+                if guard then Codec.encode1_guarded bscratch ~base:0 a
+                else Codec.encode1 bscratch ~base:0 a
+              in
+              bmemo_live := true;
+              bmemo_a := a;
+              bmemo_wire := w;
+              w
+            end
+          in
+          let sd = !sside in
+          let first = e.out_off.(v) and stop = e.out_off.(v + 1) in
+          if (not churn_on) && Bytes.unsafe_get local v <> '\000' then begin
+            (* Every slot of the segment is written and lands in this
+               shard, so the totals are batched after the loop and the
+               [written] cursor is [wbase + slot] — no loop-carried ref (a
+               ref would be a per-step allocation on the zero-alloc path).
+               Arrays are hoisted into locals: without flambda every
+               [sd.field.(slot)] reloads the field inside the loop. *)
+            let b = sh.sh_sd in
+            let data = sd.data
+            and swire = sd.wire
+            and swlog = sd.wlog
+            and count = sd.count
+            and written = b.s_written
+            and active = b.s_active
+            and out_dst = e.out_dst in
+            let wbase = b.s_wlen - first in
+            if wire = 1 && not instrumented then begin
+              (* the lean loop: a small value on an uninstrumented run is
+                 one u16 store plus the minimum bookkeeping *)
+              let g = Bytes.get_uint16_le bscratch 0 in
+              for slot = first to stop - 1 do
+                let u = out_dst.(slot) in
+                if swire.(slot) >= 0 then raise (sent_twice sh v u);
+                Bytes.set_uint16_le data (slot * stride) g;
+                swire.(slot) <- 1;
+                swlog.(slot) <- 1;
+                written.(wbase + slot) <- slot;
+                let c = count.(u) in
+                if c = 0 then begin
+                  active.(b.s_alen) <- u;
+                  b.s_alen <- b.s_alen + 1
                 end;
-                scount.(u) <- scount.(u) + 1;
-                svb.s_total <- svb.s_total + 1;
-                svb.s_words <- svb.s_words + w;
-                svb.s_bits <- svb.s_bits + (word_bits * wire)
-              end
-              else xpush xas.(s).(tgt) slot;
-              sh.sh_emitted <- sh.sh_emitted + 1;
-              if instrumented then evpush sh t.Emit.enode u w
-            end);
-        (* Broadcast fast path, sharded: encode once into the shard's
-           scratch, then walk the sender's contiguous out-port segment —
-           every slot belongs to this shard's sender, so the writes race
-           with nobody; only the cross-shard pushes go through [xpush]. *)
-        let bscratch =
-          Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
-        in
-        (* Broadcast memo (see the sequential executor): one encode per
-           distinct consecutive value, per shard. *)
-        let bmemo_live = ref false
-        and bmemo_a = ref 0
-        and bmemo_wire = ref 0 in
-        em.Emit.ebroadcast1 <-
-          (fun t a ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.broadcast1: frame already open";
-            let v = t.Emit.enode in
-            let r = !round in
-            if max_words < 1 then
-              record sh v 1
-                (Congestion_violation
-                   (Printf.sprintf
-                      "round %d: node %d payload of %d words exceeds %d" r v 1
-                      max_words));
-            let wire =
-              if !bmemo_live && !bmemo_a = a then !bmemo_wire
-              else begin
-                let w =
-                  if guard then Codec.encode1_guarded bscratch ~base:0 a
-                  else Codec.encode1 bscratch ~base:0 a
-                in
-                bmemo_live := true;
-                bmemo_a := a;
-                bmemo_wire := w;
-                w
-              end
-            in
-            let sdata = if !cur_is_a then data_b else data_a in
-            let swire = if !cur_is_a then wire_b else wire_a in
-            let swlog = if !cur_is_a then wlog_b else wlog_a in
-            let scount = if !cur_is_a then count_b else count_a in
-            let svb = sbuf_of sh ~delivery:false in
-            for slot = e.out_off.(v) to e.out_off.(v + 1) - 1 do
-              let u = e.out_dst.(slot) in
-              if
-                churn_on
-                && (churn_edge_down.(slot) || churn_crashed.(u)
-                   || churn_dormant.(u))
-              then sh.sh_send_dropped <- sh.sh_send_dropped + 1
-              else begin
-                if sent_stamp.(slot) = r then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf
-                          "round %d: node %d sent twice over edge to %d" r v u));
-                sent_stamp.(slot) <- r;
-                (* width-specialized stores: the 1- and 2-word (guarded)
-                   broadcast frames skip the blit call entirely *)
-                if wire = 1 then
-                  Bytes.set_uint16_le sdata (slot * stride)
-                    (Bytes.get_uint16_le bscratch 0)
-                else if wire = 2 then
-                  Bytes.set_int32_le sdata (slot * stride)
-                    (Bytes.get_int32_le bscratch 0)
-                else Bytes.blit bscratch 0 sdata (slot * stride) (2 * wire);
+                count.(u) <- c + 1
+              done
+            end
+            else if wire = 2 && not instrumented then begin
+              (* guarded lean loop: a one-word value plus its CRC guard
+                 word is exactly one 32-bit store — the stride is always
+                 at least [2 * max_wire_words] bytes, so the wide store
+                 stays inside the slot's frame region *)
+              let g = Bytes.get_int32_le bscratch 0 in
+              for slot = first to stop - 1 do
+                let u = out_dst.(slot) in
+                if swire.(slot) >= 0 then raise (sent_twice sh v u);
+                Bytes.set_int32_le data (slot * stride) g;
+                swire.(slot) <- 2;
+                swlog.(slot) <- 1;
+                written.(wbase + slot) <- slot;
+                let c = count.(u) in
+                if c = 0 then begin
+                  active.(b.s_alen) <- u;
+                  b.s_alen <- b.s_alen + 1
+                end;
+                count.(u) <- c + 1
+              done
+            end
+            else
+              for slot = first to stop - 1 do
+                let u = out_dst.(slot) in
+                if swire.(slot) >= 0 then raise (sent_twice sh v u);
+                copy_frame bscratch data (slot * stride) wire;
                 swire.(slot) <- wire;
                 swlog.(slot) <- 1;
-                let tgt = shard_of.(u) in
-                if tgt = s then begin
-                  svb.s_written.(svb.s_wlen) <- slot;
-                  svb.s_wlen <- svb.s_wlen + 1;
-                  if scount.(u) = 0 then begin
-                    svb.s_active.(svb.s_alen) <- u;
-                    svb.s_alen <- svb.s_alen + 1
-                  end;
-                  scount.(u) <- scount.(u) + 1;
-                  svb.s_total <- svb.s_total + 1;
-                  svb.s_words <- svb.s_words + 1;
-                  svb.s_bits <- svb.s_bits + (word_bits * wire)
-                end
-                else xpush xas.(s).(tgt) slot;
-                sh.sh_emitted <- sh.sh_emitted + 1;
+                written.(wbase + slot) <- slot;
+                let c = count.(u) in
+                if c = 0 then begin
+                  active.(b.s_alen) <- u;
+                  b.s_alen <- b.s_alen + 1
+                end;
+                count.(u) <- c + 1;
                 if instrumented then evpush sh v u 1
+              done;
+            let sent = stop - first in
+            b.s_wlen <- b.s_wlen + sent;
+            b.s_total <- b.s_total + sent;
+            b.s_words <- b.s_words + sent;
+            b.s_bits <- b.s_bits + (word_bits * wire * sent);
+            sh.sh_emitted <- sh.sh_emitted + sent
+          end
+          else
+            for slot = first to stop - 1 do
+              let u = e.out_dst.(slot) in
+              if churn_on && dead slot u then
+                sh.sh_send_dropped <- sh.sh_send_dropped + 1
+              else begin
+                if sd.wire.(slot) >= 0 then raise (sent_twice sh v u);
+                copy_frame bscratch sd.data (slot * stride) wire;
+                publish sh s v slot u 1 wire
               end
             done))
-      shards);
-  (* Per-shard deferred in-port scans (see the sequential executor): the
-     delivery side is re-derived from [cur_is_a] at fill time, and every
-     filled slot was published at the last frame exchange, so the lazy
-     scan reads exactly what the eager one did. *)
+    shards;
+  (* The deferred in-port scan behind [Inbox.ensure]: a stepping node's
+     inbox is only marked, and the scan runs on the first accessor call,
+     so kernels that ignore their mail never pay for it.  Forward order is
+     sender-ascending, preserving the inbox ordering guarantee. *)
   Array.iter
     (fun sh ->
       sh.sh_ib.Inbox.filler <-
         (fun ib ->
           let v = ib.Inbox.fill_node in
           ib.Inbox.fill_node <- -1;
-          let dwire = if !cur_is_a then wire_a else wire_b in
-          let dcount = if !cur_is_a then count_a else count_b in
-          if dcount.(v) > 0 then
+          let dv = !dside in
+          if dv.count.(v) > 0 then
             for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
               let slot = e.in_slot.(j) in
-              if dwire.(slot) >= 0 then begin
+              if dv.wire.(slot) >= 0 then begin
                 ib.Inbox.src.(ib.Inbox.len) <- e.in_src.(j);
                 ib.Inbox.slot.(ib.Inbox.len) <- slot;
                 ib.Inbox.len <- ib.Inbox.len + 1
               end
             done))
     shards;
-  (* Step one node of shard [s] in round [!round].  Defined once per run,
+  (* Step one node of shard [sh] in round [!round].  Defined once per run,
      not per phase: a per-phase local closure would allocate every round. *)
-  let step_node sh s v =
+  let step_node sh v =
     let r = !round in
     let v_min = !vmin_flag in
     if v_min >= 0 && v_min < v then
-      record sh v 0
-        (Congestion_violation
-           (Printf.sprintf "round %d: halted node %d received a message" r
-              v_min));
-    (* mark the inbox for a lazy fill, as in the sequential executor *)
+      raise
+        (record sh v 0
+           (Congestion_violation
+              (Printf.sprintf "round %d: halted node %d received a message" r
+                 v_min)));
     let ib = sh.sh_ib in
     ib.Inbox.len <- 0;
     ib.Inbox.fill_node <- v;
+    let em = sh.sh_em in
+    em.Emit.enode <- v;
     let st =
-      match algo with
-      | A_list a ->
-        let svb = sbuf_of sh ~delivery:false in
-        let sdata = if !cur_is_a then data_b else data_a in
-        let swire = if !cur_is_a then wire_b else wire_a in
-        let swlog = if !cur_is_a then wlog_b else wlog_a in
-        let scount = if !cur_is_a then count_b else count_a in
-        let st, outbox =
-          try a.step g ~round:r ~node:v states.(v) ib
-          with
-          | Stop_shard as exn -> raise exn
-          | exn -> record sh v 1 exn
-        in
-        List.iter
-          (fun (u, p) ->
-            let slot = find_port e ~src:v ~dst:u in
-            if slot < 0 then
-              record sh v 1
-                (Congestion_violation
-                   (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r
-                      v u));
-            if
-              churn_on
-              && (churn_edge_down.(slot) || churn_crashed.(u)
-                 || churn_dormant.(u))
-            then begin
-              let w = Array.length p in
-              if w > max_words then
-                record sh v 1
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d payload of %d words exceeds %d" r v w
-                        max_words));
-              sh.sh_send_dropped <- sh.sh_send_dropped + 1
-            end
-            else begin
-              if sent_stamp.(slot) = r then
-                record sh v 1
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d sent twice over edge to %d"
-                        r v u));
-              let w = Array.length p in
-              if w > max_words then
-                record sh v 1
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d payload of %d words exceeds %d" r v w
-                        max_words));
-              sent_stamp.(slot) <- r;
-              let wire =
-                if guard then
-                  Codec.encode_guarded sdata ~base:(slot * stride) p
-                else Codec.encode sdata ~base:(slot * stride) p
-              in
-              swire.(slot) <- wire;
-              swlog.(slot) <- w;
-              let t = shard_of.(u) in
-              if t = s then begin
-                svb.s_written.(svb.s_wlen) <- slot;
-                svb.s_wlen <- svb.s_wlen + 1;
-                if scount.(u) = 0 then begin
-                  svb.s_active.(svb.s_alen) <- u;
-                  svb.s_alen <- svb.s_alen + 1
-                end;
-                scount.(u) <- scount.(u) + 1;
-                svb.s_total <- svb.s_total + 1;
-                svb.s_words <- svb.s_words + w;
-                svb.s_bits <- svb.s_bits + (word_bits * wire)
-              end
-              else xpush xas.(s).(t) slot;
-              sh.sh_emitted <- sh.sh_emitted + 1;
-              if instrumented then evpush sh v u w
-            end)
-          outbox;
-        st
-      | A_emit a ->
-        let em = sh.sh_em in
-        em.Emit.enode <- v;
-        let st =
-          try a.estep g ~round:r ~node:v states.(v) ib em
-          with
-          | Stop_shard as exn -> raise exn
-          | Codec.Width_exceeded { budget; words } ->
-            record sh v 1
-              (Congestion_violation
-                 (Printf.sprintf
-                    "round %d: node %d payload of %d words exceeds %d" r v
-                    words budget))
-          | exn -> record sh v 1 exn
-        in
-        if em.Emit.eopen then begin
-          em.Emit.eopen <- false;
-          record sh v 1
-            (Invalid_argument "Engine.Emit: frame left open at end of step")
-        end;
-        st
+      try algo.estep g ~round:r ~node:v states.(v) ib em with
+      | Stop_shard as exn -> raise exn
+      | Codec.Width_exceeded { budget; words } ->
+        raise
+          (record sh v 1
+             (Congestion_violation
+                (Printf.sprintf
+                   "round %d: node %d payload of %d words exceeds %d" r v words
+                   budget)))
+      | exn -> raise (record sh v 1 exn)
     in
+    if em.Emit.eopen then begin
+      em.Emit.eopen <- false;
+      raise
+        (record sh v 1
+           (Invalid_argument "Engine.Emit: frame left open at end of step"))
+    end;
     states.(v) <- st;
     if a_halted st then begin
       is_live.(v) <- false;
@@ -2534,12 +1720,9 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   let phase_step s =
     let sh = shards.(s) in
     let r = !round in
-    let dvb = sbuf_of sh ~delivery:true in
-    let ddata = if !cur_is_a then data_a else data_b in
-    let dwire = if !cur_is_a then wire_a else wire_b in
-    let dwlog = if !cur_is_a then wlog_a else wlog_b in
-    let dcount = if !cur_is_a then count_a else count_b in
-    Inbox.attach sh.sh_ib ~data:ddata ~wire:dwire ~wlog:dwlog ~stride;
+    let dvb = sh.sh_dv in
+    let dv = !dside in
+    Inbox.attach sh.sh_ib ~data:dv.data ~wire:dv.wire ~wlog:dv.wlog ~stride;
     sh.sh_stepped <- 0;
     sh.sh_woken <- 0;
     sh.sh_emitted <- 0;
@@ -2562,16 +1745,22 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     end;
     (try
        if !dense_flag then begin
+         (* dense path: every live node steps (the guard only skips nodes
+            churn crashed before compaction) *)
          sh.sh_stepped <- sh.sh_live_len - sh.sh_crashed_live;
          for i = 0 to sh.sh_live_len - 1 do
            let v = sh.sh_live.(i) in
-           if is_live.(v) then step_node sh s v
+           if is_live.(v) then step_node sh v
          done
        end
        else begin
+         (* sparse path: frontier = valid timer wake-ups + receivers + the
+            Always set, stepped in ascending node id *)
          sh.sh_plen <- 0;
          let v = ref (Timers.pop sh.sh_timers r) in
          while !v >= 0 do
+           (* lazy invalidation: a rescheduled or cancelled wake leaves a
+              stale entry behind; only the latest hint counts *)
            if wake_at.(!v) = r then begin
              wake_at.(!v) <- -1;
              if is_live.(!v) then begin
@@ -2583,27 +1772,31 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
          done;
          for i = 0 to dvb.s_alen - 1 do
            let v = dvb.s_active.(i) in
-           if is_live.(v) && dcount.(v) > 0 then push sh v
+           (* the count guard matters only under churn / corruption: a
+              receiver whose whole inbox was dropped is not woken *)
+           if is_live.(v) && dv.count.(v) > 0 then push sh v
          done;
          for i = 0 to sh.sh_alen - 1 do
+           (* a node churn crashed this round is still listed until the
+              end-of-round compaction *)
            let v = sh.sh_always.(i) in
            if is_live.(v) then push sh v
          done;
          sort_prefix sh.sh_frontier sh.sh_plen;
          sh.sh_stepped <- sh.sh_plen;
          for i = 0 to sh.sh_plen - 1 do
-           step_node sh s sh.sh_frontier.(i)
+           step_node sh sh.sh_frontier.(i)
          done
        end
      with Stop_shard -> ());
     if sh.sh_vnode < 0 then begin
       (* receivers / delivered words before clearing; a receiver whose whole
-         inbox was churned away received nothing *)
+         inbox was dropped received nothing *)
       sh.sh_receivers <-
         (if sh.sh_hit then begin
            let c = ref 0 in
            for i = 0 to dvb.s_alen - 1 do
-             if dcount.(dvb.s_active.(i)) > 0 then incr c
+             if dv.count.(dvb.s_active.(i)) > 0 then incr c
            done;
            !c
          end
@@ -2611,17 +1804,14 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       sh.sh_delivered_words <- dvb.s_words;
       sh.sh_delivered_bits <- dvb.s_bits;
       for j = 0 to dvb.s_wlen - 1 do
-        dwire.(dvb.s_written.(j)) <- -1
+        dv.wire.(dvb.s_written.(j)) <- -1
       done;
       for i = 0 to dvb.s_alen - 1 do
-        dcount.(dvb.s_active.(i)) <- 0
+        dv.count.(dvb.s_active.(i)) <- 0
       done;
-      dvb.s_wlen <- 0;
-      dvb.s_alen <- 0;
-      dvb.s_total <- 0;
-      dvb.s_words <- 0;
-      dvb.s_bits <- 0;
+      reset_sbuf dvb;
       if sh.sh_compact then begin
+        (* stable compaction keeps the live list ascending *)
         let w = ref 0 in
         for i = 0 to sh.sh_live_len - 1 do
           let v = sh.sh_live.(i) in
@@ -2650,37 +1840,25 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       end
     end
   in
-  (* phase B: drain the cross arenas addressed to this shard, in src-shard
-     order, into the send buffer; then compute the halted-receiver
-     candidate the next round's serial section needs *)
+  (* phase B: land the cross-shard slots addressed to this shard, in
+     src-shard order; then compute the halted-receiver candidate the next
+     round's serial section needs *)
   let phase_exchange t =
     let sh = shards.(t) in
-    let svb = sbuf_of sh ~delivery:false in
-    let swire = if !cur_is_a then wire_b else wire_a in
-    let swlog = if !cur_is_a then wlog_b else wlog_a in
-    let scount = if !cur_is_a then count_b else count_a in
+    let svb = sh.sh_sd in
+    let sd = !sside in
     for s = 0 to d - 1 do
       let xa = xas.(s).(t) in
       for i = 0 to xa.x_len - 1 do
         let slot = xa.x_slot.(i) in
-        let u = e.out_dst.(slot) in
-        svb.s_written.(svb.s_wlen) <- slot;
-        svb.s_wlen <- svb.s_wlen + 1;
-        if scount.(u) = 0 then begin
-          svb.s_active.(svb.s_alen) <- u;
-          svb.s_alen <- svb.s_alen + 1
-        end;
-        scount.(u) <- scount.(u) + 1;
-        svb.s_total <- svb.s_total + 1;
-        svb.s_words <- svb.s_words + swlog.(slot);
-        svb.s_bits <- svb.s_bits + (word_bits * swire.(slot))
+        land_frame svb sd slot e.out_dst.(slot) sd.wlog.(slot) sd.wire.(slot)
       done;
       xa.x_len <- 0
     done;
     sh.sh_vmin <- -1;
     for i = 0 to svb.s_alen - 1 do
       let v = svb.s_active.(i) in
-      if (not is_live.(v)) && scount.(v) > 0
+      if (not is_live.(v)) && sd.count.(v) > 0
          && (sh.sh_vmin < 0 || v < sh.sh_vmin)
       then sh.sh_vmin <- v
     done
@@ -2696,14 +1874,26 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   let body pool =
     while !live_total > 0 || !pending_next > 0 do
       if !round > max_rounds then raise (Round_limit_exceeded !round);
-      cur_is_a := not !cur_is_a;
       let r = !round in
-      let ddata = if !cur_is_a then data_a else data_b in
-      let dwire = if !cur_is_a then wire_a else wire_b in
-      let dwlog = if !cur_is_a then wlog_a else wlog_b in
-      let dcount = if !cur_is_a then count_a else count_b in
-      (* churn is applied serially: it is rare, touches arbitrary shards,
-         and must be globally ordered before the halted-receiver minimum *)
+      let dv = !sside in
+      sside := !dside;
+      dside := dv;
+      for s = 0 to d - 1 do
+        let sh = shards.(s) in
+        let b = sh.sh_sd in
+        sh.sh_sd <- sh.sh_dv;
+        sh.sh_dv <- b;
+        sh.sh_crashed_live <- 0;
+        sh.sh_hit <- false
+      done;
+      (* Apply the churn events due this round before anything is
+         delivered: a node crashing at round r does not execute round r and
+         the frames already in flight to it (sent at r-1) are lost; an edge
+         going down at round r loses the frame it was carrying.  Frames a
+         node sent before its crash are still delivered — the crash kills
+         the processor, not the wires.  Churn is applied serially: it is
+         rare, touches arbitrary shards, and must be globally ordered
+         before the halted-receiver minimum. *)
       churn_dropped := 0;
       newly_crashed := 0;
       newly_arrived := 0;
@@ -2711,30 +1901,21 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       newly_inserted := 0;
       churn_applied := false;
       live_unsorted := false;
-      Array.iter
-        (fun sh ->
-          sh.sh_crashed_live <- 0;
-          sh.sh_hit <- false)
-        shards;
       (match churn with
       | Some c ->
         let len = Array.length c.Churn.ops in
         let kill v =
           let sh = shards.(shard_of.(v)) in
-          let dvb = sbuf_of sh ~delivery:true in
-          if dcount.(v) > 0 then begin
+          let dvb = sh.sh_dv in
+          if dv.count.(v) > 0 then begin
             for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
               let slot = e.in_slot.(j) in
-              let wv = dwire.(slot) in
+              let wv = dv.wire.(slot) in
               if wv >= 0 then begin
-                dwire.(slot) <- -1;
-                dvb.s_total <- dvb.s_total - 1;
-                dvb.s_words <- dvb.s_words - dwlog.(slot);
-                dvb.s_bits <- dvb.s_bits - (word_bits * wv);
+                drop_frame dvb dv slot v wv;
                 incr churn_dropped
               end
             done;
-            dcount.(v) <- 0;
             sh.sh_hit <- true
           end;
           if is_live.(v) then begin
@@ -2761,6 +1942,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
               kill v
             end
           | Churn.Op_depart v ->
+            (* a graceful departure is mechanically a fail-stop — the node
+               leaves without ceremony — but accounted separately *)
             if not c.Churn.crashed.(v) then begin
               c.Churn.crashed.(v) <- true;
               incr newly_departed;
@@ -2777,6 +1960,9 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
                 sh.sh_live.(sh.sh_live_len) <- v;
                 sh.sh_live_len <- sh.sh_live_len + 1;
                 live_unsorted := true;
+                (* the arrival round steps the node unconditionally, like
+                   the init round steps every live node: it enters Always
+                   mode until its own first hint says otherwise *)
                 is_always.(v) <- true;
                 if !hinted then begin
                   sh.sh_always.(sh.sh_alen) <- v;
@@ -2788,21 +1974,18 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           | Churn.Op_down slot ->
             if not c.Churn.edge_down.(slot) then begin
               c.Churn.edge_down.(slot) <- true;
-              let wv = dwire.(slot) in
+              let wv = dv.wire.(slot) in
               if wv >= 0 then begin
                 let u = e.out_dst.(slot) in
                 let sh = shards.(shard_of.(u)) in
-                let dvb = sbuf_of sh ~delivery:true in
-                dwire.(slot) <- -1;
-                dvb.s_total <- dvb.s_total - 1;
-                dvb.s_words <- dvb.s_words - dwlog.(slot);
-                dvb.s_bits <- dvb.s_bits - (word_bits * wv);
-                dcount.(u) <- dcount.(u) - 1;
+                drop_frame sh.sh_dv dv slot u wv;
                 incr churn_dropped;
                 sh.sh_hit <- true
               end
             end
           | Churn.Op_add slot ->
+            (* reserved capacity coming online: the slot was pre-downed at
+               reset, nothing can be in flight through it *)
             if c.Churn.edge_down.(slot) then begin
               c.Churn.edge_down.(slot) <- false;
               incr newly_inserted
@@ -2813,11 +1996,13 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
         if !live_unsorted then
           Array.iter (fun sh -> sort_prefix sh.sh_live sh.sh_live_len) shards
       | None -> ());
-      (* wire corruption, applied serially like churn: the decisions are
-         the same (cseed, round, slot, lane) hashes the sequential pass
-         makes, and each kill touches only the destination shard's
-         delivery buffer — bit-identity with the sequential executor is
-         per-slot exact *)
+      (* Deterministic wire corruption: a serial pass over the delivery-side
+         written stacks, after churn (a frame churn killed cannot also be
+         corrupted) and before the halted-receiver minimum (a corrupted
+         frame to a halted node is dropped, never delivered).  Every
+         decision is a pure (cseed, round, slot, lane) hash, so the pass is
+         iteration-order-free and each kill touches only the destination
+         shard's delivery buffer. *)
       corrupt_dropped := 0;
       corrupt_killed := false;
       (match corrupt with
@@ -2828,25 +2013,25 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
         if fthr > 0 || tthr > 0 then begin
           let cseed = cs.Corrupt.cseed and burst = cs.Corrupt.burst in
           let tally = cs.Corrupt.tally in
+          let ddata = dv.data in
           Array.iter
             (fun sh ->
-              let dvb = sbuf_of sh ~delivery:true in
+              let dvb = sh.sh_dv in
               for j = 0 to dvb.s_wlen - 1 do
                 let slot = dvb.s_written.(j) in
-                let wv = dwire.(slot) in
+                let wv = dv.wire.(slot) in
                 if wv >= 0 then begin
                   let kill () =
-                    dwire.(slot) <- -1;
-                    dvb.s_total <- dvb.s_total - 1;
-                    dvb.s_words <- dvb.s_words - dwlog.(slot);
-                    dvb.s_bits <- dvb.s_bits - (word_bits * wv);
-                    dcount.(e.out_dst.(slot)) <- dcount.(e.out_dst.(slot)) - 1;
+                    drop_frame dvb dv slot e.out_dst.(slot) wv;
                     sh.sh_hit <- true;
                     corrupt_killed := true;
                     incr corrupt_dropped
                   in
                   let h0 = Corrupt.decide ~cseed ~round:r ~slot ~lane:0 in
                   if tthr > 0 && Corrupt.hit h0 tthr && wv > 1 then begin
+                    (* truncation shortens the frame below what its logical
+                       words need: the decoder would raise Truncated_frame,
+                       so it is always detected — drop at the recv path *)
                     tally.Corrupt.injected <- tally.Corrupt.injected + 1;
                     tally.Corrupt.truncated <- tally.Corrupt.truncated + 1;
                     kill ()
@@ -2881,7 +2066,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
                         Codec.verify ddata ~base ~wire:wv
                         && Codec.well_formed ddata ~base
                              ~wire:(wv - Codec.guard_words)
-                             ~words:dwlog.(slot)
+                             ~words:dv.wlog.(slot)
                       in
                       if not clean then begin
                         tally.Corrupt.detected <- tally.Corrupt.detected + 1;
@@ -2900,20 +2085,22 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       let live_snapshot = ref 0 in
       for s = 0 to d - 1 do
         let sh = shards.(s) in
-        this_round := !this_round + (sbuf_of sh ~delivery:true).s_total;
+        this_round := !this_round + sh.sh_dv.s_total;
         live_snapshot := !live_snapshot + sh.sh_live_len - sh.sh_crashed_live
       done;
       max_inflight := max !max_inflight !this_round;
       messages := !messages + !this_round;
+      (* [v_min] is the smallest halted node holding undeliverable mail: it
+         competes with live-node send violations for the first offence *)
       let v_min = ref (-1) in
       if !churn_applied || !corrupt_killed then
-        (* churn can only remove candidates, but removing the minimum
+        (* drops can only remove candidates, but removing the minimum
            exposes the next one: recompute from the surviving counts *)
         for s = 0 to d - 1 do
-          let dvb = sbuf_of shards.(s) ~delivery:true in
+          let dvb = shards.(s).sh_dv in
           for i = 0 to dvb.s_alen - 1 do
             let v = dvb.s_active.(i) in
-            if (not is_live.(v)) && dcount.(v) > 0
+            if (not is_live.(v)) && dv.count.(v) > 0
                && (!v_min < 0 || v < !v_min)
             then v_min := v
           done
@@ -2930,7 +2117,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       transition := false;
       Pool.run pool phase_step;
       (* violation resolution: the lexicographically smallest (node,
-         priority) is the one the sequential sweep would have raised *)
+         priority) is the one an ascending sweep would have raised *)
       let vs = ref (-1) in
       for s = 0 to d - 1 do
         let sh = shards.(s) in
@@ -2972,23 +2159,14 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
             acc :=
               Sink.combine_round_info !acc
                 {
-                  Sink.round = r;
-                  delivered = 0;
-                  delivered_words = sh.sh_delivered_words;
+                  (Sink.empty_round_info r) with
+                  Sink.delivered_words = sh.sh_delivered_words;
                   delivered_bits = sh.sh_delivered_bits;
                   receivers = sh.sh_receivers;
                   stepped = sh.sh_stepped;
-                  skipped = 0;
                   woken = sh.sh_woken;
                   sent = sh.sh_emitted;
                   dropped = sh.sh_send_dropped;
-                  duplicated = 0;
-                  retransmits = 0;
-                  corrupted = 0;
-                  crashed = 0;
-                  arrived = 0;
-                  departed = 0;
-                  inserted = 0;
                 })
           shards;
         let agg = !acc in
@@ -3010,7 +2188,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       live_total := 0;
       for s = 0 to d - 1 do
         let sh = shards.(s) in
-        pending_next := !pending_next + (sbuf_of sh ~delivery:false).s_total;
+        pending_next := !pending_next + sh.sh_sd.s_total;
         live_total := !live_total + sh.sh_live_len
       done;
       incr round
@@ -3018,16 +2196,17 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   in
   Pool.with_pool ~domains:d body;
   e.running <- false;
+  e.dirty <- false;
   if instrumented then sink.on_finish ();
   (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
 
 (* When [exec] is called without [?domains] this reference supplies the
    default — the hook [kdom_cli --domains] threads parallelism through
    composite algorithms whose inner [Runtime.run] calls cannot be reached
-   syntactically.  1 = the sequential engine, the bit-exact baseline. *)
+   syntactically.  1 = one shard on the calling domain. *)
 let default_domains = ref 1
 
-let exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
+let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
     ?domains ?partition e algo =
   if e.running then
     invalid_arg "Engine.exec: engine already running (re-entrant call)";
@@ -3036,25 +2215,46 @@ let exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
   (* clear [running] on abnormal exit so the engine stays usable; [dirty]
      stays set, forcing a buffer scrub on the next exec *)
   try
-    if domains = 1 && partition = None then
-      exec_unguarded ?max_rounds ?max_words ?sink ?degrade ?churn ?guard
-        ?corrupt e algo
-    else
-      exec_sharded ?max_rounds ?max_words ?sink ?degrade ?churn ?guard
-        ?corrupt ~domains ?partition e algo
+    exec_core ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
+      ~domains ?partition e algo
   with exn ->
     e.running <- false;
     raise exn
 
+(* The list shape on the one send path: the outbox [step] returns is
+   replayed through the emitter in list order, one start / put-per-word /
+   commit per frame, so the checks run frame by frame in list order, as
+   in the reference simulator.  A frame over budget is reported with its
+   full length, as the reference reports it. *)
+let rec emit_list em = function
+  | [] -> ()
+  | (u, p) :: rest ->
+    let w = Emit.start em ~dst:u in
+    (try
+       for i = 0 to Array.length p - 1 do
+         Codec.put w p.(i)
+       done
+     with Codec.Width_exceeded { budget; _ } ->
+       raise (Codec.Width_exceeded { budget; words = Array.length p }));
+    Emit.commit em;
+    emit_list em rest
+
+let of_algorithm (a : 'st algorithm) : 'st ealgorithm =
+  {
+    einit = a.init;
+    estep =
+      (fun g ~round ~node st ib em ->
+        let st, out = a.step g ~round ~node st ib in
+        emit_list em out;
+        st);
+    ehalted = a.halted;
+    ewake = a.wake;
+  }
+
 let exec ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
     ?partition e algo =
-  exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e (A_list algo)
-
-let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e ealgo =
-  exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e (A_emit ealgo)
+  exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
+    ?domains ?partition e (of_algorithm algo)
 
 let run ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
     ?partition g algo =
@@ -3070,11 +2270,11 @@ let run_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
    legacy list-returning shape so it can run under [run_reference], the
    async layer, or any harness that still consumes [algorithm].  All emit
    state is step-local (one small writer per step), so the adapted
-   algorithm is safe under the sharded executor too.  With [?max_words]
+   algorithm is safe on any number of domains too.  With [?max_words]
    the scratch writer enforces the same budget at the same put — raising
    the same [Congestion_violation] text the engine's emit path produces —
    so differential runs agree byte-for-byte; without it frames are
-   unbounded here and the executor's own width check applies instead. *)
+   unbounded here and the engine's own width check applies instead. *)
 let to_algorithm ?max_words (ea : 'st ealgorithm) : 'st algorithm =
   let budget = match max_words with Some w -> w | None -> max_int in
   {

@@ -32,12 +32,17 @@
     - a pluggable instrumentation {!Sink} observing every delivery round
       and, optionally, every message.
 
+    Every run goes through one round loop, which steps the nodes as [d]
+    shards ([d = 1]: one shard on the calling domain) and accepts one
+    algorithm shape, {!ealgorithm}; {!exec} lifts a list-shaped
+    {!algorithm} onto it.
+
     Semantics are identical to the reference runtime: same round/timing
     convention, same inbox ordering (sender-ascending — see below), same
     [stats], same [Congestion_violation] cases with identical messages.
     The differential tests in [test_engine_diff.ml] check this on all six
     message-level algorithms, with wake hints both honored and degraded to
-    [Always].
+    [Always], at 1, 2 and 4 domains.
 
     {b Inbox ordering guarantee.}  Messages delivered to a node in a round
     are presented in strictly increasing sender id, regardless of the order
@@ -139,15 +144,15 @@ type 'st algorithm = {
           Use {!always} when unsure — it is always sound. *)
 }
 
-(** The allocation-free send path.  An emitter is a reusable cursor owned
-    by the executor: {!start} performs the same checks as the list path
-    (non-neighbor, duplicate edge) and positions a shared {!Codec.writer}
-    directly on the destination slot's arena region; the algorithm
-    {!Codec.put}s the frame's words (the word budget is enforced per put —
-    exceeding it raises the same [Congestion_violation] the list path
-    produces); {!commit} publishes the frame.  Exactly one frame may be
-    open at a time, and every started frame must be committed before
-    [step] returns.
+(** The allocation-free send path, and the only one: list-shaped
+    algorithms are replayed through it by {!exec}.  An emitter is a
+    reusable cursor owned by a shard of the round loop: {!start} checks
+    the destination (non-neighbor, duplicate edge) and positions a shared
+    {!Codec.writer} directly on the destination slot's arena region; the
+    algorithm {!Codec.put}s the frame's words (the word budget is enforced
+    per put — exceeding it raises [Congestion_violation]); {!commit}
+    publishes the frame.  Exactly one frame may be open at a time, and
+    every started frame must be committed before [step] returns.
 
     [frame1]..[frame4] emit fixed-shape frames without any closure;
     {!send} is the [emit ~dst (fun w -> ...)] flavor (the closure itself
@@ -175,7 +180,7 @@ module Emit : sig
   (** [broadcast1 t a] sends the one-word frame [|a|] to {e every}
       neighbor of the stepping node.  Semantically identical to
       [frame1 t ~dst:u a] over each neighbor [u] in ascending order, but
-      the executors encode the frame once and fan the bytes out over the
+      the engine encodes the frame once and fans the bytes out over the
       node's contiguous out-port segment — no per-neighbor port lookup
       and no per-frame start/commit pair, so flood-style kernels pay
       near-[memcpy] cost per edge.  The usual rules apply: counts as one
@@ -196,18 +201,19 @@ type 'st ealgorithm = {
 (** The emit-native algorithm shape: identical semantics to {!algorithm}
     — same checks, same violation messages, same scheduling — but sends
     go through {!Emit} instead of a returned list, so a steady-state step
-    can run without allocating.  Run with {!exec_emit}/{!run_emit}, or
-    adapt to the legacy shape with {!to_algorithm}. *)
+    can run without allocating.  This is the shape the round loop runs.
+    Run with {!exec_emit}/{!run_emit}, or adapt to the legacy shape with
+    {!to_algorithm}. *)
 
 val to_algorithm : ?max_words:int -> 'st ealgorithm -> 'st algorithm
 (** Compat adapter: wrap an emit-native algorithm into the legacy
     list-returning shape (for {!Runtime.run_reference}, the async layer,
     or any harness consuming {!algorithm}).  Each step uses a private
-    scratch emitter, so the result is safe under the sharded executor.
+    scratch emitter, so the result is safe on any number of domains.
     Pass the [max_words] the algorithm will be executed with to get
     byte-identical width violations to the engine's emit path (the
     scratch writer then enforces the budget at the same put); without it
-    frames are unbounded here and the executor's own width check applies.
+    frames are unbounded here and the engine's own width check applies.
     The adapter allocates per frame — it is the compatibility path, not
     the fast path. *)
 
@@ -330,7 +336,7 @@ module Sink : sig
   val combine_round_info : round_info -> round_info -> round_info
   (** Associative, commutative merge of two views of the same round: every
       counter is summed; the [round] fields must agree ([Invalid_argument]
-      otherwise).  This is the combine the sharded executor folds per-shard
+      otherwise).  This is the combine the round loop folds per-shard
       counters with at the round barrier, and it is what makes
       {!counters}/{!activity} aggregation merge-safe: teeing sinks across
       shards and combining the per-round records is equivalent to a single
@@ -498,9 +504,9 @@ end
 (** Wire corruption: a deterministic model of a {e lying} network.  Frames
     in flight are garbled (bursts of bit flips on the packed wire words of
     the frame arena) or truncated; every decision is a pure hash of
-    [(cseed, delivery round, slot, lane)], so the sequential, sharded and
-    reference executors corrupt — and drop — exactly the same frames
-    regardless of iteration order.
+    [(cseed, delivery round, slot, lane)], so the engine at every domain
+    count and the reference simulator corrupt — and drop — exactly the
+    same frames regardless of iteration order.
 
     Passing [?corrupt] to [exec]/[run] forces the {!Codec} guard word onto
     every frame (as if [~guard:true]): the delivery pass re-verifies each
@@ -573,11 +579,11 @@ end
 
 val default_domains : int ref
 (** The domain count [exec] uses when [?domains] is not passed (initially
-    [1], the sequential engine).  A process-wide hook, not a tuning knob:
-    it lets a CLI flag thread parallelism through composite algorithms
-    whose inner [Runtime.run] calls cannot be reached syntactically.
-    Because sharded execution is bit-identical to sequential execution,
-    flipping it never changes any result. *)
+    [1]: one shard, stepped on the calling domain).  A process-wide hook,
+    not a tuning knob: it lets a CLI flag thread parallelism through
+    composite algorithms whose inner [Runtime.run] calls cannot be reached
+    syntactically.  Because execution is bit-identical at every domain
+    count, flipping it never changes any result. *)
 
 val exec :
   ?max_rounds:int ->
@@ -592,7 +598,10 @@ val exec :
   t ->
   'st algorithm ->
   'st array * stats
-(** Execute to quiescence on a prebuilt engine.  [max_rounds] defaults to
+(** Execute a list-shaped algorithm to quiescence on a prebuilt engine:
+    its outbox is replayed through {!Emit} frame by frame, in list order,
+    so it runs on the same round loop as {!exec_emit} with the same
+    checks and violation messages.  [max_rounds] defaults to
     [default_max_rounds n]; [max_words] defaults to
     [default_max_words n].  [degrade] (default [false]) ignores the
     algorithm's wake hints and runs the legacy dense schedule, as if every
@@ -607,20 +616,24 @@ val exec :
     [corrupt] (default none) applies a deterministic {!Corrupt} schedule
     to frames in flight; it implies [guard].
 
-    [domains] (default {!default_domains}) selects the execution core:
-    [1] is the sequential engine; [d > 1] partitions the nodes into [d]
-    shards stepped on [d] OCaml domains (the calling domain included),
-    with cross-shard frames exchanged deterministically at the round
-    barrier.  {b Sharded execution is bit-identical to sequential
-    execution}: same outputs, same stats, same sink events in the same
-    order, same violations with the same messages — the differential
-    property [test_engine_diff] checks for [d] ∈ {1, 2, 4}.  [partition]
-    assigns each node a shard in [0, domains); default is contiguous
-    ranges.  Use [Generators.shard_partition] for a degree-balanced
-    assignment.  Passing a [partition] always selects the sharded core,
-    so [~domains:1 ~partition] runs it as a single shard on the calling
-    domain — the configuration the differential and allocation tests use
-    to check the sharded core against the sequential engine.
+    [domains] (default {!default_domains}) is the number of shards: the
+    round loop partitions the nodes into [d] shards stepped on [d] OCaml
+    domains (the calling domain included), with cross-shard frames
+    exchanged deterministically at the round barrier; [d = 1] is its
+    one-shard case, with no other domain involved.  {b Execution is
+    bit-identical at every domain count}: same outputs, same stats, same
+    sink events in the same order, same violations with the same
+    messages — the differential property [test_engine_diff] checks
+    [d] ∈ {2, 4} against [d = 1] and against {!Runtime.run_reference}.
+    [partition] assigns each node a shard in [0, domains); default is
+    contiguous ranges.  Use [Generators.shard_partition] for a
+    degree-balanced assignment.
+
+    The engine keeps its frame arenas, receive counts and the contiguous
+    shard layout across runs, so a repeated [exec] on one engine
+    allocates O(n) (the state array), not O(m); a run that aborts with an
+    exception leaves the engine usable — the next run scrubs what it left
+    in flight.
 
     With [domains > 1] the algorithm's [step]/[halted]/[wake] functions
     are called concurrently from several domains ([init] stays serial;
@@ -645,7 +658,7 @@ val exec_emit :
 (** {!exec} for the emit-native shape: identical semantics and options,
     allocation-free send path.  [exec_emit e ea] is bit-identical to
     [exec e (to_algorithm ~max_words ea)] for topology-respecting
-    algorithms, sequential or sharded. *)
+    algorithms, at every domain count. *)
 
 val run :
   ?max_rounds:int ->

@@ -30,11 +30,6 @@ let run ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains ?partitio
   Engine.run ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains
     ?partition g algo
 
-let run_emit ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains
-    ?partition g ea =
-  Engine.run_emit ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains
-    ?partition g ea
-
 (* ------------------------------------------------------------------ *)
 (* The original list-based simulator, kept verbatim as the executable
    specification of the engine's semantics.  Every constraint check and its

@@ -85,23 +85,15 @@ val run :
     [Engine.default_max_words n] (4 for any practical [n]); [sink]
     defaults to {!Engine.Sink.null}; [degrade] (default [false]) ignores
     wake hints and runs the dense legacy schedule; [domains] (default
-    [!Engine.default_domains]) selects the sharded multicore executor for
-    values above 1, with [partition] as the optional shard assignment —
-    bit-identical to the sequential engine, see {!Engine.exec}.
+    [!Engine.default_domains]) is the number of shards stepped on as many
+    domains, with [partition] as the optional shard assignment — results
+    are bit-identical at every domain count, see {!Engine.exec}.
 
     Robustness note: this runtime (like {!Engine}) models perfectly
     reliable links.  To execute the same [algorithm] value on a lossy,
     crashy network — and check that the final states are nevertheless
     bit-identical — see {!Faults}, {!Async.run_reliable} and the output
     invariant checkers in {!Oracle}. *)
-
-val run_emit :
-  ?max_rounds:int -> ?max_words:int -> ?sink:Engine.Sink.t -> ?degrade:bool ->
-  ?guard:bool -> ?corrupt:Engine.Corrupt.spec ->
-  ?domains:int -> ?partition:int array ->
-  Graph.t -> 'st ealgorithm -> 'st array * stats
-(** {!run} for the emit-native shape — the allocation-free send path.
-    Semantically identical to running [Engine.to_algorithm ea]. *)
 
 val run_reference :
   ?max_rounds:int -> ?max_words:int -> ?sink:Engine.Sink.t ->

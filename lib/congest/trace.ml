@@ -60,7 +60,7 @@ type t = {
   mutable hist : int array;       (* index = message width *)
   edges : (int * int, int) Hashtbl.t;  (* directed edge -> peak width *)
   mutable budget : int;           (* -1 = unset *)
-  mutable shards : int;           (* executor domain count; 1 = sequential *)
+  mutable shards : int;           (* engine domain count; 1 = one shard *)
   mutable notes_rev : (string * int) list;
   mutable hists_rev : (string * (int * int) list) list;
 }

@@ -11,11 +11,10 @@
 
    Group 2: the broadcast fast path.  A flood kernel written with
    [Emit.broadcast1] must be bit-identical — final states and stats — to
-   the same kernel written against the legacy list API, under the
-   sequential executor, the sharded executor at 2 and 4 domains, the
-   list-based reference simulator (via [to_algorithm]), and with an
-   inbox-reading kernel that exercises the lazy in-port fill behind the
-   broadcast. *)
+   the same kernel written against the legacy list API, on 1, 2 and 4
+   domains and under the list-based reference simulator (via
+   [to_algorithm]), and with an inbox-reading kernel that exercises the
+   lazy in-port fill behind the broadcast. *)
 
 open Kdom_graph
 open Kdom_congest
@@ -209,11 +208,11 @@ let graph_families seed =
 
 let diff_broadcast what g list_alg emit_alg =
   let ls, lst = Engine.run g list_alg in
-  (* sequential emit *)
+  (* emit on one domain *)
   let es, est = Engine.run_emit ~domains:1 g emit_alg in
-  if es <> ls then Alcotest.failf "%s: emit states differ (sequential)" what;
-  check_stats (what ^ "/seq") est lst;
-  (* sharded emit *)
+  if es <> ls then Alcotest.failf "%s: emit states differ at 1 domain" what;
+  check_stats (what ^ "/d1") est lst;
+  (* emit on several domains *)
   List.iter
     (fun d ->
       let ss, sst = Engine.run_emit ~domains:d g emit_alg in
@@ -465,16 +464,16 @@ let test_bounds_regression () =
    A steady-state round of a kernel that sends through every emit flavor
    — [frame1]..[frame4] and an explicit [start]/[put]/[commit] — and
    drains its inbox in place with [Inbox.read]/[Codec.get] allocates 0
-   minor words, guard off and on, in the sequential executor and in the
-   sharded executor on one domain.  The state is an immediate int and
-   the wake hint is [Next], so the sparse frontier, its sort and the
-   timer wheel are all on the measured loop.
+   minor words, guard off and on, on one domain.  The state is an
+   immediate int and the wake hint is [Next], so the sparse frontier, its
+   sort and the timer wheel are all on the measured loop.
 
    Per-round cost is the difference between a long and a short run on
    the same prebuilt engine, divided by the extra rounds: per-run setup
-   (state array, emitter closures, shard buffers) cancels.  Both lengths
-   fit the same timer-wheel capacity, so its doubling growth cancels
-   too. *)
+   (state array, emitter closures) cancels.  Both lengths fit the same
+   timer-wheel capacity, so its doubling growth cancels too.  The setup
+   itself is bounded separately: a repeated run on one engine reuses the
+   engine's arenas and shard buffers and allocates O(n), not O(ports). *)
 
 let frames_kernel ~rounds : int Engine.ealgorithm =
   let estep g ~round ~node st ib em =
@@ -512,13 +511,11 @@ let frames_kernel ~rounds : int Engine.ealgorithm =
     ewake = (fun _ -> Engine.Next);
   }
 
-let words_per_round ~guard ~sharded g =
+let words_per_round ~guard g =
   let e = Engine.create g in
-  (* with a partition the sharded core runs even on one domain *)
-  let partition = if sharded then Some (Array.make (Graph.n g) 0) else None in
   let run rounds =
     let w0 = Gc.minor_words () in
-    ignore (Engine.exec_emit ~guard ~domains:1 ?partition e (frames_kernel ~rounds));
+    ignore (Engine.exec_emit ~guard ~domains:1 e (frames_kernel ~rounds));
     Gc.minor_words () -. w0
   in
   ignore (run 60);
@@ -528,13 +525,34 @@ let words_per_round ~guard ~sharded g =
 let test_alloc_frames () =
   let g = Generators.grid ~rng:(Rng.create 3) ~rows:12 ~cols:12 in
   List.iter
-    (fun (guard, sharded) ->
+    (fun guard ->
       Alcotest.(check (float 0.))
-        (Printf.sprintf "minor words per round (guard %b, %s)" guard
-           (if sharded then "sharded, 1 domain" else "sequential"))
+        (Printf.sprintf "minor words per round (guard %b, 1 domain)" guard)
         0.
-        (words_per_round ~guard ~sharded g))
-    [ (false, false); (true, false); (false, true); (true, true) ]
+        (words_per_round ~guard g))
+    [ false; true ]
+
+(* Every word a run allocates, minor or straight into the major heap (the
+   state array of a large graph goes there). *)
+let allocated_words f =
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+
+(* A second run of a short guarded flood on the same 100x100 grid engine
+   allocates its state array and a constant set of closures: at most
+   3n + 4096 words, far below the per-port arenas (ports x stride bytes
+   per buffer direction) a run that re-allocated them would need. *)
+let test_alloc_repeated_exec () =
+  let g = Generators.grid ~rng:(Rng.create 9) ~rows:100 ~cols:100 in
+  let n = Graph.n g in
+  let e = Engine.create g in
+  let flood () = ignore (Engine.exec_emit ~guard:true e (flood_emit ~rounds:3)) in
+  flood ();
+  let words = allocated_words flood in
+  let bound = float_of_int ((3 * n) + 4096) in
+  if words > bound then
+    Alcotest.failf "second exec allocated %.0f words (bound %.0f)" words bound
 
 (* Leader election end to end, setup included: the port keeps it within
    4 minor words per delivered message. *)
@@ -582,5 +600,7 @@ let () =
           Alcotest.test_case "emit frames allocate nothing" `Quick test_alloc_frames;
           Alcotest.test_case "leader within 4 words per message" `Quick
             test_alloc_leader;
+          Alcotest.test_case "repeated exec reuses engine buffers" `Quick
+            test_alloc_repeated_exec;
         ] );
     ]

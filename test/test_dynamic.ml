@@ -4,7 +4,8 @@
    Five groups:
    - growth churn: Arrive / Edge_add / Depart applied identically by the
      port-indexed engine and the reference runtime (differential on the
-     deterministic gossip), sequential vs sharded at every domain count.
+     deterministic gossip), and 2 and 4 domains against one domain and
+     the reference.
    - normalize: checkpoint re-anchoring demotes dead nodes, broken
      parents and transient cycles to the joiner sentinel and always
      yields a plan that passes [Repair.validate_plan].
@@ -22,7 +23,7 @@ open Kdom_graph
 open Kdom_congest
 
 (* ------------------------------------------------------------------ *)
-(* Growth churn: engine vs reference, sequential vs sharded *)
+(* Growth churn: engine vs reference, across domain counts *)
 
 type gossip = { neighbors : int list; best : int; halted : bool }
 
@@ -132,9 +133,22 @@ let test_growth_sharded_differential () =
           (gossip_algorithm g ~rounds:10)
       in
       let s1, st1 = run 1 in
+      let sr, str =
+        Runtime.run_reference ~max_words:1 ~churn g (gossip_algorithm g ~rounds:10)
+      in
       List.iter
         (fun domains ->
           let sd, std = run domains in
+          if sd <> sr then
+            Alcotest.failf
+              "seed %d: growth states differ from the reference at domains=%d"
+              seed domains;
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d domains=%d: rounds vs reference" seed domains)
+            str.Runtime.rounds std.Engine.rounds;
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d domains=%d: messages vs reference" seed domains)
+            str.Runtime.messages std.Engine.messages;
           if sd <> s1 then
             Alcotest.failf "seed %d: growth states differ at domains=%d" seed
               domains;
@@ -437,7 +451,7 @@ let () =
         [
           Alcotest.test_case "engine = reference under growth" `Quick
             test_growth_engine_reference_differential;
-          Alcotest.test_case "sharded = sequential under growth" `Quick
+          Alcotest.test_case "d in {2,4} = d=1 = reference, growth" `Quick
             test_growth_sharded_differential;
         ] );
       ( "normalize",

@@ -327,14 +327,14 @@ let prop_sparse_round_consistency =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded executor: [run ~domains:d] must be bit-identical to the
-   sequential engine — same final states, same stats, same sink round
-   records, and the same on_message event stream in the same order — for
-   every domain count.  Combined with the groups above (sequential engine =
-   reference), this pins the sharded engine round-for-round to
-   [run_reference] transitively. *)
+(* Sharded execution: [run ~domains:d] for d in {2, 4} must be
+   bit-identical to the one-shard run — same final states, same stats,
+   same sink round records, and the same on_message event stream in the
+   same order — and agree with [run_reference] on states and stats, so
+   every domain count is pinned to the independent list-based simulator,
+   not only to another configuration of the same round loop. *)
 
-let domain_counts = [ 1; 2; 4 ]
+let domain_counts = [ 2; 4 ]
 
 let record_sink () =
   let rounds = ref [] in
@@ -348,16 +348,21 @@ let record_sink () =
     },
     fun () -> (List.rev !rounds, List.rev !msgs) )
 
-(* [run sink d] executes on [d] domains, [d = 0] being the sequential
-   baseline the sharded run is checked against. *)
-let sharded_check what ~domains run =
+(* [run sink d] executes on [d] domains; [reference ()] is the same
+   algorithm under [run_reference]. *)
+let sharded_check what ~domains ~reference run =
   let s1, r1 = record_sink () in
-  let b_states, b_stats = run s1 0 in
+  let b_states, b_stats = run s1 1 in
   let s2, r2 = record_sink () in
   let d_states, d_stats = run s2 domains in
   let what = Printf.sprintf "%s (domains=%d)" what domains in
-  if d_states <> b_states then Alcotest.failf "%s: final states differ" what;
-  check_stats what d_stats b_stats;
+  let r_states, r_stats = reference () in
+  if d_states <> r_states then
+    Alcotest.failf "%s: final states differ from the reference" what;
+  check_stats (what ^ " vs reference") d_stats r_stats;
+  if d_states <> b_states then
+    Alcotest.failf "%s: final states differ from domains=1" what;
+  check_stats (what ^ " vs domains=1") d_stats b_stats;
   let rounds1, msgs1 = r1 () in
   let rounds2, msgs2 = r2 () in
   Alcotest.(check int) (what ^ ": round record count") (List.length rounds1)
@@ -371,24 +376,23 @@ let sharded_check what ~domains run =
     Alcotest.failf "%s: on_message event streams differ" what
 
 let sharded_diff what ?partition ~domains ~max_words g mk =
-  sharded_check what ~domains (fun sink d ->
-      if d = 0 then Engine.run ~max_words ~sink g (mk ())
-      else Engine.run ~max_words ~sink ~domains:d ?partition g (mk ()))
+  sharded_check what ~domains
+    ~reference:(fun () -> Runtime.run_reference ~max_words g (mk ()))
+    (fun sink d ->
+      let partition = if d = 1 then None else partition in
+      Engine.run ~max_words ~sink ~domains:d ?partition g (mk ()))
 
-(* The same check on the Emit path.  At one domain an all-zero partition
-   selects the sharded core, so [d = 1] compares two distinct executors. *)
+(* The same check on the Emit path; the reference runs the derived list
+   shape. *)
 let sharded_diff_emit what ~domains ~max_words g mk =
-  sharded_check what ~domains (fun sink d ->
-      if d = 0 then Engine.run_emit ~max_words ~sink g (mk ())
-      else
-        let partition =
-          if d = 1 then Some (Array.make (Graph.n g) 0) else None
-        in
-        Engine.run_emit ~max_words ~sink ~domains:d ?partition g (mk ()))
+  sharded_check what ~domains
+    ~reference:(fun () ->
+      Runtime.run_reference ~max_words g (Engine.to_algorithm ~max_words (mk ())))
+    (fun sink d -> Engine.run_emit ~max_words ~sink ~domains:d g (mk ()))
 
 let prop_sharded_bit_identical =
   QCheck2.Test.make
-    ~name:"sharded engine = sequential engine, domains in {1,2,4}" ~count:12
+    ~name:"d in {2,4} = d=1 = reference" ~count:12
     seed_gen
     (fun seed ->
       List.iter
@@ -440,15 +444,16 @@ let prop_sharded_bit_identical =
       true)
 
 (* Violations must be raised identically at every domain count, including
-   which of several concurrent offenders wins (the sequential sweep's
+   which of several concurrent offenders wins (the reference's
    first-in-id-order one). *)
 let test_sharded_violations_agree () =
   let g = Generators.path ~rng:(Rng.create 11) 6 in
-  let outcome domains algo =
-    match Engine.run ~domains g algo with
+  let result run algo =
+    match run algo with
     | _ -> Ok ()
     | exception Engine.Congestion_violation m -> Error m
   in
+  let outcome domains = result (Engine.run ~domains g) in
   let cases =
     [
       ( "non-neighbor",
@@ -489,7 +494,7 @@ let test_sharded_violations_agree () =
   in
   List.iter
     (fun (name, mk) ->
-      let base = outcome 1 (mk ()) in
+      let base = result (Runtime.run_reference g) (mk ()) in
       List.iter
         (fun domains ->
           let got = outcome domains (mk ()) in
@@ -501,8 +506,119 @@ let test_sharded_violations_agree () =
           | _ ->
               Alcotest.failf "%s: expected violations at domains=%d" name
                 domains)
-        [ 2; 4 ])
+        [ 1; 2; 4 ])
     cases
+
+(* ------------------------------------------------------------------ *)
+(* Engine reuse after an aborted run.  The engine owns its frame arenas,
+   receive counts and shard buffers across runs, so a run that aborts
+   mid-round leaves frames in flight in both buffer directions, pending
+   timers, a half-stepped frontier and possibly an open frame on an
+   emitter.  The next run on the same engine must see none of it: its
+   states, stats and sink counters equal a run on a fresh engine, at every
+   domain count. *)
+
+(* every node sends to every neighbour every round, with [Next] hints so
+   the timer wheel holds entries when the run aborts *)
+let chatter_step g ~round ~node =
+  Array.to_list (Array.map (fun (u, _) -> (u, [| round; node |])) (Graph.neighbors g node))
+
+let abort_duplicate g : int Engine.algorithm =
+  let culprit = Graph.n g / 2 in
+  {
+    Engine.init = (fun _ v -> v);
+    step =
+      (fun g ~round ~node st _ ->
+        let out = chatter_step g ~round ~node in
+        (st + 1, if round = 3 && node = culprit then out @ [ List.hd out ] else out));
+    halted = (fun _ -> false);
+    wake = (fun _ -> Engine.Next);
+  }
+
+(* leaves a frame open on the emitter: the over-budget put raises *)
+let abort_open_frame g : int Engine.ealgorithm =
+  let culprit = Graph.n g / 2 in
+  {
+    Engine.einit = (fun _ v -> v);
+    estep =
+      (fun g ~round ~node st _ em ->
+        Array.iter
+          (fun (u, _) ->
+            let w = Engine.Emit.start em ~dst:u in
+            let words = if round = 3 && node = culprit then 9 else 2 in
+            for i = 1 to words do
+              Codec.put w i
+            done;
+            Engine.Emit.commit em)
+          (Graph.neighbors g node);
+        st + 1);
+    ehalted = (fun _ -> false);
+    ewake = (fun _ -> Engine.Next);
+  }
+
+let test_reuse_after_abort () =
+  let g = Generators.gnp_connected ~rng:(Rng.create 51) ~n:40 ~p:0.12 in
+  let aborts =
+    [
+      ( "duplicate send",
+        fun e d -> ignore (Engine.exec ~max_words:4 ~domains:d e (abort_duplicate g)) );
+      ( "open frame",
+        fun e d ->
+          ignore (Engine.exec_emit ~max_words:4 ~domains:d e (abort_open_frame g)) );
+      ( "round limit",
+        fun e d ->
+          ignore
+            (Engine.exec ~max_words:4 ~max_rounds:2 ~domains:d e (abort_duplicate g))
+      );
+    ]
+  in
+  let same what run e =
+    let fresh_states, fresh_stats, fresh_rounds = run (Engine.create g) in
+    let states, stats, rounds = run e in
+    if states <> fresh_states then Alcotest.failf "%s: final states differ" what;
+    check_stats what stats fresh_stats;
+    if rounds <> fresh_rounds then Alcotest.failf "%s: sink counters differ" what
+  in
+  let counted exec =
+    let sink, rounds = Engine.Sink.counters () in
+    let states, stats = exec sink in
+    (states, stats, rounds ())
+  in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (aborter, abort) ->
+          let reused clean =
+            let e = Engine.create g in
+            (match abort e d with
+            | () -> Alcotest.failf "%s at domains=%d: expected an abort" aborter d
+            | exception (Engine.Congestion_violation _ | Engine.Round_limit_exceeded _)
+              -> ());
+            (Printf.sprintf "%s then %s (domains=%d)" aborter clean d, e)
+          in
+          let what, e = reused "leader" in
+          same what
+            (fun e ->
+              counted (fun sink ->
+                  Engine.exec_emit ~max_words:Kdom.Leader.max_words ~sink ~domains:d e
+                    (Kdom.Leader.ealgorithm g)))
+            e;
+          let what, e = reused "bfs" in
+          same what
+            (fun e ->
+              counted (fun sink ->
+                  Engine.exec ~max_words:Kdom.Bfs_tree.max_words ~sink ~domains:d e
+                    (Kdom.Bfs_tree.algorithm g ~root:0)))
+            e;
+          let what, e = reused "sparse flood" in
+          same what
+            (fun e ->
+              counted (fun sink ->
+                  Engine.exec ~max_words:4 ~sink ~domains:d e
+                    (flood_algorithm ~wake:(fun _ -> Runtime.Next) g 5)))
+            e)
+        aborts)
+    [ 1; 2; 4 ]
 
 (* Satellite: Sink.counters is merge-safe — teeing two counter sinks makes
    both observe exactly what a single sink observes, and combine_round_info
@@ -652,6 +768,11 @@ let () =
              Alcotest.test_case "counters merge-safe" `Quick
                test_counters_merge_safe;
            ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "engine reuse after an aborted run" `Quick
+            test_reuse_after_abort;
+        ] );
       ( "async",
         [
           Alcotest.test_case "leader across delay regimes" `Quick

@@ -171,11 +171,12 @@ let test_crashed_always_node_sparse () =
       Alcotest.(check int) (what ^ ": messages") rst.Runtime.messages st.Engine.messages)
     [ 1; 2 ]
 
-(* The sharded engine must make the same churn observations as the
-   sequential one: identical final states, identical stats, and identical
-   per-round [crashed]/[dropped] sink counters, at every domain count.
-   Churn exercises exactly the serial-at-barrier paths of the sharded
-   core (in-flight frame invalidation, liveness flips, v_min recompute). *)
+(* Every domain count must make the same churn observations: at 2 and 4
+   domains, final states, stats and per-round [crashed]/[dropped] sink
+   counters identical to the one-domain run, and states and stats equal
+   to the reference simulator's.  Churn exercises exactly the
+   serial-at-barrier paths of the round loop (in-flight frame
+   invalidation, liveness flips, v_min recompute). *)
 let test_sharded_churn_differential () =
   List.iter
     (fun seed ->
@@ -194,9 +195,21 @@ let test_sharded_churn_differential () =
         (states, stats, rounds ())
       in
       let s1, st1, r1 = run 1 in
+      let sr, str =
+        Runtime.run_reference ~max_words:1 ~churn g (gossip_algorithm g ~rounds:10)
+      in
       List.iter
         (fun domains ->
           let sd, std, rd = run domains in
+          if sd <> sr then
+            Alcotest.failf "seed %d: states differ from the reference at domains=%d"
+              seed domains;
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d domains=%d: rounds vs reference" seed domains)
+            str.Runtime.rounds std.Engine.rounds;
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d domains=%d: messages vs reference" seed domains)
+            str.Runtime.messages std.Engine.messages;
           if sd <> s1 then
             Alcotest.failf "seed %d: states differ at domains=%d" seed domains;
           Alcotest.(check int)
@@ -553,11 +566,11 @@ let corrupt_tally (c : Engine.Corrupt.spec) =
 (* Corruption x drop(cut) x crash on the synchronous plane: the repair
    protocol rides out engine-level garbling — detected frames are simply
    dropped, and the heartbeat/lease machinery resends — with identical
-   states and corruption verdicts on the sequential engine, the 4-domain
-   sharded engine, and the reference simulator, and the eventual
-   k-domination oracle clean at the horizon.  The corruption pass decides
+   states and corruption verdicts on 1, 2 and 4 domains and the reference
+   simulator, and the eventual k-domination oracle clean at the horizon.
+   The corruption pass decides
    per (round, port slot), not per executor iteration order, which is
-   what the three-way agreement pins down. *)
+   what the agreement pins down. *)
 let test_corrupt_churn_differential () =
   let g = Generators.random_tree ~rng:(Rng.create 31) 18 in
   let n = Graph.n g in
@@ -599,9 +612,12 @@ let test_corrupt_churn_differential () =
         (detected + truncated) rejected;
       if flip > 0.0 && injected = 0 then
         Alcotest.failf "%s: the storm never corrupted a frame" what;
-      let s4, _, _, t4 = run 4 in
-      if s4 <> s1 then Alcotest.failf "%s: 4-domain states differ" what;
-      if t4 <> t1 then Alcotest.failf "%s: 4-domain tally differs" what;
+      List.iter
+        (fun d ->
+          let sd, _, _, td = run d in
+          if sd <> s1 then Alcotest.failf "%s: %d-domain states differ" what d;
+          if td <> t1 then Alcotest.failf "%s: %d-domain tally differs" what d)
+        [ 2; 4 ];
       (* the same compiled churn value drives the reference run *)
       let sr, _ =
         Runtime.run_reference ~max_words:Repair.max_words
@@ -631,7 +647,7 @@ let () =
         [
           Alcotest.test_case "engine = reference under churn" `Quick
             test_engine_reference_churn_differential;
-          Alcotest.test_case "sharded = sequential under churn" `Quick
+          Alcotest.test_case "d in {2,4} = d=1 = reference, churn" `Quick
             test_sharded_churn_differential;
           Alcotest.test_case "crashed counter sums" `Quick
             test_crashed_counter_sums;
