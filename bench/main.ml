@@ -842,7 +842,8 @@ let sched_case ~kernel ~family ?max_words g mk =
   ignore (Engine.exec eng ?max_words ~sink (mk ()));
   let stepped, woken =
     List.fold_left
-      (fun (s, w) (i : Engine.Sink.round_info) -> (s + i.stepped, w + i.woken))
+      (fun (s, w) (i : Engine.Sink.round_info) ->
+        (s + i.counts.(Engine.Sink.stepped), w + i.counts.(Engine.Sink.woken)))
       (0, 0) (rounds_info ())
   in
   {
@@ -970,18 +971,20 @@ let sched_smoke () =
     failwith "sched-smoke: sparse and dense token stats disagree";
   let infos = rounds_info () in
   let total =
-    List.fold_left (fun a (i : Engine.Sink.round_info) -> a + i.stepped) 0 infos
+    List.fold_left
+      (fun a (i : Engine.Sink.round_info) -> a + i.counts.(Engine.Sink.stepped))
+      0 infos
   in
   let spr = float_of_int total /. float_of_int (max 1 sstats.Runtime.rounds) in
   if spr > 3.0 then
     failwith (Printf.sprintf "sched-smoke: token steps %.2f nodes/round > 3" spr);
   List.iter
     (fun (i : Engine.Sink.round_info) ->
-      if i.round >= 1 && i.stepped > 1 then
+      if i.round >= 1 && i.counts.(Engine.Sink.stepped) > 1 then
         failwith
           (Printf.sprintf
              "sched-smoke: token round %d stepped %d nodes (exactly 1 expected)"
-             i.round i.stepped))
+             i.round i.counts.(Engine.Sink.stepped)))
     infos;
   let t = Generators.path ~rng:(seeded 5) 600 in
   let info, _ = Bfs_tree.run t ~root:0 in

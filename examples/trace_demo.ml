@@ -49,9 +49,11 @@ let () =
       "stepped" "sent";
     List.iter
       (fun (r : Engine.Sink.round_info) ->
-        if r.round mod 5 = 0 || r.delivered > 0 then
-          Format.printf "%6d %9d %9d %9d %8d@." r.round r.delivered
-            r.receivers r.stepped r.sent)
+        let c = Array.get r.counts in
+        if r.round mod 5 = 0 || c Engine.Sink.delivered > 0 then
+          Format.printf "%6d %9d %9d %9d %8d@." r.round
+            (c Engine.Sink.delivered) (c Engine.Sink.receivers)
+            (c Engine.Sink.stepped) (c Engine.Sink.sent))
       (rounds ());
     let busiest = ref 0 in
     Array.iteri (fun v s -> if s > sent.(!busiest) then busiest := v) sent;

@@ -286,21 +286,28 @@ type pending = {
   mutable rto : float;
 }
 
-(* Growable per-pulse counter array for end-of-run sink emission. *)
+(* Per-pulse counter vectors ({!Engine.Sink.counter}-indexed), grown on
+   demand, for end-of-run sink emission.  An empty slot is a pulse with
+   nothing counted yet. *)
 module Tally = struct
-  type t = { mutable a : int array }
+  type t = { mutable a : int array array }
 
-  let create () = { a = Array.make 16 0 }
+  let create () = { a = Array.make 16 [||] }
 
-  let add t i x =
-    if i >= Array.length t.a then begin
-      let b = Array.make (max (i + 1) (2 * Array.length t.a)) 0 in
+  let add t pulse c x =
+    if pulse >= Array.length t.a then begin
+      let b = Array.make (max (pulse + 1) (2 * Array.length t.a)) [||] in
       Array.blit t.a 0 b 0 (Array.length t.a);
       t.a <- b
     end;
-    t.a.(i) <- t.a.(i) + x
+    if Array.length t.a.(pulse) = 0 then
+      t.a.(pulse) <- Array.make Engine.Sink.n_counters 0;
+    let v = t.a.(pulse) in
+    v.(c) <- v.(c) + x
 
-  let get t i = if i < Array.length t.a then t.a.(i) else 0
+  let get t pulse =
+    if pulse < Array.length t.a && Array.length t.a.(pulse) > 0 then t.a.(pulse)
+    else Array.make Engine.Sink.n_counters 0
 end
 
 let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
@@ -355,16 +362,7 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
   let retransmits = ref 0 in
   let timeouts = ref 0 in
   let instrumented = sink != Engine.Sink.null in
-  let t_delivered = Tally.create () in
-  let t_words = Tally.create () in
-  let t_bits = Tally.create () in
-  let t_receivers = Tally.create () in
-  let t_stepped = Tally.create () in
-  let t_sent = Tally.create () in
-  let t_dropped = Tally.create () in
-  let t_duplicated = Tally.create () in
-  let t_retransmits = Tally.create () in
-  let t_corrupted = Tally.create () in
+  let tally = Tally.create () in
   (* With corruption enabled every frame is implicitly guarded, so its
      physical width gains the CRC wire word; control messages (acks,
      SAFE announcements, link-level acks) are one-word frames. *)
@@ -387,8 +385,8 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
           else Events.push queue at (Arrive (dst, frame)))
     in
     if instrumented then
-      if copies = 0 then Tally.add t_dropped pulse 1
-      else if copies > 1 then Tally.add t_duplicated pulse 1
+      if copies = 0 then Tally.add tally pulse Engine.Sink.dropped 1
+      else if copies > 1 then Tally.add tally pulse Engine.Sink.duplicated 1
   in
   let transmit_data now slot seq =
     match Hashtbl.find_opt pending (slot, seq) with
@@ -443,8 +441,8 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
         end
         else begin
           if instrumented then begin
-            Tally.add t_stepped p 1;
-            if inbox <> [] then Tally.add t_receivers p 1
+            Tally.add tally p Engine.Sink.stepped 1;
+            if inbox <> [] then Tally.add tally p Engine.Sink.receivers 1
           end;
           let st, outbox =
             algo.Engine.step g ~round:p ~node:v nd.state (Engine.Inbox.of_list inbox)
@@ -478,7 +476,7 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
                     p v w max_words));
           incr alg_messages;
           if instrumented then begin
-            Tally.add t_sent p 1;
+            Tally.add tally p Engine.Sink.sent 1;
             sink.Engine.Sink.on_message ~round:p ~src:v ~dst:u ~words:w
           end;
           reliable_send now ~slot ~src:v ~dst:u (WAlg (p, payload)))
@@ -500,9 +498,9 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
       Hashtbl.replace nd.buffers slot
         ((src, payload) :: Option.value ~default:[] (Hashtbl.find_opt nd.buffers slot));
       if instrumented then begin
-        Tally.add t_delivered slot 1;
-        Tally.add t_words slot (Array.length payload);
-        Tally.add t_bits slot
+        Tally.add tally slot Engine.Sink.delivered 1;
+        Tally.add tally slot Engine.Sink.words (Array.length payload);
+        Tally.add tally slot Engine.Sink.bits
           (Codec.measured_bits payload + (Codec.word_bits * gw))
       end;
       send_sync time ~src:dst ~dst:src (WAck src_pulse)
@@ -558,7 +556,8 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
               (Delivery_failed
                  { src = p.p_src; dst = p.p_dst; attempts = p.attempts - 1 });
           incr retransmits;
-          if instrumented then Tally.add t_retransmits (wire_pulse p.p_msg) 1;
+          if instrumented then
+            Tally.add tally (wire_pulse p.p_msg) Engine.Sink.retransmits 1;
           transmit_data time slot seq;
           p.rto <- p.rto *. 2.0;
           Events.push queue (time +. p.rto) (Timer (slot, seq))
@@ -569,7 +568,7 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
       if Faults.down flt ~node:dst ~time then Faults.note_crash_drop flt
       else begin
         Faults.note_corrupt flt;
-        if instrumented then Tally.add t_corrupted pulse 1
+        if instrumented then Tally.add tally pulse Engine.Sink.corrupted 1
       end
     | Arrive (dst, frame) ->
       if Faults.down flt ~node:dst ~time then Faults.note_crash_drop flt
@@ -588,26 +587,7 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
     invalid_arg "Async.run_reliable: event queue drained before quiescence";
   if instrumented then
     for p = 0 to !max_pulse do
-      sink.Engine.Sink.on_round
-        {
-          round = p;
-          delivered = Tally.get t_delivered p;
-          delivered_words = Tally.get t_words p;
-          delivered_bits = Tally.get t_bits p;
-          receivers = Tally.get t_receivers p;
-          stepped = Tally.get t_stepped p;
-          skipped = 0;
-          woken = 0;
-          sent = Tally.get t_sent p;
-          dropped = Tally.get t_dropped p;
-          duplicated = Tally.get t_duplicated p;
-          retransmits = Tally.get t_retransmits p;
-          corrupted = Tally.get t_corrupted p;
-          crashed = 0;
-          arrived = 0;
-          departed = 0;
-          inserted = 0;
-        }
+      sink.Engine.Sink.on_round { round = p; counts = Tally.get tally p }
     done;
   if instrumented then sink.Engine.Sink.on_finish ();
   let c = Faults.counters flt in

@@ -127,6 +127,7 @@ val run_reliable :
 
     [sink] receives [on_message] per logical algorithm send (at its
     pulse) and, after quiescence, one {!Engine.Sink.round_info} per pulse
-    with the fault counters ([dropped]/[duplicated]/[retransmits])
-    attributed to the pulse of the logical message each frame carried.
+    with the fault counters ([dropped]/[duplicated]/[retransmits]/
+    [corrupted]) attributed to the pulse of the logical message each
+    frame carried.
     Congestion discipline is identical to {!run}. *)

@@ -308,7 +308,8 @@ let run_message ?(max_delay = 1.0) ~seed ~storm g
 (* ------------------------------------------------------------------ *)
 (* Maintenance protocols: storm survived under churn + corruption *)
 
-let sum_info infos f = List.fold_left (fun a i -> a + f i) 0 infos
+let sum_info infos c =
+  List.fold_left (fun a (i : Engine.Sink.round_info) -> a + i.counts.(c)) 0 infos
 
 let live_centers (rep : Repair.report) alive =
   let cs = ref [] in
@@ -372,13 +373,13 @@ let run_repair ?(beta = 3) ?(lease = 2) ~seed ~storm g plan =
   ( {
       v_name = "repair";
       v_pulses = List.length infos;
-      v_frames = sum_info infos (fun i -> i.Engine.Sink.delivered);
+      v_frames = sum_info infos Engine.Sink.delivered;
       v_retransmits = 0;
-      v_dropped = sum_info infos (fun i -> i.Engine.Sink.dropped);
+      v_dropped = sum_info infos Engine.Sink.dropped;
       v_duplicated = 0;
-      v_corrupted = sum_info infos (fun i -> i.Engine.Sink.corrupted);
+      v_corrupted = sum_info infos Engine.Sink.corrupted;
       v_crash_dropped = 0;
-      v_crashed = sum_info infos (fun i -> i.Engine.Sink.crashed);
+      v_crashed = sum_info infos Engine.Sink.crashed;
       v_injected = injected;
       v_detected = detected;
       v_truncated = truncated;
@@ -412,13 +413,13 @@ let run_serve ?(beta = 3) ?(lease = 2) ~seed ~storm g (cfg : Serve.config) =
   ( {
       v_name = "serve";
       v_pulses = List.length infos;
-      v_frames = sum_info infos (fun i -> i.Engine.Sink.delivered);
+      v_frames = sum_info infos Engine.Sink.delivered;
       v_retransmits = 0;
-      v_dropped = sum_info infos (fun i -> i.Engine.Sink.dropped);
+      v_dropped = sum_info infos Engine.Sink.dropped;
       v_duplicated = 0;
-      v_corrupted = sum_info infos (fun i -> i.Engine.Sink.corrupted);
+      v_corrupted = sum_info infos Engine.Sink.corrupted;
       v_crash_dropped = 0;
-      v_crashed = sum_info infos (fun i -> i.Engine.Sink.crashed);
+      v_crashed = sum_info infos Engine.Sink.crashed;
       v_injected = injected;
       v_detected = detected;
       v_truncated = truncated;

@@ -265,25 +265,55 @@ type 'st ealgorithm = {
 }
 
 module Sink = struct
-  type round_info = {
-    round : int;
-    delivered : int;
-    delivered_words : int;
-    delivered_bits : int;
-    receivers : int;
-    stepped : int;
-    skipped : int;
-    woken : int;
-    sent : int;
-    dropped : int;
-    duplicated : int;
-    retransmits : int;
-    corrupted : int;
-    crashed : int;
-    arrived : int;
-    departed : int;
-    inserted : int;
-  }
+  type counter = int
+
+  (* The counter table: one line per counter, in index order — its JSON
+     key, and whether span and summary records carry its sum ([false]:
+     per-round only).  Every record shape, printer, sum and validator
+     field list is derived from it. *)
+  let table =
+    [|
+      ("delivered", true);
+      ("words", true);
+      ("bits", true);
+      ("receivers", false);
+      ("stepped", false);
+      ("skipped", true);
+      ("woken", true);
+      ("sent", false);
+      ("dropped", true);
+      ("duplicated", true);
+      ("retransmits", true);
+      ("corrupted", true);
+      ("crashed", true);
+      ("arrived", true);
+      ("departed", true);
+      ("inserted", true);
+    |]
+
+  (* indices into [table], in its order *)
+  let delivered = 0
+  and words = 1
+  and bits = 2
+  and receivers = 3
+  and stepped = 4
+  and skipped = 5
+  and woken = 6
+  and sent = 7
+  and dropped = 8
+  and duplicated = 9
+  and retransmits = 10
+  and corrupted = 11
+  and crashed = 12
+  and arrived = 13
+  and departed = 14
+  and inserted = 15
+
+  let n_counters = Array.length table
+  let key c = fst table.(c)
+  let summed c = snd table.(c)
+
+  type round_info = { round : int; counts : int array }
 
   type t = {
     on_message : round:int -> src:int -> dst:int -> words:int -> unit;
@@ -319,55 +349,21 @@ module Sink = struct
     ( { null with on_round = (fun ri -> acc := ri :: !acc) },
       fun () -> List.rev !acc )
 
-  (* Associative, commutative merge of two views of the same round: every
-     field is a sum except [round], which must agree.  This is the combine
-     the round loop folds per-shard counters with at the barrier, and
-     it makes [counters]/[activity] aggregation merge-safe: teeing a sink
+  let empty_round_info round = { round; counts = Array.make n_counters 0 }
+
+  (* Element-wise sum of two views of the same round: associative and
+     commutative, with [empty_round_info] as identity, so teeing a sink
      across shards and combining per-round records is equivalent to one
      sink observing the whole round. *)
   let combine_round_info a b =
     if a.round <> b.round then
       invalid_arg "Engine.Sink.combine_round_info: round mismatch";
-    {
-      round = a.round;
-      delivered = a.delivered + b.delivered;
-      delivered_words = a.delivered_words + b.delivered_words;
-      delivered_bits = a.delivered_bits + b.delivered_bits;
-      receivers = a.receivers + b.receivers;
-      stepped = a.stepped + b.stepped;
-      skipped = a.skipped + b.skipped;
-      woken = a.woken + b.woken;
-      sent = a.sent + b.sent;
-      dropped = a.dropped + b.dropped;
-      duplicated = a.duplicated + b.duplicated;
-      retransmits = a.retransmits + b.retransmits;
-      corrupted = a.corrupted + b.corrupted;
-      crashed = a.crashed + b.crashed;
-      arrived = a.arrived + b.arrived;
-      departed = a.departed + b.departed;
-      inserted = a.inserted + b.inserted;
-    }
+    { round = a.round; counts = Array.map2 ( + ) a.counts b.counts }
 
-  let empty_round_info round =
-    {
-      round;
-      delivered = 0;
-      delivered_words = 0;
-      delivered_bits = 0;
-      receivers = 0;
-      stepped = 0;
-      skipped = 0;
-      woken = 0;
-      sent = 0;
-      dropped = 0;
-      duplicated = 0;
-      retransmits = 0;
-      corrupted = 0;
-      crashed = 0;
-      arrived = 0;
-      departed = 0;
-      inserted = 0;
-    }
+  let round_line b ri =
+    Printf.bprintf b "{\"type\":\"round\",\"round\":%d" ri.round;
+    Array.iteri (fun c v -> Printf.bprintf b ",\"%s\":%d" (key c) v) ri.counts;
+    Buffer.add_string b "}\n"
 
   let activity ~n =
     let sent = Array.make n 0 and received = Array.make n 0 in
@@ -381,40 +377,20 @@ module Sink = struct
       sent,
       received )
 
-  let jsonl ?(messages = false) ?(faults = false) oc =
+  let jsonl ?(messages = false) oc =
+    let b = Buffer.create 256 in
     {
       on_message =
-        (fun ~round ~src ~dst ~words ->
+        (fun ~round ~src ~dst ~words:w ->
           if messages then
             Printf.fprintf oc
-              "{\"type\":\"msg\",\"round\":%d,\"src\":%d,\"dst\":%d,\"words\":%d}\n"
-              round src dst words);
+              "{\"type\":\"msg\",\"round\":%d,\"src\":%d,\"dst\":%d,\"%s\":%d}\n"
+              round src dst (key words) w);
       on_round =
         (fun ri ->
-          (* With [faults] the three counters are part of every record, so a
-             lossy run yields one homogeneous schema that columnar parsers
-             can ingest; without it they appear only when non-zero, keeping
-             synchronous engine traces byte-stable. *)
-          let fault_fields =
-            if
-              faults || ri.dropped <> 0 || ri.duplicated <> 0
-              || ri.retransmits <> 0 || ri.corrupted <> 0 || ri.crashed <> 0
-              || ri.arrived <> 0 || ri.departed <> 0 || ri.inserted <> 0
-            then
-              Printf.sprintf
-                ",\"dropped\":%d,\"duplicated\":%d,\"retransmits\":%d,\
-                 \"corrupted\":%d,\"crashed\":%d,\"arrived\":%d,\
-                 \"departed\":%d,\"inserted\":%d"
-                ri.dropped ri.duplicated ri.retransmits ri.corrupted
-                ri.crashed ri.arrived ri.departed ri.inserted
-            else ""
-          in
-          Printf.fprintf oc
-            "{\"type\":\"round\",\"round\":%d,\"delivered\":%d,\"words\":%d,\
-             \"bits\":%d,\"receivers\":%d,\"stepped\":%d,\"skipped\":%d,\
-             \"woken\":%d,\"sent\":%d%s}\n"
-            ri.round ri.delivered ri.delivered_words ri.delivered_bits
-            ri.receivers ri.stepped ri.skipped ri.woken ri.sent fault_fields);
+          Buffer.clear b;
+          round_line b ri;
+          Buffer.output_buffer oc b);
       on_finish = (fun () -> flush oc);
     }
 end
@@ -2150,38 +2126,30 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
         done;
       if instrumented then begin
         emit_events ~round:r ~limit:max_int ~owner:(-1);
-        (* merge the per-shard counters with the associative combine; the
-           whole-round fields (delivered, skipped, churn drops, crashes)
-           are patched in from the serial section's global view *)
-        let acc = ref (Sink.empty_round_info r) in
+        (* sum the per-shard counters into one fresh vector, then add
+           the whole-round ones (delivered, skipped, churn drops,
+           crashes) from the serial section's global view *)
+        let c = Array.make Sink.n_counters 0 in
+        let add i x = c.(i) <- c.(i) + x in
         Array.iter
           (fun sh ->
-            acc :=
-              Sink.combine_round_info !acc
-                {
-                  (Sink.empty_round_info r) with
-                  Sink.delivered_words = sh.sh_delivered_words;
-                  delivered_bits = sh.sh_delivered_bits;
-                  receivers = sh.sh_receivers;
-                  stepped = sh.sh_stepped;
-                  woken = sh.sh_woken;
-                  sent = sh.sh_emitted;
-                  dropped = sh.sh_send_dropped;
-                })
+            add Sink.words sh.sh_delivered_words;
+            add Sink.bits sh.sh_delivered_bits;
+            add Sink.receivers sh.sh_receivers;
+            add Sink.stepped sh.sh_stepped;
+            add Sink.woken sh.sh_woken;
+            add Sink.sent sh.sh_emitted;
+            add Sink.dropped sh.sh_send_dropped)
           shards;
-        let agg = !acc in
-        sink.on_round
-          {
-            agg with
-            Sink.delivered = !this_round;
-            skipped = !live_snapshot - agg.Sink.stepped;
-            dropped = agg.Sink.dropped + !churn_dropped;
-            corrupted = !corrupt_dropped;
-            crashed = !newly_crashed;
-            arrived = !newly_arrived;
-            departed = !newly_departed;
-            inserted = !newly_inserted;
-          }
+        c.(Sink.delivered) <- !this_round;
+        c.(Sink.skipped) <- !live_snapshot - c.(Sink.stepped);
+        add Sink.dropped !churn_dropped;
+        c.(Sink.corrupted) <- !corrupt_dropped;
+        c.(Sink.crashed) <- !newly_crashed;
+        c.(Sink.arrived) <- !newly_arrived;
+        c.(Sink.departed) <- !newly_departed;
+        c.(Sink.inserted) <- !newly_inserted;
+        sink.on_round { Sink.round = r; counts = c }
       end;
       Pool.run pool phase_exchange;
       pending_next := 0;

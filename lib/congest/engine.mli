@@ -20,7 +20,7 @@
     - {e measured} congestion accounting: every frame's width is the wire
       length its values actually encode to ({!Codec.measured_bits}), so
       word budgets and per-round bit counters
-      ({!Sink.round_info.delivered_bits}) report genuine O(log n)-bit
+      ({!Sink.bits}) report genuine O(log n)-bit
       model cost, not declared array lengths;
     - {e event-driven rounds}: with {!wake} hints, a round costs
       O(receivers + woken), not O(live) — a node is stepped only when it
@@ -272,47 +272,89 @@ val default_max_rounds : int -> int
     {!Sink.null} (the default) skips all callback dispatch on the hot
     path. *)
 module Sink : sig
+  (** {3 The counter table}
+
+      Every per-round counter is one line of a single table: an index
+      into {!round_info.counts}, a JSON key, and whether [span] and
+      [summary] trace records carry its sum.  Record printers, the trace
+      validator, span and summary sums, {!Metrics} totals and the
+      per-shard merge all iterate the table, so adding a counter is one
+      table line plus the code that produces its value (and a
+      {!Trace.schema_version} bump with regenerated goldens). *)
+
+  type counter = int
+  (** An index into {!round_info.counts}, in [0, n_counters). *)
+
+  val n_counters : int
+
+  val key : counter -> string
+  (** The counter's JSON key in [round], [span] and [summary] records. *)
+
+  val summed : counter -> bool
+  (** Whether [span] and [summary] records carry the counter's sum;
+      [false] for the per-round-only {!receivers}, {!stepped} and
+      {!sent}. *)
+
+  (** The counters, in table order; each one's {!key} is its name here. *)
+
+  val delivered : counter  (** messages delivered this round *)
+
+  val words : counter  (** payload (logical) words delivered *)
+
+  val bits : counter
+  (** {e measured} wire bits delivered: the sum of {!Codec.measured_bits}
+      over the delivered frames — the honest O(log n)-bit model cost as
+      encoded, not as declared *)
+
+  val receivers : counter  (** nodes with a non-empty inbox *)
+
+  val stepped : counter  (** live nodes that executed [step] *)
+
+  val skipped : counter
+  (** live nodes the sparse scheduler did {e not} step (no mail, no
+      timer, not [Always]); always 0 on the dense path, under [degrade],
+      and for the reference runtime *)
+
+  val woken : counter
+  (** nodes stepped because a [Next]/[At] timer fired (they may also have
+      received mail); 0 on the dense path *)
+
+  val sent : counter  (** messages emitted (deliver next round) *)
+
+  val dropped : counter
+  (** frames lost by a fault layer ({!Faults}) or routed onto a dead
+      {!Churn} port or node *)
+
+  val duplicated : counter  (** frames duplicated by a fault layer *)
+
+  val retransmits : counter
+  (** link-layer retransmissions ({!Async.run_reliable}) *)
+
+  val corrupted : counter
+  (** frames dropped at the recv path as integrity rejections — the guard
+      word caught a garbled frame or a truncation was detected
+      ({!Corrupt}, {!Faults}); distinct from [dropped], which counts
+      losses *)
+
+  val crashed : counter  (** nodes newly fail-stopped by {!Churn} *)
+
+  val arrived : counter  (** dormant nodes brought online ({!Churn} [Arrive]) *)
+
+  val departed : counter
+  (** nodes gracefully leaving ({!Churn} [Depart]) — mechanically a
+      fail-stop, accounted separately *)
+
+  val inserted : counter
+  (** reserved directed slots brought up ({!Churn} [Edge_add]) *)
+
+  (** {3 Sinks} *)
+
   type round_info = {
     round : int;  (** the round that just executed *)
-    delivered : int;  (** messages delivered this round *)
-    delivered_words : int;  (** total payload (logical) words delivered *)
-    delivered_bits : int;
-        (** total {e measured} wire bits delivered this round: the sum of
-            {!Codec.measured_bits} over the delivered frames — the honest
-            O(log n)-bit model cost, as encoded, not as declared *)
-    receivers : int;  (** nodes with a non-empty inbox *)
-    stepped : int;  (** live nodes that executed [step] *)
-    skipped : int;
-        (** live nodes the sparse scheduler did {e not} step this round
-            (no mail, no timer, not [Always]); always 0 on the dense path,
-            under [degrade], and for the reference runtime *)
-    woken : int;
-        (** nodes stepped because a [Next]/[At] timer fired this round
-            (they may also have received mail); 0 on the dense path *)
-    sent : int;  (** messages emitted (deliver next round) *)
-    dropped : int;
-        (** frames lost by a fault layer ({!Faults}); always 0 for the
-            synchronous engine, which runs on reliable links *)
-    duplicated : int;  (** frames duplicated by a fault layer; 0 here *)
-    retransmits : int;
-        (** link-layer retransmissions ({!Async.run_reliable}); 0 here *)
-    corrupted : int;
-        (** frames dropped at the recv path as integrity rejections — the
-            guard word caught a garbled frame or a truncation was detected
-            ({!Corrupt}, {!Faults}); distinct from [dropped], which counts
-            losses.  Always 0 without a corruption fault class *)
-    crashed : int;
-        (** nodes newly fail-stopped by a {!Churn} schedule this round;
-            always 0 without churn *)
-    arrived : int;
-        (** dormant nodes brought online by a {!Churn} [Arrive] event this
-            round; always 0 without churn *)
-    departed : int;
-        (** nodes gracefully leaving ({!Churn} [Depart]) this round —
-            mechanically a fail-stop, accounted separately *)
-    inserted : int;
-        (** reserved directed slots brought up by a {!Churn} [Edge_add]
-            event this round *)
+    counts : int array;
+        (** [n_counters] values indexed by {!counter}.  Each record gets a
+            fresh array that its producer never mutates afterwards, so a
+            sink may keep it. *)
   }
 
   type t = {
@@ -334,10 +376,9 @@ module Sink : sig
       round order. *)
 
   val combine_round_info : round_info -> round_info -> round_info
-  (** Associative, commutative merge of two views of the same round: every
-      counter is summed; the [round] fields must agree ([Invalid_argument]
-      otherwise).  This is the combine the round loop folds per-shard
-      counters with at the round barrier, and it is what makes
+  (** Associative, commutative merge of two views of the same round: the
+      element-wise sum of the counts; the [round] fields must agree
+      ([Invalid_argument] otherwise).  It is what makes
       {!counters}/{!activity} aggregation merge-safe: teeing sinks across
       shards and combining the per-round records is equivalent to a single
       sink observing the whole round. *)
@@ -346,22 +387,21 @@ module Sink : sig
   (** [empty_round_info r] is the identity of {!combine_round_info} for
       round [r]: all counters zero. *)
 
+  val round_line : Buffer.t -> round_info -> unit
+  (** Append the JSONL [round] record: [type], [round], then every
+      counter of the table in index order, and a newline.  {!jsonl} and
+      {!Trace.to_jsonl} share it. *)
+
   val activity : n:int -> t * int array * int array
   (** [activity ~n] is [(sink, sent, received)]: per-node counts of
       messages sent and received, updated in place. *)
 
-  val jsonl : ?messages:bool -> ?faults:bool -> out_channel -> t
-  (** A sink emitting one JSON object per line: a ["round"] record per
-      delivery round (including the [skipped]/[woken] frontier counters)
-      and, when [messages] is true, a ["msg"] record per message.  With
-      [faults] (pass it whenever a fault layer is attached, e.g. under
-      {!Async.run_reliable}) the fault counters
-      ([dropped]/[duplicated]/[retransmits]) appear in {e every} round
-      record, so the stream is schema-homogeneous for columnar parsers;
-      without it they appear only when non-zero, keeping synchronous engine
-      traces byte-stable.  The channel is flushed at end-of-run
-      ([on_finish]) but never closed.  For the structured, versioned trace
-      format see {!Trace.export_jsonl}. *)
+  val jsonl : ?messages:bool -> out_channel -> t
+  (** A sink emitting one JSON object per line: a ["round"] record
+      ({!round_line}, every counter present) per delivery round and, when
+      [messages] is true, a ["msg"] record per message.  The channel is
+      flushed at end-of-run ([on_finish]) but never closed.  For the
+      structured, versioned trace format see {!Trace.export_jsonl}. *)
 end
 
 type t
@@ -396,7 +436,7 @@ val find_port : t -> src:int -> dst:int -> int
     fail-stops and directed-edge down/up events, compiled once against an
     engine's port map into a mutable liveness view over the CSR arrays.
     The port map is never rebuilt: a dead port silently drops the frames
-    routed through it (counted in {!Sink.round_info.dropped}) and a crashed
+    routed through it (counted in {!Sink.dropped}) and a crashed
     node's slots read as empty to the arena inbox fill, so churn composes
     with the sparse scheduler and with {!Runtime.run_reference} unchanged.
 
@@ -425,7 +465,7 @@ val find_port : t -> src:int -> dst:int -> int
        round.  A node whose init state is already halted stays halted.}
     {- [Depart]: a graceful leave — mechanically identical to [Crash]
        (permanent, frames in flight lost) but counted separately
-       ({!Sink.round_info.departed}), so benches can price planned churn
+       ({!Sink.departed}), so benches can price planned churn
        apart from failures.}}
 
     Events scheduled after quiescence never apply.  The compiled value is
@@ -512,7 +552,7 @@ end
     every frame (as if [~guard:true]): the delivery pass re-verifies each
     garbled frame's CRC and kills what the guard catches, so {e algorithm
     code never decodes a lying byte} — a corrupted frame is either dropped
-    and counted ({!Sink.round_info.corrupted}) or, with probability under
+    and counted ({!Sink.corrupted}) or, with probability under
     [2^-16] per corrupted frame, delivered with an undetected even-weight
     multi-word error (a structural re-check still keeps that case from
     crashing the decoder).  Truncations are always detected.  Detection

@@ -3,39 +3,17 @@ type span_report = {
   r_count : int;
   r_rounds : int;
   r_max_rounds : int;
-  r_delivered : int;
-  r_words : int;
-  r_bits : int;
-  r_skipped : int;
-  r_woken : int;
-  r_dropped : int;
-  r_duplicated : int;
-  r_retransmits : int;
-  r_corrupted : int;
-  r_crashed : int;
-  r_arrived : int;
-  r_departed : int;
-  r_inserted : int;
+  r_counts : int array;
 }
 
 type t = {
   rounds : int;
   messages : int;
   delivered : int;
-  words : int;
   bits : int;
   peak_words : int;
   budget : int option;
-  skipped : int;
-  woken : int;
-  dropped : int;
-  duplicated : int;
-  retransmits : int;
-  corrupted : int;
-  crashed : int;
-  arrived : int;
-  departed : int;
-  inserted : int;
+  totals : int array;
   edge_peaks : (int * int) list;
   span_reports : span_report list;
   notes : (string * int) list;
@@ -49,98 +27,36 @@ let report tr =
     (fun (s : Trace.span) ->
       let st = Trace.span_stats tr s in
       let r =
-        match Hashtbl.find_opt by_name s.Trace.name with
+        match Hashtbl.find_opt by_name s.name with
         | Some r -> r
         | None ->
-          order := s.Trace.name :: !order;
+          order := s.name :: !order;
           {
-            r_name = s.Trace.name;
+            r_name = s.name;
             r_count = 0;
             r_rounds = 0;
             r_max_rounds = 0;
-            r_delivered = 0;
-            r_words = 0;
-            r_bits = 0;
-            r_skipped = 0;
-            r_woken = 0;
-            r_dropped = 0;
-            r_duplicated = 0;
-            r_retransmits = 0;
-            r_corrupted = 0;
-            r_crashed = 0;
-            r_arrived = 0;
-            r_departed = 0;
-            r_inserted = 0;
+            r_counts = Array.make Engine.Sink.n_counters 0;
           }
       in
-      Hashtbl.replace by_name s.Trace.name
+      Hashtbl.replace by_name s.name
         {
           r with
           r_count = r.r_count + 1;
-          r_rounds = r.r_rounds + st.Trace.s_rounds;
-          r_max_rounds = max r.r_max_rounds st.Trace.s_rounds;
-          r_delivered = r.r_delivered + st.Trace.s_delivered;
-          r_words = r.r_words + st.Trace.s_words;
-          r_bits = r.r_bits + st.Trace.s_bits;
-          r_skipped = r.r_skipped + st.Trace.s_skipped;
-          r_woken = r.r_woken + st.Trace.s_woken;
-          r_dropped = r.r_dropped + st.Trace.s_dropped;
-          r_duplicated = r.r_duplicated + st.Trace.s_duplicated;
-          r_retransmits = r.r_retransmits + st.Trace.s_retransmits;
-          r_corrupted = r.r_corrupted + st.Trace.s_corrupted;
-          r_crashed = r.r_crashed + st.Trace.s_crashed;
-          r_arrived = r.r_arrived + st.Trace.s_arrived;
-          r_departed = r.r_departed + st.Trace.s_departed;
-          r_inserted = r.r_inserted + st.Trace.s_inserted;
+          r_rounds = r.r_rounds + st.s_rounds;
+          r_max_rounds = max r.r_max_rounds st.s_rounds;
+          r_counts = Array.map2 ( + ) r.r_counts st.s_counts;
         })
     (Trace.spans tr);
-  let delivered = ref 0
-  and words = ref 0
-  and bits = ref 0
-  and skipped = ref 0
-  and woken = ref 0
-  and dropped = ref 0
-  and duplicated = ref 0
-  and retransmits = ref 0
-  and corrupted = ref 0
-  and crashed = ref 0
-  and arrived = ref 0
-  and departed = ref 0
-  and inserted = ref 0 in
-  List.iter
-    (fun (ri : Engine.Sink.round_info) ->
-      delivered := !delivered + ri.delivered;
-      words := !words + ri.delivered_words;
-      bits := !bits + ri.delivered_bits;
-      skipped := !skipped + ri.skipped;
-      woken := !woken + ri.woken;
-      dropped := !dropped + ri.dropped;
-      duplicated := !duplicated + ri.duplicated;
-      retransmits := !retransmits + ri.retransmits;
-      corrupted := !corrupted + ri.corrupted;
-      crashed := !crashed + ri.crashed;
-      arrived := !arrived + ri.arrived;
-      departed := !departed + ri.departed;
-      inserted := !inserted + ri.inserted)
-    (Trace.rounds tr);
+  let totals = Trace.totals tr in
   {
     rounds = Trace.clock tr;
     messages = Trace.messages tr;
-    delivered = !delivered;
-    words = !words;
-    bits = !bits;
+    delivered = totals.(Engine.Sink.delivered);
+    bits = totals.(Engine.Sink.bits);
     peak_words = Trace.peak_words tr;
     budget = Trace.budget tr;
-    skipped = !skipped;
-    woken = !woken;
-    dropped = !dropped;
-    duplicated = !duplicated;
-    retransmits = !retransmits;
-    corrupted = !corrupted;
-    crashed = !crashed;
-    arrived = !arrived;
-    departed = !departed;
-    inserted = !inserted;
+    totals;
     edge_peaks = Trace.edge_peak_hist tr;
     span_reports = List.rev_map (Hashtbl.find by_name) !order;
     notes = Trace.notes tr;
@@ -166,8 +82,10 @@ let span_index name =
   | _ -> None
 
 let pp ppf r =
+  let c = Array.get r.totals in
+  let open Engine.Sink in
   Format.fprintf ppf "@[<v>rounds %d  messages %d  delivered %d  words %d  bits %d@,"
-    r.rounds r.messages r.delivered r.words r.bits;
+    r.rounds r.messages r.delivered (c words) r.bits;
   Format.fprintf ppf "peak words %d%a" r.peak_words
     (fun ppf -> function
       | None -> ()
@@ -175,21 +93,22 @@ let pp ppf r =
         Format.fprintf ppf " / budget %d%s" b
           (if r.peak_words <= b then "" else "  EXCEEDED"))
     r.budget;
-  if r.skipped + r.woken > 0 then
-    Format.fprintf ppf "@,frontier: skipped %d  woken %d" r.skipped r.woken;
-  if r.dropped + r.duplicated + r.retransmits + r.corrupted + r.crashed > 0 then
+  if c skipped + c woken > 0 then
+    Format.fprintf ppf "@,frontier: skipped %d  woken %d" (c skipped) (c woken);
+  if c dropped + c duplicated + c retransmits + c corrupted + c crashed > 0 then
     Format.fprintf ppf
       "@,faults: dropped %d  duplicated %d  retransmits %d  corrupted %d  crashed %d"
-      r.dropped r.duplicated r.retransmits r.corrupted r.crashed;
-  if r.arrived + r.departed + r.inserted > 0 then
+      (c dropped) (c duplicated) (c retransmits) (c corrupted) (c crashed);
+  if c arrived + c departed + c inserted > 0 then
     Format.fprintf ppf "@,dynamic: arrived %d  departed %d  inserted %d"
-      r.arrived r.departed r.inserted;
+      (c arrived) (c departed) (c inserted);
   if r.span_reports <> [] then begin
     Format.fprintf ppf "@,@[<v 2>spans:";
     List.iter
       (fun sr ->
         Format.fprintf ppf "@,%-32s x%-3d rounds %5d (max %4d)  delivered %6d  words %6d"
-          sr.r_name sr.r_count sr.r_rounds sr.r_max_rounds sr.r_delivered sr.r_words)
+          sr.r_name sr.r_count sr.r_rounds sr.r_max_rounds
+          sr.r_counts.(delivered) sr.r_counts.(words))
       r.span_reports;
     Format.fprintf ppf "@]"
   end;

@@ -7,41 +7,26 @@ type span_report = {
   r_count : int;        (** spans carrying this name *)
   r_rounds : int;       (** total rounds across them *)
   r_max_rounds : int;   (** longest single span *)
-  r_delivered : int;
-  r_words : int;
-  r_bits : int;      (** measured wire bits ({!Codec.measured_bits}) *)
-  r_skipped : int;   (** live-node steps the sparse scheduler elided *)
-  r_woken : int;     (** timer-driven wake-ups *)
-  r_dropped : int;
-  r_duplicated : int;
-  r_retransmits : int;
-  r_corrupted : int;  (** frames rejected by the integrity guard *)
-  r_crashed : int;   (** nodes fail-stopped by churn during the spans *)
-  r_arrived : int;   (** dormant nodes brought online during the spans *)
-  r_departed : int;  (** graceful departures during the spans *)
-  r_inserted : int;  (** reserved edges brought up during the spans *)
+  r_counts : int array;
+      (** every {!Engine.Sink.counter} summed over the spans' round
+          records ({!Trace.span_stats}), e.g.
+          [r_counts.(Engine.Sink.delivered)] *)
 }
 
 type t = {
   rounds : int;         (** final value of the trace's round clock *)
   messages : int;       (** messages observed at send time *)
-  delivered : int;      (** messages delivered (sums engine round records) *)
-  words : int;          (** payload (logical) words delivered *)
+  delivered : int;      (** [totals.(Engine.Sink.delivered)] *)
   bits : int;
-      (** measured wire bits delivered — the honest O(log n)-bit cost of the
-          run as encoded by {!Codec}, not the declared word budget *)
+      (** [totals.(Engine.Sink.bits)]: measured wire bits delivered — the
+          honest O(log n)-bit cost of the run as encoded by {!Codec}, not
+          the declared word budget *)
   peak_words : int;     (** widest single message *)
   budget : int option;  (** declared word budget, if any *)
-  skipped : int;        (** total elided steps (frontier saving) *)
-  woken : int;          (** total timer-driven wake-ups *)
-  dropped : int;
-  duplicated : int;
-  retransmits : int;
-  corrupted : int;      (** total frames rejected by the integrity guard *)
-  crashed : int;        (** total nodes fail-stopped by churn *)
-  arrived : int;        (** total dormant nodes brought online *)
-  departed : int;       (** total graceful departures *)
-  inserted : int;       (** total reserved edges brought up *)
+  totals : int array;
+      (** every {!Engine.Sink.counter} summed over the whole trace
+          ({!Trace.totals}) — [totals.(Engine.Sink.corrupted)] is the
+          frames the integrity guard rejected, and so on *)
   edge_peaks : (int * int) list;
       (** congestion histogram: [(peak width, edges at that peak)] *)
   span_reports : span_report list;

@@ -312,27 +312,23 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
           outbox
       end
     done;
-    if instrumented then
-      sink.on_round
-        {
-          round = !round;
-          delivered = this_round;
-          delivered_words = this_round_words;
-          delivered_bits = this_round_bits;
-          receivers = !receivers;
-          stepped = !stepped;
-          skipped = 0;
-          woken = 0;
-          sent = !pending;
-          dropped = !churn_dropped;
-          duplicated = 0;
-          retransmits = 0;
-          corrupted = !corrupt_dropped;
-          crashed = (!delta).Engine.Churn.d_crashed;
-          arrived = (!delta).Engine.Churn.d_arrived;
-          departed = (!delta).Engine.Churn.d_departed;
-          inserted = (!delta).Engine.Churn.d_inserted;
-        };
+    if instrumented then begin
+      let module S = Engine.Sink in
+      let c = Array.make S.n_counters 0 in
+      c.(S.delivered) <- this_round;
+      c.(S.words) <- this_round_words;
+      c.(S.bits) <- this_round_bits;
+      c.(S.receivers) <- !receivers;
+      c.(S.stepped) <- !stepped;
+      c.(S.sent) <- !pending;
+      c.(S.dropped) <- !churn_dropped;
+      c.(S.corrupted) <- !corrupt_dropped;
+      c.(S.crashed) <- !delta.Engine.Churn.d_crashed;
+      c.(S.arrived) <- !delta.Engine.Churn.d_arrived;
+      c.(S.departed) <- !delta.Engine.Churn.d_departed;
+      c.(S.inserted) <- !delta.Engine.Churn.d_inserted;
+      sink.on_round { round = !round; counts = c }
+    end;
     incr round
   done;
   if instrumented then sink.on_finish ();

@@ -8,46 +8,12 @@ type span = {
   mutable stop_round : int;
 }
 
-type span_stats = {
-  s_rounds : int;
-  s_delivered : int;
-  s_words : int;
-  s_bits : int;
-  s_skipped : int;
-  s_woken : int;
-  s_dropped : int;
-  s_duplicated : int;
-  s_retransmits : int;
-  s_corrupted : int;
-  s_crashed : int;
-  s_arrived : int;
-  s_departed : int;
-  s_inserted : int;
-}
+type span_stats = { s_rounds : int; s_counts : int array }
 
 (* Growable buffer of round records, kept in ascending clock order. *)
 type rounds_buf = { mutable rb : Engine.Sink.round_info array; mutable rlen : int }
 
-let dummy_round : Engine.Sink.round_info =
-  {
-    round = 0;
-    delivered = 0;
-    delivered_words = 0;
-    delivered_bits = 0;
-    receivers = 0;
-    stepped = 0;
-    skipped = 0;
-    woken = 0;
-    sent = 0;
-    dropped = 0;
-    duplicated = 0;
-    retransmits = 0;
-    corrupted = 0;
-    crashed = 0;
-    arrived = 0;
-    departed = 0;
-    inserted = 0;
-  }
+let dummy_round = Engine.Sink.empty_round_info 0
 
 type t = {
   mutable clock : int;
@@ -219,54 +185,25 @@ let lower_bound t c =
   done;
   !lo
 
+(* Every counter summed over buffered records [i0, i1). *)
+let sum_rounds t i0 i1 =
+  let sums = Array.make Engine.Sink.n_counters 0 in
+  for i = i0 to i1 - 1 do
+    let c = t.buf.rb.(i).counts in
+    for k = 0 to Engine.Sink.n_counters - 1 do
+      sums.(k) <- sums.(k) + c.(k)
+    done
+  done;
+  sums
+
 let span_stats t s =
   let stop = if s.stop_round < 0 then t.clock else s.stop_round in
-  let i0 = lower_bound t s.start_round and i1 = lower_bound t stop in
-  let delivered = ref 0
-  and words = ref 0
-  and bits = ref 0
-  and skipped = ref 0
-  and woken = ref 0
-  and dropped = ref 0
-  and duplicated = ref 0
-  and retransmits = ref 0
-  and corrupted = ref 0
-  and crashed = ref 0
-  and arrived = ref 0
-  and departed = ref 0
-  and inserted = ref 0 in
-  for i = i0 to i1 - 1 do
-    let r = t.buf.rb.(i) in
-    delivered := !delivered + r.delivered;
-    words := !words + r.delivered_words;
-    bits := !bits + r.delivered_bits;
-    skipped := !skipped + r.skipped;
-    woken := !woken + r.woken;
-    dropped := !dropped + r.dropped;
-    duplicated := !duplicated + r.duplicated;
-    retransmits := !retransmits + r.retransmits;
-    corrupted := !corrupted + r.corrupted;
-    crashed := !crashed + r.crashed;
-    arrived := !arrived + r.arrived;
-    departed := !departed + r.departed;
-    inserted := !inserted + r.inserted
-  done;
   {
     s_rounds = stop - s.start_round;
-    s_delivered = !delivered;
-    s_words = !words;
-    s_bits = !bits;
-    s_skipped = !skipped;
-    s_woken = !woken;
-    s_dropped = !dropped;
-    s_duplicated = !duplicated;
-    s_retransmits = !retransmits;
-    s_corrupted = !corrupted;
-    s_crashed = !crashed;
-    s_arrived = !arrived;
-    s_departed = !departed;
-    s_inserted = !inserted;
+    s_counts = sum_rounds t (lower_bound t s.start_round) (lower_bound t stop);
   }
+
+let totals t = sum_rounds t 0 t.buf.rlen
 
 let messages t = t.msgs
 let peak_words t = t.peak
@@ -310,67 +247,16 @@ let escape name =
     name;
   Buffer.contents b
 
-type totals = {
-  t_delivered : int;
-  t_words : int;
-  t_bits : int;
-  t_skipped : int;
-  t_woken : int;
-  t_dropped : int;
-  t_duplicated : int;
-  t_retransmits : int;
-  t_corrupted : int;
-  t_crashed : int;
-  t_arrived : int;
-  t_departed : int;
-  t_inserted : int;
-}
-
-let totals t =
-  let delivered = ref 0
-  and words = ref 0
-  and bits = ref 0
-  and skipped = ref 0
-  and woken = ref 0
-  and dropped = ref 0
-  and duplicated = ref 0
-  and retransmits = ref 0
-  and corrupted = ref 0
-  and crashed = ref 0
-  and arrived = ref 0
-  and departed = ref 0
-  and inserted = ref 0 in
-  for i = 0 to t.buf.rlen - 1 do
-    let r = t.buf.rb.(i) in
-    delivered := !delivered + r.delivered;
-    words := !words + r.delivered_words;
-    bits := !bits + r.delivered_bits;
-    skipped := !skipped + r.skipped;
-    woken := !woken + r.woken;
-    dropped := !dropped + r.dropped;
-    duplicated := !duplicated + r.duplicated;
-    retransmits := !retransmits + r.retransmits;
-    corrupted := !corrupted + r.corrupted;
-    crashed := !crashed + r.crashed;
-    arrived := !arrived + r.arrived;
-    departed := !departed + r.departed;
-    inserted := !inserted + r.inserted
-  done;
-  {
-    t_delivered = !delivered;
-    t_words = !words;
-    t_bits = !bits;
-    t_skipped = !skipped;
-    t_woken = !woken;
-    t_dropped = !dropped;
-    t_duplicated = !duplicated;
-    t_retransmits = !retransmits;
-    t_corrupted = !corrupted;
-    t_crashed = !crashed;
-    t_arrived = !arrived;
-    t_departed = !departed;
-    t_inserted = !inserted;
-  }
+(* [,"key":sum] for each counter that span and summary records carry, in
+   table order, with [after_bits] spliced in after the [bits] field. *)
+let add_sums b ~after_bits sums =
+  Array.iteri
+    (fun c v ->
+      if Engine.Sink.summed c then begin
+        Printf.bprintf b ",\"%s\":%d" (Engine.Sink.key c) v;
+        if c = Engine.Sink.bits then Buffer.add_string b after_bits
+      end)
+    sums
 
 let to_jsonl t =
   let b = Buffer.create 4096 in
@@ -383,32 +269,17 @@ let to_jsonl t =
   List.iter
     (fun s ->
       let st = span_stats t s in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"type\":\"span\",\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"depth\":%d,\
-            \"track\":%d,\"start\":%d,\"end\":%d,\"rounds\":%d,\"delivered\":%d,\
-            \"words\":%d,\"bits\":%d,\"skipped\":%d,\"woken\":%d,\"dropped\":%d,\
-            \"duplicated\":%d,\"retransmits\":%d,\"corrupted\":%d,\
-            \"crashed\":%d,\
-            \"arrived\":%d,\"departed\":%d,\"inserted\":%d}\n"
-           s.id s.parent (escape s.name) s.depth s.track s.start_round
-           (if s.stop_round < 0 then t.clock else s.stop_round)
-           st.s_rounds st.s_delivered st.s_words st.s_bits st.s_skipped st.s_woken
-           st.s_dropped st.s_duplicated st.s_retransmits st.s_corrupted
-           st.s_crashed st.s_arrived st.s_departed st.s_inserted))
+      Printf.bprintf b
+        "{\"type\":\"span\",\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"depth\":%d,\
+         \"track\":%d,\"start\":%d,\"end\":%d,\"rounds\":%d"
+        s.id s.parent (escape s.name) s.depth s.track s.start_round
+        (if s.stop_round < 0 then t.clock else s.stop_round)
+        st.s_rounds;
+      add_sums b ~after_bits:"" st.s_counts;
+      Buffer.add_string b "}\n")
     spans;
   for i = 0 to t.buf.rlen - 1 do
-    let r = t.buf.rb.(i) in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"type\":\"round\",\"round\":%d,\"delivered\":%d,\"words\":%d,\
-          \"bits\":%d,\"receivers\":%d,\"stepped\":%d,\"skipped\":%d,\"woken\":%d,\
-          \"sent\":%d,\"dropped\":%d,\"duplicated\":%d,\"retransmits\":%d,\
-          \"corrupted\":%d,\"crashed\":%d,\"arrived\":%d,\"departed\":%d,\
-          \"inserted\":%d}\n"
-         r.round r.delivered r.delivered_words r.delivered_bits r.receivers
-         r.stepped r.skipped r.woken r.sent r.dropped r.duplicated r.retransmits
-         r.corrupted r.crashed r.arrived r.departed r.inserted)
+    Engine.Sink.round_line b t.buf.rb.(i)
   done;
   List.iter
     (fun (name, v) ->
@@ -424,20 +295,14 @@ let to_jsonl t =
            (String.concat ","
               (List.map (fun (v, c) -> Printf.sprintf "[%d,%d]" v c) buckets))))
     (histograms t);
-  let tt = totals t in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"type\":\"summary\",\"clock\":%d,\"rounds\":%d,\"spans\":%d,\
-        \"messages\":%d,\"delivered\":%d,\"words\":%d,\"bits\":%d,\
-        \"peak_words\":%d,\
-        \"budget\":%d,\"skipped\":%d,\"woken\":%d,\"dropped\":%d,\
-        \"duplicated\":%d,\"retransmits\":%d,\"corrupted\":%d,\
-        \"crashed\":%d,\
-        \"arrived\":%d,\"departed\":%d,\"inserted\":%d}\n"
-       t.clock t.buf.rlen (List.length spans) t.msgs tt.t_delivered tt.t_words
-       tt.t_bits t.peak t.budget tt.t_skipped tt.t_woken tt.t_dropped
-       tt.t_duplicated tt.t_retransmits tt.t_corrupted tt.t_crashed tt.t_arrived
-       tt.t_departed tt.t_inserted);
+  Printf.bprintf b
+    "{\"type\":\"summary\",\"clock\":%d,\"rounds\":%d,\"spans\":%d,\
+     \"messages\":%d"
+    t.clock t.buf.rlen (List.length spans) t.msgs;
+  add_sums b
+    ~after_bits:(Printf.sprintf ",\"peak_words\":%d,\"budget\":%d" t.peak t.budget)
+    (totals t);
+  Buffer.add_string b "}\n";
   Buffer.contents b
 
 let export_jsonl t oc =
@@ -445,6 +310,7 @@ let export_jsonl t oc =
   flush oc
 
 let to_chrome t =
+  let module S = Engine.Sink in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   Buffer.add_string b
@@ -457,19 +323,20 @@ let to_chrome t =
       Buffer.add_string b
         (Printf.sprintf
            ",\n{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\
-            \"pid\":0,\"tid\":%d,\"args\":{\"rounds\":%d,\"delivered\":%d,\
-            \"words\":%d}}"
+            \"pid\":0,\"tid\":%d,\"args\":{\"rounds\":%d,\"%s\":%d,\
+            \"%s\":%d}}"
            (escape s.name) s.start_round
            (max 1 (stop - s.start_round))
-           s.track st.s_rounds st.s_delivered st.s_words))
+           s.track st.s_rounds (S.key S.delivered) st.s_counts.(S.delivered)
+           (S.key S.words) st.s_counts.(S.words)))
     (spans t);
   for i = 0 to t.buf.rlen - 1 do
     let r = t.buf.rb.(i) in
     Buffer.add_string b
       (Printf.sprintf
-         ",\n{\"name\":\"delivered\",\"ph\":\"C\",\"ts\":%d,\"pid\":0,\"tid\":0,\
+         ",\n{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%d,\"pid\":0,\"tid\":0,\
           \"args\":{\"messages\":%d}}"
-         r.round r.delivered)
+         (S.key S.delivered) r.round r.counts.(S.delivered))
   done;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
@@ -530,32 +397,22 @@ let record_type line =
         | Some e -> Some (String.sub line j (e - j))
         | None -> None)
 
+let counter_keys = List.init Engine.Sink.n_counters Engine.Sink.key
+let summed_keys = List.filteri (fun c _ -> Engine.Sink.summed c) counter_keys
+
 let int_fields = function
   | "meta" -> Some [ "clock"; "spans"; "rounds"; "budget"; "shards" ]
   | "span" ->
     Some
-      [
-        "id"; "parent"; "depth"; "track"; "start"; "end"; "rounds"; "delivered";
-        "words"; "bits"; "skipped"; "woken"; "dropped"; "duplicated";
-        "retransmits"; "corrupted"; "crashed"; "arrived"; "departed"; "inserted";
-      ]
-  | "round" ->
-    Some
-      [
-        "round"; "delivered"; "words"; "bits"; "receivers"; "stepped"; "skipped";
-        "woken"; "sent"; "dropped"; "duplicated"; "retransmits"; "corrupted";
-        "crashed"; "arrived"; "departed"; "inserted";
-      ]
+      ([ "id"; "parent"; "depth"; "track"; "start"; "end"; "rounds" ]
+      @ summed_keys)
+  | "round" -> Some ("round" :: counter_keys)
   | "note" -> Some [ "value" ]
   | "hist" -> Some []
   | "summary" ->
     Some
-      [
-        "clock"; "rounds"; "spans"; "messages"; "delivered"; "words"; "bits";
-        "peak_words";
-        "budget"; "skipped"; "woken"; "dropped"; "duplicated"; "retransmits";
-        "corrupted"; "crashed"; "arrived"; "departed"; "inserted";
-      ]
+      ([ "clock"; "rounds"; "spans"; "messages"; "peak_words"; "budget" ]
+      @ summed_keys)
   | _ -> None
 
 let string_fields = function

@@ -43,32 +43,12 @@ type span = {
 
 type span_stats = {
   s_rounds : int;       (** [stop_round - start_round] *)
-  s_delivered : int;    (** messages delivered during the span *)
-  s_words : int;        (** payload (logical) words delivered during the span *)
-  s_bits : int;
-      (** measured wire bits delivered during the span — the sum of
-          {!Codec.measured_bits} over every delivered frame *)
-  s_skipped : int;
-      (** live-node steps the sparse scheduler elided during the span —
-          [s_skipped / s_rounds] is the average frontier saving *)
-  s_woken : int;        (** timer-driven wake-ups during the span *)
-  s_dropped : int;
-  s_duplicated : int;
-  s_retransmits : int;
-  s_corrupted : int;
-      (** frames killed by the integrity guard during the span — injected
-          wire corruption detected and dropped before delivery *)
-  s_crashed : int;
-      (** nodes fail-stopped by a churn schedule during the span *)
-  s_arrived : int;
-      (** dormant nodes brought online ({!Engine.Churn} [Arrive]) during
-          the span *)
-  s_departed : int;
-      (** nodes that gracefully left ({!Engine.Churn} [Depart]) during the
-          span *)
-  s_inserted : int;
-      (** reserved edges brought up ({!Engine.Churn} [Edge_add]) during
-          the span *)
+  s_counts : int array;
+      (** every {!Engine.Sink.counter} summed over the round records inside
+          the span — e.g. [s_counts.(Engine.Sink.bits)] is the measured
+          wire bits delivered during it, and
+          [s_counts.(Engine.Sink.skipped) / s_rounds] the average frontier
+          saving *)
 }
 
 val create : unit -> t
@@ -154,6 +134,10 @@ val rounds : t -> Engine.Sink.round_info list
 (** Buffered round records, re-clocked to the trace's absolute round
     clock, in clock order. *)
 
+val totals : t -> int array
+(** Every {!Engine.Sink.counter} summed over all buffered round records —
+    the values of the [summary] record. *)
+
 val messages : t -> int
 (** Messages observed at send time ([on_message] count). *)
 
@@ -194,13 +178,17 @@ val schema_version : string
     fields on the packed codec's measured wire lengths; v1.7 adds the
     integrity counter ([corrupted])
     to the [round], [span] and [summary] records, distinguishing frames
-    rejected by the CRC guard from plain drops.  Any change to the
-    record shapes below bumps this string and the golden files. *)
+    rejected by the CRC guard from plain drops.  The counter fields of
+    every record come from {!Engine.Sink}'s counter table: [round] records
+    carry every counter, [span] and [summary] records the sums of the
+    {!Engine.Sink.summed} ones, all in table order.  Any change to the
+    record shapes — a counter added to the table included — bumps this
+    string and the golden files. *)
 
 val to_jsonl : t -> string
 (** The versioned JSONL trace: a [meta] line, one [span] line per span
-    (start-round order), one [round] line per buffered round record with
-    {e every} field present (fault counters included, always — the schema
+    (start-round order), one [round] line per buffered round record
+    ({!Engine.Sink.round_line}: every counter present, always — the schema
     is homogeneous by construction), [note] lines, [hist] lines, and a
     final [summary] line.  All values are integers, so output is
     bit-deterministic. *)

@@ -374,7 +374,7 @@ let prop_reader_total =
 
 (* Truncating a valid frame mid-varint must surface as a typed error —
    or, when the cut lands on a group boundary, as a clean decode of a
-   prefix; a guarded frame additionally fails verify. *)
+   prefix. *)
 let prop_truncated_frames =
   QCheck2.Test.make ~name:"truncated valid frames raise typed errors"
     ~count:500
@@ -383,19 +383,41 @@ let prop_truncated_frames =
       let p = Array.of_list p in
       let words = Array.length p in
       let buf = Bytes.make (guarded_cap words) '\x00' in
-      let gwire = Codec.encode_guarded buf ~base:0 p in
-      let wire = gwire - Codec.guard_words in
-      (wire = 0
+      let wire = Codec.encode_guarded buf ~base:0 p - Codec.guard_words in
+      wire = 0
       ||
-      let short = cut mod (max 1 wire) in
+      let short = cut mod wire in
       let clipped = Bytes.sub buf 0 (2 * short) in
-      (match Codec.decode clipped ~base:0 ~wire:short ~words with
+      match Codec.decode clipped ~base:0 ~wire:short ~words with
       | (_ : int array) -> true (* prefix happened to parse *)
       | exception Codec.Truncated_frame _ -> true
-      | exception Codec.Corrupt_frame _ -> true))
-      && (* shortening a guarded span never verifies: the guard word is
-            now some data word, and the CRC covers position *)
-      (gwire < 2 || not (Codec.verify buf ~base:0 ~wire:(gwire - 1))))
+      | exception Codec.Corrupt_frame _ -> true)
+
+(* A guarded span shortened by one word verifies only when its last data
+   word happens to equal the CRC-16 of the words before it — about once
+   in 2^16 frames for a uniform CRC, so no per-case property can claim it
+   never happens.  Instead count it over 2^21 fixed-seed frames of 0-6
+   words (about 1.8M of them have a span to shorten) and bound the rate
+   at 4 * 2^-16: a guard that let shortened spans through systematically
+   would blow far past it. *)
+let test_shortened_guarded_spans () =
+  let rand = Random.State.make [| 16 |] in
+  let buf = Bytes.make (guarded_cap 6) '\x00' in
+  let trials = ref 0 and verified = ref 0 in
+  for _ = 1 to 1 lsl 21 do
+    let p =
+      Array.of_list (QCheck2.Gen.generate1 ~rand (payload_gen ~max_len:6))
+    in
+    let gwire = Codec.encode_guarded buf ~base:0 p in
+    if gwire >= 2 then begin
+      incr trials;
+      if Codec.verify buf ~base:0 ~wire:(gwire - 1) then incr verified
+    end
+  done;
+  let rate = float !verified /. float !trials in
+  if rate > 4. /. 65536. then
+    Alcotest.failf "%d of %d shortened guarded spans verified (rate %.2e)"
+      !verified !trials rate
 
 (* Named regressions for the two hardening fixes. *)
 
@@ -588,6 +610,8 @@ let () =
                test_shift_cap_regression;
              Alcotest.test_case "frame-span bounds" `Quick
                test_bounds_regression;
+             Alcotest.test_case "shortened guarded spans rarely verify"
+               `Quick test_shortened_guarded_spans;
            ] );
       ( "broadcast",
         QCheck_alcotest.to_alcotest prop_broadcast_flood

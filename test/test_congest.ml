@@ -5,6 +5,7 @@
 
 open Kdom_graph
 open Kdom_congest
+module S = Engine.Sink
 
 let path3 () = Graph.of_edges ~n:3 [ (0, 1, 1); (1, 2, 2) ]
 
@@ -167,16 +168,17 @@ let test_sparse_token_frontier () =
       if ri.round >= 1 then begin
         Alcotest.(check int)
           (Printf.sprintf "round %d steps only the token holder" ri.round)
-          1 ri.stepped;
+          1 ri.counts.(S.stepped);
         Alcotest.(check int)
           (Printf.sprintf "round %d skips the rest of the live set" ri.round)
-          (5 - ri.round) ri.skipped;
-        Alcotest.(check int) "no timers in a message-driven walk" 0 ri.woken
+          (5 - ri.round) ri.counts.(S.skipped);
+        Alcotest.(check int) "no timers in a message-driven walk" 0
+          ri.counts.(S.woken)
       end
       else begin
         (* the init round steps every node and skips none *)
-        Alcotest.(check int) "init round steps all" 6 ri.stepped;
-        Alcotest.(check int) "init round skips none" 0 ri.skipped
+        Alcotest.(check int) "init round steps all" 6 ri.counts.(S.stepped);
+        Alcotest.(check int) "init round skips none" 0 ri.counts.(S.skipped)
       end)
     (rounds ())
 
@@ -198,13 +200,13 @@ let test_wake_timer () =
   List.iter
     (fun (ri : Engine.Sink.round_info) ->
       match ri.round with
-      | 0 -> Alcotest.(check int) "init round steps all" 2 ri.stepped
+      | 0 -> Alcotest.(check int) "init round steps all" 2 ri.counts.(S.stepped)
       | 1 | 2 ->
-        Alcotest.(check int) "quiet rounds step nobody" 0 ri.stepped;
-        Alcotest.(check int) "quiet rounds skip the live set" 2 ri.skipped
+        Alcotest.(check int) "quiet rounds step nobody" 0 ri.counts.(S.stepped);
+        Alcotest.(check int) "quiet rounds skip the live set" 2 ri.counts.(S.skipped)
       | 3 ->
-        Alcotest.(check int) "timer round steps both" 2 ri.stepped;
-        Alcotest.(check int) "both wake by timer" 2 ri.woken
+        Alcotest.(check int) "timer round steps both" 2 ri.counts.(S.stepped);
+        Alcotest.(check int) "both wake by timer" 2 ri.counts.(S.woken)
       | r -> Alcotest.failf "unexpected round %d" r)
     (rounds ())
 

@@ -9,6 +9,7 @@
 
 open Kdom_graph
 open Kdom_congest
+module S = Engine.Sink
 
 (* ------------------------------------------------------------------ *)
 (* Harness *)
@@ -265,13 +266,12 @@ let sparse_round_diff what ~max_words g mk =
   List.iter2
     (fun (ei : Engine.Sink.round_info) (ri : Engine.Sink.round_info) ->
       let ctx = Printf.sprintf "%s round %d: " what ri.round in
+      let e = Array.get ei.counts and r = Array.get ri.counts in
       Alcotest.(check int) (ctx ^ "stepped+skipped = reference stepped")
-        ri.stepped (ei.stepped + ei.skipped);
-      Alcotest.(check int) (ctx ^ "sent") ri.sent ei.sent;
-      Alcotest.(check int) (ctx ^ "delivered") ri.delivered ei.delivered;
-      Alcotest.(check int) (ctx ^ "delivered_words") ri.delivered_words
-        ei.delivered_words;
-      Alcotest.(check int) (ctx ^ "receivers") ri.receivers ei.receivers)
+        (r S.stepped) (e S.stepped + e S.skipped);
+      List.iter
+        (fun c -> Alcotest.(check int) (ctx ^ S.key c) (r c) (e c))
+        [ S.sent; S.delivered; S.words; S.receivers ])
     (er ()) (rr ())
 
 let prop_degrade_bit_identical =
@@ -645,34 +645,15 @@ let test_counters_merge_safe () =
         <> combine_round_info a (combine_round_info b c)
       then Alcotest.fail "combine_round_info not associative")
     single;
-  (* splitting a round record across two halves and combining restores it *)
+  (* splitting every counter of a round record across two halves and
+     combining them restores the record *)
   match single with
   | [] -> Alcotest.fail "expected at least one round"
   | (ri : Engine.Sink.round_info) :: _ ->
-    let half =
-      {
-        ri with
-        Engine.Sink.delivered = ri.delivered / 2;
-        delivered_words = ri.delivered_words / 2;
-        sent = ri.sent / 2;
-      }
-    and rest =
-      {
-        ri with
-        Engine.Sink.delivered = ri.delivered - (ri.delivered / 2);
-        delivered_words = ri.delivered_words - (ri.delivered_words / 2);
-        sent = ri.sent - (ri.sent / 2);
-        receivers = 0;
-        stepped = 0;
-        skipped = 0;
-        woken = 0;
-        dropped = 0;
-        crashed = 0;
-      }
-    in
-    let merged = Engine.Sink.combine_round_info half rest in
-    Alcotest.(check int) "merged delivered" ri.delivered merged.delivered;
-    Alcotest.(check int) "merged sent" ri.sent merged.sent
+    let half = { ri with counts = Array.map (fun v -> v / 2) ri.counts }
+    and rest = { ri with counts = Array.map (fun v -> v - (v / 2)) ri.counts } in
+    if Engine.Sink.combine_round_info half rest <> ri then
+      Alcotest.fail "split halves do not combine back to the record"
 
 (* ------------------------------------------------------------------ *)
 (* Async vs Engine across delay regimes *)
@@ -723,13 +704,19 @@ let test_sink_consistency () =
   let sink = Engine.Sink.tee counters activity in
   let stats = (Kdom.Leader.elect ~sink g).stats in
   let infos = rounds_info () in
-  let delivered = List.fold_left (fun a (i : Engine.Sink.round_info) -> a + i.delivered) 0 infos in
+  let delivered =
+    List.fold_left
+      (fun a (i : Engine.Sink.round_info) -> a + i.counts.(S.delivered))
+      0 infos
+  in
   Alcotest.(check int) "counters: delivered sums to stats.messages"
     stats.messages delivered;
   Alcotest.(check int) "counters: one record per round" stats.rounds
     (List.length infos);
   let max_inflight =
-    List.fold_left (fun a (i : Engine.Sink.round_info) -> max a i.delivered) 0 infos
+    List.fold_left
+      (fun a (i : Engine.Sink.round_info) -> max a i.counts.(S.delivered))
+      0 infos
   in
   Alcotest.(check int) "counters: max delivered = stats.max_inflight"
     stats.max_inflight max_inflight;

@@ -317,20 +317,22 @@ let test_sink_consistency_under_faults () =
       ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
   in
   let infos = rounds_info () in
-  let sum f = List.fold_left (fun a i -> a + f i) 0 infos in
+  let sum c =
+    List.fold_left (fun a (i : Engine.Sink.round_info) -> a + i.counts.(c)) 0 infos
+  in
   Alcotest.(check int) "one record per pulse" frep.report.pulses
     (List.length infos);
   Alcotest.(check int) "delivered sums to alg_messages"
     frep.report.alg_messages
-    (sum (fun (i : Engine.Sink.round_info) -> i.delivered));
+    (sum Engine.Sink.delivered);
   Alcotest.(check int) "sent sums to alg_messages" frep.report.alg_messages
-    (sum (fun (i : Engine.Sink.round_info) -> i.sent));
+    (sum Engine.Sink.sent);
   Alcotest.(check int) "retransmits sum to the report" frep.retransmits
-    (sum (fun (i : Engine.Sink.round_info) -> i.retransmits));
+    (sum Engine.Sink.retransmits);
   Alcotest.(check int) "drops sum to the report" frep.dropped
-    (sum (fun (i : Engine.Sink.round_info) -> i.dropped));
+    (sum Engine.Sink.dropped);
   Alcotest.(check int) "duplicates sum to the report" frep.duplicated
-    (sum (fun (i : Engine.Sink.round_info) -> i.duplicated));
+    (sum Engine.Sink.duplicated);
   if frep.dropped = 0 then Alcotest.fail "regime at drop=0.2 dropped nothing"
 
 (* Regression: a duplicated frame must be delivered to the algorithm exactly
@@ -351,7 +353,7 @@ let test_duplicates_not_delivered_twice () =
   in
   let delivered =
     List.fold_left
-      (fun a (i : Engine.Sink.round_info) -> a + i.delivered)
+      (fun a (i : Engine.Sink.round_info) -> a + i.counts.(Engine.Sink.delivered))
       0 (rounds_info ())
   in
   if frep.duplicated = 0 then
@@ -448,11 +450,13 @@ let test_sink_corrupted_counter () =
       ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
   in
   let infos = rounds_info () in
-  let sum f = List.fold_left (fun a i -> a + f i) 0 infos in
+  let sum c =
+    List.fold_left (fun a (i : Engine.Sink.round_info) -> a + i.counts.(c)) 0 infos
+  in
   if frep.corrupted = 0 then
     Alcotest.fail "a 1e-2 flip regime rejected nothing";
   Alcotest.(check int) "sink corrupted sums to the report" frep.corrupted
-    (sum (fun (i : Engine.Sink.round_info) -> i.corrupted));
+    (sum Engine.Sink.corrupted);
   Alcotest.(check int) "no link drops in a corruption-only regime" 0
     frep.dropped;
   Alcotest.(check int) "corrupted copies forced retransmissions" 0

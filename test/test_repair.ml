@@ -19,6 +19,7 @@
 
 open Kdom_graph
 open Kdom_congest
+module S = Engine.Sink
 
 (* ------------------------------------------------------------------ *)
 (* Crash windows (async fault plan) *)
@@ -224,7 +225,8 @@ let test_sharded_churn_differential () =
                 Alcotest.failf
                   "seed %d domains=%d: round %d records differ \
                    (crashed %d/%d dropped %d/%d)"
-                  seed domains a.round a.crashed b.crashed a.dropped b.dropped)
+                  seed domains a.round a.counts.(S.crashed) b.counts.(S.crashed)
+                  a.counts.(S.dropped) b.counts.(S.dropped))
             r1 rd)
         [ 2; 4 ])
     [ 5; 23; 71 ]
@@ -243,7 +245,7 @@ let test_crashed_counter_sums () =
   in
   let sum =
     List.fold_left
-      (fun a (i : Engine.Sink.round_info) -> a + i.crashed)
+      (fun a (i : Engine.Sink.round_info) -> a + i.counts.(S.crashed))
       0 (rounds_info ())
   in
   Alcotest.(check int) "sink crashed counter sums to the schedule's crashes" 3
@@ -311,10 +313,10 @@ let test_quiescent_run () =
     (fun (a : Engine.Sink.round_info) (b : Engine.Sink.round_info) ->
       Alcotest.(check int)
         (Printf.sprintf "round %d: same frames sent" a.round)
-        a.sent b.sent;
+        a.counts.(S.sent) b.counts.(S.sent);
       Alcotest.(check int)
         (Printf.sprintf "round %d: same frames delivered" a.round)
-        a.delivered b.delivered)
+        a.counts.(S.delivered) b.counts.(S.delivered))
     infos infos_d
 
 (* Crash one dominator mid-run: detection within the lease bound, every
@@ -605,7 +607,7 @@ let test_corrupt_churn_differential () =
           what injected detected truncated;
       let rejected =
         List.fold_left
-          (fun a (i : Engine.Sink.round_info) -> a + i.corrupted)
+          (fun a (i : Engine.Sink.round_info) -> a + i.counts.(S.corrupted))
           0 infos
       in
       Alcotest.(check int) (what ^ ": sink corrupted = tally rejections")

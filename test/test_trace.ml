@@ -107,7 +107,7 @@ let test_engine_rounds_drive_clock () =
   | Some r ->
     Alcotest.(check int) "bfs_tree span covers the run" stats.rounds r.r_rounds;
     Alcotest.(check int) "all deliveries inside the span" stats.messages
-      r.r_delivered
+      r.r_counts.(Engine.Sink.delivered)
 
 let test_metrics_helpers () =
   Alcotest.(check (option int)) "span_index" (Some 4)
@@ -331,6 +331,128 @@ let test_chrome_export_shape () =
   Alcotest.(check bool) "census spans present" true
     (contains {|"name":"diam_dom.census[0]"|})
 
+(* The round lines [Sink.jsonl] streams come from the same table printer
+   as [Trace.to_jsonl], so each passes the trace validator — every
+   counter present, fault counters included, on a synchronous run. *)
+let test_sink_jsonl_rounds_validate () =
+  let g = Generators.random_tree ~rng:(Rng.create 3) 24 in
+  let file = Filename.temp_file "kdom_sink" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out file in
+      let _, (stats : Runtime.stats) =
+        Kdom.Bfs_tree.run ~sink:(Engine.Sink.jsonl oc) g ~root:0
+      in
+      close_out oc;
+      let ic = open_in file in
+      let lines =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> lines_of (really_input_string ic (in_channel_length ic)))
+      in
+      Alcotest.(check int) "one round line per round" stats.rounds
+        (List.length lines);
+      List.iter
+        (fun l ->
+          match Trace.validate_line l with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "streamed %s: %s" l e)
+        lines)
+
+(* ------------------------------------------------------------------ *)
+(* Counter sums: for every counter in the table, the Metrics total, the
+   sum over the buffered round records, and the stats of a root span
+   covering the run agree. *)
+
+let check_counter_sums what run =
+  let tr = Trace.create () in
+  Trace.span tr "root" (fun () -> run (Trace.sink tr));
+  let m = Metrics.report tr in
+  let root = List.hd (Trace.spans tr) in
+  let st = Trace.span_stats tr root in
+  let rep = Option.get (Metrics.find m "root") in
+  for c = 0 to Engine.Sink.n_counters - 1 do
+    let sum =
+      List.fold_left
+        (fun a (ri : Engine.Sink.round_info) -> a + ri.counts.(c))
+        0 (Trace.rounds tr)
+    in
+    let ctx = Printf.sprintf "%s %s: " what (Engine.Sink.key c) in
+    Alcotest.(check int) (ctx ^ "metrics total") sum m.totals.(c);
+    Alcotest.(check int) (ctx ^ "root span") sum st.s_counts.(c);
+    Alcotest.(check int) (ctx ^ "span report") sum rep.r_counts.(c)
+  done;
+  m.totals
+
+let expect_nonzero what totals counters =
+  List.iter
+    (fun c ->
+      if totals.(c) = 0 then
+        Alcotest.failf "%s: the run exercised no %s" what (Engine.Sink.key c))
+    counters
+
+(* Every node floods its running maximum for [rounds] rounds, then halts. *)
+let max_gossip ~rounds : (int * bool) Engine.algorithm =
+  {
+    Engine.init = (fun _ v -> (v, false));
+    step =
+      (fun g ~round ~node (best, _) inbox ->
+        let best =
+          Engine.Inbox.fold (fun b _ p -> max b p.(0)) best inbox
+        in
+        if round >= rounds then ((best, true), [])
+        else
+          ( (best, false),
+            Array.to_list
+              (Array.map (fun (u, _) -> (u, [| best |])) (Graph.neighbors g node))
+          ));
+    halted = snd;
+    wake = (fun _ -> Engine.Always);
+  }
+
+let test_counter_sums_churn_corrupt () =
+  (* a 9-cycle plus a reserved node 9 (wired to 0 and 4) and a reserved
+     chord (2,6): the whole churn alphabet under wire corruption *)
+  let g =
+    Graph.of_edges ~n:10
+      (List.init 9 (fun i -> (i, (i + 1) mod 9, i + 1))
+      @ [ (0, 9, 10); (4, 9, 11); (2, 6, 12) ])
+  in
+  let e = Engine.create g in
+  let churn =
+    Engine.Churn.compile e
+      [
+        Engine.Churn.Arrive { node = 9; at = 2 };
+        Engine.Churn.Crash { node = 5; at = 3 };
+        Engine.Churn.Edge_add { src = 2; dst = 6; at = 4 };
+        Engine.Churn.Edge_add { src = 6; dst = 2; at = 4 };
+        Engine.Churn.Depart { node = 7; at = 5 };
+      ]
+  in
+  let corrupt = Engine.Corrupt.make ~flip:1e-2 ~seed:5 () in
+  let totals =
+    check_counter_sums "churn+corrupt" (fun sink ->
+        ignore
+          (Engine.exec ~max_words:1 ~sink ~churn ~corrupt e
+             (max_gossip ~rounds:12)))
+  in
+  expect_nonzero "churn+corrupt" totals
+    Engine.Sink.[ crashed; arrived; departed; inserted; corrupted; dropped ]
+
+let test_counter_sums_async () =
+  let g = Generators.gnp_connected ~rng:(Rng.create 51) ~n:16 ~p:0.25 in
+  let corrupt = Engine.Corrupt.make ~flip:1e-2 ~seed:7 () in
+  let faults = Faults.lossy ~drop:0.2 ~duplicate:0.1 ~corrupt ~seed:9 () in
+  let totals =
+    check_counter_sums "async" (fun sink ->
+        ignore
+          (Async.run_reliable ~rng:(Rng.create 12) ~faults ~sink
+             ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)))
+  in
+  expect_nonzero "async" totals
+    Engine.Sink.[ dropped; duplicated; retransmits; corrupted ]
+
 (* ------------------------------------------------------------------ *)
 (* Golden files: the schema is frozen — any change to the emitted shape
    must bump Trace.schema_version and regenerate these
@@ -465,6 +587,15 @@ let () =
             test_validator_rejects;
           Alcotest.test_case "Chrome export shape" `Quick
             test_chrome_export_shape;
+          Alcotest.test_case "Sink.jsonl round lines validate" `Quick
+            test_sink_jsonl_rounds_validate;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "sums agree under churn and corruption" `Quick
+            test_counter_sums_churn_corrupt;
+          Alcotest.test_case "sums agree under async faults" `Quick
+            test_counter_sums_async;
         ] );
       ( "golden",
         [ Alcotest.test_case "schema golden files" `Quick test_golden ] );
