@@ -133,18 +133,21 @@ let mst_cmd family n seed elect domains trace_file =
   in
   let ghs = Kdom.Ghs.run g in
   let trivial = Kdom.Collect_all.run g in
+  let fast_ok = Mst.same_edge_set fast.mst kruskal
+  and ghs_ok = Mst.same_edge_set ghs.mst kruskal
+  and trivial_ok = Mst.same_edge_set trivial.mst kruskal in
   Format.printf "MST weight (Kruskal): %d@." (Mst.weight kruskal);
-  Format.printf "FastMST:     rounds = %6d  correct = %b  stalls = %d@." fast.rounds
-    (Mst.same_edge_set fast.mst kruskal)
+  if elect then
+    Format.printf "Leader:      node %d  (election: rounds = %d, messages = %d)@." fast.root
+      fast.bfs_stats.rounds fast.bfs_stats.messages;
+  Format.printf "FastMST:     rounds = %6d  correct = %b  stalls = %d@." fast.rounds fast_ok
     fast.pipeline.stalls;
-  Format.printf "GHS:         rounds = %6d  correct = %b@." ghs.rounds
-    (Mst.same_edge_set ghs.mst kruskal);
+  Format.printf "GHS:         rounds = %6d  correct = %b@." ghs.rounds ghs_ok;
   Format.printf "Collect-all: rounds = %6d  correct = %b (%d edges at root)@."
-    trivial.rounds
-    (Mst.same_edge_set trivial.mst kruskal)
-    trivial.edges_at_root;
+    trivial.rounds trivial_ok trivial.edges_at_root;
   Format.printf "@[<v2>FastMST rounds:@,%a@]@." Kdom.Ledger.pp fast.ledger;
-  write_trace tr trace_file
+  write_trace tr trace_file;
+  if not (fast_ok && ghs_ok && trivial_ok && fast.pipeline.stalls = 0) then exit 1
 
 let route_cmd family n k seed =
   let g = make_graph ~family ~n ~seed in
@@ -605,7 +608,10 @@ let elect_arg =
 
 let mst_t =
   Cmd.v
-    (Cmd.info "mst" ~doc:"Distributed MST: FastMST vs GHS vs collect-all.")
+    (Cmd.info "mst"
+       ~doc:
+         "Distributed MST: FastMST vs GHS vs collect-all.  Exits 1 unless every \
+          MST equals Kruskal's and FastMST reports no pipeline stalls.")
     Term.(
       const mst_cmd $ family_arg $ n_arg $ seed_arg $ elect_arg $ domains_arg
       $ trace_file_arg)

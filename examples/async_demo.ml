@@ -15,7 +15,7 @@ let () =
   let g = Generators.gnp_connected ~rng ~n ~p:0.04 in
   Format.printf "G(n=%d, m=%d), diameter %d@." n (Graph.m g) (Traversal.diameter g);
 
-  (* 1. Leader election: max-id BFS waves with echoes, O(Diam) rounds. *)
+  (* 1. Leader election: max-key BFS waves with echoes, O(Diam) rounds. *)
   let elected = Leader.elect g in
   Format.printf "@.leader elected: node %d in %d rounds (%d messages)@." elected.leader
     elected.stats.rounds elected.stats.messages;

@@ -67,7 +67,8 @@ open Kdom_graph
 val wave_prefers : int -> int -> int -> int -> bool
 (** [wave_prefers id1 d1 id2 d2]: wave 1 strictly beats wave 2 — higher
     originator id, then smaller depth.  The flood-wave upgrade rule shared
-    with {!Leader}; plain int comparisons, so it allocates nothing. *)
+    with {!Leader}, which passes wave keys in place of ids; plain int
+    comparisons, so it allocates nothing. *)
 
 type plan = {
   dominator : int array;  (** dominator of each node's cluster *)

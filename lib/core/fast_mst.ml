@@ -7,6 +7,7 @@ type result = {
   fragments : Simple_mst.fragment list;
   dominating : int list;
   pipeline : Pipeline.result;
+  root : int;
   bfs_stats : Runtime.stats;
   ledger : Ledger.t;
   rounds : int;
@@ -39,6 +40,7 @@ let run_with ?small ?trace g ~(bfs : Bfs_tree.info) ~tree_stage_label ~tree_stag
     fragments = dom.fragments;
     dominating = dom.dominating;
     pipeline = pipe;
+    root = bfs.root;
     bfs_stats;
     ledger;
     rounds = Ledger.total ledger;

@@ -22,7 +22,8 @@ type result = {
   fragments : Simple_mst.fragment list;
   dominating : int list;           (** the sqrt(n)-dominating set built on the way *)
   pipeline : Pipeline.result;
-  bfs_stats : Runtime.stats;
+  root : int;                      (** root of the pipeline's BFS tree: [?root] or the elected leader *)
+  bfs_stats : Runtime.stats;       (** the BFS tree stage, or the whole election *)
   ledger : Ledger.t;
   rounds : int;
 }

@@ -8,10 +8,36 @@ type result = {
   stats : Runtime.stats;
 }
 
-let tag_offer = 0 (* [tag; wave id; depth of sender] *)
-let tag_accept = 1 (* [tag; wave id] — sender adopted us as its parent *)
-let tag_echo = 2 (* [tag; wave id] *)
+let tag_offer = 0 (* [tag; wave key; depth of sender] *)
+let tag_accept = 1 (* [tag; wave key] — sender adopted us as its parent *)
+let tag_echo = 2 (* [tag; wave key] *)
 let tag_leader = 3 (* [tag; leader id] *)
+
+(* Waves are ordered by a fixed pseudo-random key of the originator's id,
+   not the id itself: on a grid the row-major ids make every lower wave
+   travel far before a preferred one kills it (Θ(m·Diam) messages), while
+   in random order a node only forwards the O(log n) waves, in expectation,
+   whose origin is closer than every preferred origin.  The high [b] bits
+   are the murmur3 32-bit finaliser of the id and the low [b] bits the id
+   itself, with [b = ⌈log2 n⌉], so keys are unique and 2b bits wide. *)
+let fmix32 x =
+  let x = x land 0xffff_ffff in
+  let x = x lxor (x lsr 16) in
+  let x = x * 0x85eb_ca6b land 0xffff_ffff in
+  let x = x lxor (x lsr 13) in
+  let x = x * 0xc2b2_ae35 land 0xffff_ffff in
+  x lxor (x lsr 16)
+
+let key_bits n =
+  let b = ref 0 in
+  while 1 lsl !b < n do incr b done;
+  !b
+
+let key_of ~b v = ((fmix32 v land ((1 lsl b) - 1)) lsl b) lor v
+
+let key ~n v =
+  if v < 0 || v >= n then invalid_arg "Leader.key: node out of range";
+  key_of ~b:(key_bits n) v
 
 (* Per-neighbour membership in the current wave, one bit each in the
    neighbour's flag byte: a non-child neighbour known to be in the wave, a
@@ -26,7 +52,7 @@ let f_done = 4
 type state = {
   nbrs : int array;          (* neighbour ids, ascending *)
   flags : Bytes.t;           (* flag byte per neighbour, indexed like [nbrs] *)
-  mutable best : int;        (* id of the wave this node belongs to *)
+  mutable best : int;        (* key of the wave this node belongs to *)
   mutable depth : int;
   mutable parent : int;      (* -1 when this node originated the wave *)
   mutable parent_ix : int;   (* index of [parent] in [nbrs], -1 if none *)
@@ -65,12 +91,13 @@ let broadcast_leader st em leader =
   done
 
 let ealgorithm g : state Engine.ealgorithm =
+  let b = key_bits (Graph.n g) in
   let einit _g v =
     let nbrs = Array.map fst (Graph.neighbors g v) in
     {
       nbrs;
       flags = Bytes.make (Array.length nbrs) '\000';
-      best = v;
+      best = key_of ~b v;
       depth = 0;
       parent = -1;
       parent_ix = -1;
@@ -86,7 +113,7 @@ let ealgorithm g : state Engine.ealgorithm =
     let deg = Array.length st.nbrs in
     if round = 0 then begin
       for i = 0 to deg - 1 do
-        Engine.Emit.frame3 em ~dst:st.nbrs.(i) tag_offer node 0
+        Engine.Emit.frame3 em ~dst:st.nbrs.(i) tag_offer st.best 0
       done;
       (* [just_adopted] doubles as "check settledness next round even with
          an empty inbox" — a node with no neighbors (n = 1) gets no offers
@@ -165,7 +192,7 @@ let ealgorithm g : state Engine.ealgorithm =
       end
       else begin
         let settled = (not st.just_adopted) && st.uncovered = 0 && st.pending = 0 in
-        if settled && st.parent = -1 && st.best = node then begin
+        if settled && st.parent = -1 && st.best = key_of ~b node then begin
           (* complete echo of our own wave: we are the leader *)
           broadcast_leader st em node;
           st.leader <- node;
@@ -187,7 +214,7 @@ let ealgorithm g : state Engine.ealgorithm =
   let ewake st = if st.just_adopted then Engine.Next else Engine.OnMessage in
   { Engine.einit; estep; ehalted; ewake }
 
-(* Word budget: the widest message is [| tag_offer; wave id; depth |] — 3
+(* Word budget: the widest message is [| tag_offer; wave key; depth |] — 3
    words. *)
 let max_words = 3
 
@@ -197,10 +224,13 @@ let algorithm g : state Engine.algorithm =
   Engine.to_algorithm ~max_words (ealgorithm g)
 
 let result_of_states states stats =
+  let n = Array.length states in
+  if n = 0 then invalid_arg "Leader.result_of_states: no states";
   let leader_id = states.(0).leader in
+  let leader_key = if leader_id < 0 || leader_id >= n then -1 else key ~n leader_id in
   Array.iteri
     (fun v st ->
-      if st.leader <> leader_id || st.best <> leader_id then
+      if st.leader <> leader_id || st.best <> leader_key then
         invalid_arg (Printf.sprintf "Leader.elect: node %d disagrees on the leader" v))
     states;
   {
@@ -211,6 +241,7 @@ let result_of_states states stats =
   }
 
 let elect ?trace ?sink g =
+  if Graph.n g = 0 then invalid_arg "Leader.elect: empty graph";
   if not (Graph.is_connected g) then invalid_arg "Leader.elect: graph must be connected";
   Option.iter (fun t -> Trace.set_budget t max_words) trace;
   let sink = Trace.wrap ?trace ?sink () in

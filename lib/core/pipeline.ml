@@ -17,45 +17,82 @@ let tag_term = 2 (* [tag] *)
 
 (* Hashtable-backed union-find over fragment ids: only touched fragments
    are materialized, so per-node memory stays proportional to the edges the
-   node actually upcast. *)
+   node actually upcast.  A node builds its table on its first union; until
+   then every fragment is its own root. *)
 module Lazy_uf = struct
-  type t = (int, int) Hashtbl.t
+  type t = (int, int) Hashtbl.t option ref
 
-  let create () : t = Hashtbl.create 8
+  let create () : t = ref None
 
-  let rec find t x =
+  let rec find_in t x =
     match Hashtbl.find_opt t x with
     | None -> x
     | Some p when p = x -> x
     | Some p ->
-      let root = find t p in
+      let root = find_in t p in
       Hashtbl.replace t x root;
       root
 
-  let union t a b =
-    let ra = find t a and rb = find t b in
+  let find (t : t) x = match !t with None -> x | Some h -> find_in h x
+
+  let union (t : t) a b =
+    let h = match !t with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 8 in
+        t := Some h;
+        h
+    in
+    let ra = find_in h a and rb = find_in h b in
     if ra = rb then false
     else begin
-      Hashtbl.replace t ra rb;
+      Hashtbl.replace h ra rb;
       true
     end
 
   let same t a b = find t a = find t b
 end
 
+(* A known inter-fragment edge, keyed by its id in [q]; [sent] marks the
+   ones this node has already upcast. *)
+type entry = { fu : int; fv : int; w : int; mutable sent : bool }
+
+(* Per-child progress, one bit each in the child's flag byte: the child
+   sent its first message, the child terminated. *)
+let f_heard = 1
+let f_finished = 2
+
 type node_state = {
   parent : int;
-  children : int list;
+  children : int array;        (* BFS children, ascending *)
+  child_flags : Bytes.t;       (* flag byte per child, indexed like [children] *)
+  mutable heard : int;         (* children flagged heard *)
+  mutable finished : int;      (* children flagged finished *)
   frag : int;
-  mutable q : (int, int * int * int) Hashtbl.t; (* id -> (frag_u, frag_v, w) *)
-  sent : (int, unit) Hashtbl.t;
+  q : (int, entry) Hashtbl.t;  (* edge id -> entry *)
   uf : Lazy_uf.t;
-  heard : (int, unit) Hashtbl.t;      (* children that sent their first message *)
-  finished : (int, unit) Hashtbl.t;   (* children that terminated *)
   mutable started : bool;
   mutable started_round : int;
   mutable done_ : bool;
 }
+
+(* Index of child [u] in the ascending [children]; [u] must be a child. *)
+let child_index (children : int array) u =
+  let lo = ref 0 and hi = ref (Array.length children - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if children.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  if !hi < 0 || children.(!lo) <> u then invalid_arg "Pipeline: message from a non-child";
+  !lo
+
+let flag_child st u f =
+  let i = child_index st.children u in
+  let fl = Bytes.get_uint8 st.child_flags i in
+  if fl land f = 0 then begin
+    Bytes.set_uint8 st.child_flags i (fl lor f);
+    if f = f_heard then st.heard <- st.heard + 1 else st.finished <- st.finished + 1
+  end
 
 (* Word budget: the widest message is
    [| tag_edge; edge id; frag u; frag v; weight |] — 5 words, declared as 6
@@ -65,15 +102,17 @@ let max_words = 6
 let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
   let stalls = ref 0 in
   let init _g v =
+    let children = Array.of_list bfs.children.(v) in
+    Array.sort compare children;
     {
       parent = bfs.parent.(v);
-      children = bfs.children.(v);
+      children;
+      child_flags = Bytes.make (Array.length children) '\000';
+      heard = 0;
+      finished = 0;
       frag = fragment_of.(v);
       q = Hashtbl.create 8;
-      sent = Hashtbl.create 8;
       uf = Lazy_uf.create ();
-      heard = Hashtbl.create 4;
-      finished = Hashtbl.create 4;
       started = false;
       started_round = -1;
       done_ = false;
@@ -94,7 +133,8 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
             let nfrag = payload.(1) in
             if nfrag <> st.frag then begin
               match Graph.find_edge g node u with
-              | Some e -> Hashtbl.replace st.q e.id (st.frag, nfrag, e.w)
+              | Some e ->
+                Hashtbl.replace st.q e.id { fu = st.frag; fv = nfrag; w = e.w; sent = false }
               | None -> assert false
             end
           | _ -> invalid_arg "Pipeline: unexpected tag at round 1")
@@ -105,52 +145,53 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
         (fun u payload ->
           match payload.(0) with
           | t when t = tag_edge ->
-            Hashtbl.replace st.heard u ();
+            flag_child st u f_heard;
             let id = payload.(1) in
             if not (Hashtbl.mem st.q id) then
-              Hashtbl.replace st.q id (payload.(2), payload.(3), payload.(4))
+              Hashtbl.replace st.q id
+                { fu = payload.(2); fv = payload.(3); w = payload.(4); sent = false }
           | t when t = tag_term ->
-            Hashtbl.replace st.heard u ();
-            Hashtbl.replace st.finished u ()
+            flag_child st u f_heard;
+            flag_child st u f_finished
           | _ -> invalid_arg "Pipeline: unexpected tag")
         inbox;
-      if not st.started then
-        st.started <-
-          List.for_all (fun c -> Hashtbl.mem st.heard c) st.children;
-      let all_children_done =
-        List.for_all (fun c -> Hashtbl.mem st.finished c) st.children
-      in
+      let nchildren = Array.length st.children in
+      if not st.started then st.started <- st.heard = nchildren;
+      let all_children_done = st.finished = nchildren in
       if st.parent = -1 then begin
         (* the root only collects; it finishes when its children have *)
         if st.started && all_children_done && not st.done_ then st.done_ <- true
       end
       else if st.started && not st.done_ then begin
         (* RC = Q \ (U ∪ Cyc(U, Q)); upcast the lightest candidate *)
-        let best = ref None in
+        let best_w = ref max_int and best_id = ref (-1) in
         Hashtbl.iter
-          (fun id (fu, fv, w) ->
-            if not (Hashtbl.mem st.sent id) then
-              if (not eliminate_cycles) || not (Lazy_uf.same st.uf fu fv) then
-                match !best with
-                | Some (bw, bid, _, _) when (bw, bid) <= (w, id) -> ()
-                | _ -> best := Some (w, id, fu, fv))
+          (fun id e ->
+            if (not e.sent)
+               && (e.w < !best_w || (e.w = !best_w && id < !best_id))
+               && ((not eliminate_cycles) || not (Lazy_uf.same st.uf e.fu e.fv))
+            then begin
+              best_w := e.w;
+              best_id := id
+            end)
           st.q;
-        match !best with
-        | Some (w, id, fu, fv) ->
+        let id = !best_id in
+        if id >= 0 then begin
+          let e = Hashtbl.find st.q id in
           if st.started_round = -1 then st.started_round <- round;
-          Hashtbl.replace st.sent id ();
-          if eliminate_cycles then ignore (Lazy_uf.union st.uf fu fv);
-          out := [ (st.parent, [| tag_edge; id; fu; fv; w |]) ]
-        | None ->
-          if all_children_done then begin
-            if st.started_round = -1 then st.started_round <- round;
-            out := [ (st.parent, [| tag_term |]) ];
-            st.done_ <- true
-          end
-          else
-            (* Lemma 5.3 says this cannot happen: an active child implies a
-               candidate.  Wait and record the violation. *)
-            incr stalls
+          e.sent <- true;
+          if eliminate_cycles then ignore (Lazy_uf.union st.uf e.fu e.fv);
+          out := [ (st.parent, [| tag_edge; id; e.fu; e.fv; e.w |]) ]
+        end
+        else if all_children_done then begin
+          if st.started_round = -1 then st.started_round <- round;
+          out := [ (st.parent, [| tag_term |]) ];
+          st.done_ <- true
+        end
+        else
+          (* Lemma 5.3 says this cannot happen: an active child implies a
+             candidate.  Wait and record the violation. *)
+          incr stalls
       end
     end;
     (st, !out)
@@ -162,7 +203,7 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
      hearing children, termination) arrives as a message. *)
   let wake st =
     if st.done_ then Engine.OnMessage
-    else if st.started || st.children = [] then Engine.Next
+    else if st.started || Array.length st.children = 0 then Engine.Next
     else Engine.OnMessage
   in
   (({ Engine.init; step; halted; wake } : node_state Engine.algorithm), stalls)
@@ -171,7 +212,7 @@ let selected_of_states g ~fragment_of ~root states =
   let nf = 1 + Array.fold_left max 0 fragment_of in
   let root_state = states.(root) in
   let edges_at_root =
-    Hashtbl.fold (fun id (fu, fv, w) acc -> (fu, fv, w, id) :: acc) root_state.q []
+    Hashtbl.fold (fun id e acc -> (e.fu, e.fv, e.w, id) :: acc) root_state.q []
     |> List.sort (fun (_, _, w1, _) (_, _, w2, _) -> compare w1 w2)
   in
   List.map (Graph.edge g) (Mst.mst_of_multigraph ~n:nf edges_at_root)

@@ -19,12 +19,44 @@ let graphs seed =
     ("single", Generators.path ~rng:r 1);
   ]
 
-let test_elects_max_id () =
+(* The offline oracle for the winner: the node with the largest wave key,
+   computed without running the protocol. *)
+let max_key_node n =
+  let best = ref 0 in
+  for v = 1 to n - 1 do
+    if Leader.key ~n v > Leader.key ~n !best then best := v
+  done;
+  !best
+
+let check_elected name g (r : Leader.result) =
+  Alcotest.(check int) (name ^ " leader is the max-key node") (max_key_node (Graph.n g))
+    r.leader;
+  Kdom_congest.Oracle.expect_ok (name ^ " BFS tree")
+    (Kdom_congest.Oracle.bfs_tree g ~root:r.leader ~parent:r.parent ~depth:r.depth)
+
+let test_elects_max_key () =
+  List.iter (fun (name, g) -> check_elected name g (Leader.elect g)) (graphs 1)
+
+let test_key () =
   List.iter
-    (fun (name, g) ->
-      let r = Leader.elect g in
-      Alcotest.(check int) (name ^ " leader is max id") (Graph.n g - 1) r.leader)
-    (graphs 1)
+    (fun n ->
+      let keys = Array.init n (Leader.key ~n) in
+      let b = ref 0 in
+      while 1 lsl !b < n do incr b done;
+      Array.iteri
+        (fun v k ->
+          Alcotest.(check int) "low bits are the id" v (k land ((1 lsl !b) - 1));
+          Alcotest.(check bool) "2b bits wide" true (k < 1 lsl (2 * !b) || n = 1))
+        keys;
+      Alcotest.(check int) "keys are unique" n
+        (List.length (List.sort_uniq compare (Array.to_list keys))))
+    [ 1; 2; 3; 100; 1024; 1025 ];
+  Alcotest.check_raises "key out of range" (Invalid_argument "Leader.key: node out of range")
+    (fun () -> ignore (Leader.key ~n:4 4))
+
+let test_empty_graph () =
+  Alcotest.check_raises "empty graph" (Invalid_argument "Leader.elect: empty graph")
+    (fun () -> ignore (Leader.elect (Graph.of_edges ~n:0 [])))
 
 let test_tree_is_bfs () =
   List.iter
@@ -77,8 +109,9 @@ let test_run_elected () =
         (List.mem_assoc "Leader election + BFS tree" (Ledger.entries r.ledger)))
     [ 5; 6; 7 ]
 
-(* Outputs of the list-shape implementation, recorded before the step was
-   rewritten onto the Emit path: the port must reproduce the leader, the
+(* Outputs of the keyed-wave election, recorded after each leader matched
+   the offline max-key oracle and its tree passed [Oracle.bfs_tree]: the
+   Emit step and the derived list shape must both reproduce the leader, the
    BFS tree and the run statistics exactly.  Parent and depth arrays are
    pinned by the MD5 of their decimal rendering. *)
 type pin = {
@@ -101,63 +134,63 @@ let pins =
     {
       p_name = "grid 9x9";
       p_graph = (fun () -> Generators.grid ~rng:(Rng.create 11) ~rows:9 ~cols:9);
-      p_leader = 80;
-      p_parent = "0a267719b2ea9694acb4041facda46e0";
-      p_depth = "0fb3f5aa188df4c9dddb53fa340c1873";
-      p_rounds = 50;
-      p_messages = 2752;
+      p_leader = 77;
+      p_parent = "99dc6b2eededf29f5cfc1004c9af4e69";
+      p_depth = "5e08f04b84ae1e52915158d989be3b30";
+      p_rounds = 41;
+      p_messages = 1319;
       p_inflight = 288;
     };
     {
       p_name = "rgg 150";
       p_graph =
         (fun () -> Generators.random_geometric ~rng:(Rng.create 12) ~n:150 ~radius:0.15);
-      p_leader = 149;
-      p_parent = "1ba44f12d84c406882acf48640c24855";
-      p_depth = "6e73445613c3a3cf13c1bd7d273b71aa";
-      p_rounds = 29;
-      p_messages = 5274;
+      p_leader = 77;
+      p_parent = "d125e8916853f6ea66c955a474551fe4";
+      p_depth = "38fdd32e93a33d5d5f9ff2f089548203";
+      p_rounds = 32;
+      p_messages = 5940;
       p_inflight = 1374;
     };
     {
       p_name = "pa 200";
       p_graph =
         (fun () -> Generators.preferential_attachment ~rng:(Rng.create 13) ~n:200 ~m:2);
-      p_leader = 199;
-      p_parent = "88d9ffd5b9e55c8c6549bd953a10c1f8";
-      p_depth = "9779a65f02f59161962b05d46eb65e31";
-      p_rounds = 17;
-      p_messages = 3437;
+      p_leader = 77;
+      p_parent = "f46d88be4892f7a40200d1436baa6639";
+      p_depth = "ceb3d1d8340a1744e4637e642ae20f40";
+      p_rounds = 20;
+      p_messages = 3656;
       p_inflight = 794;
     };
     {
       p_name = "gnp 120";
       p_graph = (fun () -> Generators.gnp_connected ~rng:(Rng.create 14) ~n:120 ~p:0.05);
-      p_leader = 119;
-      p_parent = "5d195036f07722ffa89c31cfb7297787";
-      p_depth = "76232018a61cb2c70bc206f8df6a8d95";
+      p_leader = 77;
+      p_parent = "ec7bc57ac2ca376d47bf99f0332f3100";
+      p_depth = "2edeb8783734fb97907a0782b49c62ec";
       p_rounds = 17;
-      p_messages = 2748;
+      p_messages = 2658;
       p_inflight = 718;
     };
     {
       p_name = "random tree 150";
       p_graph = (fun () -> Generators.random_tree ~rng:(Rng.create 15) 150);
-      p_leader = 149;
-      p_parent = "d033bbc89eb5b360fa433ffec2193d0d";
-      p_depth = "1e989e1cd066b24dbe48f078f560ee7a";
-      p_rounds = 62;
-      p_messages = 2108;
+      p_leader = 77;
+      p_parent = "eac0facba75c8b92054ed1d70791dcc7";
+      p_depth = "c31dd8ceb0a20ab803c3b0a8b5199802";
+      p_rounds = 86;
+      p_messages = 1942;
       p_inflight = 298;
     };
     {
       p_name = "path 60";
       p_graph = (fun () -> Generators.path ~rng:(Rng.create 16) 60);
-      p_leader = 59;
-      p_parent = "79f65074b65ce670165f6fdc2be6336b";
-      p_depth = "06c7f140aa2e3eb22ebe2bdb7f4fba12";
-      p_rounds = 179;
-      p_messages = 3717;
+      p_leader = 16;
+      p_parent = "535cdf8185a79c1a3f8fff72d91a65f5";
+      p_depth = "61ee37acb4145507a1d796cbd7b08ca5";
+      p_rounds = 131;
+      p_messages = 649;
       p_inflight = 118;
     };
   ]
@@ -175,7 +208,9 @@ let test_pinned () =
   List.iter
     (fun p ->
       let g = p.p_graph () in
-      check_pin "elect" p (Leader.elect g);
+      let r = Leader.elect g in
+      check_elected p.p_name g r;
+      check_pin "elect" p r;
       (* the derived list shape, through the compat adapter *)
       let states, stats =
         Kdom_congest.Engine.run ~max_words:Leader.max_words g (Leader.algorithm g)
@@ -183,13 +218,67 @@ let test_pinned () =
       check_pin "list shape" p (Leader.result_of_states states stats))
     pins
 
+(* O(m log n) messages in expectation: a wave passes a node only if no
+   origin with a larger key is closer.  The bound is asserted at three sizes
+   per family; rounds are checked against [round_bound] at the leader's
+   eccentricity, a lower bound on the diameter, so the check is stricter
+   than [round_bound ~diam]. *)
+let test_message_bound () =
+  let families =
+    [
+      ( "grid",
+        fun n ->
+          let side = int_of_float (Float.round (sqrt (float n))) in
+          Generators.grid ~rng:(Rng.create n) ~rows:side ~cols:side );
+      ( "rgg",
+        fun n ->
+          Generators.random_geometric ~rng:(Rng.create n) ~n
+            ~radius:(sqrt (12.0 /. (Float.pi *. float n))) );
+      ("pa", fun n -> Generators.preferential_attachment ~rng:(Rng.create n) ~n ~m:2);
+    ]
+  in
+  let cases =
+    List.concat_map
+      (fun (fam, mk) ->
+        List.map (fun n -> (Printf.sprintf "%s %d" fam n, mk n)) [ 400; 2_500; 10_000 ])
+      families
+    @ [ ("path 2500", Generators.path ~rng:(Rng.create 2) 2_500) ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let r = Leader.elect g in
+      check_elected name g r;
+      let n = Graph.n g and m = Graph.m g in
+      let bound = 3.0 *. float m *. log (float n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d messages <= 3 m ln n = %.0f" name r.stats.messages bound)
+        true
+        (float r.stats.messages <= bound);
+      let ecc = Array.fold_left max 0 r.depth in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d rounds <= round_bound ~diam:%d" name r.stats.rounds ecc)
+        true
+        (r.stats.rounds <= Leader.round_bound ~diam:ecc))
+    cases
+
+(* Regression guard: ordering waves by raw id sent 3,979,998 messages on
+   the row-major 100x100 grid. *)
+let test_grid_regression () =
+  let g = Generators.grid ~rng:(Rng.create 1) ~rows:100 ~cols:100 in
+  let r = Leader.elect g in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d messages <= 400k" r.stats.messages)
+    true
+    (r.stats.messages <= 400_000)
+
 let prop_leader =
   QCheck2.Test.make ~name:"leader election on random graphs" ~count:50
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 2 60))
     (fun (seed, n) ->
       let g = Generators.gnp_connected ~rng:(Rng.create seed) ~n ~p:0.15 in
       let r = Leader.elect g in
-      r.leader = n - 1
+      r.leader = max_key_node n
+      && Kdom_congest.Oracle.bfs_tree g ~root:r.leader ~parent:r.parent ~depth:r.depth = []
       && r.stats.rounds <= Leader.round_bound ~diam:(Traversal.diameter g))
 
 let () =
@@ -197,7 +286,12 @@ let () =
     [
       ( "election",
         [
-          Alcotest.test_case "elects the maximum id" `Quick test_elects_max_id;
+          Alcotest.test_case "elects the maximum key" `Quick test_elects_max_key;
+          Alcotest.test_case "keys are unique and 2b bits" `Quick test_key;
+          Alcotest.test_case "empty graph is rejected" `Quick test_empty_graph;
+          Alcotest.test_case "O(m log n) messages" `Quick test_message_bound;
+          Alcotest.test_case "100x100 grid under 400k messages" `Quick
+            test_grid_regression;
           Alcotest.test_case "produces a BFS tree" `Quick test_tree_is_bfs;
           Alcotest.test_case "O(Diam) rounds" `Quick test_round_bound;
           Alcotest.test_case "feeds FastMST" `Quick test_feeds_fast_mst;
