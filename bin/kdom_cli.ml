@@ -178,102 +178,16 @@ let centers_cmd family n k seed =
 (* ------------------------------------------------------------------ *)
 (* faults: any message-level algorithm on a lossy, crashy network *)
 
-type fault_case =
-  | Fault_case :
-      int * (unit -> 'st Kdom_congest.Runtime.algorithm) * ('st array -> string)
-      -> fault_case
-
-(* The algorithm menu shared by the [faults] and [trace] subcommands: a
-   node program plus its word budget and a result oracle. *)
+(* The algorithm menu shared by the [faults], [chaos] and [trace]
+   subcommands: {!Kdom.Battery}'s node program, word budget and oracle. *)
 let fault_case g ~k algo =
-  let open Kdom_congest in
-  let n = Graph.n g in
-  let dummy = { Runtime.rounds = 0; messages = 0; max_inflight = 0 } in
-  let need_tree what =
-    if not (Tree.is_tree g) then
-      invalid_arg (Printf.sprintf "%s needs a tree family" what)
-  in
-  match algo with
-    | "bfs" ->
-      Fault_case
-        ( Kdom.Bfs_tree.max_words,
-          (fun () -> Kdom.Bfs_tree.algorithm g ~root:0),
-          fun states ->
-            let info = Kdom.Bfs_tree.info_of_states g ~root:0 states in
-            Oracle.describe
-              (Oracle.bfs_tree g ~root:0 ~parent:info.parent ~depth:info.depth) )
-    | "coloring" ->
-      need_tree "coloring";
-      Fault_case
-        ( Kdom.Coloring.congest_max_words,
-          (fun () -> Kdom.Coloring.congest_algorithm g ~root:0),
-          fun states ->
-            Oracle.describe
-              (Oracle.proper_coloring g ~palette:3
-                 (Kdom.Coloring.colors_of_states states)) )
-    | "census" ->
-      need_tree "census";
-      let info, _ = Kdom.Bfs_tree.run g ~root:0 in
-      if info.height <= k then
-        invalid_arg "census: tree height <= k, no census stage runs";
-      Fault_case
-        ( Kdom.Diam_dom.census_max_words,
-          (fun () -> Kdom.Diam_dom.census_algorithm info ~k),
-          fun states ->
-            let centers = ref [] in
-            Array.iteri
-              (fun v b -> if b then centers := v :: !centers)
-              (Kdom.Diam_dom.dominating_of_states states);
-            Oracle.describe
-              (Oracle.k_domination g ~k !centers
-              @ Oracle.size_within ~n ~k ~ceil:true !centers) )
-    | "leader" ->
-      Fault_case
-        ( Kdom.Leader.max_words,
-          (fun () -> Kdom.Leader.algorithm g),
-          fun states ->
-            let r = Kdom.Leader.result_of_states states dummy in
-            Oracle.describe
-              (Oracle.bfs_tree g ~root:r.leader ~parent:r.parent ~depth:r.depth) )
-    | "smc" ->
-      Fault_case
-        ( Kdom.Simple_mst_congest.max_words,
-          (fun () -> Kdom.Simple_mst_congest.algorithm g ~k),
-          fun states ->
-            let frags = Kdom.Simple_mst_congest.fragments_of_states g states in
-            let fragment_of = Array.make n (-1) in
-            List.iteri
-              (fun i (f : Kdom.Simple_mst.fragment) ->
-                List.iter (fun v -> fragment_of.(v) <- i) f.members)
-              frags;
-            let ids =
-              List.concat_map
-                (fun (f : Kdom.Simple_mst.fragment) ->
-                  List.map (fun (e : Graph.edge) -> e.id) f.tree_edges)
-                frags
-            in
-            Oracle.describe
-              (Oracle.partition g ~fragment_of ~min_size:(min (k + 1) n)
-              @ Oracle.mst_subforest g ids) )
-    | "pipeline" ->
-      let dom = Kdom.Fastdom_graph.run g ~k in
-      let fragment_of = Kdom.Simple_mst.fragment_of_array g dom.forest in
-      let bfs, _ = Kdom.Bfs_tree.run g ~root:0 in
-      Fault_case
-        ( Kdom.Pipeline.max_words,
-          (fun () -> fst (Kdom.Pipeline.algorithm g ~bfs ~fragment_of)),
-          fun states ->
-            Oracle.describe
-              (Oracle.inter_fragment_mst g ~fragment_of
-                 (List.map
-                    (fun (e : Graph.edge) -> e.id)
-                    (Kdom.Pipeline.selected_of_states g ~fragment_of
-                       ~root:bfs.root states))) )
-  | other ->
-    invalid_arg
-      (Printf.sprintf
-         "unknown algorithm %S (bfs, coloring, census, leader, smc, pipeline)"
-         other)
+  match Kdom.Battery.case g ~k algo with
+  | Some c -> c
+  | None -> invalid_arg (algo ^ ": tree height <= k, no census stage runs")
+
+(* The oracle's verdict: "ok", or the violated invariants. *)
+let verdict oracle states =
+  match oracle states with () -> "ok" | exception Failure detail -> detail
 
 (* --repair: run the self-healing maintenance layer under a seeded churn
    schedule instead of a message-level algorithm under link faults. *)
@@ -343,7 +257,7 @@ let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
   describe g;
   if repair then repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file
   else begin
-  let (Fault_case (max_words, mk, verdict)) = fault_case g ~k algo in
+  let (Chaos.Case (_, max_words, mk, oracle)) = fault_case g ~k algo in
   let faults =
     Faults.lossy ~drop ~duplicate:dup ~slow ~reorder:(not fifo) ~seed:(seed + 1) ()
   in
@@ -382,8 +296,9 @@ let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
     frep.Async.dropped frep.Async.duplicated;
   Format.printf "states bit-identical to synchronous run: %b@."
     (states = sync_states);
-  Format.printf "oracle: %s@." (verdict states);
-  if states <> sync_states then exit 1
+  let verdict = verdict oracle states in
+  Format.printf "oracle: %s@." verdict;
+  if states <> sync_states || verdict <> "ok" then exit 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -413,7 +328,7 @@ let trace_cmd family n k seed algo out format drop dup validate =
     in
     (if drop > 0.0 || dup > 0.0 then begin
        (* faulty run: reliable delivery over fault injection *)
-       let (Fault_case (max_words, mk, _verdict)) = fault_case g ~k algo in
+       let (Chaos.Case (_, max_words, mk, _)) = fault_case g ~k algo in
        Trace.set_budget tr max_words;
        let faults = Faults.lossy ~drop ~duplicate:dup ~seed:(seed + 1) () in
        let _states, frep =
@@ -893,17 +808,7 @@ let chaos_cmd family n k seed algo storm_name validate domains =
          bit-identical@."
     end
     else begin
-      let (Fault_case (max_words, mk, verdict)) = fault_case g ~k algo in
-      let case =
-        Chaos.Case
-          ( algo,
-            max_words,
-            mk,
-            fun states ->
-              let d = verdict states in
-              if d <> "ok" then failwith (algo ^ ": " ^ d) )
-      in
-      let v = Chaos.run_message ~seed ~storm g case in
+      let v = Chaos.run_message ~seed ~storm g (fault_case g ~k algo) in
       Format.printf "%a@." Chaos.pp_verdict v;
       Format.printf
         "oracle: ok; states bit-identical to the fault-free synchronous run@."

@@ -35,7 +35,8 @@ let () =
     sync_stats.rounds sync_stats.messages sync_info.height;
   List.iter
     (fun max_delay ->
-      let states, report = Kdom_congest.Async.run ~rng ~max_delay g algo in
+      let states, frep = Kdom_congest.Async.run_reliable ~rng ~max_delay g algo in
+      let report = frep.report in
       let info = Bfs_tree.info_of_states g ~root:elected.leader states in
       Format.printf
         "async (delays <= %4.1f): time %7.1f, %d pulses, identical result: %b, \

@@ -41,8 +41,20 @@ let () =
     trivial.rounds trivial.edges_at_root
     (Mst.same_edge_set trivial.mst kruskal);
 
-  (* what the synchrony assumption costs in an asynchronous network *)
-  let sync = Kdom_congest.Synchronizer.simulate ~rng g ~rounds:fast.rounds in
+  (* what the synchrony assumption costs in an asynchronous network: the
+     message-level Pipeline stage under the alpha-synchronizer, measured *)
+  let fragment_of = Array.make n (-1) in
+  List.iteri
+    (fun i (f : Simple_mst.fragment) -> List.iter (fun v -> fragment_of.(v) <- i) f.members)
+    fast.fragments;
+  let bfs, _ = Bfs_tree.run g ~root:fast.root in
+  let pipeline, _ = Pipeline.algorithm g ~bfs ~fragment_of in
+  let _, frep =
+    Kdom_congest.Async.run_reliable ~rng ~max_words:Pipeline.max_words g pipeline
+  in
+  let r = frep.report in
   Format.printf
-    "@.alpha-synchronizer translation: %d sync rounds -> %.0f async time units, +%d messages@."
-    sync.sync_rounds sync.async_time sync.extra_messages
+    "@.alpha-synchronizer, Pipeline stage: %d sync rounds -> %d pulses, %.0f async \
+     time units; %d algorithm + %d synchronizer messages, %d retransmits@."
+    fast.pipeline.upcast_stats.rounds r.pulses r.async_time r.alg_messages
+    r.sync_messages frep.retransmits

@@ -62,11 +62,6 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-type kind =
-  | Alg of int * int * Engine.payload   (* source, source pulse, payload *)
-  | Ack of int                          (* pulse being acknowledged *)
-  | Safe of int * int                   (* source, pulse declared safe *)
-
 (* Uniform on the half-open interval (0, max_delay], as documented:
    [Rng.float rng 1.0] is uniform in [0, 1), so [1 - u] is in (0, 1].  The
    historical sampler clamped [Rng.float rng max_delay] (uniform in
@@ -87,157 +82,9 @@ type 'st node = {
   degree : int;
 }
 
-let run ~rng ?(max_delay = 1.0) ?max_words g algo =
-  let n = Graph.n g in
-  (* the engine's CSR port map provides O(1) neighbor validation and
-     allocation-free neighbor iteration for the synchronizer traffic *)
-  let eng = Engine.create g in
-  let max_words =
-    match max_words with Some w -> w | None -> Engine.default_max_words n
-  in
-  let nodes =
-    Array.init n (fun v ->
-        {
-          state = algo.Engine.init g v;
-          next_pulse = 0;
-          is_halted = false;
-          awaiting_acks = 0;
-          safe_pulse = -1;
-          buffers = Hashtbl.create 8;
-          safes = Hashtbl.create 8;
-          degree = Engine.degree eng v;
-        })
-  in
-  (* used_at.(slot) = last pulse in which the slot carried an algorithm
-     message; detects two sends over one edge within a pulse in O(1) *)
-  let used_at = Array.make (max 1 (Engine.port_count eng)) (-1) in
-  let queue = Events.create () in
-  let alg_messages = ref 0 in
-  let sync_messages = ref 0 in
-  let max_pulse = ref 0 in
-  let finish_time = ref 0.0 in
-  let halted_count = ref 0 in
-  let pulse_cap = Engine.default_max_rounds n in
-  let delay () = sample_delay rng ~max_delay in
-  let send now dst kind = Events.push queue (now +. delay ()) (dst, kind) in
-  let declare_safe now v pulse =
-    let nd = nodes.(v) in
-    nd.safe_pulse <- pulse;
-    Engine.iter_neighbors eng v (fun u ->
-        incr sync_messages;
-        send now u (Safe (v, pulse)))
-  in
-  (* execute every pulse whose synchronizer precondition holds *)
-  let rec advance now v =
-    let nd = nodes.(v) in
-    let p = nd.next_pulse in
-    if p > pulse_cap then raise (Engine.Round_limit_exceeded p);
-    let ready =
-      p = 0
-      || (nd.safe_pulse >= p - 1
-         && Option.value ~default:0 (Hashtbl.find_opt nd.safes (p - 1)) = nd.degree)
-    in
-    if ready && not (!halted_count = n) then begin
-      nd.next_pulse <- p + 1;
-      max_pulse := max !max_pulse p;
-      let inbox =
-        Option.value ~default:[] (Hashtbl.find_opt nd.buffers p)
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Hashtbl.remove nd.buffers p;
-      let outbox =
-        if nd.is_halted then begin
-          if inbox <> [] then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: halted node %d received a message" p v));
-          []
-        end
-        else begin
-          (* the synchronizer steps every node every pulse — a pulse is only
-             declared safe once all its messages are acked, so wake hints
-             are not consulted here: the event queue itself is the wake
-             source (a node runs only when an event arrives for it) *)
-          let st, outbox =
-            algo.Engine.step g ~round:p ~node:v nd.state (Engine.Inbox.of_list inbox)
-          in
-          nd.state <- st;
-          if (not nd.is_halted) && algo.Engine.halted st then begin
-            nd.is_halted <- true;
-            incr halted_count;
-            finish_time := Float.max !finish_time now
-          end;
-          outbox
-        end
-      in
-      List.iter
-        (fun (u, payload) ->
-          (* the same congestion discipline the synchronous engine
-             enforces, via the same port map *)
-          let slot = Engine.find_port eng ~src:v ~dst:u in
-          if slot < 0 then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d sent to non-neighbor %d" p v u));
-          if used_at.(slot) = p then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d sent twice over edge to %d" p v u));
-          used_at.(slot) <- p;
-          let w = Array.length payload in
-          if w > max_words then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d payload of %d words exceeds %d"
-                    p v w max_words));
-          incr alg_messages;
-          send now u (Alg (v, p, payload)))
-        outbox;
-      nd.awaiting_acks <- List.length outbox;
-      if nd.awaiting_acks = 0 then begin
-        declare_safe now v p;
-        (* neighbors' safes for p may already be in; try to continue *)
-        advance now v
-      end
-    end
-  in
-  for v = 0 to n - 1 do
-    advance 0.0 v
-  done;
-  let all_halted () = !halted_count = n in
-  while (not (all_halted ())) && not (Events.is_empty queue) do
-    let time, _, (dst, kind) = Events.pop queue in
-    let nd = nodes.(dst) in
-    (match kind with
-    | Alg (src, src_pulse, payload) ->
-      let slot = src_pulse + 1 in
-      Hashtbl.replace nd.buffers slot
-        ((src, payload) :: Option.value ~default:[] (Hashtbl.find_opt nd.buffers slot));
-      incr sync_messages;
-      send time src (Ack src_pulse)
-    | Ack pulse ->
-      if pulse = nd.next_pulse - 1 then begin
-        nd.awaiting_acks <- nd.awaiting_acks - 1;
-        if nd.awaiting_acks = 0 then declare_safe time dst pulse
-      end
-    | Safe (_src, pulse) ->
-      Hashtbl.replace nd.safes pulse
-        (1 + Option.value ~default:0 (Hashtbl.find_opt nd.safes pulse)));
-    advance time dst
-  done;
-  if not (all_halted ()) then
-    invalid_arg "Async.run: event queue drained before quiescence";
-  ( Array.map (fun nd -> nd.state) nodes,
-    {
-      async_time = !finish_time;
-      pulses = !max_pulse + 1;
-      alg_messages = !alg_messages;
-      sync_messages = !sync_messages;
-    } )
-
 (* ------------------------------------------------------------------ *)
 (* Reliable delivery over faulty links: a sequence-numbered DATA/LACK
-   link layer beneath the same α-synchronizer. *)
+   link layer beneath the α-synchronizer. *)
 
 type fault_report = {
   report : report;
@@ -325,13 +172,14 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
     invalid_arg "Async.run_reliable: ack_timeout must be positive";
   if max_attempts < 1 then
     invalid_arg "Async.run_reliable: max_attempts must be >= 1";
+  let step = Engine.recorder ~max_words g algo in
   let nodes =
     Array.init n (fun v ->
-        let state = algo.Engine.init g v in
+        let state = algo.Engine.einit g v in
         {
           state;
           next_pulse = 0;
-          is_halted = algo.Engine.halted state;
+          is_halted = algo.Engine.ehalted state;
           awaiting_acks = 0;
           safe_pulse = -1;
           buffers = Hashtbl.create 8;
@@ -341,6 +189,8 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
   in
   let halted_count = ref 0 in
   Array.iter (fun nd -> if nd.is_halted then incr halted_count) nodes;
+  (* used_at.(slot) = last pulse in which the slot carried an algorithm
+     message; detects two sends over one edge within a pulse in O(1) *)
   let used_at = Array.make (max 1 (Engine.port_count eng)) (-1) in
   let queue : rev Events.t = Events.create () in
   let alg_messages = ref 0 in
@@ -444,11 +294,15 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
             Tally.add tally p Engine.Sink.stepped 1;
             if inbox <> [] then Tally.add tally p Engine.Sink.receivers 1
           end;
+          (* the synchronizer steps every live node every pulse — a pulse
+             is only declared safe once all its messages are acked, so wake
+             hints are not consulted here: the event queue itself is the
+             wake source *)
           let st, outbox =
-            algo.Engine.step g ~round:p ~node:v nd.state (Engine.Inbox.of_list inbox)
+            step ~round:p ~node:v nd.state (Engine.Inbox.of_list inbox)
           in
           nd.state <- st;
-          if (not nd.is_halted) && algo.Engine.halted st then begin
+          if (not nd.is_halted) && algo.Engine.ehalted st then begin
             nd.is_halted <- true;
             incr halted_count;
             finish_time := Float.max !finish_time now
@@ -468,16 +322,11 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
               (Engine.Congestion_violation
                  (Printf.sprintf "async pulse %d: node %d sent twice over edge to %d" p v u));
           used_at.(slot) <- p;
-          let w = Array.length payload in
-          if w > max_words then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d payload of %d words exceeds %d"
-                    p v w max_words));
           incr alg_messages;
           if instrumented then begin
             Tally.add tally p Engine.Sink.sent 1;
-            sink.Engine.Sink.on_message ~round:p ~src:v ~dst:u ~words:w
+            sink.Engine.Sink.on_message ~round:p ~src:v ~dst:u
+              ~words:(Array.length payload)
           end;
           reliable_send now ~slot ~src:v ~dst:u (WAlg (p, payload)))
         outbox;
@@ -489,7 +338,7 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
     end
   in
   (* dispatch one logical message — exactly once per (slot, seq) — into the
-     unchanged synchronizer layer *)
+     synchronizer layer *)
   let dispatch time dst src msg =
     let nd = nodes.(dst) in
     (match msg with

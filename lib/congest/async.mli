@@ -17,15 +17,18 @@
     Because a neighbor's safety certifies that its pulse-[r] messages were
     delivered, every node's pulse-[r+1] inbox equals the synchronous one,
     so the final states are {e identical} to {!Runtime.run}'s — the tests
-    check this bit for bit on the paper's algorithms.
+    check this bit for bit on the paper's algorithms.  The synchronizer
+    runs over a reliable-delivery link layer ({!run_reliable}); with the
+    default {!Faults.none} no frame is lost and none is retransmitted.
 
-    Scheduling note: the synchronizer steps {e every} node at {e every}
+    Scheduling note: the synchronizer steps every live node at every
     pulse — its correctness argument needs each node to certify safety
-    per pulse — so the engine's {!Engine.algorithm.wake} hints are not
-    consulted here.  The discrete-event queue (message arrivals, acks,
-    SAFE announcements, and the retransmit timers of {!run_reliable}) is
-    this executor's wake source; the sparse scheduling happens at event
-    granularity instead of round granularity. *)
+    per pulse — so the engine's {!Engine.ealgorithm.ewake} hints are not
+    consulted here.  A node halted at [einit] is never stepped, as on the
+    engine.  The discrete-event queue (message arrivals, acks, SAFE
+    announcements and retransmit timers) is this executor's wake source;
+    the sparse scheduling happens at event granularity instead of round
+    granularity. *)
 
 open Kdom_graph
 
@@ -41,27 +44,10 @@ val sample_delay : Rng.t -> max_delay:float -> float
     [(0, max_delay]] — strictly positive, can attain [max_delay].
     Raises [Invalid_argument] when [max_delay <= 0]. *)
 
-val run :
-  rng:Rng.t ->
-  ?max_delay:float ->
-  ?max_words:int ->
-  Graph.t ->
-  'st Runtime.algorithm ->
-  'st array * report
-(** [run ~rng g algo] executes [algo] to quiescence under link delays
-    drawn uniformly from [(0, max_delay]] (default 1.0).  The returned
-    states must match [Runtime.run g algo] exactly.
-
-    The executor shares the {!Engine} port map: per-pulse sends are
-    subject to the same congestion discipline as the synchronous engine —
-    non-neighbor sends, two messages over one edge within a pulse, and
-    payloads wider than [max_words] (default [Engine.default_max_words n])
-    raise [Engine.Congestion_violation]. *)
-
 (** {1 Reliable delivery over faulty links} *)
 
 type fault_report = {
-  report : report;  (** the synchronizer-level report, as for {!run} *)
+  report : report;  (** the synchronizer-level report *)
   frames : int;
       (** physical frames offered to the network: first transmissions,
           retransmissions and link-level acks *)
@@ -93,7 +79,7 @@ val run_reliable :
   ?max_attempts:int ->
   ?sink:Engine.Sink.t ->
   Graph.t ->
-  'st Runtime.algorithm ->
+  'st Runtime.ealgorithm ->
   'st array * fault_report
 (** [run_reliable ~rng g algo] executes [algo] under the α-synchronizer on
     a network governed by [faults] (default {!Faults.none}), with a
@@ -130,4 +116,10 @@ val run_reliable :
     with the fault counters ([dropped]/[duplicated]/[retransmits]/
     [corrupted]) attributed to the pulse of the logical message each
     frame carried.
-    Congestion discipline is identical to {!run}. *)
+
+    Nodes step through one {!Engine.recorder} built for the run.  Per-pulse
+    sends obey the synchronous engine's congestion discipline, via the
+    same port map: a send to a non-neighbor or two sends over one edge
+    within a pulse raise [Engine.Congestion_violation], and a put beyond
+    [max_words] (default [Engine.default_max_words n]) raises it with the
+    engine's text. *)

@@ -188,7 +188,7 @@ let churn_of_storm g s ~seed =
 
 type case =
   | Case :
-      string * int * (unit -> 'st Runtime.algorithm) * ('st array -> unit)
+      string * int * (unit -> 'st Runtime.ealgorithm) * ('st array -> unit)
       -> case
 
 type verdict = {

@@ -187,7 +187,8 @@ let decode buf ~base ~wire ~words =
 (* Writers.  A writer is a reusable cursor over either a fixed arena
    region ([attach_writer], the engine's zero-allocation emit path) or
    its own growable scratch buffer ([scratch_writer], used by the
-   emit->list compat adapter and boxed inbox views).  A writer given
+   recording emitter of the reference simulator and the async layer, and
+   by boxed inbox views).  A writer given
    to [attach_writer] must not be reused with [scratch_writer]: the
    scratch mode assumes it owns [buf]. *)
 

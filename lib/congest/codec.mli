@@ -123,7 +123,8 @@ val attach_writer :
 
 val scratch_writer : ?guard:bool -> writer -> budget:int -> unit
 (** Reposition onto the writer's own buffer (grown on demand), with a
-    logical-word [budget].  Used by the emit->list compat adapter. *)
+    logical-word [budget].  Used by {!Engine.recorder} and boxed inbox
+    views. *)
 
 val put : writer -> int -> unit
 (** Append one logical word.  @raise Width_exceeded on word

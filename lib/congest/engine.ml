@@ -1,7 +1,6 @@
 open Kdom_graph
 
 type payload = int array
-type inbox = (int * payload) list
 
 type stats = { rounds : int; messages : int; max_inflight : int }
 
@@ -27,7 +26,7 @@ let default_max_rounds n = 10_000 + (100 * n)
    offset [slot * a_stride]) or a boxed payload ([slot = -1], the shape
    [of_list] builds for the reference simulator and the async layer).  The
    engine reuses one arena for every step, so a view is only valid for the
-   duration of the [step] call it was passed to; [read] repositions a
+   duration of the [estep] call it was passed to; [read] repositions a
    shared decoder, so at most one frame is being read at a time. *)
 module Inbox = struct
   type t = {
@@ -92,17 +91,6 @@ module Inbox = struct
     check t i;
     t.src.(i)
 
-  let payload_unchecked t i =
-    let s = t.slot.(i) in
-    if s < 0 then t.pay.(i)
-    else
-      Codec.decode t.a_data ~base:(s * t.a_stride) ~wire:t.a_wire.(s)
-        ~words:t.a_wlog.(s)
-
-  let payload t i =
-    check t i;
-    payload_unchecked t i
-
   let words t i =
     check t i;
     let s = t.slot.(i) in
@@ -122,28 +110,6 @@ module Inbox = struct
         ~wire:(Codec.wire t.wr) ~words:(Codec.words t.wr)
     end;
     t.rd
-
-  let iter f t =
-    ensure t;
-    for i = 0 to t.len - 1 do
-      f t.src.(i) (payload_unchecked t i)
-    done
-
-  let fold f init t =
-    ensure t;
-    let acc = ref init in
-    for i = 0 to t.len - 1 do
-      acc := f !acc t.src.(i) (payload_unchecked t i)
-    done;
-    !acc
-
-  let to_list t =
-    ensure t;
-    let acc = ref [] in
-    for i = t.len - 1 downto 0 do
-      acc := (t.src.(i), payload_unchecked t i) :: !acc
-    done;
-    !acc
 
   let of_list l =
     let n = List.length l in
@@ -168,15 +134,7 @@ type wake =
   | At of int  (* step at that absolute round; past rounds schedule nothing *)
   | OnMessage  (* step only when a message arrives *)
 
-type 'st algorithm = {
-  init : Graph.t -> int -> 'st;
-  step : Graph.t -> round:int -> node:int -> 'st -> Inbox.t -> 'st * (int * payload) list;
-  halted : 'st -> bool;
-  wake : 'st -> wake;
-}
-
 let always _ = Always
-let list_step step g ~round ~node st ib = step g ~round ~node st (Inbox.to_list ib)
 
 (* The allocation-free send path.  An emitter is a reusable cursor the
    round loop attaches to its own send machinery: [start] positions the
@@ -1157,11 +1115,11 @@ let layout_for e ~domains ~partition =
   match partition with
   | Some p ->
     if Array.length p <> n then
-      invalid_arg "Engine.exec: partition length differs from node count";
+      invalid_arg "Engine.exec_emit: partition length differs from node count";
     Array.iter
       (fun s ->
         if s < 0 || s >= d then
-          invalid_arg "Engine.exec: partition shard id out of range")
+          invalid_arg "Engine.exec_emit: partition shard id out of range")
       p;
     build_layout e ~d p
   | None -> (
@@ -1240,7 +1198,7 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   | Some (c : Churn.t) ->
     if Array.length c.Churn.crashed <> max 1 n
        || Array.length c.Churn.edge_down <> max 1 e.ports
-    then invalid_arg "Engine.exec: churn compiled against a different engine";
+    then invalid_arg "Engine.exec_emit: churn compiled against a different engine";
     Churn.reset c
   | None -> ());
   (match corrupt with
@@ -2168,7 +2126,7 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   if instrumented then sink.on_finish ();
   (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
 
-(* When [exec] is called without [?domains] this reference supplies the
+(* When [exec_emit] is called without [?domains] this reference supplies the
    default — the hook [kdom_cli --domains] threads parallelism through
    composite algorithms whose inner [Runtime.run] calls cannot be reached
    syntactically.  1 = one shard on the calling domain. *)
@@ -2177,9 +2135,9 @@ let default_domains = ref 1
 let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
     ?domains ?partition e algo =
   if e.running then
-    invalid_arg "Engine.exec: engine already running (re-entrant call)";
+    invalid_arg "Engine.exec_emit: engine already running (re-entrant call)";
   let domains = match domains with Some d -> d | None -> !default_domains in
-  if domains < 1 then invalid_arg "Engine.exec: domains < 1";
+  if domains < 1 then invalid_arg "Engine.exec_emit: domains < 1";
   (* clear [running] on abnormal exit so the engine stays usable; [dirty]
      stays set, forcing a buffer scrub on the next exec *)
   try
@@ -2189,113 +2147,59 @@ let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
     e.running <- false;
     raise exn
 
-(* The list shape on the one send path: the outbox [step] returns is
-   replayed through the emitter in list order, one start / put-per-word /
-   commit per frame, so the checks run frame by frame in list order, as
-   in the reference simulator.  A frame over budget is reported with its
-   full length, as the reference reports it. *)
-let rec emit_list em = function
-  | [] -> ()
-  | (u, p) :: rest ->
-    let w = Emit.start em ~dst:u in
-    (try
-       for i = 0 to Array.length p - 1 do
-         Codec.put w p.(i)
-       done
-     with Codec.Width_exceeded { budget; _ } ->
-       raise (Codec.Width_exceeded { budget; words = Array.length p }));
-    Emit.commit em;
-    emit_list em rest
-
-let of_algorithm (a : 'st algorithm) : 'st ealgorithm =
-  {
-    einit = a.init;
-    estep =
-      (fun g ~round ~node st ib em ->
-        let st, out = a.step g ~round ~node st ib in
-        emit_list em out;
-        st);
-    ehalted = a.halted;
-    ewake = a.wake;
-  }
-
-let exec ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
-    ?partition e algo =
-  exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e (of_algorithm algo)
-
-let run ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
-    ?partition g algo =
-  exec ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
-    ?partition (create g) algo
-
 let run_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition g ealgo =
+    ?domains ?partition g algo =
   exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition (create g) ealgo
+    ?domains ?partition (create g) algo
 
-(* The emit -> list compat adapter: wraps an emit-native algorithm into the
-   legacy list-returning shape so it can run under [run_reference], the
-   async layer, or any harness that still consumes [algorithm].  All emit
-   state is step-local (one small writer per step), so the adapted
-   algorithm is safe on any number of domains too.  With [?max_words]
-   the scratch writer enforces the same budget at the same put — raising
-   the same [Congestion_violation] text the engine's emit path produces —
-   so differential runs agree byte-for-byte; without it frames are
-   unbounded here and the engine's own width check applies instead. *)
-let to_algorithm ?max_words (ea : 'st ealgorithm) : 'st algorithm =
-  let budget = match max_words with Some w -> w | None -> max_int in
-  {
-    init = ea.einit;
-    step =
-      (fun g ~round ~node st ib ->
-        let em = Emit.make () in
-        let acc = ref [] in
-        em.Emit.estart <-
-          (fun t u ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.start: frame already open";
-            t.Emit.edst <- u;
-            t.Emit.eopen <- true;
-            Codec.scratch_writer t.Emit.ew ~budget;
-            t.Emit.ew);
-        em.Emit.ecommit <-
-          (fun t ->
-            if not t.Emit.eopen then
-              invalid_arg "Engine.Emit.commit: no open frame";
-            t.Emit.eopen <- false;
-            let p =
-              Codec.decode (Codec.writer_bytes t.Emit.ew) ~base:0
-                ~wire:(Codec.wire t.Emit.ew) ~words:(Codec.words t.Emit.ew)
-            in
-            acc := (t.Emit.edst, p) :: !acc);
-        em.Emit.ebroadcast1 <-
-          (fun t a ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.broadcast1: frame already open";
-            if budget < 1 then
-              raise (Codec.Width_exceeded { budget; words = 1 });
-            (* pushed in descending order: the step's whole send list is
-               reversed once at the end, so these come out ascending — the
-               same per-slot order the packed engine's broadcast writes. *)
-            let nbrs = Graph.neighbors g t.Emit.enode in
-            for i = Array.length nbrs - 1 downto 0 do
-              let u, _ = nbrs.(i) in
-              acc := (u, [| a |]) :: !acc
-            done);
-        em.Emit.enode <- node;
-        let st =
-          try ea.estep g ~round ~node st ib em
-          with Codec.Width_exceeded { budget; words } ->
-            raise
-              (Congestion_violation
-                 (Printf.sprintf
-                    "round %d: node %d payload of %d words exceeds %d" round
-                    node words budget))
-        in
-        if em.Emit.eopen then
-          invalid_arg "Engine.Emit: frame left open at end of step";
-        (st, List.rev !acc));
-    halted = ea.ehalted;
-    wake = ea.ewake;
-  }
+(* The recording emitter of the two executors that keep their own
+   mailboxes ([Runtime.run_reference], [Async.run_reliable]): built once
+   per run, it steps a node and hands back the frames the step emitted as
+   [(dst, payload)] pairs in emission order.  Frames are encoded into a
+   scratch writer and decoded back, so every value crosses the same codec
+   as on the engine, and the writer enforces the word budget at the same
+   put as the engine's emit path, raising the same [Congestion_violation]
+   text, so differential runs agree byte for byte. *)
+let recorder ~max_words:budget g (a : 'st ealgorithm) =
+  let em = Emit.make () in
+  let acc = ref [] in
+  em.Emit.estart <-
+    (fun t u ->
+      if t.Emit.eopen then invalid_arg "Engine.Emit.start: frame already open";
+      t.Emit.edst <- u;
+      t.Emit.eopen <- true;
+      Codec.scratch_writer t.Emit.ew ~budget;
+      t.Emit.ew);
+  em.Emit.ecommit <-
+    (fun t ->
+      if not t.Emit.eopen then invalid_arg "Engine.Emit.commit: no open frame";
+      t.Emit.eopen <- false;
+      let p =
+        Codec.decode (Codec.writer_bytes t.Emit.ew) ~base:0
+          ~wire:(Codec.wire t.Emit.ew) ~words:(Codec.words t.Emit.ew)
+      in
+      acc := (t.Emit.edst, p) :: !acc);
+  em.Emit.ebroadcast1 <-
+    (fun t x ->
+      if t.Emit.eopen then invalid_arg "Engine.Emit.broadcast1: frame already open";
+      if budget < 1 then raise (Codec.Width_exceeded { budget; words = 1 });
+      (* one frame per neighbor in ascending order, as [frame1] over each
+         neighbor would emit them (the list is reversed once at the end
+         of the step) *)
+      Array.iter (fun (u, _) -> acc := (u, [| x |]) :: !acc) (Graph.neighbors g t.Emit.enode));
+  fun ~round ~node st ib ->
+    acc := [];
+    em.Emit.enode <- node;
+    em.Emit.eopen <- false;
+    let st =
+      try a.estep g ~round ~node st ib em
+      with Codec.Width_exceeded { budget; words } ->
+        raise
+          (Congestion_violation
+             (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
+                round node words budget))
+    in
+    if em.Emit.eopen then invalid_arg "Engine.Emit: frame left open at end of step";
+    let out = List.rev !acc in
+    acc := [];
+    (st, out)

@@ -13,10 +13,9 @@
       search and a per-step scratch table — and no O(m) hash table;
     - zero per-round allocation in the delivery machinery: inboxes are a
       zero-copy {!Inbox.t} view over the arena, so the hot path allocates
-      only what [step] itself allocates — and with the {!Emit} fast path
-      ({!ealgorithm}) the send side is allocation-free too: frames are
-      encoded straight into the destination slot, no payload array, no
-      cons cell;
+      only what [estep] itself allocates — and the {!Emit} send path is
+      allocation-free too: frames are encoded straight into the
+      destination slot, no payload array, no cons cell;
     - {e measured} congestion accounting: every frame's width is the wire
       length its values actually encode to ({!Codec.measured_bits}), so
       word budgets and per-round bit counters
@@ -34,13 +33,14 @@
 
     Every run goes through one round loop, which steps the nodes as [d]
     shards ([d = 1]: one shard on the calling domain) and accepts one
-    algorithm shape, {!ealgorithm}; {!exec} lifts a list-shaped
-    {!algorithm} onto it.
+    algorithm shape, {!ealgorithm}: a node reads its inbox view, updates
+    its state and emits at most one frame per incident edge through
+    {!Emit}.  No other node-program shape exists.
 
     Semantics are identical to the reference runtime: same round/timing
     convention, same inbox ordering (sender-ascending — see below), same
     [stats], same [Congestion_violation] cases with identical messages.
-    The differential tests in [test_engine_diff.ml] check this on all six
+    The differential tests in [test_engine_diff.ml] check this on all eight
     message-level algorithms, with wake hints both honored and degraded to
     [Always], at 1, 2 and 4 domains.
 
@@ -56,19 +56,13 @@ type payload = int array
     for a node id, a depth, or an edge weight (weights are polynomial in
     [n], §1.2 of the paper). *)
 
-type inbox = (int * payload) list
-(** The legacy list shape of an inbox: [(sender, payload)] in increasing
-    sender id.  [step] now receives an {!Inbox.t} view instead; use
-    {!Inbox.to_list} / {!list_step} to keep list-based code working. *)
-
 (** Zero-copy view over the engine's reusable inbox arena: the messages
-    delivered to the node being stepped, as flat sender / payload arrays in
-    strictly increasing sender id.
+    delivered to the node being stepped, in strictly increasing sender id,
+    each read in place with {!read}.
 
     {b Lifetime.}  The engine reuses one arena for every step, so a view
-    (and the payload arrays it exposes) is only valid for the duration of
-    the [step] call it was passed to.  Retain {!to_list} (or copies), never
-    the [t] itself. *)
+    is only valid for the duration of the [estep] call it was passed to.  Retain copies of what you read,
+    never the [t] itself. *)
 module Inbox : sig
   type t
 
@@ -78,11 +72,6 @@ module Inbox : sig
   val sender : t -> int -> int
   (** [sender ib i] is the sender id of the [i]-th message ([i < length]).
       Ascending in [i]. *)
-
-  val payload : t -> int -> payload
-  (** [payload ib i] is the [i]-th payload, decoded from the packed arena
-      into a fresh array (compat path — allocates).  Emit-native
-      algorithms should prefer {!read}, which decodes in place. *)
 
   val words : t -> int -> int
   (** [words ib i] is the logical word count of the [i]-th frame, without
@@ -95,20 +84,15 @@ module Inbox : sig
       subsequent [read] repositions it, so finish one frame before
       starting the next. *)
 
-  val iter : (int -> payload -> unit) -> t -> unit
-  val fold : ('a -> int -> payload -> 'a) -> 'a -> t -> 'a
-
-  val to_list : t -> (int * payload) list
-  (** Materialize as the legacy list shape (allocates). *)
-
   val of_list : (int * payload) list -> t
-  (** Build a standalone view from a list (for reference runtimes, tests
-      and synchronizers; the result owns fresh arrays and has no lifetime
-      restriction).  The list must already be sender-ascending. *)
+  (** Build a standalone view from [(sender, payload)] pairs (for the
+      executors that keep their own mailboxes, {!Runtime.run_reference}
+      and {!Async.run_reliable}; the result owns fresh arrays and has no
+      lifetime restriction).  The list must already be sender-ascending. *)
 end
 
 (** Wake-up hints: when must this node be stepped again?  The engine
-    consults [wake] after every [step] (never on the untouched init state);
+    consults [ewake] after every [estep] (never on the untouched init state);
     the latest hint replaces any earlier one, and a halted node's pending
     wake-up is discarded.  In every mode a delivered message steps the node
     — the hint only controls whether it {e also} steps on message-free
@@ -128,31 +112,14 @@ type wake =
           exactly the information it had last round, so stepping it could
           only repeat a state transition it already made (DESIGN.md §9). *)
 
-type 'st algorithm = {
-  init : Graph.t -> int -> 'st;
-      (** Initial state of each node.  A node knows [n], its own id, its
-          incident edges and their weights — nothing else. *)
-  step :
-    Graph.t -> round:int -> node:int -> 'st -> Inbox.t -> 'st * (int * payload) list;
-      (** One synchronous step: consume the inbox view, return the new
-          state and the outbox as [(neighbor, payload)] pairs. *)
-  halted : 'st -> bool;
-      (** A halted node no longer steps; it is an error for a halted node
-          to receive a message. *)
-  wake : 'st -> wake;
-      (** Scheduling hint derived from the post-step state; see {!wake}.
-          Use {!always} when unsure — it is always sound. *)
-}
-
-(** The allocation-free send path, and the only one: list-shaped
-    algorithms are replayed through it by {!exec}.  An emitter is a
+(** The allocation-free send path, and the only one.  An emitter is a
     reusable cursor owned by a shard of the round loop: {!start} checks
     the destination (non-neighbor, duplicate edge) and positions a shared
     {!Codec.writer} directly on the destination slot's arena region; the
     algorithm {!Codec.put}s the frame's words (the word budget is enforced
     per put — exceeding it raises [Congestion_violation]); {!commit}
     publishes the frame.  Exactly one frame may be open at a time, and
-    every started frame must be committed before [step] returns.
+    every started frame must be committed before [estep] returns.
 
     [frame1]..[frame4] emit fixed-shape frames without any closure;
     {!send} is the [emit ~dst (fun w -> ...)] flavor (the closure itself
@@ -192,45 +159,28 @@ end
 type 'st ealgorithm = {
   einit : Graph.t -> int -> 'st;
   estep : Graph.t -> round:int -> node:int -> 'st -> Inbox.t -> Emit.t -> 'st;
-      (** One synchronous step on the emit fast path: consume the inbox
-          view (prefer {!Inbox.read}), emit frames through the emitter,
-          return the new state. *)
+      (** One synchronous step: consume the inbox view (prefer
+          {!Inbox.read}), emit frames through the emitter, return the new
+          state. *)
   ehalted : 'st -> bool;
+      (** A halted node no longer steps; it is an error for a halted node
+          to receive a message. *)
   ewake : 'st -> wake;
+      (** Scheduling hint derived from the post-step state; see {!wake}.
+          Use {!always} when unsure — it is always sound. *)
 }
-(** The emit-native algorithm shape: identical semantics to {!algorithm}
-    — same checks, same violation messages, same scheduling — but sends
-    go through {!Emit} instead of a returned list, so a steady-state step
-    can run without allocating.  This is the shape the round loop runs.
-    Run with {!exec_emit}/{!run_emit}, or adapt to the legacy shape with
-    {!to_algorithm}. *)
-
-val to_algorithm : ?max_words:int -> 'st ealgorithm -> 'st algorithm
-(** Compat adapter: wrap an emit-native algorithm into the legacy
-    list-returning shape (for {!Runtime.run_reference}, the async layer,
-    or any harness consuming {!algorithm}).  Each step uses a private
-    scratch emitter, so the result is safe on any number of domains.
-    Pass the [max_words] the algorithm will be executed with to get
-    byte-identical width violations to the engine's emit path (the
-    scratch writer then enforces the budget at the same put); without it
-    frames are unbounded here and the engine's own width check applies.
-    The adapter allocates per frame — it is the compatibility path, not
-    the fast path. *)
+(** The node program: the one algorithm shape of the simulator, as in the
+    paper's CONGEST model (§1.2) — each round a node reads its inbox,
+    updates its state, and sends at most one O(log n)-bit frame per edge.
+    [einit g v] is node [v]'s initial state (a node knows [n], its own id,
+    its incident edges and their weights — nothing else).  Sends go
+    through {!Emit}, so a steady-state step can run without allocating.
+    Run with {!exec_emit}/{!run_emit}, {!Runtime.run_reference} or
+    {!Async.run_reliable}. *)
 
 val always : 'st -> wake
 (** [always _ = Always] — the default wake hint; reproduces the legacy
     every-round schedule exactly. *)
-
-val list_step :
-  (Graph.t -> round:int -> node:int -> 'st -> inbox -> 'st * (int * payload) list) ->
-  Graph.t ->
-  round:int ->
-  node:int ->
-  'st ->
-  Inbox.t ->
-  'st * (int * payload) list
-(** [list_step f] adapts a legacy list-based step function to the
-    {!Inbox.t} interface (materializes the view with {!Inbox.to_list}). *)
 
 type stats = {
   rounds : int;  (** rounds executed until quiescence *)
@@ -241,7 +191,7 @@ type stats = {
 exception Round_limit_exceeded of int
 
 exception Congestion_violation of string
-(** Raised when a [step] tries to send two messages over one edge in one
+(** Raised when an [estep] tries to send two messages over one edge in one
     round, sends to a non-neighbor, exceeds the word budget, or a halted
     node receives a message. *)
 
@@ -407,9 +357,9 @@ end
 type t
 (** An engine instance: the port map for one graph plus reusable mailbox,
     frontier and inbox-arena buffers.  Building one costs [O(n + m)];
-    [exec] reuses it across runs with no further setup.  Not re-entrant: a
-    [step] function must not call [exec] on the engine currently executing
-    it. *)
+    [exec_emit] reuses it across runs with no further setup.  Not
+    re-entrant: an [estep] function must not call [exec_emit] on the engine
+    currently executing it. *)
 
 val create : Graph.t -> t
 (** Build the port map.  Verifies the simple-graph invariants the
@@ -469,7 +419,7 @@ val find_port : t -> src:int -> dst:int -> int
        apart from failures.}}
 
     Events scheduled after quiescence never apply.  The compiled value is
-    mutable but [exec] resets it on entry, so one value can be reused
+    mutable but [exec_emit] resets it on entry, so one value can be reused
     across runs (engine and reference) deterministically. *)
 type engine := t
 
@@ -510,7 +460,7 @@ module Churn : sig
   (** Round of the last scheduled event, [-1] for an empty schedule. *)
 
   val reset : t -> unit
-  (** Rewind the mutable view to the pre-run state (also done by [exec]). *)
+  (** Rewind the mutable view to the pre-run state (also done by [exec_emit]). *)
 
   val crashed : t -> int -> bool
   (** Current view: whether the node has fail-stopped (or departed). *)
@@ -548,7 +498,7 @@ end
     count and the reference simulator corrupt — and drop — exactly the
     same frames regardless of iteration order.
 
-    Passing [?corrupt] to [exec]/[run] forces the {!Codec} guard word onto
+    Passing [?corrupt] to [exec_emit]/[run_emit] forces the {!Codec} guard word onto
     every frame (as if [~guard:true]): the delivery pass re-verifies each
     garbled frame's CRC and kills what the guard catches, so {e algorithm
     code never decodes a lying byte} — a corrupted frame is either dropped
@@ -618,14 +568,14 @@ module Corrupt : sig
 end
 
 val default_domains : int ref
-(** The domain count [exec] uses when [?domains] is not passed (initially
+(** The domain count [exec_emit] uses when [?domains] is not passed (initially
     [1]: one shard, stepped on the calling domain).  A process-wide hook,
     not a tuning knob: it lets a CLI flag thread parallelism through
     composite algorithms whose inner [Runtime.run] calls cannot be reached
     syntactically.  Because execution is bit-identical at every domain
     count, flipping it never changes any result. *)
 
-val exec :
+val exec_emit :
   ?max_rounds:int ->
   ?max_words:int ->
   ?sink:Sink.t ->
@@ -636,12 +586,12 @@ val exec :
   ?domains:int ->
   ?partition:int array ->
   t ->
-  'st algorithm ->
+  'st ealgorithm ->
   'st array * stats
-(** Execute a list-shaped algorithm to quiescence on a prebuilt engine:
-    its outbox is replayed through {!Emit} frame by frame, in list order,
-    so it runs on the same round loop as {!exec_emit} with the same
-    checks and violation messages.  [max_rounds] defaults to
+(** Execute a node program to quiescence on a prebuilt engine.  Every
+    frame is checked as it is emitted: a send to a non-neighbor, a second
+    frame over one edge in one round, or a put beyond the word budget
+    raises [Congestion_violation].  [max_rounds] defaults to
     [default_max_rounds n]; [max_words] defaults to
     [default_max_words n].  [degrade] (default [false]) ignores the
     algorithm's wake hints and runs the legacy dense schedule, as if every
@@ -670,52 +620,18 @@ val exec :
     degree-balanced assignment.
 
     The engine keeps its frame arenas, receive counts and the contiguous
-    shard layout across runs, so a repeated [exec] on one engine
+    shard layout across runs, so a repeated [exec_emit] on one engine
     allocates O(n) (the state array), not O(m); a run that aborts with an
     exception leaves the engine usable — the next run scrubs what it left
     in flight.
 
-    With [domains > 1] the algorithm's [step]/[halted]/[wake] functions
+    With [domains > 1] the algorithm's [estep]/[ehalted]/[ewake] functions
     are called concurrently from several domains ([init] stays serial;
     each node
     still steps on exactly one domain per round, and only its owner
     mutates its state entry), so they must not mutate state shared across
-    nodes — pure per-node closures, the norm in this library, qualify. *)
+    nodes — per-node state, the norm in this library, qualifies. *)
 
-val exec_emit :
-  ?max_rounds:int ->
-  ?max_words:int ->
-  ?sink:Sink.t ->
-  ?degrade:bool ->
-  ?churn:Churn.t ->
-  ?guard:bool ->
-  ?corrupt:Corrupt.spec ->
-  ?domains:int ->
-  ?partition:int array ->
-  t ->
-  'st ealgorithm ->
-  'st array * stats
-(** {!exec} for the emit-native shape: identical semantics and options,
-    allocation-free send path.  [exec_emit e ea] is bit-identical to
-    [exec e (to_algorithm ~max_words ea)] for topology-respecting
-    algorithms, at every domain count. *)
-
-val run :
-  ?max_rounds:int ->
-  ?max_words:int ->
-  ?sink:Sink.t ->
-  ?degrade:bool ->
-  ?churn:Churn.t ->
-  ?guard:bool ->
-  ?corrupt:Corrupt.spec ->
-  ?domains:int ->
-  ?partition:int array ->
-  Graph.t ->
-  'st algorithm ->
-  'st array * stats
-(** [run g algo] is [exec (create g) algo] — one-shot convenience.  (With
-    [?churn] prefer [create] + {!Churn.compile} + [exec]: the schedule must
-    be compiled against the same engine.) *)
 
 val run_emit :
   ?max_rounds:int ->
@@ -730,4 +646,24 @@ val run_emit :
   Graph.t ->
   'st ealgorithm ->
   'st array * stats
-(** [run_emit g ea] is [exec_emit (create g) ea]. *)
+(** [run_emit g ea] is [exec_emit (create g) ea] — one-shot convenience.
+    (With [?churn] prefer [create] + {!Churn.compile} + [exec_emit]: the
+    schedule must be compiled against the same engine.) *)
+
+val recorder :
+  max_words:int ->
+  Graph.t ->
+  'st ealgorithm ->
+  round:int ->
+  node:int ->
+  'st ->
+  Inbox.t ->
+  'st * (int * payload) list
+(** [recorder g ea] builds, once per run, the emitter of the executors
+    that keep their own mailboxes ({!Runtime.run_reference},
+    {!Async.run_reliable}) and returns a stepping function: it runs
+    [ea.estep] and returns the new state with the frames the step emitted,
+    as [(dst, payload)] pairs in emission order.  Frames cross the
+    {!Codec} on the way, and the [max_words] budget is enforced at the
+    same put as on the engine, with the same [Congestion_violation] text.
+    Not for algorithms: the engine's own emitter is the fast path. *)

@@ -32,7 +32,7 @@
     Scheduling note: under fault injection, frame deliveries and the
     retransmit timers they arm are events in {!Async}'s discrete-event
     queue — the wake sources of the asynchronous executor.  The engine's
-    round-level {!Engine.algorithm.wake} hints play no role here (the
+    round-level {!Engine.ealgorithm.ewake} hints play no role here (the
     synchronizer steps every node every pulse; see {!Async}). *)
 
 type link = {
@@ -61,8 +61,8 @@ type churn_event = Engine.Churn.event =
 (** Permanent topology churn on the synchronous round clock — re-exported
     from {!Engine.Churn} so fault specs can carry both the float-time
     transient model (for {!Async}) and the round-time permanent one (for
-    {!Engine.exec} / {!Runtime.run_reference}).  [Edge_add]/[Arrive] bring
-    reserved capacity online; [Depart] is a graceful leave (see
+    {!Engine.exec_emit} / {!Runtime.run_reference}).  [Edge_add]/[Arrive]
+    bring reserved capacity online; [Depart] is a graceful leave (see
     {!Engine.Churn} for the exact semantics). *)
 
 type spec = {
@@ -81,7 +81,7 @@ type spec = {
           packed frame bytes.  Consumed two ways: {!Async.run_reliable}
           draws per-copy {!garble} verdicts from a dedicated stream seeded
           by the spec's [cseed], and the synchronous executors take the
-          same spec directly via [Engine.exec ?corrupt] /
+          same spec directly via [Engine.exec_emit ?corrupt] /
           [Runtime.run_reference ?corrupt].  [None] leaves every existing
           decision stream untouched. *)
 }
@@ -178,7 +178,7 @@ val note_corrupt : t -> unit
 
 val churn : Engine.t -> spec -> Engine.Churn.t
 (** Compile the spec's [churn] schedule against the engine's port map
-    ([Engine.Churn.compile]); pass the result to [Engine.exec ?churn] or
+    ([Engine.Churn.compile]); pass the result to [Engine.exec_emit ?churn] or
     [Runtime.run_reference ?churn].  Raises [Invalid_argument] on events
     naming non-nodes or non-edges. *)
 

@@ -94,7 +94,7 @@ let validate g cfg =
 
 let default_dmax (p : plan) = (2 * Array.fold_left max 0 p.depth) + 2
 
-let ealgorithm g cfg : state Engine.ealgorithm =
+let algorithm g cfg : state Engine.ealgorithm =
   let n = Graph.n g in
   let { plan; beta; lease; dmax; horizon } = cfg in
   let children_of = Array.make (max 1 n) [] in
@@ -435,9 +435,6 @@ let ealgorithm g cfg : state Engine.ealgorithm =
   in
   { Engine.einit; estep; ehalted; ewake }
 
-let algorithm g cfg : state Engine.algorithm =
-  Engine.to_algorithm ~max_words (ealgorithm g cfg)
-
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
@@ -497,7 +494,7 @@ let run ?trace ?sink ?degrade ?churn ?guard ?corrupt ?max_rounds e cfg =
   let states, stats =
     Trace.span_opt trace "repair" (fun () ->
         Engine.exec_emit ~max_rounds ~max_words ~sink ?degrade ?churn ?guard
-          ?corrupt e (ealgorithm g cfg))
+          ?corrupt e (algorithm g cfg))
   in
   let rep = decode states in
   (match trace with

@@ -115,17 +115,13 @@ val validate_plan : Graph.t -> plan -> unit
     depth = 0]) are accepted: such nodes start orphaned and join via
     ATTACH/WELCOME. *)
 
-val ealgorithm : Graph.t -> config -> state Engine.ealgorithm
-(** The node program in the emit-native shape — heartbeats and repair
-    frames are written straight into the packed send arena, so the
-    steady-state heartbeat traffic allocates nothing.  This is the kernel
-    {!run} executes.  Validate the config with {!validate_plan} (or use
+val algorithm : Graph.t -> config -> state Engine.ealgorithm
+(** The node program: heartbeats and repair frames are written straight
+    into the packed send arena, so the steady-state heartbeat traffic
+    allocates nothing.  This is the kernel {!run} executes; it is exposed
+    for differential testing ({!Runtime.run_reference}) and custom
+    executions.  Validate the config with {!validate_plan} (or use
     {!run}) first. *)
-
-val algorithm : Graph.t -> config -> state Engine.algorithm
-(** The legacy list shape, derived from {!ealgorithm} via
-    {!Engine.to_algorithm} — exposed for differential testing
-    ({!Runtime.run_reference}) and custom executions. *)
 
 type report = {
   dominator_of : int array;

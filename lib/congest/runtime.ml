@@ -1,16 +1,7 @@
 open Kdom_graph
 
 type payload = Engine.payload
-type inbox = Engine.inbox
 type wake = Engine.wake = Always | Next | At of int | OnMessage
-
-type 'st algorithm = 'st Engine.algorithm = {
-  init : Graph.t -> int -> 'st;
-  step :
-    Graph.t -> round:int -> node:int -> 'st -> Engine.Inbox.t -> 'st * (int * payload) list;
-  halted : 'st -> bool;
-  wake : 'st -> wake;
-}
 
 type 'st ealgorithm = 'st Engine.ealgorithm = {
   einit : Graph.t -> int -> 'st;
@@ -27,17 +18,18 @@ exception Congestion_violation = Engine.Congestion_violation
 
 let run ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains ?partition
     g algo =
-  Engine.run ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains
-    ?partition g algo
+  Engine.run_emit ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt
+    ?domains ?partition g algo
 
 (* ------------------------------------------------------------------ *)
-(* The original list-based simulator, kept verbatim as the executable
-   specification of the engine's semantics.  Every constraint check and its
-   message, the round/timing convention and the stats must match
-   [Engine.exec] exactly; [test_engine_diff.ml] enforces this
-   differentially on all six message-level algorithms.  It ignores wake
-   hints — it IS the dense schedule the sparse scheduler must be
-   indistinguishable from. *)
+(* The original list-based simulator, kept as the executable specification
+   of the engine's semantics.  Every constraint check and its message, the
+   round/timing convention and the stats must match [Engine.exec_emit]
+   exactly; [test_engine_diff.ml] enforces this differentially on all
+   eight message-level algorithms.  It ignores wake hints — it IS the
+   dense schedule the sparse scheduler must be indistinguishable from.
+   Nodes step through one {!Engine.recorder}, which turns each step's
+   frames into the [(dst, payload)] list this simulator delivers. *)
 
 let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
     ?(guard = false) ?corrupt g algo =
@@ -75,7 +67,8 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
     | None -> Bytes.empty
   in
   let instrumented = sink != Engine.Sink.null in
-  let states = Array.init n (fun v -> algo.init g v) in
+  let step = Engine.recorder ~max_words g algo in
+  let states = Array.init n (fun v -> algo.einit g v) in
   (* in_flight.(v) = messages to deliver to v next round, accumulated in
      reverse sender order. *)
   let in_flight : (int * payload) list array = Array.make n [] in
@@ -96,7 +89,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
     &&
     let ok = ref true in
     for v = 0 to n - 1 do
-      if not (algo.halted states.(v) || node_crashed v || node_dormant v) then
+      if not (algo.ehalted states.(v) || node_crashed v || node_dormant v) then
         ok := false
     done;
     !ok
@@ -254,7 +247,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
       let inbox = delivered.(v) in
       if inbox <> [] then incr receivers;
       if node_crashed v || node_dormant v then ()
-      else if algo.halted states.(v) then begin
+      else if algo.ehalted states.(v) then begin
         if inbox <> [] then
           raise
             (Congestion_violation
@@ -263,7 +256,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
       else begin
         incr stepped;
         let st, outbox =
-          algo.step g ~round:!round ~node:v states.(v) (Engine.Inbox.of_list inbox)
+          step ~round:!round ~node:v states.(v) (Engine.Inbox.of_list inbox)
         in
         states.(v) <- st;
         let used = Hashtbl.create (List.length outbox) in
@@ -281,27 +274,16 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
                 || Engine.Churn.dormant c u
               | None -> false
             in
-            if churn_dead then begin
-              (* matches the engine: width still checked, duplicate-slot
-                 not (the frame never occupies a slot) *)
-              if Array.length p > max_words then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                        !round v (Array.length p) max_words));
+            if churn_dead then
+              (* matches the engine: the width was checked at each put,
+                 duplicate-slot is not (the frame never occupies a slot) *)
               incr churn_dropped
-            end
             else begin
               if Hashtbl.mem used u then
                 raise
                   (Congestion_violation
                      (Printf.sprintf "round %d: node %d sent twice over edge to %d" !round v u));
               Hashtbl.add used u ();
-              if Array.length p > max_words then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                        !round v (Array.length p) max_words));
               if instrumented then
                 sink.on_message ~round:!round ~src:v ~dst:u ~words:(Array.length p);
               in_flight.(u) <- (v, p) :: in_flight.(u);

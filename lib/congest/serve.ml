@@ -132,7 +132,7 @@ let record t req ~round ~hops ~answer =
     Hashtbl.remove t.pending req
   end
 
-let ealgorithm g cfg : state Engine.ealgorithm =
+let algorithm g cfg : state Engine.ealgorithm =
   let n = Graph.n g in
   let { plan; requests; horizon; retry_after; retries } = cfg in
   let parent = plan.parent and dom = plan.dominator in
@@ -343,9 +343,6 @@ let ealgorithm g cfg : state Engine.ealgorithm =
   in
   { Engine.einit; estep; ehalted; ewake }
 
-let algorithm g cfg : state Engine.algorithm =
-  Engine.to_algorithm ~max_words (ealgorithm g cfg)
-
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
@@ -465,7 +462,7 @@ let run ?trace ?sink ?degrade ?churn ?guard ?corrupt ?max_rounds e cfg =
   let states, stats =
     Trace.span_opt trace "serve" (fun () ->
         Engine.exec_emit ~max_rounds ~max_words ~sink ?degrade ?churn ?guard
-          ?corrupt e (ealgorithm g cfg))
+          ?corrupt e (algorithm g cfg))
   in
   (match trace with
   | None -> ()

@@ -79,14 +79,11 @@ val validate : Graph.t -> config -> unit
 type state
 (** Per-node protocol state (abstract; decode with {!decode}). *)
 
-val ealgorithm : Graph.t -> config -> state Engine.ealgorithm
-(** The node program in the emit-native shape — queued 4-word frames are
-    drained straight into the packed send arena.  This is the kernel
-    {!run} executes.  Validate with {!validate} (or use {!run}) first. *)
-
-val algorithm : Graph.t -> config -> state Engine.algorithm
-(** The legacy list shape, derived from {!ealgorithm} via
-    {!Engine.to_algorithm} — exposed for custom executions. *)
+val algorithm : Graph.t -> config -> state Engine.ealgorithm
+(** The node program: queued 4-word frames are drained straight into the
+    packed send arena.  This is the kernel {!run} executes; it is exposed
+    for custom executions.  Validate with {!validate} (or use {!run})
+    first. *)
 
 type outcome =
   | Answered of { round : int; hops : int; answer : int }

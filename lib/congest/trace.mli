@@ -113,7 +113,7 @@ val budget : t -> int option
 
 val set_shards : t -> int -> unit
 (** Declare the domain count the traced execution ran under
-    ({!Engine.exec}'s [?domains]); defaults to 1.  Recorded in the
+    ({!Engine.exec_emit}'s [?domains]); defaults to 1.  Recorded in the
     [meta] line so a trace states how it was produced — execution is
     bit-identical at every domain count, so the rest of the trace does
     not depend on it.  Raises [Invalid_argument]

@@ -33,7 +33,7 @@ type state = {
 
 let algorithm g ~root =
   if not (Graph.is_connected g) then invalid_arg "Bfs_tree.run: graph must be connected";
-  let init _g v =
+  let einit _g v =
     {
       is_root = v = root;
       neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
@@ -50,44 +50,55 @@ let algorithm g ~root =
     }
   in
   let remove x xs = List.filter (fun y -> y <> x) xs in
-  let step _g ~round ~node:_ st inbox =
-    let out = ref [] in
-    let send u payload = out := (u, payload) :: !out in
+  (* A group of frames goes out in descending list order, and the explores
+     before the accept to the parent: the asynchronous executor draws each
+     frame's delay and fault verdict in emission order, so the order is
+     part of what a faulty run (and its golden trace) reproduces. *)
+  let rec iter_rev f = function
+    | [] -> ()
+    | x :: rest ->
+      iter_rev f rest;
+      f x
+  in
+  let estep _g ~round ~node:_ st inbox em =
     (* 1. Consume the inbox. *)
     let explore_senders = ref [] in
-    let st =
-      Engine.Inbox.fold
-        (fun st u payload ->
-          match payload.(0) with
-          | t when t = tag_explore ->
-            if st.depth = -1 then begin
-              explore_senders := (u, payload.(1)) :: !explore_senders;
-              st
-            end
-            else
-              (* u explored on its own: it is not our child *)
-              { st with unclassified = remove u st.unclassified }
-          | t when t = tag_accept ->
-            {
-              st with
-              unclassified = remove u st.unclassified;
-              children = u :: st.children;
-              echoes_missing = u :: st.echoes_missing;
-            }
-          | t when t = tag_echo ->
-            {
-              st with
-              echoes_missing = remove u st.echoes_missing;
-              subtree_max = max st.subtree_max payload.(1);
-            }
-          | t when t = tag_m -> { st with m = payload.(1) }
-          | t -> invalid_arg (Printf.sprintf "Bfs_tree: unknown tag %d" t))
-        st inbox
-    in
+    let st = ref st in
+    for i = 0 to Engine.Inbox.length inbox - 1 do
+      let u = Engine.Inbox.sender inbox i in
+      let rd = Engine.Inbox.read inbox i in
+      let s = !st in
+      st :=
+        match Codec.get rd with
+        | t when t = tag_explore ->
+          if s.depth = -1 then begin
+            explore_senders := (u, Codec.get rd) :: !explore_senders;
+            s
+          end
+          else
+            (* u explored on its own: it is not our child *)
+            { s with unclassified = remove u s.unclassified }
+        | t when t = tag_accept ->
+          {
+            s with
+            unclassified = remove u s.unclassified;
+            children = u :: s.children;
+            echoes_missing = u :: s.echoes_missing;
+          }
+        | t when t = tag_echo ->
+          {
+            s with
+            echoes_missing = remove u s.echoes_missing;
+            subtree_max = max s.subtree_max (Codec.get rd);
+          }
+        | t when t = tag_m -> { s with m = Codec.get rd }
+        | t -> invalid_arg (Printf.sprintf "Bfs_tree: unknown tag %d" t)
+    done;
+    let st = !st in
     (* 2. Adoption. *)
     let st =
       if st.is_root && round = 0 then begin
-        List.iter (fun u -> send u [| tag_explore; 0 |]) st.neighbors;
+        iter_rev (fun u -> Engine.Emit.frame2 em ~dst:u tag_explore 0) st.neighbors;
         {
           st with
           depth = 0;
@@ -106,16 +117,18 @@ let algorithm g ~root =
               (List.hd senders) (List.tl senders)
           in
           let depth = pdepth + 1 in
-          send parent [| tag_accept |];
           let others = remove parent st.neighbors in
-          List.iter (fun u -> send u [| tag_explore; depth |]) others;
+          iter_rev (fun u -> Engine.Emit.frame2 em ~dst:u tag_explore depth) others;
+          Engine.Emit.frame1 em ~dst:parent tag_accept;
           (* senders other than the chosen parent are adopted elsewhere *)
           let unclassified =
             List.filter (fun u -> not (List.mem_assoc u senders)) others
           in
           { st with depth; parent; adopted_round = round; unclassified; subtree_max = depth }
     in
-    (* 3. Echo once the children are known and have all reported. *)
+    (* 3. Echo once the children are known and have all reported.  A step
+       sends from at most one of steps 2-4: adoption precedes the echo by
+       two rounds, and M only arrives after this node's echo. *)
     let children_known =
       st.depth >= 0 && st.unclassified = [] && round >= st.adopted_round + 2
     in
@@ -123,35 +136,32 @@ let algorithm g ~root =
       if children_known && st.echoes_missing = [] && not st.echo_sent then
         if st.is_root then begin
           let m = st.subtree_max in
-          List.iter (fun c -> send c [| tag_m; m |]) st.children;
+          iter_rev (fun c -> Engine.Emit.frame2 em ~dst:c tag_m m) st.children;
           { st with echo_sent = true; m; halted = true }
         end
         else begin
-          send st.parent [| tag_echo; st.subtree_max |];
+          Engine.Emit.frame2 em ~dst:st.parent tag_echo st.subtree_max;
           { st with echo_sent = true }
         end
       else st
     in
     (* 4. Forward M downwards and halt. *)
-    let st =
-      if st.m >= 0 && not st.halted then begin
-        List.iter (fun c -> send c [| tag_m; st.m |]) st.children;
-        { st with halted = true }
-      end
-      else st
-    in
-    (st, !out)
+    if st.m >= 0 && not st.halted then begin
+      iter_rev (fun c -> Engine.Emit.frame2 em ~dst:c tag_m st.m) st.children;
+      { st with halted = true }
+    end
+    else st
   in
-  let halted st = st.halted in
+  let ehalted st = st.halted in
   (* Wake hints: everything after adoption is message-driven, except the
      children-known echo check, which first becomes true at
      [adopted_round + 2] and can fire on an empty inbox (leaf with no
      unclassified neighbors). *)
-  let wake st =
+  let ewake st =
     if st.depth >= 0 && not st.echo_sent then Engine.At (st.adopted_round + 2)
     else Engine.OnMessage
   in
-  ({ init; step; halted; wake } : state Runtime.algorithm)
+  ({ einit; estep; ehalted; ewake } : state Engine.ealgorithm)
 
 let info_of_states _g root states =
   let info =
@@ -176,7 +186,7 @@ let run ?trace ?sink g ~root =
   Option.iter (fun t -> Trace.set_budget t max_words) trace;
   let sink = Trace.wrap ?trace ?sink () in
   Trace.span_opt trace "bfs_tree" (fun () ->
-      let states, stats = Engine.run ~max_words ~sink g (algorithm g ~root) in
+      let states, stats = Engine.run_emit ~max_words ~sink g (algorithm g ~root) in
       (info_of_states g ~root states, stats))
 
 let round_bound ~diam = (4 * diam) + 5

@@ -28,9 +28,10 @@ type info = {
 type state
 (** Per-node state of the protocol, for use with {!algorithm}. *)
 
-val algorithm : Graph.t -> root:int -> state Runtime.algorithm
+val algorithm : Graph.t -> root:int -> state Engine.ealgorithm
 (** The node program itself, exposed so it can also be executed by the
-    asynchronous α-synchronizer runtime ({!Kdom_congest.Async}). *)
+    asynchronous α-synchronizer runtime ({!Kdom_congest.Async}).  Frames
+    are read in place and sent with the fixed-arity [Emit] helpers. *)
 
 val info_of_states : Graph.t -> root:int -> state array -> info
 (** Decode the final states of an {!algorithm} execution. *)

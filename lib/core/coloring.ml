@@ -151,66 +151,62 @@ let congest_algorithm g ~root =
   let t = Tree.root_at g root in
   let iterations = cv_iterations (Graph.n g) in
   let last_round = iterations + 6 in
-  let algo : congest_state Engine.algorithm =
-    {
-      init =
-        (fun _g v ->
-          {
-            parent = t.parent.(v);
-            children = Array.to_list t.children.(v);
-            color = v;
-            parent_color = -1;
-            pre_shift = -1;
-            done_ = false;
-          });
-      halted = (fun st -> st.done_);
-      (* Genuinely dense: every node recolors every round of the fixed
-         [last_round]-length schedule, so the legacy schedule is the right
-         one. *)
-      wake = Engine.always;
-      step =
-        (fun _g ~round ~node:_ st inbox ->
-          let parent_color =
-            match Engine.Inbox.length inbox with
-            | 1 -> (Engine.Inbox.payload inbox 0).(0)
-            | 0 -> st.parent_color
-            | _ -> invalid_arg "three_color_congest: more than one parent message"
-          in
-          let st = { st with parent_color } in
-          let st =
-            if round = 0 then st
-            else if round <= iterations then begin
-              (* Cole–Vishkin iteration [round]. *)
-              let pc = if st.parent = -1 then None else Some parent_color in
-              { st with color = cv_step ~parent_color:pc ~color:st.color }
+  {
+    Engine.einit =
+      (fun _g v ->
+        {
+          parent = t.parent.(v);
+          children = Array.to_list t.children.(v);
+          color = v;
+          parent_color = -1;
+          pre_shift = -1;
+          done_ = false;
+        });
+    ehalted = (fun st -> st.done_);
+    (* Genuinely dense: every node recolors every round of the fixed
+       [last_round]-length schedule, so the legacy schedule is the right
+       one. *)
+    ewake = Engine.always;
+    estep =
+      (fun _g ~round ~node:_ st inbox em ->
+        let parent_color =
+          match Engine.Inbox.length inbox with
+          | 1 -> Codec.get (Engine.Inbox.read inbox 0)
+          | 0 -> st.parent_color
+          | _ -> invalid_arg "three_color_congest: more than one parent message"
+        in
+        let st = { st with parent_color } in
+        let st =
+          if round = 0 then st
+          else if round <= iterations then begin
+            (* Cole–Vishkin iteration [round]. *)
+            let pc = if st.parent = -1 then None else Some parent_color in
+            { st with color = cv_step ~parent_color:pc ~color:st.color }
+          end
+          else begin
+            let j = (round - iterations - 1) / 2 in
+            let c = 5 - j in
+            if (round - iterations - 1) mod 2 = 0 then
+              (* shift-down using the cached parent color *)
+              if st.parent = -1 then
+                { st with pre_shift = st.color; color = smallest_free [ st.color ] }
+              else { st with pre_shift = st.color; color = parent_color }
+            else if st.color = c then begin
+              let constraints =
+                (if st.parent = -1 then [] else [ parent_color ])
+                @ if st.children = [] then [] else [ st.pre_shift ]
+              in
+              { st with color = smallest_free constraints }
             end
-            else begin
-              let j = (round - iterations - 1) / 2 in
-              let c = 5 - j in
-              if (round - iterations - 1) mod 2 = 0 then
-                (* shift-down using the cached parent color *)
-                if st.parent = -1 then
-                  { st with pre_shift = st.color; color = smallest_free [ st.color ] }
-                else { st with pre_shift = st.color; color = parent_color }
-              else if st.color = c then begin
-                let constraints =
-                  (if st.parent = -1 then [] else [ parent_color ])
-                  @ if st.children = [] then [] else [ st.pre_shift ]
-                in
-                { st with color = smallest_free constraints }
-              end
-              else st
-            end
-          in
-          let outbox =
-            if round >= last_round then []
-            else List.map (fun child -> (child, [| st.color |])) st.children
-          in
-          let st = if round >= last_round then { st with done_ = true } else st in
-          (st, outbox))
-    }
-  in
-  algo
+            else st
+          end
+        in
+        if round >= last_round then { st with done_ = true }
+        else begin
+          List.iter (fun child -> Engine.Emit.frame1 em ~dst:child st.color) st.children;
+          st
+        end);
+  }
 
 (* Word budget: every message is a bare [| color |] — 1 word. *)
 let congest_max_words = 1
@@ -222,6 +218,6 @@ let three_color_congest ?trace ?sink g ~root =
   let sink = Trace.wrap ?trace ?sink () in
   Trace.span_opt trace "coloring.three_color" (fun () ->
       let states, stats =
-        Engine.run ~max_words:congest_max_words ~sink g (congest_algorithm g ~root)
+        Engine.run_emit ~max_words:congest_max_words ~sink g (congest_algorithm g ~root)
       in
       (colors_of_states states, stats))

@@ -47,7 +47,7 @@ type congest_state
 (** Per-node state of the message-level protocol, for use with
     {!congest_algorithm}. *)
 
-val congest_algorithm : Graph.t -> root:int -> congest_state Engine.algorithm
+val congest_algorithm : Graph.t -> root:int -> congest_state Engine.ealgorithm
 (** The message-level Cole–Vishkin + shift-down node program, exposed for
     differential testing and asynchronous execution. *)
 

@@ -33,7 +33,7 @@ type census_state = {
    Emit-native: frames are read in place through the packed-inbox decoder
    and written with the fixed-arity [Emit.frame*] helpers, so a census
    step allocates only its own (immutable) state record. *)
-let census_ealgorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
+let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
     =
   let m = info.height in
   let einit _g v =
@@ -125,13 +125,8 @@ let census_ealgorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
    words. *)
 let census_max_words = 3
 
-(* Legacy list shape, derived — keeps the differential suites and every
-   external caller on one source of truth. *)
-let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.algorithm =
-  Engine.to_algorithm ~max_words:census_max_words (census_ealgorithm info ~k)
-
 let census_run ?sink g (info : Bfs_tree.info) ~k =
-  Engine.run_emit ~max_words:census_max_words ?sink g (census_ealgorithm info ~k)
+  Engine.run_emit ~max_words:census_max_words ?sink g (census_algorithm info ~k)
 
 let dominating_of_states states = Array.map (fun st -> st.member) states
 let decided_level states ~root = states.(root).decided

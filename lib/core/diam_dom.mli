@@ -30,16 +30,12 @@ type result = {
 type census_state
 (** Per-node state of the census stage, for use with {!census_algorithm}. *)
 
-val census_ealgorithm :
+val census_algorithm :
   Bfs_tree.info -> k:int -> census_state Engine.ealgorithm
-(** The census/decision node program on a prebuilt BFS tree, in the
-    emit-native shape: frames are decoded in place and written straight
-    into the packed send arena, so the census runs allocation-free in
-    steady state.  This is the kernel {!run} executes. *)
-
-val census_algorithm : Bfs_tree.info -> k:int -> census_state Engine.algorithm
-(** The legacy list shape, derived from {!census_ealgorithm} via
-    {!Engine.to_algorithm} — exposed for differential testing and
+(** The census/decision node program on a prebuilt BFS tree: frames are
+    decoded in place and written straight into the packed send arena, so
+    the census runs allocation-free in steady state.  This is the kernel
+    {!run} executes; it is exposed for differential testing and
     asynchronous execution. *)
 
 val census_max_words : int

@@ -90,7 +90,7 @@ let broadcast_leader st em leader =
       Engine.Emit.frame2 em ~dst:st.nbrs.(i) tag_leader leader
   done
 
-let ealgorithm g : state Engine.ealgorithm =
+let algorithm g : state Engine.ealgorithm =
   let b = key_bits (Graph.n g) in
   let einit _g v =
     let nbrs = Array.map fst (Graph.neighbors g v) in
@@ -218,11 +218,6 @@ let ealgorithm g : state Engine.ealgorithm =
    words. *)
 let max_words = 3
 
-(* Legacy list shape, derived — the differential suites, the async layer
-   and every external caller share the one Emit step. *)
-let algorithm g : state Engine.algorithm =
-  Engine.to_algorithm ~max_words (ealgorithm g)
-
 let result_of_states states stats =
   let n = Array.length states in
   if n = 0 then invalid_arg "Leader.result_of_states: no states";
@@ -246,7 +241,7 @@ let elect ?trace ?sink g =
   Option.iter (fun t -> Trace.set_budget t max_words) trace;
   let sink = Trace.wrap ?trace ?sink () in
   Trace.span_opt trace "leader.elect" (fun () ->
-      let states, stats = Engine.run_emit ~max_words ~sink g (ealgorithm g) in
+      let states, stats = Engine.run_emit ~max_words ~sink g (algorithm g) in
       result_of_states states stats)
 
 let round_bound ~diam = (5 * diam) + 10

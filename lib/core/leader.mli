@@ -32,20 +32,15 @@ type result = {
 type state
 (** Per-node state of the protocol.  Mutable: a step updates it in place
     (a sorted neighbour array, one flag byte per neighbour and integer
-    counters), so every execution must start from fresh [einit]/[init]
-    states — which every executor does. *)
+    counters), so every execution must start from fresh [einit] states
+    — which every executor does. *)
 
-val ealgorithm : Graph.t -> state Engine.ealgorithm
-(** The wave/echo node program on the allocation-free {!Engine.Emit}
-    path: frames are read in place ({!Engine.Inbox.read}) and sent with
-    the fixed-arity [Emit.frame2]/[frame3] helpers, so a steady-state step
-    allocates nothing.  Wave upgrades use {!Repair.wave_prefers}.  Run it
-    with {!Engine.run_emit} at {!max_words}. *)
-
-val algorithm : Graph.t -> state Engine.algorithm
-(** The list shape, derived from {!ealgorithm} through
-    {!Engine.to_algorithm} — for the reference runtime, the async layer
-    and differential testing. *)
+val algorithm : Graph.t -> state Engine.ealgorithm
+(** The wave/echo node program: frames are read in place
+    ({!Engine.Inbox.read}) and sent with the fixed-arity
+    [Emit.frame2]/[frame3] helpers, so a steady-state step allocates
+    nothing.  Wave upgrades use {!Repair.wave_prefers}.  Run it with
+    {!Engine.run_emit} at {!max_words}. *)
 
 val key : n:int -> int -> int
 (** [key ~n v] is the wave key of node [v] in an [n]-node graph:

@@ -101,7 +101,7 @@ let max_words = 6
 
 let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
   let stalls = ref 0 in
-  let init _g v =
+  let einit _g v =
     let children = Array.of_list bfs.children.(v) in
     Array.sort compare children;
     {
@@ -118,43 +118,49 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
       done_ = false;
     }
   in
-  let step _g ~round ~node st inbox =
-    let out = ref [] in
-    if round = 0 then
-      Array.iter
-        (fun (u, _) -> out := (u, [| tag_frag; st.frag |]) :: !out)
-        (Graph.neighbors g node)
+  let estep _g ~round ~node st inbox em =
+    if round = 0 then begin
+      (* descending neighbor order: the asynchronous executor draws each
+         frame's delay and fault verdict in emission order *)
+      let nbrs = Graph.neighbors g node in
+      for i = Array.length nbrs - 1 downto 0 do
+        Engine.Emit.frame2 em ~dst:(fst nbrs.(i)) tag_frag st.frag
+      done
+    end
     else if round = 1 then
       (* learn neighbor fragments; incident inter-fragment edges seed Q *)
-      Engine.Inbox.iter
-        (fun u payload ->
-          match payload.(0) with
-          | t when t = tag_frag ->
-            let nfrag = payload.(1) in
-            if nfrag <> st.frag then begin
-              match Graph.find_edge g node u with
-              | Some e ->
-                Hashtbl.replace st.q e.id { fu = st.frag; fv = nfrag; w = e.w; sent = false }
-              | None -> assert false
-            end
-          | _ -> invalid_arg "Pipeline: unexpected tag at round 1")
-        inbox
+      for i = 0 to Engine.Inbox.length inbox - 1 do
+        let u = Engine.Inbox.sender inbox i in
+        let rd = Engine.Inbox.read inbox i in
+        if Codec.get rd <> tag_frag then invalid_arg "Pipeline: unexpected tag at round 1";
+        let nfrag = Codec.get rd in
+        if nfrag <> st.frag then begin
+          match Graph.find_edge g node u with
+          | Some e ->
+            Hashtbl.replace st.q e.id { fu = st.frag; fv = nfrag; w = e.w; sent = false }
+          | None -> assert false
+        end
+      done
     else begin
       (* consume child messages *)
-      Engine.Inbox.iter
-        (fun u payload ->
-          match payload.(0) with
-          | t when t = tag_edge ->
-            flag_child st u f_heard;
-            let id = payload.(1) in
-            if not (Hashtbl.mem st.q id) then
-              Hashtbl.replace st.q id
-                { fu = payload.(2); fv = payload.(3); w = payload.(4); sent = false }
-          | t when t = tag_term ->
-            flag_child st u f_heard;
-            flag_child st u f_finished
-          | _ -> invalid_arg "Pipeline: unexpected tag")
-        inbox;
+      for i = 0 to Engine.Inbox.length inbox - 1 do
+        let u = Engine.Inbox.sender inbox i in
+        let rd = Engine.Inbox.read inbox i in
+        match Codec.get rd with
+        | t when t = tag_edge ->
+          flag_child st u f_heard;
+          let id = Codec.get rd in
+          if not (Hashtbl.mem st.q id) then begin
+            let fu = Codec.get rd in
+            let fv = Codec.get rd in
+            let w = Codec.get rd in
+            Hashtbl.replace st.q id { fu; fv; w; sent = false }
+          end
+        | t when t = tag_term ->
+          flag_child st u f_heard;
+          flag_child st u f_finished
+        | _ -> invalid_arg "Pipeline: unexpected tag"
+      done;
       let nchildren = Array.length st.children in
       if not st.started then st.started <- st.heard = nchildren;
       let all_children_done = st.finished = nchildren in
@@ -181,11 +187,17 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
           if st.started_round = -1 then st.started_round <- round;
           e.sent <- true;
           if eliminate_cycles then ignore (Lazy_uf.union st.uf e.fu e.fv);
-          out := [ (st.parent, [| tag_edge; id; e.fu; e.fv; e.w |]) ]
+          let w = Engine.Emit.start em ~dst:st.parent in
+          Codec.put w tag_edge;
+          Codec.put w id;
+          Codec.put w e.fu;
+          Codec.put w e.fv;
+          Codec.put w e.w;
+          Engine.Emit.commit em
         end
         else if all_children_done then begin
           if st.started_round = -1 then st.started_round <- round;
-          out := [ (st.parent, [| tag_term |]) ];
+          Engine.Emit.frame1 em ~dst:st.parent tag_term;
           st.done_ <- true
         end
         else
@@ -194,19 +206,19 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
           incr stalls
       end
     end;
-    (st, !out)
+    st
   in
-  let halted st = st.done_ in
+  let ehalted st = st.done_ in
   (* A node that has started upcasting drains one queued candidate per
      round with no further input, and a leaf starts vacuously — both need
      stepping every round until done.  Everything else (fragment exchange,
      hearing children, termination) arrives as a message. *)
-  let wake st =
+  let ewake st =
     if st.done_ then Engine.OnMessage
     else if st.started || Array.length st.children = 0 then Engine.Next
     else Engine.OnMessage
   in
-  (({ Engine.init; step; halted; wake } : node_state Engine.algorithm), stalls)
+  (({ Engine.einit; estep; ehalted; ewake } : node_state Engine.ealgorithm), stalls)
 
 let selected_of_states g ~fragment_of ~root states =
   let nf = 1 + Array.fold_left max 0 fragment_of in
@@ -224,7 +236,7 @@ let run ?(eliminate_cycles = true) ?trace ?sink g ~(bfs : Bfs_tree.info) ~fragme
   Option.iter (fun t -> Trace.set_budget t max_words) trace;
   let sink = Trace.wrap ?trace ?sink () in
   let states, upcast_stats =
-    Trace.span_opt trace "pipeline.upcast" (fun () -> Engine.run ~max_words ~sink g algo)
+    Trace.span_opt trace "pipeline.upcast" (fun () -> Engine.run_emit ~max_words ~sink g algo)
   in
   let root_state = states.(bfs.root) in
   let selected = selected_of_states g ~fragment_of ~root:bfs.root states in

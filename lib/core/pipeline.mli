@@ -47,7 +47,7 @@ val algorithm :
   Graph.t ->
   bfs:Bfs_tree.info ->
   fragment_of:int array ->
-  node_state Engine.algorithm * int ref
+  node_state Engine.ealgorithm * int ref
 (** The upcast node program plus its stall counter (incremented whenever a
     started node with an active child has no candidate — Lemma 5.3 says
     never), exposed for differential testing. *)

@@ -100,9 +100,20 @@ let fresh_phase st =
     connect_to = -1;
   }
 
-let algorithm g ~k : state Engine.algorithm =
+(* Frames to a group of nodes go out in descending list order: the
+   asynchronous executor draws each frame's delay and fault verdict in
+   emission order, so the order is part of what a faulty run reproduces.
+   The §4.3 schedule gives every send its own slot, so a step sends from
+   at most one site. *)
+let rec iter_rev f = function
+  | [] -> ()
+  | x :: rest ->
+    iter_rev f rest;
+    f x
+
+let algorithm g ~k : state Engine.ealgorithm =
   let total = schedule_length ~k in
-  let init _g v =
+  let einit _g v =
     fresh_phase
       {
         wake_round = 0;
@@ -127,9 +138,7 @@ let algorithm g ~k : state Engine.algorithm =
         halted = false;
       }
   in
-  let step _g ~round ~node st inbox =
-    let out = ref [] in
-    let send u payload = out := (u, payload) :: !out in
+  let estep _g ~round ~node st inbox em =
     let i, r = locate round in
     let cap = 1 lsl i in
     let verdict_at = (2 * cap) + 2 in
@@ -141,71 +150,75 @@ let algorithm g ~k : state Engine.algorithm =
     let st =
       if r = 0 && st.parent = -1 then begin
         let kids = children st in
-        List.iter (fun c -> send c [| tag_probe; cap - 1; node |]) kids;
+        iter_rev (fun c -> Engine.Emit.frame3 em ~dst:c tag_probe (cap - 1) node) kids;
         { st with echo_pending = kids; frag_id = node; probe_seen = true }
       end
       else st
     in
     (* consume the inbox *)
-    let st =
-      Engine.Inbox.fold
-        (fun st u payload ->
-          match payload.(0) with
-          | t when t = tag_probe ->
-            let hop = payload.(1) and id = payload.(2) in
-            assert (u = st.parent);
-            let st = { st with frag_id = id; probe_seen = true } in
-            let kids = children st in
-            if kids = [] then begin
-              send st.parent [| tag_echo; 0 |];
-              { st with echo_sent = true }
-            end
-            else if hop = 0 then begin
-              (* the tree continues below the probe's reach: too deep *)
-              send st.parent [| tag_echo; 1 |];
-              { st with echo_sent = true }
-            end
-            else begin
-              List.iter (fun c -> send c [| tag_probe; hop - 1; id |]) kids;
-              { st with echo_pending = kids }
-            end
-          | t when t = tag_echo ->
-            {
-              st with
-              echo_pending = List.filter (fun x -> x <> u) st.echo_pending;
-              echo_deep = st.echo_deep || payload.(1) = 1;
-            }
-          | t when t = tag_verdict ->
-            let active = payload.(1) = 1 and hop = payload.(2) in
-            if hop > 0 then
-              List.iter (fun c -> send c [| tag_verdict; payload.(1); hop - 1 |]) (children st);
-            { st with active }
-          | t when t = tag_fragid -> { st with fragids = (u, payload.(1)) :: st.fragids }
-          | t when t = tag_cand ->
-            let st =
-              if payload.(1) >= 0 && payload.(1) < st.best_w then
-                { st with best_w = payload.(1); best_owner = u }
-              else st
-            in
-            { st with cand_pending = List.filter (fun x -> x <> u) st.cand_pending }
-          | t when t = tag_rootship ->
-            (* walk on towards the winning edge, flipping orientation *)
-            if st.best_owner = -2 then { st with parent = -1; rootship_here = true }
-            else begin
-              send st.best_owner [| tag_rootship |];
-              { st with parent = st.best_owner }
-            end
-          | t when t = tag_connect ->
-            let st =
-              if List.mem u st.tree then st else { st with tree = u :: st.tree }
-            in
-            if st.connect_to = u then
-              (* mutual connect over the same edge: the higher id roots *)
-              if payload.(1) > node then { st with parent = u } else st
-            else st
-          | t -> invalid_arg (Printf.sprintf "Simple_mst_congest: unknown tag %d" t))
-        st inbox
-    in
+    let st = ref st in
+    for ix = 0 to Engine.Inbox.length inbox - 1 do
+      let u = Engine.Inbox.sender inbox ix in
+      let rd = Engine.Inbox.read inbox ix in
+      let s = !st in
+      st :=
+        match Codec.get rd with
+        | t when t = tag_probe ->
+          let hop = Codec.get rd in
+          let id = Codec.get rd in
+          assert (u = s.parent);
+          let s = { s with frag_id = id; probe_seen = true } in
+          let kids = children s in
+          if kids = [] then begin
+            Engine.Emit.frame2 em ~dst:s.parent tag_echo 0;
+            { s with echo_sent = true }
+          end
+          else if hop = 0 then begin
+            (* the tree continues below the probe's reach: too deep *)
+            Engine.Emit.frame2 em ~dst:s.parent tag_echo 1;
+            { s with echo_sent = true }
+          end
+          else begin
+            iter_rev (fun c -> Engine.Emit.frame3 em ~dst:c tag_probe (hop - 1) id) kids;
+            { s with echo_pending = kids }
+          end
+        | t when t = tag_echo ->
+          {
+            s with
+            echo_pending = List.filter (fun x -> x <> u) s.echo_pending;
+            echo_deep = s.echo_deep || Codec.get rd = 1;
+          }
+        | t when t = tag_verdict ->
+          let a = Codec.get rd in
+          let hop = Codec.get rd in
+          if hop > 0 then
+            iter_rev
+              (fun c -> Engine.Emit.frame3 em ~dst:c tag_verdict a (hop - 1))
+              (children s);
+          { s with active = a = 1 }
+        | t when t = tag_fragid -> { s with fragids = (u, Codec.get rd) :: s.fragids }
+        | t when t = tag_cand ->
+          let w = Codec.get rd in
+          let s =
+            if w >= 0 && w < s.best_w then { s with best_w = w; best_owner = u } else s
+          in
+          { s with cand_pending = List.filter (fun x -> x <> u) s.cand_pending }
+        | t when t = tag_rootship ->
+          (* walk on towards the winning edge, flipping orientation *)
+          if s.best_owner = -2 then { s with parent = -1; rootship_here = true }
+          else begin
+            Engine.Emit.frame1 em ~dst:s.best_owner tag_rootship;
+            { s with parent = s.best_owner }
+          end
+        | t when t = tag_connect ->
+          let s = if List.mem u s.tree then s else { s with tree = u :: s.tree } in
+          if s.connect_to = u then
+            (* mutual connect over the same edge: the higher id roots *)
+            if Codec.get rd > node then { s with parent = u } else s
+          else s
+        | t -> invalid_arg (Printf.sprintf "Simple_mst_congest: unknown tag %d" t)
+    done;
+    let st = !st in
     (* echo aggregation towards the root *)
     let st =
       if st.probe_seen && st.echo_pending = [] && (not st.echo_sent)
@@ -213,7 +226,7 @@ let algorithm g ~k : state Engine.algorithm =
       then
         if st.parent = -1 then st (* the root just waits for the verdict slot *)
         else begin
-          send st.parent [| tag_echo; (if st.echo_deep then 1 else 0) |];
+          Engine.Emit.frame2 em ~dst:st.parent tag_echo (if st.echo_deep then 1 else 0);
           { st with echo_sent = true }
         end
       else st
@@ -222,8 +235,9 @@ let algorithm g ~k : state Engine.algorithm =
     let st =
       if r = verdict_at && st.parent = -1 && not st.verdict_sent then begin
         let active = st.echo_pending = [] && not st.echo_deep in
-        List.iter
-          (fun c -> send c [| tag_verdict; (if active then 1 else 0); cap - 1 |])
+        iter_rev
+          (fun c ->
+            Engine.Emit.frame3 em ~dst:c tag_verdict (if active then 1 else 0) (cap - 1))
           (children st);
         { st with active; verdict_sent = true }
       end
@@ -232,7 +246,10 @@ let algorithm g ~k : state Engine.algorithm =
     (* active nodes exchange fragment identities over every edge *)
     let st =
       if r = fragid_at && st.active then begin
-        Array.iter (fun (u, _) -> send u [| tag_fragid; st.frag_id |]) (Graph.neighbors g node);
+        let nbrs = Graph.neighbors g node in
+        for ix = Array.length nbrs - 1 downto 0 do
+          Engine.Emit.frame2 em ~dst:(fst nbrs.(ix)) tag_fragid st.frag_id
+        done;
         st
       end
       else st
@@ -266,7 +283,8 @@ let algorithm g ~k : state Engine.algorithm =
       if st.active && st.classified && st.cand_pending = [] && (not st.cand_sent)
          && st.parent <> -1 && r >= fragid_at + 1 && r < rootship_at
       then begin
-        send st.parent [| tag_cand; (if st.best_w = max_int then -1 else st.best_w) |];
+        Engine.Emit.frame2 em ~dst:st.parent tag_cand
+          (if st.best_w = max_int then -1 else st.best_w);
         { st with cand_sent = true }
       end
       else st
@@ -276,7 +294,7 @@ let algorithm g ~k : state Engine.algorithm =
       if r = rootship_at && st.active && st.parent = -1 && st.best_w < max_int then
         if st.best_owner = -2 then { st with rootship_here = true }
         else begin
-          send st.best_owner [| tag_rootship |];
+          Engine.Emit.frame1 em ~dst:st.best_owner tag_rootship;
           { st with parent = st.best_owner }
         end
       else st
@@ -286,7 +304,7 @@ let algorithm g ~k : state Engine.algorithm =
       if r = connect_at && st.rootship_here then begin
         match st.own_min with
         | Some (_, u) ->
-          send u [| tag_connect; node |];
+          Engine.Emit.frame2 em ~dst:u tag_connect node;
           { st with connect_to = u; tree = u :: st.tree; parent = -1 }
         | None -> invalid_arg "Simple_mst_congest: rootship without a winning edge"
       end
@@ -296,19 +314,20 @@ let algorithm g ~k : state Engine.algorithm =
     let st =
       if r = connect_at + 1 && st.connect_to >= 0 && st.parent = -1 then begin
         let mutual = ref false in
-        Engine.Inbox.iter (fun u _ -> if u = st.connect_to then mutual := true) inbox;
-        let mutual = !mutual in
-        if mutual then st (* resolved while consuming the inbox *)
+        for ix = 0 to Engine.Inbox.length inbox - 1 do
+          if Engine.Inbox.sender inbox ix = st.connect_to then mutual := true
+        done;
+        if !mutual then st (* resolved while consuming the inbox *)
         else { st with parent = st.connect_to }
       end
       else st
     in
     let st = if round = total - 1 then { st with halted = true } else st in
-    ({ st with wake_round = next_checkpoint ~total round }, !out)
+    { st with wake_round = next_checkpoint ~total round }
   in
-  let halted st = st.halted in
-  let wake st = Engine.At st.wake_round in
-  { Engine.init; step; halted; wake }
+  let ehalted st = st.halted in
+  let ewake st = Engine.At st.wake_round in
+  { Engine.einit; estep; ehalted; ewake }
 
 (* Word budget: the widest messages are [| tag_probe; hop; root id |] and
    [| tag_verdict; active?; hop |] — 3 words. *)
@@ -366,7 +385,7 @@ let run ?trace ?sink g ~k =
   let sink = Trace.wrap ?trace ?sink () in
   Trace.span_opt trace "simple_mst" (fun () ->
       let c0 = match trace with Some t -> Trace.clock t | None -> 0 in
-      let states, stats = Engine.run ~max_words ~sink g (algorithm g ~k) in
+      let states, stats = Engine.run_emit ~max_words ~sink g (algorithm g ~k) in
       (* The phase boundaries are a fixed global schedule ({!locate}); lay
          each phase down as a synthetic span, clamped to the rounds the
          execution actually used (it quiesces after the last real merge). *)

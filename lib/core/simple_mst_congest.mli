@@ -41,7 +41,7 @@ type result = {
 type state
 (** Per-node state of the protocol, for use with {!algorithm}. *)
 
-val algorithm : Graph.t -> k:int -> state Engine.algorithm
+val algorithm : Graph.t -> k:int -> state Engine.ealgorithm
 (** The schedule-driven node program, exposed for differential testing. *)
 
 val max_words : int

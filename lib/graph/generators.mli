@@ -94,7 +94,7 @@ val random_geometric : rng:Rng.t -> n:int -> radius:float -> Graph.t
 
 val shard_partition : Graph.t -> shards:int -> int array
 (** Degree-balanced shard assignment for the sharded engine
-    ([Kdom_congest.Engine.exec ~partition]): longest-processing-time bin
+    ([Kdom_congest.Engine.exec_emit ~partition]): longest-processing-time bin
     packing, heaviest node (weight [degree + 1]) first onto the lightest
     bin.  Deterministic.  The heaviest bin is within the classical LPT
     factor [4/3 - 1/(3 shards)] of the optimal assignment, hence within 2x

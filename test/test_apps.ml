@@ -331,16 +331,53 @@ let prop_serve_matches_offline_lookup =
 (* ------------------------------------------------------------------ *)
 (* Synchronizer cost model *)
 
+(* every node sends its id to every neighbor for [rounds] rounds *)
+let chatter rounds : int Kdom_congest.Runtime.ealgorithm =
+  {
+    einit = (fun _ _ -> rounds);
+    ehalted = (fun left -> left = 0);
+    estep =
+      (fun g ~round:_ ~node left _inbox em ->
+        let left = left - 1 in
+        if left > 0 then
+          Array.iter
+            (fun (u, _) -> Kdom_congest.Engine.Emit.frame1 em ~dst:u node)
+            (Graph.neighbors g node);
+        left);
+    ewake = Kdom_congest.Engine.always;
+  }
+
+(* §1.2's α-synchronizer charge, measured on the asynchronous executor:
+   beyond one acknowledgment per algorithm message, every simulated round
+   costs one SAFE per edge per direction.  The last pulse may be entered
+   by some nodes before all halt, so it is charged at most once more. *)
 let test_synchronizer () =
   let g = Generators.gnp_connected ~rng:(rng ()) ~n:50 ~p:0.1 in
-  let report = Kdom_congest.Synchronizer.simulate ~rng:(rng ()) g ~rounds:20 in
-  Alcotest.(check int) "sync rounds" 20 report.sync_rounds;
-  Alcotest.(check int) "alpha traffic" (2 * Graph.m g * 20) report.extra_messages;
-  Alcotest.(check bool) "async time positive" true (report.async_time > 0.0);
-  (* async completion is at most rounds * max_delay *)
-  Alcotest.(check bool) "async bounded" true (report.async_time <= 20.0);
-  Alcotest.(check bool) "mean delay in (0, 1)" true
-    (report.mean_delay > 0.0 && report.mean_delay < 1.0)
+  let rounds = 20 in
+  let _, frep =
+    Kdom_congest.Async.run_reliable ~rng:(rng ()) g (chatter rounds)
+  in
+  let r = frep.Kdom_congest.Async.report in
+  let _, stats = Kdom_congest.Runtime.run g (chatter rounds) in
+  Alcotest.(check int) "sync rounds" rounds stats.rounds;
+  Alcotest.(check bool)
+    (Printf.sprintf "pulses %d in {%d, %d}" r.pulses rounds (rounds + 1))
+    true
+    (r.pulses = rounds || r.pulses = rounds + 1);
+  Alcotest.(check int) "algorithm traffic" stats.messages r.alg_messages;
+  let alpha = r.sync_messages - r.alg_messages and per_round = 2 * Graph.m g in
+  Alcotest.(check bool)
+    (Printf.sprintf "alpha traffic %d in [%d, %d]" alpha (per_round * rounds)
+       (per_round * r.pulses))
+    true
+    (per_round * rounds <= alpha && alpha <= per_round * r.pulses);
+  Alcotest.(check int) "no retransmissions" 0 frep.retransmits;
+  Alcotest.(check bool) "async time positive" true (r.async_time > 0.0);
+  (* a pulse waits for a message, its ack and a SAFE: three delays each *)
+  Alcotest.(check bool)
+    (Printf.sprintf "async time %.1f <= 3 * pulses" r.async_time)
+    true
+    (r.async_time <= 3.0 *. float_of_int r.pulses)
 
 let () =
   Alcotest.run "apps"

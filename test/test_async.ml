@@ -1,6 +1,7 @@
 (* Tests for the asynchronous α-synchronizer runtime (Async): executing the
    same node programs under random link delays must give bit-identical
-   results to the synchronous runtime — the §1.2 claim, demonstrated. *)
+   results to the synchronous runtime — the §1.2 claim, demonstrated.  The
+   runs go through [Async.run_reliable] on a fault-free network. *)
 
 open Kdom_graph
 open Kdom_congest
@@ -16,12 +17,17 @@ let graphs seed =
     ("single", Generators.path ~rng:r 1);
   ]
 
+(* The synchronizer report of a fault-free asynchronous run. *)
+let run_async ~rng ?max_delay g algo =
+  let states, frep = Async.run_reliable ~rng ?max_delay g algo in
+  (states, frep.Async.report)
+
 let test_bfs_same_states () =
   List.iter
     (fun (name, g) ->
       let algo = Kdom.Bfs_tree.algorithm g ~root:0 in
       let sync_states, sync_stats = Runtime.run g algo in
-      let async_states, report = Async.run ~rng:(Rng.create 99) g algo in
+      let async_states, report = run_async ~rng:(Rng.create 99) g algo in
       let sync_info = Kdom.Bfs_tree.info_of_states g ~root:0 sync_states in
       let async_info = Kdom.Bfs_tree.info_of_states g ~root:0 async_states in
       Alcotest.(check (array int)) (name ^ " same depths") sync_info.depth
@@ -47,7 +53,7 @@ let test_bfs_many_delay_regimes () =
   List.iter
     (fun (seed, max_delay) ->
       let states, report =
-        Async.run ~rng:(Rng.create seed) ~max_delay g algo
+        run_async ~rng:(Rng.create seed) ~max_delay g algo
       in
       let info = Kdom.Bfs_tree.info_of_states g ~root:0 states in
       Alcotest.(check (array int))
@@ -60,29 +66,28 @@ let test_bfs_many_delay_regimes () =
    seen for a fixed number of rounds *)
 type flood = { best : int; neighbors : int list; rounds_left : int }
 
-let flood_algorithm rounds : flood Runtime.algorithm =
+let flood_algorithm rounds : flood Runtime.ealgorithm =
   {
-    init =
+    einit =
       (fun g v ->
         {
           best = v;
           neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
           rounds_left = rounds;
         });
-    halted = (fun st -> st.rounds_left = 0);
-    step =
-      (fun _g ~round:_ ~node:_ st inbox ->
-        let best =
-          Engine.Inbox.fold (fun acc _ p -> max acc p.(0)) st.best inbox
-        in
-        let st = { st with best; rounds_left = st.rounds_left - 1 } in
-        let out =
-          if st.rounds_left = 0 then []
-          else List.map (fun u -> (u, [| st.best |])) st.neighbors
-        in
-        (st, out));
+    ehalted = (fun st -> st.rounds_left = 0);
+    estep =
+      (fun _g ~round:_ ~node:_ st inbox em ->
+        let best = ref st.best in
+        for i = 0 to Engine.Inbox.length inbox - 1 do
+          best := max !best (Codec.get (Engine.Inbox.read inbox i))
+        done;
+        let st = { st with best = !best; rounds_left = st.rounds_left - 1 } in
+        if st.rounds_left > 0 then
+          List.iter (fun u -> Engine.Emit.frame1 em ~dst:u st.best) st.neighbors;
+        st);
     (* genuinely dense: every node floods every round until the deadline *)
-    wake = Engine.always;
+    ewake = Engine.always;
   }
 
 let test_flood_same_states () =
@@ -91,7 +96,7 @@ let test_flood_same_states () =
       let rounds = 2 + Traversal.diameter g in
       let algo = flood_algorithm rounds in
       let sync_states, _ = Runtime.run g algo in
-      let async_states, _ = Async.run ~rng:(Rng.create 7) g algo in
+      let async_states, _ = run_async ~rng:(Rng.create 7) g algo in
       Array.iteri
         (fun v (st : flood) ->
           Alcotest.(check int) (name ^ " same best") st.best async_states.(v).best)
@@ -106,12 +111,28 @@ let test_flood_same_states () =
 let test_synchronizer_overhead_accounting () =
   let g = Generators.grid ~rng:(Rng.create 4) ~rows:5 ~cols:5 in
   let algo = flood_algorithm 6 in
-  let _, report = Async.run ~rng:(Rng.create 5) g algo in
+  let _, report = run_async ~rng:(Rng.create 5) g algo in
   (* every algorithm message costs one ack; every pulse costs one SAFE per
      edge per direction from each node that completed the pulse *)
   Alcotest.(check bool) "acks + safes dominate" true
     (report.sync_messages >= report.alg_messages);
-  Alcotest.(check bool) "pulses bounded" true (report.pulses <= 12)
+  Alcotest.(check bool) "pulses bounded" true (report.pulses <= 12);
+  (* the α-synchronizer's §1.2 charge, measured: beyond one ack per
+     algorithm message, at most one SAFE per edge per direction per pulse *)
+  List.iter
+    (fun (name, g) ->
+      let _, r = run_async ~rng:(Rng.create 6) g (flood_algorithm 6) in
+      let charge = 2 * Graph.m g * r.pulses in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: sync - alg = %d <= 2*m*pulses = %d" name
+           (r.sync_messages - r.alg_messages) charge)
+        true
+        (r.sync_messages - r.alg_messages <= charge))
+    [
+      ("grid5x5", g);
+      ("gnp50", Generators.gnp_connected ~rng:(Rng.create 7) ~n:50 ~p:0.1);
+      ("tree40", Generators.random_tree ~rng:(Rng.create 8) 40);
+    ]
 
 let prop_async_equals_sync =
   QCheck2.Test.make ~name:"async BFS = sync BFS on random graphs" ~count:40
@@ -120,7 +141,7 @@ let prop_async_equals_sync =
       let g = Generators.gnp_connected ~rng:(Rng.create seed) ~n ~p:0.15 in
       let algo = Kdom.Bfs_tree.algorithm g ~root:0 in
       let sync_states, _ = Runtime.run g algo in
-      let async_states, _ = Async.run ~rng:(Rng.create dseed) g algo in
+      let async_states, _ = run_async ~rng:(Rng.create dseed) g algo in
       let a = Kdom.Bfs_tree.info_of_states g ~root:0 sync_states in
       let b = Kdom.Bfs_tree.info_of_states g ~root:0 async_states in
       a.depth = b.depth && a.parent = b.parent && a.m_known = b.m_known)

@@ -9,114 +9,15 @@
 open Kdom_graph
 open Kdom_congest
 
-let dummy_stats = { Runtime.rounds = 0; messages = 0; max_inflight = 0 }
-
 (* ------------------------------------------------------------------ *)
-(* Cases: the same algorithm battery as the fault matrix *)
-
-let bfs_case g =
-  Chaos.Case
-    ( "bfs",
-      Kdom.Bfs_tree.max_words,
-      (fun () -> Kdom.Bfs_tree.algorithm g ~root:0),
-      fun states ->
-        let info = Kdom.Bfs_tree.info_of_states g ~root:0 states in
-        Oracle.expect_ok "bfs"
-          (Oracle.bfs_tree g ~root:0 ~parent:info.parent ~depth:info.depth) )
-
-let census_case g ~k =
-  let info, _ = Kdom.Bfs_tree.run g ~root:0 in
-  if info.height <= k then None
-  else
-    Some
-      (Chaos.Case
-         ( "census",
-           Kdom.Diam_dom.census_max_words,
-           (fun () -> Kdom.Diam_dom.census_algorithm info ~k),
-           fun states ->
-             let dom = Kdom.Diam_dom.dominating_of_states states in
-             let centers = ref [] in
-             Array.iteri (fun v b -> if b then centers := v :: !centers) dom;
-             Oracle.expect_ok "census"
-               (Oracle.k_domination g ~k !centers
-               @ Oracle.size_within ~n:(Graph.n g) ~k ~ceil:true !centers) ))
-
-let coloring_case g =
-  Chaos.Case
-    ( "coloring",
-      Kdom.Coloring.congest_max_words,
-      (fun () -> Kdom.Coloring.congest_algorithm g ~root:0),
-      fun states ->
-        Oracle.expect_ok "coloring"
-          (Oracle.proper_coloring g ~palette:3
-             (Kdom.Coloring.colors_of_states states)) )
-
-(* The offline winner of the election: the node with the largest wave key. *)
-let max_key_node n =
-  let best = ref 0 in
-  for v = 1 to n - 1 do
-    if Kdom.Leader.key ~n v > Kdom.Leader.key ~n !best then best := v
-  done;
-  !best
-
-let leader_case g =
-  Chaos.Case
-    ( "leader",
-      Kdom.Leader.max_words,
-      (fun () -> Kdom.Leader.algorithm g),
-      fun states ->
-        let r = Kdom.Leader.result_of_states states dummy_stats in
-        Alcotest.(check int) "leader is the max-key node" (max_key_node (Graph.n g))
-          r.leader;
-        Oracle.expect_ok "leader"
-          (Oracle.bfs_tree g ~root:r.leader ~parent:r.parent ~depth:r.depth) )
-
-let smc_case g ~k =
-  Chaos.Case
-    ( "smc",
-      Kdom.Simple_mst_congest.max_words,
-      (fun () -> Kdom.Simple_mst_congest.algorithm g ~k),
-      fun states ->
-        let frags = Kdom.Simple_mst_congest.fragments_of_states g states in
-        let fragment_of = Array.make (Graph.n g) (-1) in
-        List.iteri
-          (fun i (f : Kdom.Simple_mst.fragment) ->
-            List.iter (fun v -> fragment_of.(v) <- i) f.members)
-          frags;
-        let edge_ids =
-          List.concat_map
-            (fun (f : Kdom.Simple_mst.fragment) ->
-              List.map (fun (e : Graph.edge) -> e.id) f.tree_edges)
-            frags
-        in
-        Oracle.expect_ok "smc"
-          (Oracle.partition g ~fragment_of ~min_size:(min (k + 1) (Graph.n g))
-          @ Oracle.mst_subforest g edge_ids) )
-
-let pipeline_case g ~k =
-  let dom = Kdom.Fastdom_graph.run g ~k in
-  let fragment_of = Kdom.Simple_mst.fragment_of_array g dom.forest in
-  let bfs, _ = Kdom.Bfs_tree.run g ~root:0 in
-  Chaos.Case
-    ( "pipeline",
-      Kdom.Pipeline.max_words,
-      (fun () -> fst (Kdom.Pipeline.algorithm g ~bfs ~fragment_of)),
-      fun states ->
-        let selected =
-          Kdom.Pipeline.selected_of_states g ~fragment_of ~root:bfs.root states
-        in
-        Oracle.expect_ok "pipeline"
-          (Oracle.inter_fragment_mst g ~fragment_of
-             (List.map (fun (e : Graph.edge) -> e.id) selected)) )
+(* Cases: the shared algorithm battery *)
 
 (* the census and coloring stages are tree-only algorithms *)
 let all_cases ?(tree = false) g ~k =
-  [ bfs_case g; leader_case g; smc_case g ~k; pipeline_case g ~k ]
-  @ (if tree then [ coloring_case g ] else [])
-  @
-  if tree then
-    match census_case g ~k with Some c -> [ c ] | None -> []
-  else []
+  List.filter_map
+    (fun name -> Kdom.Battery.case g ~k name)
+    ([ "bfs"; "leader"; "smc"; "pipeline" ]
+    @ if tree then [ "coloring"; "census" ] else [])
 
 (* ------------------------------------------------------------------ *)
 (* Storm lowering *)
@@ -250,7 +151,8 @@ let test_message_hurricane () =
 let test_calm_storm_is_free () =
   (* the identity storm injects nothing and retransmits nothing *)
   let _, g = storm_graph 3 in
-  let v = Chaos.run_message ~seed:5 ~storm:Chaos.calm g (bfs_case g) in
+  let v = Chaos.run_message ~seed:5 ~storm:Chaos.calm g
+      (Option.get (Kdom.Battery.case g ~k:1 "bfs")) in
   Alcotest.(check int) "no injections" 0 v.Chaos.v_injected;
   Alcotest.(check int) "no rejections" 0 v.Chaos.v_corrupted;
   Alcotest.(check int) "no drops" 0 v.Chaos.v_dropped;

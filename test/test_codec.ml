@@ -3,7 +3,7 @@
    Group 1 (qcheck): every payload that fits the engine's word budget
    round-trips bit-identically through the packed codec — via the raw
    [encode]/[decode] pair, via the writer/reader cursors over a fixed
-   arena region, and via the growable scratch mode the compat adapter
+   arena region, and via the growable scratch mode the recording emitter
    uses; the wire length always equals [measure]; [encode1] agrees with
    [encode] on one-word frames; and the write of logical word
    [budget + 1] raises the typed [Codec.Width_exceeded] — never a silent
@@ -11,10 +11,10 @@
 
    Group 2: the broadcast fast path.  A flood kernel written with
    [Emit.broadcast1] must be bit-identical — final states and stats — to
-   the same kernel written against the legacy list API, on 1, 2 and 4
-   domains and under the list-based reference simulator (via
-   [to_algorithm]), and with an inbox-reading kernel that exercises the
-   lazy in-port fill behind the broadcast. *)
+   the same kernel sending one [Emit.frame1] per neighbor, on 1, 2 and 4
+   domains and under the list-based reference simulator, and with an
+   inbox-reading kernel that exercises the lazy in-port fill behind the
+   broadcast. *)
 
 open Kdom_graph
 open Kdom_congest
@@ -71,7 +71,7 @@ let check_roundtrip p =
       if Codec.get r <> v then Alcotest.failf "reader word %d differs" i)
     p;
   if Codec.remaining r <> 0 then Alcotest.fail "reader not drained";
-  (* scratch mode (the compat adapter's path) *)
+  (* scratch mode (the recording emitter's path) *)
   let sw = Codec.writer () in
   Codec.scratch_writer sw ~budget:words;
   Array.iter (Codec.put sw) p;
@@ -121,73 +121,48 @@ let prop_over_budget =
 (* ------------------------------------------------------------------ *)
 (* Group 2: broadcast differential *)
 
-(* The same flood kernel in both shapes: every node broadcasts the round
-   number to all neighbors for [rounds] rounds, then halts. *)
-let flood_list ~rounds : int Engine.algorithm =
-  {
-    Engine.init = (fun _ _ -> 0);
-    step =
-      (fun g ~round ~node _st _ib ->
-        if round > rounds then (round, [])
-        else
-          ( round,
-            Array.to_list
-              (Array.map (fun (u, _) -> (u, [| round |])) (Graph.neighbors g node))
-          ));
-    halted = (fun st -> st > rounds);
-    wake = Engine.always;
-  }
+(* Send the one-word frame [x] to every neighbor of [node], either with
+   one broadcast or with one [frame1] per neighbor in ascending order. *)
+let send_all ~broadcast g ~node em x =
+  if broadcast then Engine.Emit.broadcast1 em x
+  else Array.iter (fun (u, _) -> Engine.Emit.frame1 em ~dst:u x) (Graph.neighbors g node)
 
-let flood_emit ~rounds : int Engine.ealgorithm =
+(* The same flood kernel both ways: every node broadcasts the round
+   number to all neighbors for [rounds] rounds, then halts. *)
+let flood ~broadcast ~rounds : int Engine.ealgorithm =
   {
     Engine.einit = (fun _ _ -> 0);
     estep =
-      (fun _g ~round ~node:_ _st _ib em ->
+      (fun g ~round ~node _st _ib em ->
         if round > rounds then round
         else begin
-          Engine.Emit.broadcast1 em round;
+          send_all ~broadcast g ~node em round;
           round
         end);
     ehalted = (fun st -> st > rounds);
     ewake = Engine.always;
   }
 
+let flood_emit = flood ~broadcast:true
+
 (* An inbox-consuming variant: fold the lazily filled inbox into a
    digest, then broadcast it — exercises deferred fill + broadcast in
    the same step.  A node halts (negative sentinel state) after folding
    the mail of round [rounds], so no frame is ever sent to a halted
    receiver. *)
-let gossip_list ~rounds : int Engine.algorithm =
-  {
-    Engine.init = (fun _ v -> v);
-    step =
-      (fun g ~round ~node st ib ->
-        let d =
-          Engine.Inbox.fold (fun acc src p -> acc + src + p.(0)) st ib
-          land 0xFFFFFF
-        in
-        if round >= rounds then (-d - 1, [])
-        else
-          ( d,
-            Array.to_list
-              (Array.map (fun (u, _) -> (u, [| d |])) (Graph.neighbors g node))
-          ));
-    halted = (fun st -> st < 0);
-    wake = Engine.always;
-  }
-
-let gossip_emit ~rounds : int Engine.ealgorithm =
+let gossip ~broadcast ~rounds : int Engine.ealgorithm =
   {
     Engine.einit = (fun _ v -> v);
     estep =
-      (fun _g ~round ~node:_ st ib em ->
-        let d =
-          Engine.Inbox.fold (fun acc src p -> acc + src + p.(0)) st ib
-          land 0xFFFFFF
-        in
+      (fun g ~round ~node st ib em ->
+        let d = ref st in
+        for i = 0 to Engine.Inbox.length ib - 1 do
+          d := !d + Engine.Inbox.sender ib i + Codec.get (Engine.Inbox.read ib i)
+        done;
+        let d = !d land 0xFFFFFF in
         if round >= rounds then -d - 1
         else begin
-          Engine.Emit.broadcast1 em d;
+          send_all ~broadcast g ~node em d;
           d
         end);
     ehalted = (fun st -> st < 0);
@@ -206,8 +181,8 @@ let graph_families seed =
     ("gnp", Generators.gnp_connected ~rng:(Rng.create (seed + 1)) ~n ~p:0.2);
   ]
 
-let diff_broadcast what g list_alg emit_alg =
-  let ls, lst = Engine.run g list_alg in
+let diff_broadcast what g frame_alg emit_alg =
+  let ls, lst = Engine.run_emit g frame_alg in
   (* emit on one domain *)
   let es, est = Engine.run_emit ~domains:1 g emit_alg in
   if es <> ls then Alcotest.failf "%s: emit states differ at 1 domain" what;
@@ -220,39 +195,35 @@ let diff_broadcast what g list_alg emit_alg =
         Alcotest.failf "%s: emit states differ at %d domains" what d;
       check_stats (Printf.sprintf "%s/d%d" what d) sst lst)
     [ 2; 4 ];
-  (* compat adapter under the reference simulator *)
-  let n = Graph.n g in
-  let rs, rst =
-    Runtime.run_reference
-      ~max_words:(Engine.default_max_words n)
-      g
-      (Engine.to_algorithm ~max_words:(Engine.default_max_words n) emit_alg)
-  in
-  if rs <> ls then Alcotest.failf "%s: adapter states differ" what;
+  (* the reference simulator, through its recording emitter *)
+  let rs, rst = Runtime.run_reference g emit_alg in
+  if rs <> ls then Alcotest.failf "%s: reference states differ" what;
   check_stats (what ^ "/ref") rst lst
 
 let prop_broadcast_flood =
-  QCheck2.Test.make ~name:"broadcast flood = list flood (seq/sharded/ref)"
+  QCheck2.Test.make ~name:"broadcast flood = frame1 flood (seq/sharded/ref)"
     ~count:25 seed_gen (fun seed ->
       List.iter
         (fun (fam, g) ->
-          diff_broadcast ("flood/" ^ fam) g (flood_list ~rounds:6)
+          diff_broadcast ("flood/" ^ fam) g
+            (flood ~broadcast:false ~rounds:6)
             (flood_emit ~rounds:6))
         (graph_families seed);
       true)
 
 let prop_broadcast_gossip =
-  QCheck2.Test.make ~name:"broadcast gossip = list gossip (lazy inbox)"
+  QCheck2.Test.make ~name:"broadcast gossip = frame1 gossip (lazy inbox)"
     ~count:25 seed_gen (fun seed ->
       List.iter
         (fun (fam, g) ->
           let max_rounds = 64 in
           let ls, lst =
-            Engine.exec ~max_rounds (Engine.create g) (gossip_list ~rounds:5)
+            Engine.exec_emit ~max_rounds (Engine.create g)
+              (gossip ~broadcast:false ~rounds:5)
           in
           let es, est =
             Engine.exec_emit ~max_rounds ~domains:1 (Engine.create g)
-              (gossip_emit ~rounds:5)
+              (gossip ~broadcast:true ~rounds:5)
           in
           if es <> ls then
             Alcotest.failf "gossip/%s: emit states differ" fam;
@@ -261,7 +232,7 @@ let prop_broadcast_gossip =
             (fun d ->
               let ss, sst =
                 Engine.exec_emit ~max_rounds ~domains:d (Engine.create g)
-                  (gossip_emit ~rounds:5)
+                  (gossip ~broadcast:true ~rounds:5)
               in
               if ss <> ls then
                 Alcotest.failf "gossip/%s: differs at %d domains" fam d;

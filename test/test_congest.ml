@@ -13,9 +13,9 @@ let path3 () = Graph.of_edges ~n:3 [ (0, 1, 1); (1, 2, 2) ]
    the end of the path; every node halts after seeing it. *)
 type token_state = { pos : int; neighbors : int list; seen : bool; halted : bool }
 
-let token_algorithm : token_state Runtime.algorithm =
+let token_algorithm : token_state Runtime.ealgorithm =
   {
-    init =
+    einit =
       (fun g v ->
         {
           pos = v;
@@ -23,29 +23,30 @@ let token_algorithm : token_state Runtime.algorithm =
           seen = false;
           halted = false;
         });
-    halted = (fun st -> st.halted);
-    step =
-      (fun g ~round ~node st inbox ->
-        ignore g;
-        if node = 0 && round = 0 then
-          ({ st with seen = true; halted = true }, [ (1, [| 42 |]) ])
+    ehalted = (fun st -> st.halted);
+    estep =
+      (fun _g ~round ~node st inbox em ->
+        if node = 0 && round = 0 then begin
+          Engine.Emit.frame1 em ~dst:1 42;
+          { st with seen = true; halted = true }
+        end
         else
-          match Engine.Inbox.to_list inbox with
-          | [ (from, payload) ] ->
-            let next = List.filter (fun u -> u > node) st.neighbors in
-            ignore from;
-            assert (payload.(0) = 42);
-            let out = List.map (fun u -> (u, [| 42 |])) next in
-            ({ st with seen = true; halted = true }, out)
-          | [] -> (st, [])
+          match Engine.Inbox.length inbox with
+          | 1 ->
+            assert (Codec.get (Engine.Inbox.read inbox 0) = 42);
+            List.iter
+              (fun u -> if u > node then Engine.Emit.frame1 em ~dst:u 42)
+              st.neighbors;
+            { st with seen = true; halted = true }
+          | 0 -> st
           | _ -> assert false);
-    wake = Engine.always;
+    ewake = Engine.always;
   }
 
 (* The same walk with an honest hint: a node acts only when the token
    arrives, so the sparse scheduler should step O(1) nodes per round. *)
-let sparse_token : token_state Runtime.algorithm =
-  { token_algorithm with wake = (fun _ -> Runtime.OnMessage) }
+let sparse_token : token_state Runtime.ealgorithm =
+  { token_algorithm with ewake = (fun _ -> Runtime.OnMessage) }
 
 let test_delivery_and_stats () =
   let g = path3 () in
@@ -55,19 +56,24 @@ let test_delivery_and_stats () =
   Alcotest.(check int) "three rounds" 3 stats.rounds;
   Alcotest.(check int) "one in flight at peak" 1 stats.max_inflight
 
-let fixed_step out_of step =
+let fixed_step out_of estep =
   {
-    Runtime.init = (fun _ _ -> 0);
-    halted = (fun r -> r >= out_of);
-    step;
-    wake = Engine.always;
+    Runtime.einit = (fun _ _ -> 0);
+    ehalted = (fun r -> r >= out_of);
+    estep;
+    ewake = Engine.always;
   }
 
 let test_rejects_double_send () =
   let g = path3 () in
   let algo =
-    fixed_step 1 (fun _g ~round:_ ~node st _inbox ->
-        if node = 0 then (1, [ (1, [| 1 |]); (1, [| 2 |]) ]) else (max st 1, []))
+    fixed_step 1 (fun _g ~round:_ ~node st _inbox em ->
+        if node = 0 then begin
+          Engine.Emit.frame1 em ~dst:1 1;
+          Engine.Emit.frame1 em ~dst:1 2;
+          1
+        end
+        else max st 1)
   in
   Alcotest.check_raises "double send"
     (Runtime.Congestion_violation "round 0: node 0 sent twice over edge to 1")
@@ -76,8 +82,12 @@ let test_rejects_double_send () =
 let test_rejects_non_neighbor () =
   let g = path3 () in
   let algo =
-    fixed_step 1 (fun _g ~round:_ ~node st _inbox ->
-        if node = 0 then (1, [ (2, [| 1 |]) ]) else (max st 1, []))
+    fixed_step 1 (fun _g ~round:_ ~node st _inbox em ->
+        if node = 0 then begin
+          Engine.Emit.frame1 em ~dst:2 1;
+          1
+        end
+        else max st 1)
   in
   Alcotest.check_raises "non neighbor"
     (Runtime.Congestion_violation "round 0: node 0 sent to non-neighbor 2")
@@ -86,11 +96,19 @@ let test_rejects_non_neighbor () =
 let test_rejects_oversized_payload () =
   let g = path3 () in
   let algo =
-    fixed_step 1 (fun _g ~round:_ ~node st _inbox ->
-        if node = 0 then (1, [ (1, Array.make 9 0) ]) else (max st 1, []))
+    fixed_step 1 (fun _g ~round:_ ~node st _inbox em ->
+        if node = 0 then begin
+          Engine.Emit.send em ~dst:1 (fun w ->
+              for _ = 1 to 9 do
+                Codec.put w 0
+              done);
+          1
+        end
+        else max st 1)
   in
+  (* the budget is enforced at each put: the fifth word is the violation *)
   Alcotest.check_raises "payload too big"
-    (Runtime.Congestion_violation "round 0: node 0 payload of 9 words exceeds 4")
+    (Runtime.Congestion_violation "round 0: node 0 payload of 5 words exceeds 4")
     (fun () -> ignore (Runtime.run g algo))
 
 let test_rejects_message_to_halted () =
@@ -98,14 +116,17 @@ let test_rejects_message_to_halted () =
   (* node 2 halts immediately; node 1 sends to it on round 1 *)
   let algo =
     {
-      Runtime.init = (fun _ v -> if v = 2 then 2 else 0);
-      halted = (fun st -> st >= 2);
-      step =
-        (fun _g ~round ~node st _inbox ->
-          if node = 1 && round = 1 then (2, [ (2, [| 7 |]) ])
-          else if round >= 3 then (2, [])
-          else (st, []));
-      wake = Engine.always;
+      Runtime.einit = (fun _ v -> if v = 2 then 2 else 0);
+      ehalted = (fun st -> st >= 2);
+      estep =
+        (fun _g ~round ~node st _inbox em ->
+          if node = 1 && round = 1 then begin
+            Engine.Emit.frame1 em ~dst:2 7;
+            2
+          end
+          else if round >= 3 then 2
+          else st);
+      ewake = Engine.always;
     }
   in
   Alcotest.check_raises "halted receiver"
@@ -117,10 +138,10 @@ let test_round_limit () =
   (* never halts *)
   let algo =
     {
-      Runtime.init = (fun _ _ -> 0);
-      halted = (fun _ -> false);
-      step = (fun _g ~round:_ ~node:_ st _ -> (st, []));
-      wake = Engine.always;
+      Runtime.einit = (fun _ _ -> 0);
+      ehalted = (fun _ -> false);
+      estep = (fun _g ~round:_ ~node:_ st _ _ -> st);
+      ewake = Engine.always;
     }
   in
   Alcotest.check_raises "round limit" (Runtime.Round_limit_exceeded 11) (fun () ->
@@ -133,18 +154,21 @@ let test_inbox_sender_order () =
   let received = ref [] in
   let algo =
     {
-      Runtime.init = (fun _ _ -> 0);
-      halted = (fun st -> st >= 1);
-      step =
-        (fun _g ~round ~node st inbox ->
-          if round = 0 && node > 0 then (1, [ (0, [| node |]) ])
-          else if node = 0 && round = 1 then begin
-            received := List.map fst (Engine.Inbox.to_list inbox);
-            (1, [])
+      Runtime.einit = (fun _ _ -> 0);
+      ehalted = (fun st -> st >= 1);
+      estep =
+        (fun _g ~round ~node st inbox em ->
+          if round = 0 && node > 0 then begin
+            Engine.Emit.frame1 em ~dst:0 node;
+            1
           end
-          else if round >= 1 then (1, [])
-          else (st, []));
-      wake = Engine.always;
+          else if node = 0 && round = 1 then begin
+            received := List.init (Engine.Inbox.length inbox) (Engine.Inbox.sender inbox);
+            1
+          end
+          else if round >= 1 then 1
+          else st);
+      ewake = Engine.always;
     }
   in
   ignore (Runtime.run g algo);
@@ -186,12 +210,12 @@ let test_wake_timer () =
   (* one isolated-by-silence node: sends nothing, wakes itself at round 3
      via an [At] hint and only then halts *)
   let g = Graph.of_edges ~n:2 [ (0, 1, 1) ] in
-  let algo : int Runtime.algorithm =
+  let algo : int Runtime.ealgorithm =
     {
-      init = (fun _ _ -> 0);
-      halted = (fun st -> st >= 1);
-      step = (fun _g ~round ~node:_ st _ -> if round >= 3 then (1, []) else (st, []));
-      wake = (fun _ -> Runtime.At 3);
+      einit = (fun _ _ -> 0);
+      ehalted = (fun st -> st >= 1);
+      estep = (fun _g ~round ~node:_ st _ _ -> if round >= 3 then 1 else st);
+      ewake = (fun _ -> Runtime.At 3);
     }
   in
   let sink, rounds = Engine.Sink.counters () in
@@ -211,7 +235,7 @@ let test_wake_timer () =
     (rounds ())
 
 let test_engine_empty_and_singleton () =
-  let algo = fixed_step 1 (fun _g ~round:_ ~node:_ st _ -> (max st 1, [])) in
+  let algo = fixed_step 1 (fun _g ~round:_ ~node:_ st _ _ -> max st 1) in
   let g0 = Graph.of_edges ~n:0 [] in
   let states0, stats0 = Runtime.run g0 algo in
   Alcotest.(check int) "n=0: no states" 0 (Array.length states0);

@@ -27,26 +27,31 @@ open Kdom_congest
 
 type gossip = { neighbors : int list; best : int; halted : bool }
 
-let gossip_algorithm g ~rounds : gossip Engine.algorithm =
-  let init _g v =
+let gossip_algorithm g ~rounds : gossip Engine.ealgorithm =
+  let einit _g v =
     {
       neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
       best = v;
       halted = false;
     }
   in
-  let step _g ~round ~node:_ st inbox =
-    let best =
-      Engine.Inbox.fold (fun b _ payload -> max b payload.(0)) st.best inbox
-    in
-    if round >= rounds then ({ st with best; halted = true }, [])
-    else ({ st with best }, List.map (fun u -> (u, [| best |])) st.neighbors)
+  let estep _g ~round ~node:_ st inbox em =
+    let best = ref st.best in
+    for i = 0 to Engine.Inbox.length inbox - 1 do
+      best := max !best (Codec.get (Engine.Inbox.read inbox i))
+    done;
+    let best = !best in
+    if round >= rounds then { st with best; halted = true }
+    else begin
+      List.iter (fun u -> Engine.Emit.frame1 em ~dst:u best) st.neighbors;
+      { st with best }
+    end
   in
   {
-    Engine.init;
-    step;
-    halted = (fun st -> st.halted);
-    wake = (fun _ -> Engine.Always);
+    Engine.einit;
+    estep;
+    ehalted = (fun st -> st.halted);
+    ewake = (fun _ -> Engine.Always);
   }
 
 (* A union graph with one reserved node (10, wired to 0 and 3) and one
@@ -97,7 +102,7 @@ let test_growth_engine_reference_differential () =
       let e = Engine.create g in
       let churn = Engine.Churn.compile e events in
       let s1, st1 =
-        Engine.exec ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
+        Engine.exec_emit ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
       in
       let s2, st2 =
         Runtime.run_reference ~max_words:1 ~churn g
@@ -129,7 +134,7 @@ let test_growth_sharded_differential () =
       let e = Engine.create g in
       let churn = Engine.Churn.compile e events in
       let run domains =
-        Engine.exec ~max_words:1 ~churn ~domains e
+        Engine.exec_emit ~max_words:1 ~churn ~domains e
           (gossip_algorithm g ~rounds:10)
       in
       let s1, st1 = run 1 in

@@ -1,11 +1,14 @@
 (* Differential tests: the port-indexed mailbox engine (Engine) against the
-   legacy list-based simulator kept as Runtime.run_reference.  The reference
-   is the executable specification; the engine must reproduce it exactly —
-   bit-identical final states and identical {rounds; messages; max_inflight}
-   — for every message-level algorithm in the repository, on random trees
-   and connected G(n,p) graphs.  A second group checks the α-synchronizer
-   (Async) against the engine across delay regimes, and a third checks that
-   the instrumentation sinks agree with the returned stats. *)
+   legacy list-based simulator kept as Runtime.run_reference and the
+   α-synchronizer (Async.run_reliable on a fault-free network).  The
+   reference is the executable specification; the engine must reproduce it
+   exactly — bit-identical final states and identical {rounds; messages;
+   max_inflight} at 1, 2 and 4 domains — and the synchronizer must reach
+   the same states with the same algorithm traffic, for every
+   message-level algorithm in the repository, on random trees and
+   connected G(n,p) graphs.  Further groups check the synchronizer across
+   delay regimes and that the instrumentation sinks agree with the
+   returned stats. *)
 
 open Kdom_graph
 open Kdom_congest
@@ -19,14 +22,25 @@ let check_stats what (e : Runtime.stats) (r : Runtime.stats) =
   Alcotest.(check int) (what ^ ": messages") r.messages e.messages;
   Alcotest.(check int) (what ^ ": max_inflight") r.max_inflight e.max_inflight
 
-(* [mk] builds a fresh algorithm instance per backend so that any mutable
+(* [mk] builds a fresh algorithm instance per executor so that any mutable
    state captured by the closures (e.g. Pipeline's stall counter) cannot
-   leak between the two executions. *)
+   leak between executions. *)
 let diff what ~max_words g mk =
-  let e_states, e_stats = Engine.run ~max_words g (mk ()) in
+  let e_states, e_stats = Engine.run_emit ~max_words g (mk ()) in
   let r_states, r_stats = Runtime.run_reference ~max_words g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
-  check_stats what e_stats r_stats
+  check_stats what e_stats r_stats;
+  List.iter
+    (fun d ->
+      let what = Printf.sprintf "%s (domains=%d)" what d in
+      let d_states, d_stats = Engine.run_emit ~max_words ~domains:d g (mk ()) in
+      if d_states <> e_states then Alcotest.failf "%s: final states differ" what;
+      check_stats what d_stats e_stats)
+    [ 2; 4 ];
+  let a_states, frep = Async.run_reliable ~rng:(Rng.create 1) ~max_words g (mk ()) in
+  if a_states <> e_states then Alcotest.failf "%s: async states differ" what;
+  Alcotest.(check int) (what ^ ": async algorithm traffic") e_stats.messages
+    frep.report.alg_messages
 
 let graph_families seed =
   let n = 8 + (seed mod 48) in
@@ -110,9 +124,42 @@ let prop_pipeline =
           stalls := s :: !stalls;
           algo);
       (match !stalls with
-      | [ r; e ] ->
-          Alcotest.(check int) "pipeline: stall counters agree" !r !e
-      | _ -> Alcotest.fail "pipeline: expected two instances");
+      | [] -> Alcotest.fail "pipeline: expected instances"
+      | s0 :: rest ->
+          List.iter
+            (fun s -> Alcotest.(check int) "pipeline: stall counters agree" !s0 !s)
+            rest);
+      true)
+
+(* The two maintenance protocols, on random trees through the partition's
+   cluster forest. *)
+let tree_plan seed =
+  let g = Generators.random_tree ~rng:(Rng.create seed) (8 + (seed mod 24)) in
+  (g, Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k:2))
+
+let prop_repair =
+  QCheck2.Test.make ~name:"engine = reference: Repair" ~count:8 seed_gen
+    (fun seed ->
+      let g, plan = tree_plan seed in
+      let cfg =
+        { Repair.plan; beta = 3; lease = 2; dmax = Repair.default_dmax plan; horizon = 30 }
+      in
+      diff "repair" ~max_words:Repair.max_words g (fun () -> Repair.algorithm g cfg);
+      true)
+
+let prop_serve =
+  QCheck2.Test.make ~name:"engine = reference: Serve" ~count:8 seed_gen
+    (fun seed ->
+      let g, plan = tree_plan seed in
+      let requests =
+        Kdom.Workload.generate g plan Kdom.Workload.uniform ~seed ~requests:40 ~window:8
+      in
+      let dmax = Array.fold_left max 0 plan.Repair.depth in
+      let retry_after = (4 * dmax) + 8 in
+      let cfg =
+        { Serve.plan; requests; horizon = 8 + (2 * retry_after); retry_after; retries = 1 }
+      in
+      diff "serve" ~max_words:Serve.max_words g (fun () -> Serve.algorithm g cfg);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -133,6 +180,41 @@ let test_fixed_instances () =
   diff "bintree/census" ~max_words:Kdom.Diam_dom.census_max_words t (fun () ->
       Kdom.Diam_dom.census_algorithm info ~k:2)
 
+(* A node halted at init is never stepped, by any executor: on a path of
+   4 with node 0 halted (state -1), every other node counts two steps. *)
+let test_init_halted () =
+  let g = Generators.path ~rng:(Rng.create 12) 4 in
+  let mk () =
+    {
+      Engine.einit = (fun _ v -> if v = 0 then -1 else 0);
+      estep = (fun _ ~round:_ ~node:_ st _ _ -> st + 1);
+      ehalted = (fun st -> st < 0 || st >= 2);
+      ewake = Engine.always;
+    }
+  in
+  diff "init-halted" ~max_words:1 g mk;
+  Alcotest.(check (array int)) "init-halted: final states" [| -1; 2; 2; 2 |]
+    (fst (Runtime.run g (mk ())))
+
+(* A never-halting node program whose step only sends what [send] emits. *)
+let sender send () =
+  {
+    Engine.einit = (fun _ v -> v);
+    estep =
+      (fun _ ~round:_ ~node st _ em ->
+        send ~node em;
+        st);
+    ehalted = (fun _ -> false);
+    ewake = Engine.always;
+  }
+
+(* node 1 sends to node 0, halted from the start *)
+let halted_receiver () =
+  {
+    (sender (fun ~node em -> if node = 1 then Engine.Emit.frame1 em ~dst:0 7) ()) with
+    Engine.ehalted = (fun v -> v = 0);
+  }
+
 (* Violations must be raised identically by both backends: same exception,
    same message, same (first-in-id-order) offending node. *)
 let test_violations_agree () =
@@ -145,50 +227,26 @@ let test_violations_agree () =
   let cases =
     [
       ( "non-neighbor",
-        fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 2 then [ (5, [| 0 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+        sender (fun ~node em -> if node = 2 then Engine.Emit.frame1 em ~dst:5 0) );
       ( "duplicate",
-        fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 3 then [ (4, [| 0 |]); (4, [| 1 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+        sender (fun ~node em ->
+            if node = 3 then begin
+              Engine.Emit.frame1 em ~dst:4 0;
+              Engine.Emit.frame1 em ~dst:4 1
+            end) );
       ( "width",
-        fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 2 then [ (3, [| 1; 2; 3; 4; 5 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
-      ( "halted receiver",
-        fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 1 then [ (0, [| 7 |]) ] else []));
-            halted = (fun v -> v = 0);
-            wake = Engine.always;
-          } );
+        sender (fun ~node em ->
+            if node = 2 then
+              Engine.Emit.send em ~dst:3 (fun w ->
+                  for i = 1 to 5 do
+                    Codec.put w i
+                  done)) );
+      ("halted receiver", halted_receiver);
     ]
   in
   List.iter
     (fun (name, mk) ->
-      let e = outcome (fun g a -> Engine.run g a) (mk ()) in
+      let e = outcome (fun g a -> Engine.run_emit g a) (mk ()) in
       let r = outcome (fun g a -> Runtime.run_reference g a) (mk ()) in
       match (e, r) with
       | Error me, Error mr ->
@@ -207,43 +265,46 @@ let test_violations_agree () =
 
 type flood = { best : int; left : int }
 
-let flood_algorithm ?(wake = Engine.always) g rounds : flood Runtime.algorithm =
+let flood_algorithm ?(wake = Engine.always) g rounds : flood Runtime.ealgorithm =
   {
-    init = (fun _ v -> { best = v; left = rounds });
-    halted = (fun st -> st.left = 0);
-    step =
-      (fun _ ~round:_ ~node st inbox ->
-        let best = Engine.Inbox.fold (fun a _ p -> max a p.(0)) st.best inbox in
-        let st = { best; left = st.left - 1 } in
-        let out =
-          if st.left = 0 then []
-          else
-            Array.to_list
-              (Array.map (fun (u, _) -> (u, [| st.best |])) (Graph.neighbors g node))
-        in
-        (st, out));
-    wake;
+    einit = (fun _ v -> { best = v; left = rounds });
+    ehalted = (fun st -> st.left = 0);
+    estep =
+      (fun _ ~round:_ ~node st inbox em ->
+        let best = ref st.best in
+        for i = 0 to Engine.Inbox.length inbox - 1 do
+          best := max !best (Codec.get (Engine.Inbox.read inbox i))
+        done;
+        let st = { best = !best; left = st.left - 1 } in
+        if st.left > 0 then
+          Array.iter (fun (u, _) -> Engine.Emit.frame1 em ~dst:u st.best) (Graph.neighbors g node);
+        st);
+    ewake = wake;
   }
 
 (* a token walking a path: the canonical O(1)-frontier kernel *)
-let token_algorithm ?(wake = Engine.always) g : bool Runtime.algorithm =
+let token_algorithm ?(wake = Engine.always) g : bool Runtime.ealgorithm =
   let n = Graph.n g in
   {
-    init = (fun _ _ -> false);
-    halted = (fun st -> st);
-    step =
-      (fun _ ~round ~node _ inbox ->
-        if node = 0 && round = 0 then
-          (true, if n > 1 then [ (1, [| 1 |]) ] else [])
-        else if not (Engine.Inbox.is_empty inbox) then
-          (true, if node + 1 < n then [ (node + 1, [| 1 |]) ] else [])
-        else (false, []));
-    wake;
+    einit = (fun _ _ -> false);
+    ehalted = (fun st -> st);
+    estep =
+      (fun _ ~round ~node _ inbox em ->
+        if node = 0 && round = 0 then begin
+          if n > 1 then Engine.Emit.frame1 em ~dst:1 1;
+          true
+        end
+        else if not (Engine.Inbox.is_empty inbox) then begin
+          if node + 1 < n then Engine.Emit.frame1 em ~dst:(node + 1) 1;
+          true
+        end
+        else false);
+    ewake = wake;
   }
 
 let degraded_round_diff what ~max_words g mk =
   let es, er = Engine.Sink.counters () in
-  let e_states, e_stats = Engine.run ~max_words ~sink:es ~degrade:true g (mk ()) in
+  let e_states, e_stats = Engine.run_emit ~max_words ~sink:es ~degrade:true g (mk ()) in
   let rs, rr = Engine.Sink.counters () in
   let r_states, r_stats = Runtime.run_reference ~max_words ~sink:rs g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
@@ -258,7 +319,7 @@ let degraded_round_diff what ~max_words g mk =
 
 let sparse_round_diff what ~max_words g mk =
   let es, er = Engine.Sink.counters () in
-  let e_states, e_stats = Engine.run ~max_words ~sink:es g (mk ()) in
+  let e_states, e_stats = Engine.run_emit ~max_words ~sink:es g (mk ()) in
   let rs, rr = Engine.Sink.counters () in
   let r_states, r_stats = Runtime.run_reference ~max_words ~sink:rs g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
@@ -293,10 +354,10 @@ let prop_degrade_bit_identical =
           degraded_round_diff ("flood/" ^ fam) ~max_words:4 g (fun () ->
               flood_algorithm ~wake g (2 + (seed mod 4)));
           degraded_round_diff ("bfs/" ^ fam) ~max_words:Kdom.Bfs_tree.max_words
-            g (fun () -> { (Kdom.Bfs_tree.algorithm g ~root:0) with wake });
+            g (fun () -> { (Kdom.Bfs_tree.algorithm g ~root:0) with ewake = wake });
           degraded_round_diff ("smc/" ^ fam)
             ~max_words:Kdom.Simple_mst_congest.max_words g (fun () ->
-              { (Kdom.Simple_mst_congest.algorithm g ~k:2) with wake }))
+              { (Kdom.Simple_mst_congest.algorithm g ~k:2) with ewake = wake }))
         (graph_families seed);
       let p = Generators.path ~rng:(Rng.create seed) (2 + (seed mod 30)) in
       degraded_round_diff "token/path" ~max_words:4 p (fun () ->
@@ -380,15 +441,7 @@ let sharded_diff what ?partition ~domains ~max_words g mk =
     ~reference:(fun () -> Runtime.run_reference ~max_words g (mk ()))
     (fun sink d ->
       let partition = if d = 1 then None else partition in
-      Engine.run ~max_words ~sink ~domains:d ?partition g (mk ()))
-
-(* The same check on the Emit path; the reference runs the derived list
-   shape. *)
-let sharded_diff_emit what ~domains ~max_words g mk =
-  sharded_check what ~domains
-    ~reference:(fun () ->
-      Runtime.run_reference ~max_words g (Engine.to_algorithm ~max_words (mk ())))
-    (fun sink d -> Engine.run_emit ~max_words ~sink ~domains:d g (mk ()))
+      Engine.run_emit ~max_words ~sink ~domains:d ?partition g (mk ()))
 
 let prop_sharded_bit_identical =
   QCheck2.Test.make
@@ -405,24 +458,10 @@ let prop_sharded_bit_identical =
               sharded_diff ("leader/" ^ fam) ~domains
                 ~max_words:Kdom.Leader.max_words g (fun () ->
                   Kdom.Leader.algorithm g);
-              sharded_diff_emit ("leader-emit/" ^ fam) ~domains
-                ~max_words:Kdom.Leader.max_words g (fun () ->
-                  Kdom.Leader.ealgorithm g);
               sharded_diff ("smc/" ^ fam) ~domains
                 ~max_words:Kdom.Simple_mst_congest.max_words g (fun () ->
                   Kdom.Simple_mst_congest.algorithm g ~k:2))
             domain_counts;
-          (* the Emit step and its derived list shape agree *)
-          let es, est =
-            Engine.run_emit ~max_words:Kdom.Leader.max_words g
-              (Kdom.Leader.ealgorithm g)
-          in
-          let ls, lst =
-            Engine.run ~max_words:Kdom.Leader.max_words g
-              (Kdom.Leader.algorithm g)
-          in
-          if es <> ls then Alcotest.failf "leader/%s: emit <> list states" fam;
-          check_stats ("leader emit/list " ^ fam) est lst;
           (* a degree-balanced (non-contiguous) partition must behave the
              same; 3 shards so cross-shard frames are guaranteed *)
           let partition = Generators.shard_partition g ~shards:3 in
@@ -453,43 +492,19 @@ let test_sharded_violations_agree () =
     | _ -> Ok ()
     | exception Engine.Congestion_violation m -> Error m
   in
-  let outcome domains = result (Engine.run ~domains g) in
+  let outcome domains = result (Engine.run_emit ~domains g) in
   let cases =
     [
       ( "non-neighbor",
-        fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 2 then [ (5, [| 0 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+        sender (fun ~node em -> if node = 2 then Engine.Emit.frame1 em ~dst:5 0) );
       ( "concurrent duplicates",
         (* two offenders in different shards: node 1's must win *)
-        fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                ( st,
-                  if node = 1 || node = 4 then
-                    [ (node + 1, [| 0 |]); (node + 1, [| 1 |]) ]
-                  else [] ));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
-      ( "halted receiver",
-        fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 1 then [ (0, [| 7 |]) ] else []));
-            halted = (fun v -> v = 0);
-            wake = Engine.always;
-          } );
+        sender (fun ~node em ->
+            if node = 1 || node = 4 then begin
+              Engine.Emit.frame1 em ~dst:(node + 1) 0;
+              Engine.Emit.frame1 em ~dst:(node + 1) 1
+            end) );
+      ("halted receiver", halted_receiver);
     ]
   in
   List.iter
@@ -519,20 +534,21 @@ let test_sharded_violations_agree () =
    domain count. *)
 
 (* every node sends to every neighbour every round, with [Next] hints so
-   the timer wheel holds entries when the run aborts *)
-let chatter_step g ~round ~node =
-  Array.to_list (Array.map (fun (u, _) -> (u, [| round; node |])) (Graph.neighbors g node))
-
-let abort_duplicate g : int Engine.algorithm =
+   the timer wheel holds entries when the run aborts; at round 3 the
+   culprit sends to its first neighbour twice *)
+let abort_duplicate g : int Engine.ealgorithm =
   let culprit = Graph.n g / 2 in
   {
-    Engine.init = (fun _ v -> v);
-    step =
-      (fun g ~round ~node st _ ->
-        let out = chatter_step g ~round ~node in
-        (st + 1, if round = 3 && node = culprit then out @ [ List.hd out ] else out));
-    halted = (fun _ -> false);
-    wake = (fun _ -> Engine.Next);
+    Engine.einit = (fun _ v -> v);
+    estep =
+      (fun g ~round ~node st _ em ->
+        let nbrs = Graph.neighbors g node in
+        Array.iter (fun (u, _) -> Engine.Emit.frame2 em ~dst:u round node) nbrs;
+        if round = 3 && node = culprit then
+          Engine.Emit.frame2 em ~dst:(fst nbrs.(0)) round node;
+        st + 1);
+    ehalted = (fun _ -> false);
+    ewake = (fun _ -> Engine.Next);
   }
 
 (* leaves a frame open on the emitter: the over-budget put raises *)
@@ -561,14 +577,14 @@ let test_reuse_after_abort () =
   let aborts =
     [
       ( "duplicate send",
-        fun e d -> ignore (Engine.exec ~max_words:4 ~domains:d e (abort_duplicate g)) );
+        fun e d -> ignore (Engine.exec_emit ~max_words:4 ~domains:d e (abort_duplicate g)) );
       ( "open frame",
         fun e d ->
           ignore (Engine.exec_emit ~max_words:4 ~domains:d e (abort_open_frame g)) );
       ( "round limit",
         fun e d ->
           ignore
-            (Engine.exec ~max_words:4 ~max_rounds:2 ~domains:d e (abort_duplicate g))
+            (Engine.exec_emit ~max_words:4 ~max_rounds:2 ~domains:d e (abort_duplicate g))
       );
     ]
   in
@@ -601,20 +617,20 @@ let test_reuse_after_abort () =
             (fun e ->
               counted (fun sink ->
                   Engine.exec_emit ~max_words:Kdom.Leader.max_words ~sink ~domains:d e
-                    (Kdom.Leader.ealgorithm g)))
+                    (Kdom.Leader.algorithm g)))
             e;
           let what, e = reused "bfs" in
           same what
             (fun e ->
               counted (fun sink ->
-                  Engine.exec ~max_words:Kdom.Bfs_tree.max_words ~sink ~domains:d e
+                  Engine.exec_emit ~max_words:Kdom.Bfs_tree.max_words ~sink ~domains:d e
                     (Kdom.Bfs_tree.algorithm g ~root:0)))
             e;
           let what, e = reused "sparse flood" in
           same what
             (fun e ->
               counted (fun sink ->
-                  Engine.exec ~max_words:4 ~sink ~domains:d e
+                  Engine.exec_emit ~max_words:4 ~sink ~domains:d e
                     (flood_algorithm ~wake:(fun _ -> Runtime.Next) g 5)))
             e)
         aborts)
@@ -626,10 +642,10 @@ let test_reuse_after_abort () =
 let test_counters_merge_safe () =
   let g = Generators.gnp_connected ~rng:(Rng.create 41) ~n:40 ~p:0.12 in
   let c0, r0 = Engine.Sink.counters () in
-  let _ = Engine.run ~sink:c0 g (Kdom.Leader.algorithm g) in
+  let _ = Engine.run_emit ~sink:c0 g (Kdom.Leader.algorithm g) in
   let c1, r1 = Engine.Sink.counters () in
   let c2, r2 = Engine.Sink.counters () in
-  let _ = Engine.run ~sink:(Engine.Sink.tee c1 c2) g (Kdom.Leader.algorithm g) in
+  let _ = Engine.run_emit ~sink:(Engine.Sink.tee c1 c2) g (Kdom.Leader.algorithm g) in
   let single = r0 () in
   if r1 () <> single then Alcotest.fail "tee left != single";
   if r2 () <> single then Alcotest.fail "tee right != single";
@@ -661,14 +677,15 @@ let test_counters_merge_safe () =
 let test_async_matches_engine () =
   let g = Generators.gnp_connected ~rng:(Rng.create 21) ~n:45 ~p:0.12 in
   let sync_states, sync_stats =
-    Engine.run ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
+    Engine.run_emit ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
   in
   List.iter
     (fun (seed, max_delay) ->
-      let async_states, report =
-        Async.run ~rng:(Rng.create seed) ~max_delay
+      let async_states, frep =
+        Async.run_reliable ~rng:(Rng.create seed) ~max_delay
           ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
       in
+      let report = frep.report in
       let what = Printf.sprintf "leader async d=%.2f" max_delay in
       if async_states <> sync_states then
         Alcotest.failf "%s: states differ from engine" what;
@@ -680,13 +697,13 @@ let test_async_matches_engine () =
 let test_async_bfs_matches_engine () =
   let g = Generators.random_tree ~rng:(Rng.create 22) 60 in
   let sync_states, _ =
-    Engine.run ~max_words:Kdom.Bfs_tree.max_words g
+    Engine.run_emit ~max_words:Kdom.Bfs_tree.max_words g
       (Kdom.Bfs_tree.algorithm g ~root:0)
   in
   List.iter
     (fun (seed, max_delay) ->
       let async_states, _ =
-        Async.run ~rng:(Rng.create seed) ~max_delay
+        Async.run_reliable ~rng:(Rng.create seed) ~max_delay
           ~max_words:Kdom.Bfs_tree.max_words g
           (Kdom.Bfs_tree.algorithm g ~root:0)
       in
@@ -738,6 +755,8 @@ let () =
             prop_leader;
             prop_simple_mst;
             prop_pipeline;
+            prop_repair;
+            prop_serve;
           ] );
       ( "scheduler",
         List.map QCheck_alcotest.to_alcotest
@@ -746,6 +765,7 @@ let () =
         [
           Alcotest.test_case "fixed instances" `Quick test_fixed_instances;
           Alcotest.test_case "violations agree" `Quick test_violations_agree;
+          Alcotest.test_case "init-halted node never steps" `Quick test_init_halted;
         ] );
       ( "sharded",
         QCheck_alcotest.to_alcotest prop_sharded_bit_identical

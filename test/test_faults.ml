@@ -13,117 +13,16 @@
 open Kdom_graph
 open Kdom_congest
 
-let dummy_stats = { Runtime.rounds = 0; messages = 0; max_inflight = 0 }
-
-(* One algorithm under test: name, word budget, a fresh instance per
-   backend (mutable closures must not leak between executions), and an
-   oracle over the decoded final states. *)
-type case =
-  | Case :
-      string * int * (unit -> 'st Runtime.algorithm) * ('st array -> unit)
-      -> case
-
-let bfs_case g =
-  Case
-    ( "bfs",
-      Kdom.Bfs_tree.max_words,
-      (fun () -> Kdom.Bfs_tree.algorithm g ~root:0),
-      fun states ->
-        let info = Kdom.Bfs_tree.info_of_states g ~root:0 states in
-        Oracle.expect_ok "bfs"
-          (Oracle.bfs_tree g ~root:0 ~parent:info.parent ~depth:info.depth) )
-
-let census_case g ~k =
-  let info, _ = Kdom.Bfs_tree.run g ~root:0 in
-  (* the census stage only runs on trees deeper than k *)
-  if info.height <= k then None
-  else
-    Some
-      (Case
-         ( "census",
-           Kdom.Diam_dom.census_max_words,
-           (fun () -> Kdom.Diam_dom.census_algorithm info ~k),
-           fun states ->
-             let dom = Kdom.Diam_dom.dominating_of_states states in
-             let centers = ref [] in
-             Array.iteri (fun v b -> if b then centers := v :: !centers) dom;
-             Oracle.expect_ok "census"
-               (Oracle.k_domination g ~k !centers
-               @ Oracle.size_within ~n:(Graph.n g) ~k ~ceil:true !centers) ))
-
-let coloring_case g =
-  Case
-    ( "coloring",
-      Kdom.Coloring.congest_max_words,
-      (fun () -> Kdom.Coloring.congest_algorithm g ~root:0),
-      fun states ->
-        Oracle.expect_ok "coloring"
-          (Oracle.proper_coloring g ~palette:3
-             (Kdom.Coloring.colors_of_states states)) )
-
-(* The offline winner of the election: the node with the largest wave key. *)
-let max_key_node n =
-  let best = ref 0 in
-  for v = 1 to n - 1 do
-    if Kdom.Leader.key ~n v > Kdom.Leader.key ~n !best then best := v
-  done;
-  !best
-
-let leader_case g =
-  Case
-    ( "leader",
-      Kdom.Leader.max_words,
-      (fun () -> Kdom.Leader.algorithm g),
-      fun states ->
-        let r = Kdom.Leader.result_of_states states dummy_stats in
-        Alcotest.(check int) "leader is the max-key node" (max_key_node (Graph.n g))
-          r.leader;
-        Oracle.expect_ok "leader"
-          (Oracle.bfs_tree g ~root:r.leader ~parent:r.parent ~depth:r.depth) )
-
-let smc_case g ~k =
-  Case
-    ( "smc",
-      Kdom.Simple_mst_congest.max_words,
-      (fun () -> Kdom.Simple_mst_congest.algorithm g ~k),
-      fun states ->
-        let frags = Kdom.Simple_mst_congest.fragments_of_states g states in
-        let fragment_of = Array.make (Graph.n g) (-1) in
-        List.iteri
-          (fun i (f : Kdom.Simple_mst.fragment) ->
-            List.iter (fun v -> fragment_of.(v) <- i) f.members)
-          frags;
-        let edge_ids =
-          List.concat_map
-            (fun (f : Kdom.Simple_mst.fragment) ->
-              List.map (fun (e : Graph.edge) -> e.id) f.tree_edges)
-            frags
-        in
-        Oracle.expect_ok "smc"
-          (Oracle.partition g ~fragment_of ~min_size:(min (k + 1) (Graph.n g))
-          @ Oracle.mst_subforest g edge_ids) )
-
-let pipeline_case g ~k =
-  let dom = Kdom.Fastdom_graph.run g ~k in
-  let fragment_of = Kdom.Simple_mst.fragment_of_array g dom.forest in
-  let bfs, _ = Kdom.Bfs_tree.run g ~root:0 in
-  Case
-    ( "pipeline",
-      Kdom.Pipeline.max_words,
-      (fun () -> fst (Kdom.Pipeline.algorithm g ~bfs ~fragment_of)),
-      fun states ->
-        let selected =
-          Kdom.Pipeline.selected_of_states g ~fragment_of ~root:bfs.root states
-        in
-        Oracle.expect_ok "pipeline"
-          (Oracle.inter_fragment_mst g ~fragment_of
-             (List.map (fun (e : Graph.edge) -> e.id) selected)) )
+(* One algorithm under test, from the shared battery: name, word budget,
+   a fresh instance per backend and an oracle over the decoded final
+   states.  [k] matters to census, smc and pipeline only. *)
+let case ?(k = 1) name g = Option.get (Kdom.Battery.case g ~k name)
 
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
 let check_case ?(what = "") ~faults ~max_delay ~rng_seed g
-    (Case (name, max_words, mk, oracle)) =
+    (Chaos.Case (name, max_words, mk, oracle)) =
   let what = name ^ what in
   let sync_states, _ = Runtime.run ~max_words g (mk ()) in
   let states, frep =
@@ -183,26 +82,26 @@ let sweep ?(trees_only = false) ~count name mk_case =
         graphs;
       true)
 
-let prop_bfs = sweep ~count:12 "reliable = sync: Bfs_tree" (fun ~seed:_ g -> Some (bfs_case g))
+let prop_bfs = sweep ~count:12 "reliable = sync: Bfs_tree" (fun ~seed:_ g -> Some (case "bfs" g))
 
 let prop_census =
   sweep ~trees_only:true ~count:12 "reliable = sync: Diam_dom census"
-    (fun ~seed g -> census_case g ~k:(1 + (seed mod 3)))
+    (fun ~seed g -> Kdom.Battery.case g ~k:(1 + (seed mod 3)) "census")
 
 let prop_coloring =
   sweep ~trees_only:true ~count:10 "reliable = sync: Coloring"
-    (fun ~seed:_ g -> Some (coloring_case g))
+    (fun ~seed:_ g -> Some (case "coloring" g))
 
 let prop_leader =
-  sweep ~count:10 "reliable = sync: Leader" (fun ~seed:_ g -> Some (leader_case g))
+  sweep ~count:10 "reliable = sync: Leader" (fun ~seed:_ g -> Some (case "leader" g))
 
 let prop_smc =
   sweep ~count:6 "reliable = sync: Simple_mst_congest"
-    (fun ~seed g -> Some (smc_case g ~k:(1 + (seed mod 3))))
+    (fun ~seed g -> Some (case "smc" ~k:(1 + (seed mod 3)) g))
 
 let prop_pipeline =
   sweep ~count:6 "reliable = sync: Pipeline"
-    (fun ~seed g -> Some (pipeline_case g ~k:(1 + (seed mod 3))))
+    (fun ~seed g -> Some (case "pipeline" ~k:(1 + (seed mod 3)) g))
 
 (* ------------------------------------------------------------------ *)
 (* Crashes *)
@@ -219,10 +118,10 @@ let test_crash_recovery () =
   List.iter
     (fun (rname, faults) ->
       ignore
-        (check_case ~what:rname ~faults ~max_delay:1.0 ~rng_seed:7 g (bfs_case g));
+        (check_case ~what:rname ~faults ~max_delay:1.0 ~rng_seed:7 g (case "bfs" g));
       ignore
         (check_case ~what:rname ~faults ~max_delay:1.0 ~rng_seed:8 g
-           (leader_case g)))
+           (case "leader" g)))
     [
       ("/crash", Faults.lossy ~crashes ~seed:3 ());
       ("/crash+drop", Faults.lossy ~drop:0.15 ~duplicate:0.1 ~crashes ~seed:4 ());
@@ -257,7 +156,7 @@ let test_adversarial_link () =
       corrupt = None;
     }
   in
-  let frep = check_case ~what:"/adversarial" ~faults ~max_delay:1.0 ~rng_seed:3 g (bfs_case g) in
+  let frep = check_case ~what:"/adversarial" ~faults ~max_delay:1.0 ~rng_seed:3 g (case "bfs" g) in
   if frep.retransmits = 0 then
     Alcotest.fail "a 90%-loss link must force retransmissions"
 
@@ -269,13 +168,13 @@ let test_zero_faults_zero_retransmits () =
   let t = Generators.random_tree ~rng:(Rng.create 30) 20 in
   let cases =
     [
-      (g, bfs_case g);
-      (g, leader_case g);
-      (g, smc_case g ~k:2);
-      (g, pipeline_case g ~k:2);
-      (t, coloring_case t);
+      (g, case "bfs" g);
+      (g, case "leader" g);
+      (g, case "smc" ~k:2 g);
+      (g, case "pipeline" ~k:2 g);
+      (t, case "coloring" t);
     ]
-    @ match census_case t ~k:2 with None -> [] | Some c -> [ (t, c) ]
+    @ match Kdom.Battery.case t ~k:2 "census" with None -> [] | Some c -> [ (t, c) ]
   in
   List.iter
     (fun (g, case) ->
@@ -439,7 +338,7 @@ let test_corruption_matrix () =
                       (what ^ ": integrity rejections are not link drops") 0
                       frep.dropped;
                   total_rejected := !total_rejected + frep.corrupted)
-                [ bfs_case g; leader_case g ])
+                [ case "bfs" g; case "leader" g ])
             [ []; [ { Faults.node = 2; at = 0.5; recover = Some 4.5 } ] ])
         [ 0.0; 0.1 ])
     [ 1e-3; 1e-2 ];

@@ -111,7 +111,7 @@ let test_run_elected () =
 
 (* Outputs of the keyed-wave election, recorded after each leader matched
    the offline max-key oracle and its tree passed [Oracle.bfs_tree]: the
-   Emit step and the derived list shape must both reproduce the leader, the
+   engine and the reference simulator must both reproduce the leader, the
    BFS tree and the run statistics exactly.  Parent and depth arrays are
    pinned by the MD5 of their decimal rendering. *)
 type pin = {
@@ -211,11 +211,12 @@ let test_pinned () =
       let r = Leader.elect g in
       check_elected p.p_name g r;
       check_pin "elect" p r;
-      (* the derived list shape, through the compat adapter *)
+      (* the same node program under the reference simulator *)
       let states, stats =
-        Kdom_congest.Engine.run ~max_words:Leader.max_words g (Leader.algorithm g)
+        Kdom_congest.Runtime.run_reference ~max_words:Leader.max_words g
+          (Leader.algorithm g)
       in
-      check_pin "list shape" p (Leader.result_of_states states stats))
+      check_pin "reference" p (Leader.result_of_states states stats))
     pins
 
 (* O(m log n) messages in expectation: a wave passes a node only if no

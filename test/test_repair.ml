@@ -92,28 +92,31 @@ let test_overlapping_windows_rejected () =
    between the executors is a churn-application bug. *)
 type gossip = { neighbors : int list; best : int; halted : bool }
 
-let gossip_algorithm g ~rounds : gossip Engine.algorithm =
-  let init _g v =
+let gossip_algorithm g ~rounds : gossip Engine.ealgorithm =
+  let einit _g v =
     {
       neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
       best = v;
       halted = false;
     }
   in
-  let step _g ~round ~node:_ st inbox =
-    let best =
-      Engine.Inbox.fold (fun b _ payload -> max b payload.(0)) st.best inbox
-    in
-    if round >= rounds then ({ st with best; halted = true }, [])
-    else
-      ( { st with best },
-        List.map (fun u -> (u, [| best |])) st.neighbors )
+  let estep _g ~round ~node:_ st inbox em =
+    let best = ref st.best in
+    for i = 0 to Engine.Inbox.length inbox - 1 do
+      best := max !best (Codec.get (Engine.Inbox.read inbox i))
+    done;
+    let best = !best in
+    if round >= rounds then { st with best; halted = true }
+    else begin
+      List.iter (fun u -> Engine.Emit.frame1 em ~dst:u best) st.neighbors;
+      { st with best }
+    end
   in
   {
-    Engine.init;
-    step;
-    halted = (fun st -> st.halted);
-    wake = (fun _ -> Engine.Always);
+    Engine.einit;
+    estep;
+    ehalted = (fun st -> st.halted);
+    ewake = (fun _ -> Engine.Always);
   }
 
 let test_engine_reference_churn_differential () =
@@ -126,7 +129,7 @@ let test_engine_reference_churn_differential () =
       let e = Engine.create g in
       let churn = Engine.Churn.compile e events in
       let s1, st1 =
-        Engine.exec ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
+        Engine.exec_emit ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
       in
       (* the schedule is reset on entry, so the same compiled value drives
          the reference run *)
@@ -147,16 +150,18 @@ let test_engine_reference_churn_differential () =
    round, in any executor.  Node 0 pings node 1 every round until it
    crashes at round 3; node 1 wakes by timer at round 9 and halts. *)
 let test_crashed_always_node_sparse () =
-  let alg : int Engine.algorithm =
+  let alg : int Engine.ealgorithm =
     {
-      Engine.init = (fun _ v -> v * 1000);
-      step =
-        (fun _ ~round ~node st _ib ->
-          if round > 8 then (-1, [])
-          else if node = 0 then (st + 1, [ (1, [| round |]) ])
-          else (st + 1, []));
-      halted = (fun st -> st < 0);
-      wake = (fun st -> if st >= 0 && st < 1000 then Engine.Always else Engine.At 9);
+      Engine.einit = (fun _ v -> v * 1000);
+      estep =
+        (fun _ ~round ~node st _ib em ->
+          if round > 8 then -1
+          else begin
+            if node = 0 then Engine.Emit.frame1 em ~dst:1 round;
+            st + 1
+          end);
+      ehalted = (fun st -> st < 0);
+      ewake = (fun st -> if st >= 0 && st < 1000 then Engine.Always else Engine.At 9);
     }
   in
   let g = Generators.path ~rng:(Rng.create 1) 2 in
@@ -166,7 +171,7 @@ let test_crashed_always_node_sparse () =
   Alcotest.(check (array int)) "reference: node 0 stepped rounds 0..2" [| 3; -1 |] rs;
   List.iter
     (fun domains ->
-      let s, st = Engine.exec ~churn ~domains e alg in
+      let s, st = Engine.exec_emit ~churn ~domains e alg in
       let what = Printf.sprintf "domains=%d" domains in
       Alcotest.(check (array int)) (what ^ ": states") rs s;
       Alcotest.(check int) (what ^ ": messages") rst.Runtime.messages st.Engine.messages)
@@ -190,7 +195,7 @@ let test_sharded_churn_differential () =
       let run domains =
         let sink, rounds = Engine.Sink.counters () in
         let states, stats =
-          Engine.exec ~max_words:1 ~sink ~churn ~domains e
+          Engine.exec_emit ~max_words:1 ~sink ~churn ~domains e
             (gossip_algorithm g ~rounds:10)
         in
         (states, stats, rounds ())
@@ -240,7 +245,7 @@ let test_crashed_counter_sums () =
   let churn = Engine.Churn.compile e events in
   let counters, rounds_info = Engine.Sink.counters () in
   let _ =
-    Engine.exec ~max_words:1 ~sink:counters ~churn e
+    Engine.exec_emit ~max_words:1 ~sink:counters ~churn e
       (gossip_algorithm g ~rounds:10)
   in
   let sum =

@@ -393,22 +393,23 @@ let expect_nonzero what totals counters =
     counters
 
 (* Every node floods its running maximum for [rounds] rounds, then halts. *)
-let max_gossip ~rounds : (int * bool) Engine.algorithm =
+let max_gossip ~rounds : (int * bool) Engine.ealgorithm =
   {
-    Engine.init = (fun _ v -> (v, false));
-    step =
-      (fun g ~round ~node (best, _) inbox ->
-        let best =
-          Engine.Inbox.fold (fun b _ p -> max b p.(0)) best inbox
-        in
-        if round >= rounds then ((best, true), [])
-        else
-          ( (best, false),
-            Array.to_list
-              (Array.map (fun (u, _) -> (u, [| best |])) (Graph.neighbors g node))
-          ));
-    halted = snd;
-    wake = (fun _ -> Engine.Always);
+    Engine.einit = (fun _ v -> (v, false));
+    estep =
+      (fun g ~round ~node (best, _) inbox em ->
+        let best = ref best in
+        for i = 0 to Engine.Inbox.length inbox - 1 do
+          best := max !best (Codec.get (Engine.Inbox.read inbox i))
+        done;
+        let best = !best in
+        if round >= rounds then (best, true)
+        else begin
+          Array.iter (fun (u, _) -> Engine.Emit.frame1 em ~dst:u best) (Graph.neighbors g node);
+          (best, false)
+        end);
+    ehalted = snd;
+    ewake = (fun _ -> Engine.Always);
   }
 
 let test_counter_sums_churn_corrupt () =
@@ -434,7 +435,7 @@ let test_counter_sums_churn_corrupt () =
   let totals =
     check_counter_sums "churn+corrupt" (fun sink ->
         ignore
-          (Engine.exec ~max_words:1 ~sink ~churn ~corrupt e
+          (Engine.exec_emit ~max_words:1 ~sink ~churn ~corrupt e
              (max_gossip ~rounds:12)))
   in
   expect_nonzero "churn+corrupt" totals
