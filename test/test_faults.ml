@@ -103,6 +103,28 @@ let prop_pipeline =
   sweep ~count:6 "reliable = sync: Pipeline"
     (fun ~seed g -> Some (case "pipeline" ~k:(1 + (seed mod 3)) g))
 
+(* The same drop=0.2 dup=0.1 regime at 20 fixed seeds, so a regression
+   there fails every run, not only the runs whose random seeds hit it:
+   the six battery algorithms, coloring and census on random trees, the
+   rest on connected G(n,p). *)
+let test_fixed_seeds () =
+  for seed = 0 to 19 do
+    let n = 10 + (seed mod 8) and k = 1 + (seed mod 3) in
+    let t = Generators.random_tree ~rng:(Rng.create (seed + 900)) n in
+    let g = Generators.gnp_connected ~rng:(Rng.create (seed + 950)) ~n ~p:0.25 in
+    let faults = Faults.lossy ~drop:0.2 ~duplicate:0.1 ~seed:(seed + 7) () in
+    List.iter
+      (fun name ->
+        let host = if name = "coloring" || name = "census" then t else g in
+        Option.iter
+          (fun c ->
+            ignore
+              (check_case ~what:(Printf.sprintf "/seed=%d" seed) ~faults
+                 ~max_delay:1.0 ~rng_seed:(seed + 71) host c))
+          (Kdom.Battery.case host ~k name))
+      Kdom.Battery.names
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Crashes *)
 
@@ -403,6 +425,10 @@ let () =
             prop_leader;
             prop_smc;
             prop_pipeline;
+          ]
+        @ [
+            Alcotest.test_case "20 fixed seeds at drop 0.2, dup 0.1" `Quick
+              test_fixed_seeds;
           ] );
       ( "crashes",
         [
