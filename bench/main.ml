@@ -641,7 +641,7 @@ let engine_case ~kernel ~family ~skip_reference g algo : row =
           (Printf.sprintf "engine bench %s/%s: backend stats disagree" kernel family);
       [
         ("reference_secs", num rsecs);
-        ("reference_msgs_per_sec", num (per_sec stats.Runtime.messages rsecs));
+        ("reference_msgs_per_sec", num (per_sec stats.Engine.messages rsecs));
         ("speedup", num (rsecs /. secs));
       ]
     end
@@ -649,10 +649,10 @@ let engine_case ~kernel ~family ~skip_reference g algo : row =
   [
     ("kernel", str kernel); ("family", str family);
     ("n", int (Graph.n g)); ("m", int (Graph.m g));
-    ("rounds", int stats.Runtime.rounds); ("messages", int stats.Runtime.messages);
+    ("rounds", int stats.Engine.rounds); ("messages", int stats.Engine.messages);
     ("setup_secs", num setup); ("engine_secs", num secs);
-    ("engine_msgs_per_sec", num (per_sec stats.Runtime.messages secs));
-    ("engine_rounds_per_sec", num (per_sec stats.Runtime.rounds secs));
+    ("engine_msgs_per_sec", num (per_sec stats.Engine.messages secs));
+    ("engine_rounds_per_sec", num (per_sec stats.Engine.rounds secs));
   ]
   @ gc_cols minor promoted @ reference
 
@@ -681,8 +681,8 @@ let engine_rows ~smoke =
 
 (* ------------------------------------------------------------------ *)
 (* SCHED — the sparse event-driven scheduler against the dense schedule
-   ([~degrade:true] on the same engine: wake hints ignored, every live
-   node stepped every round).  Three kernels whose active frontier is far
+   (the same node program with [ewake = Engine.always], on the same
+   engine: every live node stepped every round).  Three kernels whose active frontier is far
    below the live set:
 
    - [token]: a token walks a path, wake = OnMessage — one node acts per
@@ -708,7 +708,8 @@ let sched_case ~kernel ~family ?max_words ?(round_cap = max_int)
     wall_alloc (fun () -> Engine.exec_emit eng ?max_words (mk ()))
   in
   let (_, dstats), dense =
-    wall (fun () -> Engine.exec_emit eng ?max_words ~degrade:true (mk ()))
+    wall (fun () ->
+        Engine.exec_emit eng ?max_words { (mk ()) with Engine.ewake = Engine.always })
   in
   if sstats <> dstats then failwith (what ^ ": sparse and dense stats disagree");
   let sink, rounds_info = Engine.Sink.counters () in
@@ -724,7 +725,7 @@ let sched_case ~kernel ~family ?max_words ?(round_cap = max_int)
   let sum c =
     List.fold_left (fun a (i : Engine.Sink.round_info) -> a + i.counts.(c)) 0 infos
   in
-  let rounds = sstats.Runtime.rounds and stepped = sum Engine.Sink.stepped in
+  let rounds = sstats.Engine.rounds and stepped = sum Engine.Sink.stepped in
   let stepped_per_round = ratio stepped rounds in
   if stepped_per_round > mean_cap then
     failwith
@@ -733,7 +734,7 @@ let sched_case ~kernel ~family ?max_words ?(round_cap = max_int)
   [
     ("kernel", str kernel); ("family", str family);
     ("n", int (Graph.n g)); ("m", int (Graph.m g));
-    ("rounds", int rounds); ("messages", int sstats.Runtime.messages);
+    ("rounds", int rounds); ("messages", int sstats.Engine.messages);
     ("stepped", int stepped); ("woken", int (sum Engine.Sink.woken));
     ("stepped_per_round", num stepped_per_round);
     ("sparse_secs", num sparse); ("dense_secs", num dense);
@@ -1020,8 +1021,8 @@ let trace_overhead_rows ~smoke =
          alloc_delta);
   [
     [
-      ("side", int side); ("rounds", int stats.Runtime.rounds);
-      ("messages", int stats.Runtime.messages);
+      ("side", int side); ("rounds", int stats.Engine.rounds);
+      ("messages", int stats.Engine.messages);
       ("default_secs", num !best_default); ("null_secs", num !best_null);
       ("traced_secs", num !best_traced);
       ("default_alloc_bytes", num !alloc_default);
@@ -1086,9 +1087,9 @@ let par_case ~kernel ~family ?partition_for g mk : row list =
       [
         ("kernel", str kernel); ("family", str family);
         ("n", int (Graph.n g)); ("m", int (Graph.m g));
-        ("domains", int domains); ("rounds", int stats.Runtime.rounds);
-        ("messages", int stats.Runtime.messages); ("secs", num secs);
-        ("secs_per_round", num (secs /. float_of_int (max 1 stats.Runtime.rounds)));
+        ("domains", int domains); ("rounds", int stats.Engine.rounds);
+        ("messages", int stats.Engine.messages); ("secs", num secs);
+        ("secs_per_round", num (secs /. float_of_int (max 1 stats.Engine.rounds)));
         ("speedup_vs_seq", num speedup);
       ]
       @ gc_cols minor promoted
@@ -1197,7 +1198,7 @@ let dyn_case ~smoke ~family ~rate (arrivals, insertions, cuts, crashes, departs)
 let dyn_rows ~smoke =
   let open Kdom_congest in
   let sweep domains =
-    Engine.default_domains := domains;
+    Engine.with_domains domains @@ fun () ->
     List.concat_map
       (fun (family, seed) ->
         List.map
@@ -1211,14 +1212,10 @@ let dyn_rows ~smoke =
            List.mem key
              [ "family"; "rate"; "incremental_rounds"; "recompute_rounds"; "reparents" ]))
   in
-  let saved = !Engine.default_domains in
-  Fun.protect
-    ~finally:(fun () -> Engine.default_domains := saved)
-    (fun () ->
-      let rows = sweep 1 in
-      if fingerprint rows <> fingerprint (sweep 4) then
-        failwith "dynamic bench: the domains=4 sweep diverges from domains=1";
-      rows)
+  let rows = sweep 1 in
+  if fingerprint rows <> fingerprint (sweep 4) then
+    failwith "dynamic bench: the domains=4 sweep diverges from domains=1";
+  rows
 
 (* ------------------------------------------------------------------ *)
 (* SERVE — the live serving layer (E15): request throughput and hop/latency
@@ -1417,7 +1414,7 @@ let codec_case ~kernel ~family ~trials g algo : row =
     minor := Float.min !minor mw;
     promoted := Float.min !promoted pw
   done;
-  let rounds = stats.Runtime.rounds in
+  let rounds = stats.Engine.rounds in
   let per_round = !minor /. float_of_int (max 1 rounds) in
   if kernel = "flood" && per_round > 2048.0 then
     failwith
@@ -1428,9 +1425,9 @@ let codec_case ~kernel ~family ~trials g algo : row =
   [
     ("kernel", str kernel); ("family", str family);
     ("n", int (Graph.n g)); ("m", int (Graph.m g));
-    ("rounds", int rounds); ("messages", int stats.Runtime.messages);
+    ("rounds", int rounds); ("messages", int stats.Engine.messages);
     ("emit_secs", num !secs);
-    ("emit_msgs_per_sec", num (float_of_int stats.Runtime.messages /. Float.max 1e-9 !secs));
+    ("emit_msgs_per_sec", num (float_of_int stats.Engine.messages /. Float.max 1e-9 !secs));
     ("emit_minor_words", num !minor);
     ("emit_minor_words_per_round", num per_round);
     ("emit_promoted_words", num !promoted);
@@ -1604,7 +1601,7 @@ let modes =
       name = "sched";
       claim =
         "a round costs O(receivers + woken), not O(live): hinted engine vs \
-         the same engine degraded to the dense schedule (stats agree); token \
+         the same engine on the dense schedule (stats agree); token \
          steps 1 node per round after init, census/path <= 4(k+1); token >= \
          5x at n=10k";
       rows = sched_rows;

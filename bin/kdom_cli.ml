@@ -12,59 +12,78 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* workload construction *)
 
-let make_graph ~family ~n ~seed =
-  let rng = Rng.create seed in
-  match family with
-  | "path" -> Generators.path ~rng n
-  | "star" -> Generators.star ~rng n
-  | "binary-tree" -> Generators.binary_tree ~rng n
-  | "random-tree" -> Generators.random_tree ~rng n
-  | "caterpillar" -> Generators.caterpillar ~rng ~spine:(max 1 (n / 5)) ~legs:4
-  | "cycle" -> Generators.cycle ~rng n
-  | "grid" ->
-    let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-    Generators.grid ~rng ~rows:side ~cols:side
-  | "torus" ->
-    let side = max 3 (int_of_float (sqrt (float_of_int n))) in
-    Generators.torus ~rng ~rows:side ~cols:side
-  | "gnp" -> Generators.gnp_connected ~rng ~n ~p:(4.0 /. float_of_int n *. 2.0)
-  | "lollipop" -> Generators.lollipop ~rng ~clique:(max 2 (n / 3)) ~tail:(max 1 (n - (n / 3)))
-  | "ladder" -> Generators.ladder ~rng (max 2 (n / 2))
-  | "regular" -> Generators.random_regular ~rng ~n ~d:4
-  | "complete" -> Generators.complete ~rng n
-  | "hidden" -> Generators.hidden_path ~rng ~n ~shortcuts:(2 * n)
-  | "pa" -> Generators.preferential_attachment ~rng ~n ~m:2
-  | "rgg" ->
-    let radius = sqrt (6.0 /. (Float.pi *. float_of_int n)) in
-    Generators.random_geometric ~rng ~n ~radius
-  | other -> invalid_arg (Printf.sprintf "unknown family %S" other)
+(* Graph families by name: each builds an [n]-node instance from an RNG. *)
+let families =
+  let side lo n = max lo (int_of_float (sqrt (float_of_int n))) in
+  [
+    ("path", fun ~rng n -> Generators.path ~rng n);
+    ("star", fun ~rng n -> Generators.star ~rng n);
+    ("binary-tree", fun ~rng n -> Generators.binary_tree ~rng n);
+    ("random-tree", fun ~rng n -> Generators.random_tree ~rng n);
+    ("caterpillar", fun ~rng n -> Generators.caterpillar ~rng ~spine:(max 1 (n / 5)) ~legs:4);
+    ("cycle", fun ~rng n -> Generators.cycle ~rng n);
+    ("grid", fun ~rng n -> Generators.grid ~rng ~rows:(side 2 n) ~cols:(side 2 n));
+    ("torus", fun ~rng n -> Generators.torus ~rng ~rows:(side 3 n) ~cols:(side 3 n));
+    ("gnp", fun ~rng n -> Generators.gnp_connected ~rng ~n ~p:(4.0 /. float_of_int n *. 2.0));
+    ( "lollipop",
+      fun ~rng n -> Generators.lollipop ~rng ~clique:(max 2 (n / 3)) ~tail:(max 1 (n - (n / 3))) );
+    ("ladder", fun ~rng n -> Generators.ladder ~rng (max 2 (n / 2)));
+    ("regular", fun ~rng n -> Generators.random_regular ~rng ~n ~d:4);
+    ("complete", fun ~rng n -> Generators.complete ~rng n);
+    ("hidden", fun ~rng n -> Generators.hidden_path ~rng ~n ~shortcuts:(2 * n));
+    ("pa", fun ~rng n -> Generators.preferential_attachment ~rng ~n ~m:2);
+    ( "rgg",
+      fun ~rng n ->
+        Generators.random_geometric ~rng ~n ~radius:(sqrt (6.0 /. (Float.pi *. float_of_int n))) );
+  ]
+
+let make_graph ~family:(_, build) ~n ~seed = build ~rng:(Rng.create seed) n
+
+(* A combination of valid arguments that does not fit together: report it
+   like cmdliner reports a bad value, without a backtrace. *)
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("kdom: " ^ msg); exit 2) fmt
+
+let need_tree g what =
+  if not (Tree.is_tree g) then fail "%s needs a tree family" what
+
+(* An enum over an association list whose value keeps its name (which also
+   spares cmdliner comparing functional values when it prints a default). *)
+let named l = Arg.enum (List.map (fun ((name, _) as p) -> (name, p)) l)
+
+let default name l = (name, List.assoc name l)
+
+let names l = List.map (fun x -> (x, x)) l
 
 let family_arg =
-  let doc =
-    "Graph family: path, star, binary-tree, random-tree, caterpillar, cycle, grid, \
-     torus, gnp, lollipop, ladder, regular, complete, hidden, pa, rgg."
-  in
-  Arg.(value & opt string "random-tree" & info [ "family" ] ~docv:"FAMILY" ~doc)
+  let doc = "Graph family: " ^ Arg.doc_alts_enum families ^ "." in
+  Arg.(
+    value
+    & opt (named families) (default "random-tree" families)
+    & info [ "family" ] ~docv:"FAMILY" ~doc)
 
 let n_arg = Arg.(value & opt int 500 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 let k_arg = Arg.(value & opt int 4 & info [ "k"; "param" ] ~docv:"K" ~doc:"Domination parameter k.")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some d when d >= 1 -> Ok d
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* The composite drivers (FastDOM, FastMST, repair) call [Runtime.run]
+   internally, so each command body runs under [Engine.with_domains]
+   rather than threading the count through every call site; sound because
+   the sharded executor is observationally identical. *)
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
           "Run every engine execution as $(docv) shards on $(docv) OCaml \
            domains (bit-identical results at every domain count).")
-
-(* The composite drivers (FastDOM, FastMST, repair) call [Runtime.run]
-   internally, so the domain count is threaded through the engine's
-   process-wide default rather than through every call site; sound because
-   the sharded executor is observationally identical. *)
-let set_domains d =
-  if d < 1 then invalid_arg "--domains must be >= 1";
-  Kdom_congest.Engine.default_domains := d
 
 (* ------------------------------------------------------------------ *)
 (* subcommands *)
@@ -88,7 +107,7 @@ let write_trace tr file =
   | _ -> ()
 
 let dom_cmd family n k seed domains trace_file =
-  set_domains domains;
+  Kdom_congest.Engine.with_domains domains @@ fun () ->
   let g = make_graph ~family ~n ~seed in
   describe g;
   let tr = make_trace trace_file in
@@ -121,7 +140,7 @@ let dom_cmd family n k seed domains trace_file =
   write_trace tr trace_file
 
 let mst_cmd family n seed elect domains trace_file =
-  set_domains domains;
+  Kdom_congest.Engine.with_domains domains @@ fun () ->
   let g = make_graph ~family ~n ~seed in
   describe g;
   let tr = make_trace trace_file in
@@ -183,7 +202,8 @@ let centers_cmd family n k seed =
 let fault_case g ~k algo =
   match Kdom.Battery.case g ~k algo with
   | Some c -> c
-  | None -> invalid_arg (algo ^ ": tree height <= k, no census stage runs")
+  | None -> fail "%s: tree height <= k, no census stage runs" algo
+  | exception Invalid_argument msg -> fail "%s" msg
 
 (* The oracle's verdict: "ok", or the violated invariants. *)
 let verdict oracle states =
@@ -193,8 +213,7 @@ let verdict oracle states =
    schedule instead of a message-level algorithm under link faults. *)
 let repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file =
   let open Kdom_congest in
-  if not (Tree.is_tree g) then
-    invalid_arg "--repair needs a tree family (the partition host is a tree)";
+  need_tree g "--repair";
   let plan = Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k) in
   let beta = max 2 (k + 1) and lease = 2 in
   let dmax = Repair.default_dmax plan in
@@ -251,8 +270,8 @@ let repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file =
 
 let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
     repair domains trace_file =
-  set_domains domains;
   let open Kdom_congest in
+  Engine.with_domains domains @@ fun () ->
   let g = make_graph ~family ~n ~seed in
   describe g;
   if repair then repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file
@@ -262,14 +281,11 @@ let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
     Faults.lossy ~drop ~duplicate:dup ~slow ~reorder:(not fifo) ~seed:(seed + 1) ()
   in
   let tr = make_trace trace_file in
-  Option.iter (fun t -> Trace.set_budget t max_words) tr;
   let sync_states, sync_stats = Runtime.run ~max_words g (mk ()) in
   let states, frep =
-    Trace.span_opt tr (algo ^ ".reliable") (fun () ->
+    Trace.observe tr ~max_words (algo ^ ".reliable") (fun sink ->
         Async.run_reliable ~rng:(Rng.create (seed + 2)) ~faults ~max_delay
-          ~max_words
-          ~sink:(Trace.wrap ?trace:tr ())
-          g (mk ()))
+          ~max_words ~sink g (mk ()))
   in
   Option.iter
     (fun t ->
@@ -304,7 +320,31 @@ let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
 (* ------------------------------------------------------------------ *)
 (* trace: record a run as a span trace (versioned JSONL or Chrome JSON) *)
 
-let trace_cmd family n k seed algo out format drop dup validate =
+(* The synchronous runs [trace] records, by [--algo] name. *)
+let traced_runs =
+  [
+    ("bfs", fun ~trace g ~k:_ -> ignore (Kdom.Bfs_tree.run ~trace g ~root:0));
+    ( "coloring",
+      fun ~trace g ~k:_ ->
+        need_tree g "coloring";
+        ignore (Kdom.Coloring.three_color_congest ~trace g ~root:0) );
+    ("leader", fun ~trace g ~k:_ -> ignore (Kdom.Leader.elect ~trace g));
+    ( "diamdom",
+      fun ~trace g ~k ->
+        need_tree g "diamdom";
+        ignore (Kdom.Diam_dom.run ~trace g ~root:0 ~k) );
+    ("smc", fun ~trace g ~k -> ignore (Kdom.Simple_mst_congest.run ~trace g ~k));
+    ( "dom",
+      fun ~trace g ~k ->
+        if Tree.is_tree g then ignore (Kdom.Fastdom_tree.run ~trace g ~k)
+        else ignore (Kdom.Fastdom_graph.run ~trace g ~k) );
+    ("mst", fun ~trace g ~k:_ -> ignore (Kdom.Fast_mst.run ~trace g));
+  ]
+
+let trace_formats =
+  [ ("jsonl", Kdom_congest.Trace.export_jsonl); ("chrome", Kdom_congest.Trace.export_chrome) ]
+
+let trace_cmd family n k seed algo out (_, write) drop dup validate =
   let open Kdom_congest in
   match validate with
   | Some path ->
@@ -322,19 +362,17 @@ let trace_cmd family n k seed algo out format drop dup validate =
     Format.eprintf "graph: n=%d m=%d diameter=%d@." (Graph.n g) (Graph.m g)
       (Traversal.diameter g);
     let tr = Trace.create () in
-    let need_tree what =
-      if not (Tree.is_tree g) then
-        invalid_arg (Printf.sprintf "%s needs a tree family" what)
-    in
     (if drop > 0.0 || dup > 0.0 then begin
        (* faulty run: reliable delivery over fault injection *)
+       if not (List.mem algo Kdom.Battery.names) then
+         fail "--algo %s has no faulty run; with --drop/--dup use %s" algo
+           (String.concat ", " Kdom.Battery.names);
        let (Chaos.Case (_, max_words, mk, _)) = fault_case g ~k algo in
-       Trace.set_budget tr max_words;
        let faults = Faults.lossy ~drop ~duplicate:dup ~seed:(seed + 1) () in
        let _states, frep =
-         Trace.span tr (algo ^ ".reliable") (fun () ->
+         Trace.observe (Some tr) ~max_words (algo ^ ".reliable") (fun sink ->
              Async.run_reliable ~rng:(Rng.create (seed + 2)) ~faults ~max_words
-               ~sink:(Trace.sink tr) g (mk ()))
+               ~sink g (mk ()))
        in
        Trace.note tr "frames" frep.Async.frames;
        Trace.note tr "retransmits" frep.Async.retransmits;
@@ -343,48 +381,25 @@ let trace_cmd family n k seed algo out format drop dup validate =
        Trace.note tr "duplicated" frep.Async.duplicated
      end
      else
-       match algo with
-       | "bfs" -> ignore (Kdom.Bfs_tree.run ~trace:tr g ~root:0)
-       | "coloring" ->
-         need_tree "coloring";
-         ignore (Kdom.Coloring.three_color_congest ~trace:tr g ~root:0)
-       | "leader" -> ignore (Kdom.Leader.elect ~trace:tr g)
-       | "diamdom" ->
-         need_tree "diamdom";
-         ignore (Kdom.Diam_dom.run ~trace:tr g ~root:0 ~k)
-       | "smc" -> ignore (Kdom.Simple_mst_congest.run ~trace:tr g ~k)
-       | "dom" ->
-         if Tree.is_tree g then ignore (Kdom.Fastdom_tree.run ~trace:tr g ~k)
-         else ignore (Kdom.Fastdom_graph.run ~trace:tr g ~k)
-       | "mst" -> ignore (Kdom.Fast_mst.run ~trace:tr g)
-       | other ->
-         invalid_arg
-           (Printf.sprintf
-              "unknown algorithm %S (sync: bfs, coloring, leader, diamdom, smc, \
-               dom, mst; with --drop/--dup: bfs, coloring, census, leader, smc, \
-               pipeline)"
-              other));
-    let write oc =
-      match format with
-      | "jsonl" -> Trace.export_jsonl tr oc
-      | "chrome" -> Trace.export_chrome tr oc
-      | other -> invalid_arg (Printf.sprintf "unknown format %S (jsonl, chrome)" other)
-    in
+       match List.assoc_opt algo traced_runs with
+       | Some run -> run ~trace:tr g ~k
+       | None ->
+         fail "--algo %s needs --drop/--dup; synchronous runs are %s" algo
+           (String.concat ", " (List.map fst traced_runs)));
     (match out with
     | Some path ->
       let oc = open_out path in
-      write oc;
+      write tr oc;
       close_out oc;
       Format.eprintf "trace -> %s@." path
-    | None -> write stdout);
+    | None -> write tr stdout);
     Format.eprintf "%a@." Metrics.pp (Metrics.report tr)
 
-let algo_arg =
+let algo_arg algos =
   Arg.(
     value
-    & opt string "bfs"
-    & info [ "algo" ] ~docv:"ALGO"
-        ~doc:"Algorithm: bfs, coloring, census, leader, smc, pipeline.")
+    & opt (enum (names algos)) "bfs"
+    & info [ "algo" ] ~docv:"ALGO" ~doc:("Algorithm: " ^ doc_alts algos ^ "."))
 
 let drop_arg =
   Arg.(
@@ -455,7 +470,8 @@ let faults_t =
           synchronous execution; with $(b,--repair), run the self-healing \
           k-dominating-set maintenance layer under topology churn instead.")
     Term.(
-      const faults_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ algo_arg
+      const faults_cmd $ family_arg $ n_arg $ k_arg $ seed_arg
+      $ algo_arg Kdom.Battery.names
       $ drop_arg $ dup_arg $ slow_arg $ fifo_arg $ max_delay_arg $ churn_arg
       $ cuts_arg $ repair_arg $ domains_arg $ trace_file_arg)
 
@@ -468,19 +484,23 @@ let trace_out_arg =
 let trace_format_arg =
   Arg.(
     value
-    & opt string "jsonl"
+    & opt (named trace_formats) (default "jsonl" trace_formats)
     & info [ "format" ] ~docv:"FMT"
-        ~doc:"Output format: jsonl (versioned schema) or chrome (Perfetto-loadable).")
+        ~doc:
+          ("Output format: " ^ doc_alts_enum trace_formats
+         ^ " (the versioned schema, or Perfetto-loadable)."))
 
 let trace_algo_arg =
+  let sync = List.map fst traced_runs in
+  let algos = List.sort_uniq compare (sync @ Kdom.Battery.names) in
   Arg.(
     value
-    & opt string "diamdom"
+    & opt (enum (names algos)) "diamdom"
     & info [ "algo" ] ~docv:"ALGO"
         ~doc:
-          "Algorithm to trace: bfs, coloring, leader, diamdom, smc, dom, mst \
-           (synchronous); with --drop/--dup: bfs, coloring, census, leader, smc, \
-           pipeline (reliable delivery over fault injection).")
+          ("Algorithm to trace: " ^ doc_alts sync
+         ^ " (synchronous); with --drop/--dup: " ^ doc_alts Kdom.Battery.names
+         ^ " (reliable delivery over fault injection)."))
 
 let trace_drop_arg =
   Arg.(
@@ -567,19 +587,15 @@ let serve_plan g ~k =
     let dom = Kdom.Fastdom_graph.run g ~k in
     Kdom.Cluster.plan_of_partition dom.partition
 
-let serve_cmd family n k seed mix_name requests window crashes retries domains
-    trace_file validate =
-  set_domains domains;
+let mixes = [ ("uniform", Kdom.Workload.uniform); ("hotspot", Kdom.Workload.hotspot) ]
+
+let serve_cmd family n k seed (mix_name, mix) requests window crashes retries
+    domains trace_file validate =
   let open Kdom_congest in
+  Engine.with_domains domains @@ fun () ->
   let g = make_graph ~family ~n ~seed in
   describe g;
   let plan = serve_plan g ~k in
-  let mix =
-    match mix_name with
-    | "uniform" -> Kdom.Workload.uniform
-    | "hotspot" -> Kdom.Workload.hotspot
-    | other -> invalid_arg (Printf.sprintf "unknown mix %S (uniform, hotspot)" other)
-  in
   let reqs = Kdom.Workload.generate g plan mix ~seed:(seed + 1) ~requests ~window in
   let dmax = Array.fold_left max 0 plan.Repair.depth in
   let retry_after = (4 * dmax) + 8 in
@@ -647,9 +663,11 @@ let serve_t =
   let mix_arg =
     Arg.(
       value
-      & opt string "uniform"
+      & opt (named mixes) (default "uniform" mixes)
       & info [ "mix" ] ~docv:"MIX"
-          ~doc:"Workload mix: uniform (60/20/20, no skew) or hotspot (Zipf origins).")
+          ~doc:
+            ("Workload mix: " ^ doc_alts_enum mixes
+           ^ " (60/20/20 with uniform or Zipf origins)."))
   in
   let requests_arg =
     Arg.(value & opt int 500 & info [ "requests" ] ~docv:"R" ~doc:"Requests to inject.")
@@ -698,8 +716,8 @@ let serve_t =
    incremental repair layer, priced against a full recompute *)
 let dynamic_cmd family n k seed domains arrivals insertions cuts crashes
     departs bursts quiescence =
-  set_domains domains;
   let open Kdom_congest in
+  Engine.with_domains domains @@ fun () ->
   let base = make_graph ~family ~n ~seed in
   describe base;
   let sc =
@@ -769,9 +787,9 @@ let dynamic_t =
 (* chaos: composed fault storms (loss + duplication + delay + crashes +
    corruption + churn) judged by the oracles *)
 
-let chaos_cmd family n k seed algo storm_name validate domains =
-  set_domains domains;
+let chaos_cmd family n k seed algo (storm_name, storm) validate domains =
   let open Kdom_congest in
+  Engine.with_domains domains @@ fun () ->
   if validate then
     List.iter
       (fun (name, s) ->
@@ -784,19 +802,17 @@ let chaos_cmd family n k seed algo storm_name validate domains =
           s.Chaos.cuts s.Chaos.bursts)
       Chaos.presets
   else begin
-    let storm = Chaos.storm_of_name storm_name in
     Chaos.validate storm;
     let g = make_graph ~family ~n ~seed in
     describe g;
     Format.printf
       "storm: %s (flip=%g drop=%.2f dup=%.2f slow=%.2f crashes=%d kills=%d \
        cuts=%d)@."
-      (String.lowercase_ascii storm_name)
+      storm_name
       storm.Chaos.flip storm.Chaos.drop storm.Chaos.duplicate storm.Chaos.slow
       storm.Chaos.crashes storm.Chaos.kills storm.Chaos.cuts;
     if algo = "repair" then begin
-      if not (Tree.is_tree g) then
-        invalid_arg "chaos repair needs a tree family (the partition host is a tree)";
+      need_tree g "chaos repair";
       let plan = Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k) in
       let v, rep = Chaos.run_repair ~seed ~storm g plan in
       Format.printf "%a@." Chaos.pp_verdict v;
@@ -818,9 +834,9 @@ let chaos_cmd family n k seed algo storm_name validate domains =
 let storm_arg =
   Arg.(
     value
-    & opt string "squall"
+    & opt (named Kdom_congest.Chaos.presets) (default "squall" Kdom_congest.Chaos.presets)
     & info [ "storm" ] ~docv:"NAME"
-        ~doc:"Storm preset: calm, drizzle, squall or hurricane.")
+        ~doc:("Storm preset: " ^ doc_alts_enum Kdom_congest.Chaos.presets ^ "."))
 
 let chaos_validate_arg =
   Arg.(
@@ -838,7 +854,8 @@ let chaos_t =
           $(b,repair) as the algorithm, run the self-healing maintenance \
           layer over the storm's permanent churn plane instead.")
     Term.(
-      const chaos_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ algo_arg
+      const chaos_cmd $ family_arg $ n_arg $ k_arg $ seed_arg
+      $ algo_arg (Kdom.Battery.names @ [ "repair" ])
       $ storm_arg $ chaos_validate_arg $ domains_arg)
 
 let () =

@@ -31,18 +31,43 @@ let spans () =
     Format.printf "(re-run with 'spans chrome' for the Perfetto view)@."
   end
 
+(* BFS from node 0 with [sink] attached at the executor, cross-checked
+   against the run: the round records' [delivered] counters sum to the
+   message total, and the engine raises one message event — one JSONL
+   [msg] record — per message. *)
+let bfs g sink =
+  let counters, rounds = Engine.Sink.counters () in
+  let msgs = ref 0 in
+  let count =
+    {
+      Engine.Sink.null with
+      on_message = (fun ~round:_ ~src:_ ~dst:_ ~words:_ -> incr msgs);
+    }
+  in
+  let _, stats =
+    Runtime.run ~max_words:Kdom.Bfs_tree.max_words
+      ~sink:(Engine.Sink.tee sink (Engine.Sink.tee counters count))
+      g
+      (Kdom.Bfs_tree.algorithm g ~root:0)
+  in
+  let rounds = rounds () in
+  let delivered =
+    List.fold_left
+      (fun a (r : Engine.Sink.round_info) -> a + r.counts.(Engine.Sink.delivered))
+      0 rounds
+  in
+  assert (delivered = stats.messages && !msgs = stats.messages);
+  (stats, rounds)
+
 let () =
   let g = Generators.grid ~rng:(Rng.create 7) ~rows:20 ~cols:20 in
   if Array.exists (( = ) "spans") Sys.argv then spans ()
   else if Array.exists (( = ) "jsonl") Sys.argv then
     let messages = Array.exists (( = ) "msgs") Sys.argv in
-    ignore (Kdom.Bfs_tree.run ~sink:(Engine.Sink.jsonl ~messages stdout) g ~root:0)
+    ignore (bfs g (Engine.Sink.jsonl ~messages stdout))
   else begin
-    let counters, rounds = Engine.Sink.counters () in
     let activity, sent, received = Engine.Sink.activity ~n:(Graph.n g) in
-    let _info, stats =
-      Kdom.Bfs_tree.run ~sink:(Engine.Sink.tee counters activity) g ~root:0
-    in
+    let stats, rounds = bfs g activity in
     Format.printf "BFS on a 20x20 grid: %d rounds, %d messages@." stats.rounds
       stats.messages;
     Format.printf "@.%6s %9s %9s %9s %8s@." "round" "delivered" "receivers"
@@ -54,7 +79,7 @@ let () =
           Format.printf "%6d %9d %9d %9d %8d@." r.round
             (c Engine.Sink.delivered) (c Engine.Sink.receivers)
             (c Engine.Sink.stepped) (c Engine.Sink.sent))
-      (rounds ());
+      rounds;
     let busiest = ref 0 in
     Array.iteri (fun v s -> if s > sent.(!busiest) then busiest := v) sent;
     Format.printf "@.busiest node: %d (%d sent, %d received)@." !busiest

@@ -79,7 +79,7 @@ val run_reliable :
   ?max_attempts:int ->
   ?sink:Engine.Sink.t ->
   Graph.t ->
-  'st Runtime.ealgorithm ->
+  'st Engine.ealgorithm ->
   'st array * fault_report
 (** [run_reliable ~rng g algo] executes [algo] under the α-synchronizer on
     a network governed by [faults] (default {!Faults.none}), with a

@@ -188,7 +188,7 @@ let churn_of_storm g s ~seed =
 
 type case =
   | Case :
-      string * int * (unit -> 'st Runtime.ealgorithm) * ('st array -> unit)
+      string * int * (unit -> 'st Engine.ealgorithm) * ('st array -> unit)
       -> case
 
 type verdict = {
@@ -239,14 +239,6 @@ let check_tally what (injected, detected, truncated) =
        garbled frame survived the CRC guard (2^-16 collision): pick another \
        storm seed"
       injected detected truncated
-
-let with_domains d f =
-  let saved = !Engine.default_domains in
-  Fun.protect
-    ~finally:(fun () -> Engine.default_domains := saved)
-    (fun () ->
-      Engine.default_domains := d;
-      f ())
 
 (* ------------------------------------------------------------------ *)
 (* Message-level algorithms: storm masked by the reliable link layer *)
@@ -308,8 +300,15 @@ let run_message ?(max_delay = 1.0) ~seed ~storm g
 (* ------------------------------------------------------------------ *)
 (* Maintenance protocols: storm survived under churn + corruption *)
 
-let sum_info infos c =
-  List.fold_left (fun a (i : Engine.Sink.round_info) -> a + i.counts.(c)) 0 infos
+(* The verdict's traffic columns, read off the trace that recorded every
+   round of the run(s). *)
+let traffic_of tr =
+  let sum = Trace.totals tr in
+  ( List.length (Trace.rounds tr),
+    sum.(Engine.Sink.delivered),
+    sum.(Engine.Sink.dropped),
+    sum.(Engine.Sink.corrupted),
+    sum.(Engine.Sink.crashed) )
 
 let live_centers (rep : Repair.report) alive =
   let cs = ref [] in
@@ -331,14 +330,14 @@ let run_repair ?(beta = 3) ?(lease = 2) ~seed ~storm g plan =
   in
   let corrupt = corrupt_of_storm storm ~seed:(seed + 1) in
   let run_engine domains =
-    with_domains domains (fun () ->
+    Engine.with_domains domains (fun () ->
         let e = Engine.create g in
         let churn = Engine.Churn.compile e script.Faults.script_events in
-        let counters, rounds_info = Engine.Sink.counters () in
-        let states, _ = Repair.run ~sink:counters ~churn ?corrupt e cfg in
-        (states, churn, rounds_info ()))
+        let tr = Trace.create () in
+        let states, _ = Repair.run ~trace:tr ~churn ?corrupt e cfg in
+        (states, churn, tr))
   in
-  let states, churn, infos = run_engine 1 in
+  let states, churn, tr = run_engine 1 in
   let tally = tally_of corrupt in
   check_tally what tally;
   (* four shards reach identical states and identical corruption
@@ -370,16 +369,17 @@ let run_repair ?(beta = 3) ?(lease = 2) ~seed ~storm g plan =
     (Oracle.eventual_k_domination g ~alive ~dead_edges
        ~centers:(live_centers rep alive) ~bound:n);
   let injected, detected, truncated = tally in
+  let pulses, frames, dropped, corrupted, crashed = traffic_of tr in
   ( {
       v_name = "repair";
-      v_pulses = List.length infos;
-      v_frames = sum_info infos Engine.Sink.delivered;
+      v_pulses = pulses;
+      v_frames = frames;
       v_retransmits = 0;
-      v_dropped = sum_info infos Engine.Sink.dropped;
+      v_dropped = dropped;
       v_duplicated = 0;
-      v_corrupted = sum_info infos Engine.Sink.corrupted;
+      v_corrupted = corrupted;
       v_crash_dropped = 0;
-      v_crashed = sum_info infos Engine.Sink.crashed;
+      v_crashed = crashed;
       v_injected = injected;
       v_detected = detected;
       v_truncated = truncated;
@@ -398,28 +398,28 @@ let run_serve ?(beta = 3) ?(lease = 2) ~seed ~storm g (cfg : Serve.config) =
     + (2 * ((2 * beta) + (3 * dmax) + 12))
     + Graph.n g
   in
-  let counters, rounds_info = Engine.Sink.counters () in
+  let tr = Trace.create () in
   let h =
-    Serve.with_repair ~sink:counters ?corrupt ~beta ~lease ~settle
+    Serve.with_repair ~trace:tr ?corrupt ~beta ~lease ~settle
       (Engine.create g) cfg ~churn:script.Faults.script_events
   in
   let tally = tally_of corrupt in
   (* with_repair zeroes the tally per phase; the invariant still holds
-     for the last phase, and the sink's corrupted counter covers all *)
+     for the last phase, and the trace's corrupted counter covers all *)
   check_tally what tally;
   Oracle.expect_ok what (Serve.check_handover g cfg h);
-  let infos = rounds_info () in
   let injected, detected, truncated = tally in
+  let pulses, frames, dropped, corrupted, crashed = traffic_of tr in
   ( {
       v_name = "serve";
-      v_pulses = List.length infos;
-      v_frames = sum_info infos Engine.Sink.delivered;
+      v_pulses = pulses;
+      v_frames = frames;
       v_retransmits = 0;
-      v_dropped = sum_info infos Engine.Sink.dropped;
+      v_dropped = dropped;
       v_duplicated = 0;
-      v_corrupted = sum_info infos Engine.Sink.corrupted;
+      v_corrupted = corrupted;
       v_crash_dropped = 0;
-      v_crashed = sum_info infos Engine.Sink.crashed;
+      v_crashed = crashed;
       v_injected = injected;
       v_detected = detected;
       v_truncated = truncated;

@@ -111,7 +111,7 @@ val churn_of_storm : Graph.t -> storm -> seed:int -> Faults.script
 
 type case =
   | Case :
-      string * int * (unit -> 'st Runtime.ealgorithm) * ('st array -> unit)
+      string * int * (unit -> 'st Engine.ealgorithm) * ('st array -> unit)
       -> case
       (** One algorithm under test: name, word budget, a fresh instance
           per execution (mutable closures must not leak between

@@ -32,9 +32,10 @@
       prices the counterfactual full-FastDOM rerun so the report can
       compare incremental repair against recomputation as churn sweeps.
 
-    Everything is deterministic: the engine is bit-identical across
-    [?domains] (threaded via [Engine.default_domains]), the script is a
-    pure function of its seed, and both callbacks are centralized. *)
+    Everything is deterministic: the engine is bit-identical at every
+    domain count (a caller sets it with {!Engine.with_domains}), the
+    script is a pure function of its seed, and both callbacks are
+    centralized. *)
 
 open Kdom_graph
 

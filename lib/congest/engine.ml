@@ -760,12 +760,6 @@ module Churn = struct
       cursor = 0;
     }
 
-  let events t = Array.to_list t.events
-
-  let last_round t =
-    let len = Array.length t.events in
-    if len = 0 then -1 else round_of t.events.(len - 1)
-
   (* A schedule's round-0 view: reserved capacity starts absent.  A slot
      with a pending [Edge_add] is down until the event fires; a node with a
      pending [Arrive] is dormant until it fires — the union CSR carries
@@ -879,8 +873,6 @@ module Corrupt = struct
     mutable truncated : int; (* truncations (always detected) *)
   }
 
-  let fresh_counters () = { injected = 0; detected = 0; truncated = 0 }
-
   type spec = {
     flip : float;     (* per-wire-word garble probability *)
     burst : int;      (* consecutive wire words garbled per hit, >= 1 *)
@@ -895,7 +887,8 @@ module Corrupt = struct
   }
 
   let make ?(flip = 0.) ?(burst = 1) ?(truncate = 0.) ?(ramp = []) ~seed () =
-    { flip; burst; truncate; ramp; cseed = seed; tally = fresh_counters () }
+    let tally = { injected = 0; detected = 0; truncated = 0 } in
+    { flip; burst; truncate; ramp; cseed = seed; tally }
 
   let validate s =
     let prob what p =
@@ -1190,8 +1183,8 @@ let copy_frame src dst off wire =
   else if wire = 2 then Bytes.set_int32_le dst off (Bytes.get_int32_le src 0)
   else Bytes.blit src 0 dst off (2 * wire)
 
-let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
-    ?churn ?(guard = false) ?corrupt ~domains ?partition e algo =
+let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
+    ?(guard = false) ?corrupt ~domains ?partition e algo =
   let n = e.n in
   let g = e.g in
   (match churn with
@@ -1639,7 +1632,7 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       end;
       wake_at.(v) <- -1
     end
-    else if not degrade then apply_wake sh v st r
+    else apply_wake sh v st r
   in
   (* frontier insertion for shard [sh]'s sparse path, deduplicated per
      round *)
@@ -2126,31 +2119,32 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   if instrumented then sink.on_finish ();
   (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
 
-(* When [exec_emit] is called without [?domains] this reference supplies the
-   default — the hook [kdom_cli --domains] threads parallelism through
-   composite algorithms whose inner [Runtime.run] calls cannot be reached
-   syntactically.  1 = one shard on the calling domain. *)
-let default_domains = ref 1
+(* The shard count [exec_emit] uses when called without [?domains]: 1
+   (one shard on the calling domain) outside every [with_domains].  It
+   lets a caller thread parallelism through composite algorithms whose
+   inner [Runtime.run] calls cannot be reached syntactically. *)
+let ambient_domains = ref 1
 
-let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e algo =
+let with_domains d f =
+  if d < 1 then invalid_arg "Engine.with_domains: domains < 1";
+  let saved = !ambient_domains in
+  ambient_domains := d;
+  Fun.protect ~finally:(fun () -> ambient_domains := saved) f
+
+let exec_emit ?max_rounds ?max_words ?sink ?churn ?guard ?corrupt ?domains
+    ?partition e algo =
   if e.running then
     invalid_arg "Engine.exec_emit: engine already running (re-entrant call)";
-  let domains = match domains with Some d -> d | None -> !default_domains in
+  let domains = match domains with Some d -> d | None -> !ambient_domains in
   if domains < 1 then invalid_arg "Engine.exec_emit: domains < 1";
   (* clear [running] on abnormal exit so the engine stays usable; [dirty]
      stays set, forcing a buffer scrub on the next exec *)
   try
-    exec_core ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-      ~domains ?partition e algo
+    exec_core ?max_rounds ?max_words ?sink ?churn ?guard ?corrupt ~domains
+      ?partition e algo
   with exn ->
     e.running <- false;
     raise exn
-
-let run_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition g algo =
-  exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition (create g) algo
 
 (* The recording emitter of the two executors that keep their own
    mailboxes ([Runtime.run_reference], [Async.run_reliable]): built once

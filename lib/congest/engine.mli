@@ -41,8 +41,15 @@
     convention, same inbox ordering (sender-ascending — see below), same
     [stats], same [Congestion_violation] cases with identical messages.
     The differential tests in [test_engine_diff.ml] check this on all eight
-    message-level algorithms, with wake hints both honored and degraded to
-    [Always], at 1, 2 and 4 domains.
+    message-level algorithms, with wake hints both honored and replaced by
+    {!always}, at 1, 2 and 4 domains.
+
+    {b One way to run.}  {!exec_emit} executes on a prebuilt engine;
+    {!Runtime.run} is its one-shot form on a fresh engine, and
+    {!Runtime.run_reference} and {!Async.run_reliable} are the other two
+    executors.  Each takes an optional raw {!Sink}; the algorithm runners
+    of [lib/core] take a {!Trace} instead ({!Trace.observe}).  The dense
+    schedule is data, not a switch: [{ a with ewake = always }].
 
     {b Inbox ordering guarantee.}  Messages delivered to a node in a round
     are presented in strictly increasing sender id, regardless of the order
@@ -175,7 +182,7 @@ type 'st ealgorithm = {
     [einit g v] is node [v]'s initial state (a node knows [n], its own id,
     its incident edges and their weights — nothing else).  Sends go
     through {!Emit}, so a steady-state step can run without allocating.
-    Run with {!exec_emit}/{!run_emit}, {!Runtime.run_reference} or
+    Run with {!exec_emit}/{!Runtime.run}, {!Runtime.run_reference} or
     {!Async.run_reliable}. *)
 
 val always : 'st -> wake
@@ -262,8 +269,8 @@ module Sink : sig
 
   val skipped : counter
   (** live nodes the sparse scheduler did {e not} step (no mail, no
-      timer, not [Always]); always 0 on the dense path, under [degrade],
-      and for the reference runtime *)
+      timer, not [Always]); always 0 on the dense path (every hint
+      {!Always}) and for the reference runtime *)
 
   val woken : counter
   (** nodes stepped because a [Next]/[At] timer fired (they may also have
@@ -453,12 +460,6 @@ module Churn : sig
       engine was built over), or a negative round.  Events are applied in
       (round, list-position) order. *)
 
-  val events : t -> event list
-  (** The schedule, sorted by application order. *)
-
-  val last_round : t -> int
-  (** Round of the last scheduled event, [-1] for an empty schedule. *)
-
   val reset : t -> unit
   (** Rewind the mutable view to the pre-run state (also done by [exec_emit]). *)
 
@@ -498,7 +499,7 @@ end
     count and the reference simulator corrupt — and drop — exactly the
     same frames regardless of iteration order.
 
-    Passing [?corrupt] to [exec_emit]/[run_emit] forces the {!Codec} guard word onto
+    Passing [?corrupt] to [exec_emit] forces the {!Codec} guard word onto
     every frame (as if [~guard:true]): the delivery pass re-verifies each
     garbled frame's CRC and kills what the guard catches, so {e algorithm
     code never decodes a lying byte} — a corrupted frame is either dropped
@@ -517,8 +518,6 @@ module Corrupt : sig
         (** garbled frames the guard word (or structural check) caught *)
     mutable truncated : int;  (** truncations — always detected *)
   }
-
-  val fresh_counters : unit -> counters
 
   type spec = {
     flip : float;  (** per-wire-word garble probability *)
@@ -567,19 +566,20 @@ module Corrupt : sig
   (** The 16-bit, never-zero garble mask derived from a decision hash. *)
 end
 
-val default_domains : int ref
-(** The domain count [exec_emit] uses when [?domains] is not passed (initially
-    [1]: one shard, stepped on the calling domain).  A process-wide hook,
-    not a tuning knob: it lets a CLI flag thread parallelism through
-    composite algorithms whose inner [Runtime.run] calls cannot be reached
-    syntactically.  Because execution is bit-identical at every domain
-    count, flipping it never changes any result. *)
+val with_domains : int -> (unit -> 'a) -> 'a
+(** [with_domains d f] runs [f ()] with [d] as the shard count of every
+    {!exec_emit} (hence {!Runtime.run}) called without [?domains], and
+    restores the previous count when [f] returns or raises.  Outside
+    every [with_domains] the count is [1]: one shard, stepped on the
+    calling domain.  It threads parallelism through composite algorithms
+    whose inner runs cannot be reached syntactically.  Because execution
+    is bit-identical at every domain count, it never changes any result.
+    [Invalid_argument] if [d < 1]. *)
 
 val exec_emit :
   ?max_rounds:int ->
   ?max_words:int ->
   ?sink:Sink.t ->
-  ?degrade:bool ->
   ?churn:Churn.t ->
   ?guard:bool ->
   ?corrupt:Corrupt.spec ->
@@ -593,11 +593,10 @@ val exec_emit :
     frame over one edge in one round, or a put beyond the word budget
     raises [Congestion_violation].  [max_rounds] defaults to
     [default_max_rounds n]; [max_words] defaults to
-    [default_max_words n].  [degrade] (default [false]) ignores the
-    algorithm's wake hints and runs the legacy dense schedule, as if every
-    hint were [Always] — the differential-testing and baseline-benchmark
-    mode.  [churn] (default none) applies a {!Churn} schedule compiled
-    against {e this} engine ([Invalid_argument] otherwise).
+    [default_max_words n].  [churn] (default none) applies a {!Churn}
+    schedule compiled against {e this} engine ([Invalid_argument]
+    otherwise).  The dense schedule is the same program with every hint
+    {!Always}: [exec_emit e { a with ewake = always }].
 
     [guard] (default [false]) appends the {!Codec} CRC guard word to every
     frame: the arena stride grows by one wire word per frame, and
@@ -606,9 +605,10 @@ val exec_emit :
     [corrupt] (default none) applies a deterministic {!Corrupt} schedule
     to frames in flight; it implies [guard].
 
-    [domains] (default {!default_domains}) is the number of shards: the
-    round loop partitions the nodes into [d] shards stepped on [d] OCaml
-    domains (the calling domain included), with cross-shard frames
+    [domains] (default: the count set by {!with_domains}, else 1) is the
+    number of shards: the round loop partitions the nodes into [d]
+    shards stepped on [d] OCaml domains (the calling domain included),
+    with cross-shard frames
     exchanged deterministically at the round barrier; [d = 1] is its
     one-shard case, with no other domain involved.  {b Execution is
     bit-identical at every domain count}: same outputs, same stats, same
@@ -631,24 +631,6 @@ val exec_emit :
     still steps on exactly one domain per round, and only its owner
     mutates its state entry), so they must not mutate state shared across
     nodes — per-node state, the norm in this library, qualifies. *)
-
-
-val run_emit :
-  ?max_rounds:int ->
-  ?max_words:int ->
-  ?sink:Sink.t ->
-  ?degrade:bool ->
-  ?churn:Churn.t ->
-  ?guard:bool ->
-  ?corrupt:Corrupt.spec ->
-  ?domains:int ->
-  ?partition:int array ->
-  Graph.t ->
-  'st ealgorithm ->
-  'st array * stats
-(** [run_emit g ea] is [exec_emit (create g) ea] — one-shot convenience.
-    (With [?churn] prefer [create] + {!Churn.compile} + [exec_emit]: the
-    schedule must be compiled against the same engine.) *)
 
 val recorder :
   max_words:int ->

@@ -484,17 +484,15 @@ let decode states =
 (* ------------------------------------------------------------------ *)
 (* execution *)
 
-let run ?trace ?sink ?degrade ?churn ?guard ?corrupt ?max_rounds e cfg =
+let run ?trace ?churn ?corrupt ?max_rounds e cfg =
   let g = Engine.graph e in
   validate g cfg;
   let max_rounds = match max_rounds with Some m -> m | None -> cfg.horizon + 2 in
-  Option.iter (fun t -> Trace.set_budget t max_words) trace;
   let clock0 = match trace with Some t -> Trace.clock t | None -> 0 in
-  let sink = Trace.wrap ?trace ?sink () in
   let states, stats =
-    Trace.span_opt trace "repair" (fun () ->
-        Engine.exec_emit ~max_rounds ~max_words ~sink ?degrade ?churn ?guard
-          ?corrupt e (algorithm g cfg))
+    Trace.observe trace ~max_words "repair" (fun sink ->
+        Engine.exec_emit ~max_rounds ~max_words ~sink ?churn ?corrupt e
+          (algorithm g cfg))
   in
   let rep = decode states in
   (match trace with

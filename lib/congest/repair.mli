@@ -91,7 +91,7 @@ type config = {
                      forever ("doomed adoption" ping-pong), never both
                      orphaned at once, and takeover never fires.  Capping
                      the depth starves that cycle.  A legitimate merge
-                     refused by the cap degrades gracefully: the orphans
+                     refused by the cap costs only locality: the orphans
                      elect their own dominator instead.
                      {!default_dmax} picks [2 * plan depth + 2], enough
                      for a severed subtree to re-root under a live
@@ -146,10 +146,7 @@ val decode : state array -> report
 
 val run :
   ?trace:Trace.t ->
-  ?sink:Engine.Sink.t ->
-  ?degrade:bool ->
   ?churn:Engine.Churn.t ->
-  ?guard:bool ->
   ?corrupt:Engine.Corrupt.spec ->
   ?max_rounds:int ->
   Engine.t ->

@@ -1,25 +1,9 @@
 open Kdom_graph
 
-type payload = Engine.payload
-type wake = Engine.wake = Always | Next | At of int | OnMessage
-
-type 'st ealgorithm = 'st Engine.ealgorithm = {
-  einit : Graph.t -> int -> 'st;
-  estep :
-    Graph.t -> round:int -> node:int -> 'st -> Engine.Inbox.t -> Engine.Emit.t -> 'st;
-  ehalted : 'st -> bool;
-  ewake : 'st -> wake;
-}
-
-type stats = Engine.stats = { rounds : int; messages : int; max_inflight : int }
-
-exception Round_limit_exceeded = Engine.Round_limit_exceeded
-exception Congestion_violation = Engine.Congestion_violation
-
-let run ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains ?partition
-    g algo =
-  Engine.run_emit ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt
-    ?domains ?partition g algo
+let run ?max_rounds ?max_words ?sink ?guard ?corrupt ?domains ?partition g
+    algo =
+  Engine.exec_emit ?max_rounds ?max_words ?sink ?guard ?corrupt ?domains
+    ?partition (Engine.create g) algo
 
 (* ------------------------------------------------------------------ *)
 (* The original list-based simulator, kept as the executable specification
@@ -32,7 +16,7 @@ let run ?max_rounds ?max_words ?sink ?degrade ?guard ?corrupt ?domains ?partitio
    frames into the [(dst, payload)] list this simulator delivers. *)
 
 let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
-    ?(guard = false) ?corrupt g algo =
+    ?(guard = false) ?corrupt g (algo : _ Engine.ealgorithm) =
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> Engine.default_max_rounds n
@@ -71,7 +55,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
   let states = Array.init n (fun v -> algo.einit g v) in
   (* in_flight.(v) = messages to deliver to v next round, accumulated in
      reverse sender order. *)
-  let in_flight : (int * payload) list array = Array.make n [] in
+  let in_flight : (int * Engine.payload) list array = Array.make n [] in
   let pending = ref 0 in
   let pending_words = ref 0 in
   let pending_bits = ref 0 in
@@ -96,7 +80,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
   in
   let is_neighbor v u = Option.is_some (Graph.find_edge g v u) in
   while not (all_halted ()) do
-    if !round > max_rounds then raise (Round_limit_exceeded !round);
+    if !round > max_rounds then raise (Engine.Round_limit_exceeded !round);
     (* churn is applied before delivery, with the engine's semantics: a
        crash loses the frames in flight to the node, an edge going down
        loses the frame it was carrying *)
@@ -250,7 +234,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
       else if algo.ehalted states.(v) then begin
         if inbox <> [] then
           raise
-            (Congestion_violation
+            (Engine.Congestion_violation
                (Printf.sprintf "round %d: halted node %d received a message" !round v))
       end
       else begin
@@ -264,7 +248,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
           (fun (u, p) ->
             if not (is_neighbor v u) then
               raise
-                (Congestion_violation
+                (Engine.Congestion_violation
                    (Printf.sprintf "round %d: node %d sent to non-neighbor %d" !round v u));
             let churn_dead =
               match churn with
@@ -281,7 +265,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
             else begin
               if Hashtbl.mem used u then
                 raise
-                  (Congestion_violation
+                  (Engine.Congestion_violation
                      (Printf.sprintf "round %d: node %d sent twice over edge to %d" !round v u));
               Hashtbl.add used u ();
               if instrumented then
@@ -314,4 +298,4 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
     incr round
   done;
   if instrumented then sink.on_finish ();
-  (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
+  (states, { Engine.rounds = !round; messages = !messages; max_inflight = !max_inflight })

@@ -13,61 +13,32 @@
     is in flight, or when [max_rounds] is exceeded (an error — the caller
     sets [max_rounds] from the bound it is trying to validate).
 
-    This module is a thin wrapper: {!run} executes on the port-indexed
-    mailbox engine ({!Engine}), and all types are shared with it.  The
-    original list-based simulator is kept as {!run_reference} — the
-    executable specification the engine is differentially tested
-    against. *)
+    This module holds the two one-shot executors of an
+    {!Engine.ealgorithm}; every type they use is {!Engine}'s.  {!run}
+    executes on the port-indexed mailbox engine.  The original list-based
+    simulator is kept as {!run_reference} — the executable specification
+    the engine is differentially tested against.  Wake hints are honored
+    by {!run} and ignored by {!run_reference}, which is the dense schedule
+    the hints must be indistinguishable from. *)
 
 open Kdom_graph
 
-type payload = Engine.payload
-(** Message contents, in words.  A word models [Theta(log n)] bits — enough
-    for a node id, a depth, or an edge weight (weights are polynomial in
-    [n], §1.2).  The runtime rejects payloads longer than
-    [max_words]. *)
-
-type wake = Engine.wake = Always | Next | At of int | OnMessage
-(** Re-export of the engine's wake-up hints; see {!Engine.wake}. *)
-
-type 'st ealgorithm = 'st Engine.ealgorithm = {
-  einit : Graph.t -> int -> 'st;
-  estep :
-    Graph.t -> round:int -> node:int -> 'st -> Engine.Inbox.t -> Engine.Emit.t -> 'st;
-  ehalted : 'st -> bool;
-  ewake : 'st -> wake;
-}
-(** Re-export of the node program, the simulator's one algorithm shape:
-    [estep] consumes the inbox view and writes frames through
-    {!Engine.Emit}.  See {!Engine.ealgorithm}.  Wake hints are honored by
-    {!run} (the engine) and ignored by {!run_reference}, which is the
-    dense schedule the hints must be indistinguishable from. *)
-
-type stats = Engine.stats = {
-  rounds : int;         (** rounds executed until quiescence *)
-  messages : int;       (** total messages delivered *)
-  max_inflight : int;   (** peak messages in a single round *)
-}
-
-exception Round_limit_exceeded of int
-exception Congestion_violation of string
-(** Raised when a [step] tries to send two messages over one edge in one
-    round, sends to a non-neighbor, or exceeds [max_words].  (Shared with
-    {!Engine}.) *)
-
 val run :
-  ?max_rounds:int -> ?max_words:int -> ?sink:Engine.Sink.t -> ?degrade:bool ->
+  ?max_rounds:int -> ?max_words:int -> ?sink:Engine.Sink.t ->
   ?guard:bool -> ?corrupt:Engine.Corrupt.spec ->
   ?domains:int -> ?partition:int array ->
-  Graph.t -> 'st ealgorithm -> 'st array * stats
-(** Execute to quiescence on the mailbox engine ({!Engine.run_emit}). [max_rounds] defaults to
+  Graph.t -> 'st Engine.ealgorithm -> 'st array * Engine.stats
+(** [run g a] is [Engine.exec_emit (Engine.create g) a]: execute to
+    quiescence on a fresh mailbox engine.  [max_rounds] defaults to
     [Engine.default_max_rounds n]; [max_words] defaults to
     [Engine.default_max_words n] (4 for any practical [n]); [sink]
-    defaults to {!Engine.Sink.null}; [degrade] (default [false]) ignores
-    wake hints and runs the dense legacy schedule; [domains] (default
-    [!Engine.default_domains]) is the number of shards stepped on as many
-    domains, with [partition] as the optional shard assignment — results
-    are bit-identical at every domain count, see {!Engine.exec_emit}.
+    defaults to {!Engine.Sink.null}; [domains] (default: the count set
+    by {!Engine.with_domains}, else 1) is the number of shards stepped on
+    as many domains, with [partition] as the optional shard assignment —
+    results are bit-identical at every domain count, see
+    {!Engine.exec_emit}.  To run several algorithms on one graph, or
+    with a {!Engine.Churn} schedule, build the engine once and call
+    {!Engine.exec_emit}.
 
     Robustness note: this runtime (like {!Engine}) models perfectly
     reliable links.  To execute the same node program on a lossy,
@@ -79,7 +50,7 @@ val run_reference :
   ?max_rounds:int -> ?max_words:int -> ?sink:Engine.Sink.t ->
   ?churn:Engine.Churn.t ->
   ?guard:bool -> ?corrupt:Engine.Corrupt.spec ->
-  Graph.t -> 'st ealgorithm -> 'st array * stats
+  Graph.t -> 'st Engine.ealgorithm -> 'st array * Engine.stats
 (** The original list-based simulator — O(deg) neighbor validation, a
     scratch table per step, an O(n) sweep per round, wake hints ignored.
     Each node steps through one {!Engine.recorder} built for the run, so

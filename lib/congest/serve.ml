@@ -453,15 +453,12 @@ let decode cfg states =
 (* ------------------------------------------------------------------ *)
 (* execution *)
 
-let run ?trace ?sink ?degrade ?churn ?guard ?corrupt ?max_rounds e cfg =
+let run ?trace ?churn ?corrupt e cfg =
   let g = Engine.graph e in
   validate g cfg;
-  let max_rounds = match max_rounds with Some m -> m | None -> cfg.horizon + 2 in
-  Option.iter (fun t -> Trace.set_budget t max_words) trace;
-  let sink = Trace.wrap ?trace ?sink () in
   let states, stats =
-    Trace.span_opt trace "serve" (fun () ->
-        Engine.exec_emit ~max_rounds ~max_words ~sink ?degrade ?churn ?guard
+    Trace.observe trace ~max_words "serve" (fun sink ->
+        Engine.exec_emit ~max_rounds:(cfg.horizon + 2) ~max_words ~sink ?churn
           ?corrupt e (algorithm g cfg))
   in
   (match trace with
@@ -545,12 +542,11 @@ type handover = {
   dead_edges : (int * int) list;
 }
 
-let with_repair ?trace ?sink ?degrade ?guard ?corrupt ~beta ~lease ~settle e cfg
-    ~churn =
+let with_repair ?trace ?corrupt ~beta ~lease ~settle e cfg ~churn =
   let g = Engine.graph e in
   validate g cfg;
   let churn1 = Engine.Churn.compile e churn in
-  let states1, _ = run ?trace ?sink ?degrade ?guard ?corrupt ~churn:churn1 e cfg in
+  let states1, _ = run ?trace ?corrupt ~churn:churn1 e cfg in
   let phase1 = decode cfg states1 in
   let alive = Engine.Churn.final_alive churn1 in
   let dead_edges = Engine.Churn.final_edges_down churn1 in
@@ -579,9 +575,7 @@ let with_repair ?trace ?sink ?degrade ?guard ?corrupt ~beta ~lease ~settle e cfg
       horizon = settle;
     }
   in
-  let rstates, _ =
-    Repair.run ?trace ?sink ?degrade ?guard ?corrupt ~churn:churn0 e rcfg
-  in
+  let rstates, _ = Repair.run ?trace ?corrupt ~churn:churn0 e rcfg in
   let repair = Repair.decode rstates in
   let healed_plan =
     {
@@ -621,7 +615,7 @@ let with_repair ?trace ?sink ?degrade ?guard ?corrupt ~beta ~lease ~settle e cfg
         retried
     in
     let cfg2 = { cfg with plan = healed_plan; requests = reqs2; horizon = horizon2 } in
-    let states2, _ = run ?trace ?sink ?degrade ?guard ?corrupt ~churn:churn0 e cfg2 in
+    let states2, _ = run ?trace ?corrupt ~churn:churn0 e cfg2 in
     let phase2 = decode cfg2 states2 in
     {
       phase1;

@@ -132,16 +132,13 @@ val tree_distance : Repair.plan -> int -> int -> int option
 
 val run :
   ?trace:Trace.t ->
-  ?sink:Engine.Sink.t ->
-  ?degrade:bool ->
   ?churn:Engine.Churn.t ->
-  ?guard:bool ->
   ?corrupt:Engine.Corrupt.spec ->
-  ?max_rounds:int ->
   Engine.t ->
   config ->
   state array * Engine.stats
-(** Execute the serving protocol until [horizon].  With [?trace] the run
+(** Execute the serving protocol until [horizon] (at most [horizon + 2]
+    rounds).  With [?trace] the run
     is recorded as a [serve] span with [serve.*] notes (answered /
     rejected / lost / retries / p50 / p99) and the v1.5 latency, hop and
     edge-load histograms. *)
@@ -171,9 +168,6 @@ type handover = {
 
 val with_repair :
   ?trace:Trace.t ->
-  ?sink:Engine.Sink.t ->
-  ?degrade:bool ->
-  ?guard:bool ->
   ?corrupt:Engine.Corrupt.spec ->
   beta:int ->
   lease:int ->

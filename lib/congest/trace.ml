@@ -90,12 +90,7 @@ let sink t =
     on_finish = ignore;
   }
 
-let wrap ?trace ?sink:user () =
-  match (trace, user) with
-  | None, None -> Engine.Sink.null
-  | None, Some s -> s
-  | Some t, None -> sink t
-  | Some t, Some s -> Engine.Sink.tee (sink t) s
+let set_budget t w = if w > t.budget then t.budget <- w
 
 let open_span t ?(track = 0) name =
   let s =
@@ -126,6 +121,13 @@ let span t ?track name f =
 
 let span_opt trace ?track name f =
   match trace with None -> f () | Some t -> span t ?track name f
+
+let observe trace ~max_words name f =
+  match trace with
+  | None -> f Engine.Sink.null
+  | Some t ->
+    set_budget t max_words;
+    span t name (fun () -> f (sink t))
 
 let charge t rounds =
   if rounds < 0 then invalid_arg "Trace.charge: negative rounds";
@@ -161,7 +163,6 @@ let histogram t name buckets =
     buckets;
   t.hists_rev <- (name, buckets) :: List.remove_assoc name t.hists_rev
 
-let set_budget t w = if w > t.budget then t.budget <- w
 let budget t = if t.budget < 0 then None else Some t.budget
 
 (* ------------------------------------------------------------------ *)

@@ -19,9 +19,12 @@
     and fragments from 0).
 
     The trace observes message traffic through an ordinary {!Engine.Sink}
-    ({!sink} / {!wrap}), so it composes with user sinks via
-    {!Engine.Sink.tee} and costs nothing when absent: every integration
-    point takes a [?trace] option and the [None] path does not allocate.
+    ({!sink} / {!observe}), so it composes with user sinks via
+    {!Engine.Sink.tee} and costs nothing when absent: every runner takes a
+    [?trace] option and the [None] path does not allocate.  Raw sinks
+    attach at the executors ({!Engine.exec_emit}, {!Runtime.run},
+    {!Runtime.run_reference}, {!Async.run_reliable}), which every runner's
+    exported [algorithm] can be passed to.
 
     Exporters: {!export_chrome} writes Chrome trace-event JSON
     (load it at ui.perfetto.dev or chrome://tracing); {!export_jsonl}
@@ -61,12 +64,6 @@ val sink : t -> Engine.Sink.t
     and buffers the (re-clocked) round record; every [on_message] updates
     the message-width and per-edge congestion accounting. *)
 
-val wrap : ?trace:t -> ?sink:Engine.Sink.t -> unit -> Engine.Sink.t
-(** The sink a traced run should pass to the engine: the trace's sink
-    tee'd with the user's, either alone when the other is absent, and
-    {!Engine.Sink.null} when both are — so an untraced, unsinked run stays
-    on the engine's zero-dispatch path. *)
-
 val span : t -> ?track:int -> string -> (unit -> 'a) -> 'a
 (** [span t name f] opens a span at the current clock, runs [f], and
     closes the span at the clock [f] reached (also on exception).  Spans
@@ -76,6 +73,15 @@ val span : t -> ?track:int -> string -> (unit -> 'a) -> 'a
 val span_opt : t option -> ?track:int -> string -> (unit -> 'a) -> 'a
 (** {!span} through an option, running [f] bare when [None] — the shape
     every [?trace]-taking algorithm uses. *)
+
+val observe :
+  t option -> max_words:int -> string -> (Engine.Sink.t -> 'a) -> 'a
+(** [observe trace ~max_words name f] is how a runner executes one traced
+    engine run: with [Some t] it declares the word budget (see
+    {!budget}), opens span [name] and calls [f] with [t]'s {!sink};
+    with [None] it calls [f Engine.Sink.null] — the physically equal
+    value, so the engine stays on its zero-dispatch path — and does
+    nothing else. *)
 
 val charge : t -> int -> unit
 (** Advance the clock by a phase-level round charge (a {!Kdom} ledger
@@ -105,11 +111,9 @@ val histogram : t -> string -> (int * int) list -> unit
     [hist] JSONL record.  Re-recording a name overwrites it; raises
     [Invalid_argument] on a negative count. *)
 
-val set_budget : t -> int -> unit
-(** Declare the per-message word budget in force; kept as the maximum over
-    all declarations, compared against the observed peak by {!Metrics}. *)
-
 val budget : t -> int option
+(** The widest per-message word budget any {!observe}d run declared,
+    compared against the observed peak by {!Metrics}. *)
 
 val set_shards : t -> int -> unit
 (** Declare the domain count the traced execution ran under

@@ -3,7 +3,7 @@ open Kdom_congest
 
 let names = [ "bfs"; "coloring"; "census"; "leader"; "smc"; "pipeline" ]
 
-let no_stats = { Runtime.rounds = 0; messages = 0; max_inflight = 0 }
+let no_stats = { Engine.rounds = 0; messages = 0; max_inflight = 0 }
 
 (* The offline winner of the election: the node with the largest wave key. *)
 let max_key_node n =

@@ -182,11 +182,9 @@ let info_of_states g ~root states = info_of_states g root states
    [| tag_echo; max depth |] / [| tag_m; M |] — 2 words. *)
 let max_words = 2
 
-let run ?trace ?sink g ~root =
-  Option.iter (fun t -> Trace.set_budget t max_words) trace;
-  let sink = Trace.wrap ?trace ?sink () in
-  Trace.span_opt trace "bfs_tree" (fun () ->
-      let states, stats = Engine.run_emit ~max_words ~sink g (algorithm g ~root) in
+let run ?trace g ~root =
+  Trace.observe trace ~max_words "bfs_tree" (fun sink ->
+      let states, stats = Runtime.run ~max_words ~sink g (algorithm g ~root) in
       (info_of_states g ~root states, stats))
 
 let round_bound ~diam = (4 * diam) + 5

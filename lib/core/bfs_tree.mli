@@ -41,7 +41,7 @@ val max_words : int
     2 words. *)
 
 val run :
-  ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> root:int -> info * Runtime.stats
+  ?trace:Trace.t -> Graph.t -> root:int -> info * Engine.stats
 (** [algorithm] executed on the mailbox engine with the declared
     {!max_words} budget.  Requires a connected graph.  With [?trace] the
     execution is recorded under a [bfs_tree] span. *)

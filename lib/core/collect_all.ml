@@ -4,7 +4,7 @@ open Kdom_congest
 type result = {
   mst : Graph.edge list;
   pipeline : Pipeline.result;
-  bfs_stats : Runtime.stats;
+  bfs_stats : Engine.stats;
   rounds : int;
   edges_at_root : int;
 }

@@ -15,7 +15,7 @@ open Kdom_congest
 type result = {
   mst : Graph.edge list;
   pipeline : Pipeline.result;
-  bfs_stats : Runtime.stats;
+  bfs_stats : Engine.stats;
   rounds : int;
   edges_at_root : int;   (** how many edge descriptions reached the root *)
 }

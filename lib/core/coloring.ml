@@ -213,11 +213,9 @@ let congest_max_words = 1
 
 let colors_of_states states = Array.map (fun st -> st.color) states
 
-let three_color_congest ?trace ?sink g ~root =
-  Option.iter (fun t -> Trace.set_budget t congest_max_words) trace;
-  let sink = Trace.wrap ?trace ?sink () in
-  Trace.span_opt trace "coloring.three_color" (fun () ->
+let three_color_congest ?trace g ~root =
+  Trace.observe trace ~max_words:congest_max_words "coloring.three_color" (fun sink ->
       let states, stats =
-        Engine.run_emit ~max_words:congest_max_words ~sink g (congest_algorithm g ~root)
+        Runtime.run ~max_words:congest_max_words ~sink g (congest_algorithm g ~root)
       in
       (colors_of_states states, stats))

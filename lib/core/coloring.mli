@@ -59,7 +59,7 @@ val colors_of_states : congest_state array -> int array
     (whichever executor produced it). *)
 
 val three_color_congest :
-  ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> root:int -> int array * Runtime.stats
+  ?trace:Trace.t -> Graph.t -> root:int -> int array * Engine.stats
 (** Message-level CONGEST execution of {!three_color} on a tree graph
     rooted at [root]: every round each node sends its current color (one
     word) to its children. Used by tests to confirm that the pure version's

@@ -5,8 +5,8 @@ type result = {
   dominating : bool array;
   level : int option;
   init : Bfs_tree.info;
-  init_stats : Runtime.stats;
-  census_stats : Runtime.stats option;
+  init_stats : Engine.stats;
+  census_stats : Engine.stats option;
   rounds : int;
 }
 
@@ -125,18 +125,15 @@ let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
    words. *)
 let census_max_words = 3
 
-let census_run ?sink g (info : Bfs_tree.info) ~k =
-  Engine.run_emit ~max_words:census_max_words ?sink g (census_algorithm info ~k)
-
 let dominating_of_states states = Array.map (fun st -> st.member) states
 let decided_level states ~root = states.(root).decided
 
-let run ?trace ?sink g ~root ~k =
+let run ?trace g ~root ~k =
   if k < 1 then invalid_arg "Diam_dom.run: k must be >= 1";
   if not (Tree.is_tree g) then invalid_arg "Diam_dom.run: graph must be a tree";
   Trace.span_opt trace "diam_dom" @@ fun () ->
   let info, init_stats =
-    Trace.span_opt trace "diam_dom.init" (fun () -> Bfs_tree.run ?trace ?sink g ~root)
+    Trace.span_opt trace "diam_dom.init" (fun () -> Bfs_tree.run ?trace g ~root)
   in
   if info.height <= k then begin
     (* Every node knows M and k after Initialize, so the outcome D = {root}
@@ -153,12 +150,14 @@ let run ?trace ?sink g ~root ~k =
     }
   end
   else begin
-    Option.iter (fun t -> Trace.set_budget t census_max_words) trace;
     let states, census_stats =
-      Trace.span_opt trace "diam_dom.census" (fun () ->
-          let csink = Trace.wrap ?trace ?sink () in
+      Trace.observe trace ~max_words:census_max_words "diam_dom.census"
+        (fun sink ->
           let c0 = match trace with Some t -> Trace.clock t | None -> 0 in
-          let res = census_run ~sink:csink g info ~k in
+          let res =
+            Runtime.run ~max_words:census_max_words ~sink g
+              (census_algorithm info ~k)
+          in
           (* The censuses are pipelined over one execution: census(l) is
              live from round [l] (depth-M leaves upcast) to round [l + M]
              (the root owns its total).  Record each as a synthetic span on

@@ -22,8 +22,8 @@ type result = {
   dominating : bool array;   (** membership in the output set D *)
   level : int option;        (** selected class; [None] when [M <= k] *)
   init : Bfs_tree.info;
-  init_stats : Runtime.stats;
-  census_stats : Runtime.stats option;  (** [None] when no census ran *)
+  init_stats : Engine.stats;
+  census_stats : Engine.stats option;  (** [None] when no census ran *)
   rounds : int;              (** total rounds across both stages *)
 }
 
@@ -49,7 +49,7 @@ val dominating_of_states : census_state array -> bool array
 val decided_level : census_state array -> root:int -> int
 (** The level class the root selected ([-1] while undecided). *)
 
-val run : ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> root:int -> k:int -> result
+val run : ?trace:Trace.t -> Graph.t -> root:int -> k:int -> result
 (** Requires a tree ([m = n-1], connected) and [k >= 1].  With [?trace]
     the run is recorded as [diam_dom] > [diam_dom.init] + [diam_dom.census],
     the latter carrying one synthetic [diam_dom.census[l]] span per

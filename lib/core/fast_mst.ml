@@ -8,7 +8,7 @@ type result = {
   dominating : int list;
   pipeline : Pipeline.result;
   root : int;
-  bfs_stats : Runtime.stats;
+  bfs_stats : Engine.stats;
   ledger : Ledger.t;
   rounds : int;
 }
@@ -25,7 +25,7 @@ let run_with ?small ?trace g ~(bfs : Bfs_tree.info) ~tree_stage_label ~tree_stag
   let ledger = Ledger.create () in
   Ledger.charge ledger "FastDOM_G (k = ceil sqrt n)" dom.rounds;
   let fragment_of = Simple_mst.fragment_of_array g dom.forest in
-  let (bfs_stats : Runtime.stats) = tree_stage_stats in
+  let (bfs_stats : Engine.stats) = tree_stage_stats in
   Ledger.charge ledger tree_stage_label bfs_stats.rounds;
   let pipe = Pipeline.run ?trace g ~bfs ~fragment_of in
   Ledger.charge ledger "Pipeline upcast" pipe.upcast_stats.rounds;

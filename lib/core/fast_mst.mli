@@ -23,7 +23,7 @@ type result = {
   dominating : int list;           (** the sqrt(n)-dominating set built on the way *)
   pipeline : Pipeline.result;
   root : int;                      (** root of the pipeline's BFS tree: [?root] or the elected leader *)
-  bfs_stats : Runtime.stats;       (** the BFS tree stage, or the whole election *)
+  bfs_stats : Engine.stats;       (** the BFS tree stage, or the whole election *)
   ledger : Ledger.t;
   rounds : int;
 }

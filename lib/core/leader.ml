@@ -5,7 +5,7 @@ type result = {
   leader : int;
   parent : int array;
   depth : int array;
-  stats : Runtime.stats;
+  stats : Engine.stats;
 }
 
 let tag_offer = 0 (* [tag; wave key; depth of sender] *)
@@ -235,13 +235,11 @@ let result_of_states states stats =
     stats;
   }
 
-let elect ?trace ?sink g =
+let elect ?trace g =
   if Graph.n g = 0 then invalid_arg "Leader.elect: empty graph";
   if not (Graph.is_connected g) then invalid_arg "Leader.elect: graph must be connected";
-  Option.iter (fun t -> Trace.set_budget t max_words) trace;
-  let sink = Trace.wrap ?trace ?sink () in
-  Trace.span_opt trace "leader.elect" (fun () ->
-      let states, stats = Engine.run_emit ~max_words ~sink g (algorithm g) in
+  Trace.observe trace ~max_words "leader.elect" (fun sink ->
+      let states, stats = Runtime.run ~max_words ~sink g (algorithm g) in
       result_of_states states stats)
 
 let round_bound ~diam = (5 * diam) + 10

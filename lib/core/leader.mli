@@ -26,7 +26,7 @@ type result = {
   leader : int;            (** the node with the maximum {!key} *)
   parent : int array;      (** BFS tree rooted at the leader; [-1] at the leader *)
   depth : int array;       (** distance from the leader *)
-  stats : Runtime.stats;
+  stats : Engine.stats;
 }
 
 type state
@@ -40,7 +40,7 @@ val algorithm : Graph.t -> state Engine.ealgorithm
     ({!Engine.Inbox.read}) and sent with the fixed-arity
     [Emit.frame2]/[frame3] helpers, so a steady-state step allocates
     nothing.  Wave upgrades use {!Repair.wave_prefers}.  Run it with
-    {!Engine.run_emit} at {!max_words}. *)
+    {!Runtime.run} at {!max_words}. *)
 
 val key : n:int -> int -> int
 (** [key ~n v] is the wave key of node [v] in an [n]-node graph:
@@ -53,13 +53,13 @@ val key : n:int -> int -> int
 val max_words : int
 (** Declared word budget: [| tag; wave key; depth |] — 3 words. *)
 
-val result_of_states : state array -> Runtime.stats -> result
+val result_of_states : state array -> Engine.stats -> result
 (** Decode (and cross-validate) the outcome from an execution's final
     state vector, whichever executor produced it; raises
     [Invalid_argument] if the vector is empty, if any node disagrees on
     the leader, or if any node's wave is not the leader's key. *)
 
-val elect : ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> result
+val elect : ?trace:Trace.t -> Graph.t -> result
 (** Requires a connected graph with at least one node; raises
     [Invalid_argument] otherwise.  With [?trace] the run is recorded under
     a [leader.elect] span. *)

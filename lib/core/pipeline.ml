@@ -3,7 +3,7 @@ open Kdom_congest
 
 type result = {
   selected : Graph.edge list;
-  upcast_stats : Runtime.stats;
+  upcast_stats : Engine.stats;
   broadcast_rounds : int;
   rounds : int;
   stalls : int;
@@ -229,14 +229,13 @@ let selected_of_states g ~fragment_of ~root states =
   in
   List.map (Graph.edge g) (Mst.mst_of_multigraph ~n:nf edges_at_root)
 
-let run ?(eliminate_cycles = true) ?trace ?sink g ~(bfs : Bfs_tree.info) ~fragment_of =
+let run ?(eliminate_cycles = true) ?trace g ~(bfs : Bfs_tree.info) ~fragment_of =
   if not (Graph.has_distinct_weights g) then
     invalid_arg "Pipeline.run: edge weights must be distinct";
   let algo, stalls = algorithm ~eliminate_cycles g ~bfs ~fragment_of in
-  Option.iter (fun t -> Trace.set_budget t max_words) trace;
-  let sink = Trace.wrap ?trace ?sink () in
   let states, upcast_stats =
-    Trace.span_opt trace "pipeline.upcast" (fun () -> Engine.run_emit ~max_words ~sink g algo)
+    Trace.observe trace ~max_words "pipeline.upcast" (fun sink ->
+        Runtime.run ~max_words ~sink g algo)
   in
   let root_state = states.(bfs.root) in
   let selected = selected_of_states g ~fragment_of ~root:bfs.root states in

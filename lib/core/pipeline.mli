@@ -29,7 +29,7 @@ open Kdom_congest
 type result = {
   selected : Graph.edge list;
     (** the [N-1] inter-fragment edges of the MST of the fragment graph *)
-  upcast_stats : Runtime.stats;  (** the convergecast proper *)
+  upcast_stats : Engine.stats;  (** the convergecast proper *)
   broadcast_rounds : int;
     (** charged rounds for streaming [S] back down [B]:
         [max 0 (|S|-1) + height + 1] *)
@@ -65,7 +65,6 @@ val selected_of_states :
 val run :
   ?eliminate_cycles:bool ->
   ?trace:Trace.t ->
-  ?sink:Engine.Sink.t ->
   Graph.t ->
   bfs:Bfs_tree.info ->
   fragment_of:int array ->

@@ -3,7 +3,7 @@ open Kdom_congest
 
 type result = {
   fragments : Simple_mst.fragment list;
-  stats : Runtime.stats;
+  stats : Engine.stats;
   phases : int;
 }
 
@@ -374,18 +374,16 @@ let fragments_of_states g states =
         ({ root; members; tree_edges; depth } : Simple_mst.fragment) :: acc)
       groups []
 
-let run ?trace ?sink g ~k =
+let run ?trace g ~k =
   if k < 1 then invalid_arg "Simple_mst_congest.run: k must be >= 1";
   if not (Graph.is_connected g) then
     invalid_arg "Simple_mst_congest.run: graph must be connected";
   if not (Graph.has_distinct_weights g) then
     invalid_arg "Simple_mst_congest.run: edge weights must be distinct";
   let phases = phases_for k in
-  Option.iter (fun t -> Trace.set_budget t max_words) trace;
-  let sink = Trace.wrap ?trace ?sink () in
-  Trace.span_opt trace "simple_mst" (fun () ->
+  Trace.observe trace ~max_words "simple_mst" (fun sink ->
       let c0 = match trace with Some t -> Trace.clock t | None -> 0 in
-      let states, stats = Engine.run_emit ~max_words ~sink g (algorithm g ~k) in
+      let states, stats = Runtime.run ~max_words ~sink g (algorithm g ~k) in
       (* The phase boundaries are a fixed global schedule ({!locate}); lay
          each phase down as a synthetic span, clamped to the rounds the
          execution actually used (it quiesces after the last real merge). *)

@@ -34,7 +34,7 @@ open Kdom_congest
 
 type result = {
   fragments : Simple_mst.fragment list;
-  stats : Runtime.stats;
+  stats : Engine.stats;
   phases : int;
 }
 
@@ -53,7 +53,7 @@ val fragments_of_states : Graph.t -> state array -> Simple_mst.fragment list
     vector, whichever executor produced it; raises [Invalid_argument] if
     the remembered tree edges do not form a single-rooted forest. *)
 
-val run : ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> k:int -> result
+val run : ?trace:Trace.t -> Graph.t -> k:int -> result
 (** Requires a connected graph with distinct weights and [k >= 1].  With
     [?trace] the run is recorded under a [simple_mst] span carrying one
     synthetic [simple_mst.phase[i]] span per scheduled phase. *)

@@ -332,7 +332,7 @@ let prop_serve_matches_offline_lookup =
 (* Synchronizer cost model *)
 
 (* every node sends its id to every neighbor for [rounds] rounds *)
-let chatter rounds : int Kdom_congest.Runtime.ealgorithm =
+let chatter rounds : int Kdom_congest.Engine.ealgorithm =
   {
     einit = (fun _ _ -> rounds);
     ehalted = (fun left -> left = 0);

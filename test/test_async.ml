@@ -66,7 +66,7 @@ let test_bfs_many_delay_regimes () =
    seen for a fixed number of rounds *)
 type flood = { best : int; neighbors : int list; rounds_left : int }
 
-let flood_algorithm rounds : flood Runtime.ealgorithm =
+let flood_algorithm rounds : flood Engine.ealgorithm =
   {
     einit =
       (fun g v ->

@@ -182,15 +182,15 @@ let graph_families seed =
   ]
 
 let diff_broadcast what g frame_alg emit_alg =
-  let ls, lst = Engine.run_emit g frame_alg in
+  let ls, lst = Runtime.run g frame_alg in
   (* emit on one domain *)
-  let es, est = Engine.run_emit ~domains:1 g emit_alg in
+  let es, est = Runtime.run ~domains:1 g emit_alg in
   if es <> ls then Alcotest.failf "%s: emit states differ at 1 domain" what;
   check_stats (what ^ "/d1") est lst;
   (* emit on several domains *)
   List.iter
     (fun d ->
-      let ss, sst = Engine.run_emit ~domains:d g emit_alg in
+      let ss, sst = Runtime.run ~domains:d g emit_alg in
       if ss <> ls then
         Alcotest.failf "%s: emit states differ at %d domains" what d;
       check_stats (Printf.sprintf "%s/d%d" what d) sst lst)
@@ -244,7 +244,7 @@ let prop_broadcast_gossip =
 (* broadcast refuses a zero-word budget with the legacy violation text *)
 let test_broadcast_width () =
   let g = Generators.path ~rng:(Rng.create 7) 6 in
-  match Engine.run_emit ~max_words:0 g (flood_emit ~rounds:2) with
+  match Runtime.run ~max_words:0 g (flood_emit ~rounds:2) with
   | _ -> Alcotest.fail "expected Congestion_violation"
   | exception Engine.Congestion_violation msg ->
     Alcotest.(check bool)

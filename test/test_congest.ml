@@ -13,7 +13,7 @@ let path3 () = Graph.of_edges ~n:3 [ (0, 1, 1); (1, 2, 2) ]
    the end of the path; every node halts after seeing it. *)
 type token_state = { pos : int; neighbors : int list; seen : bool; halted : bool }
 
-let token_algorithm : token_state Runtime.ealgorithm =
+let token_algorithm : token_state Engine.ealgorithm =
   {
     einit =
       (fun g v ->
@@ -45,8 +45,8 @@ let token_algorithm : token_state Runtime.ealgorithm =
 
 (* The same walk with an honest hint: a node acts only when the token
    arrives, so the sparse scheduler should step O(1) nodes per round. *)
-let sparse_token : token_state Runtime.ealgorithm =
-  { token_algorithm with ewake = (fun _ -> Runtime.OnMessage) }
+let sparse_token : token_state Engine.ealgorithm =
+  { token_algorithm with ewake = (fun _ -> Engine.OnMessage) }
 
 let test_delivery_and_stats () =
   let g = path3 () in
@@ -58,7 +58,7 @@ let test_delivery_and_stats () =
 
 let fixed_step out_of estep =
   {
-    Runtime.einit = (fun _ _ -> 0);
+    Engine.einit = (fun _ _ -> 0);
     ehalted = (fun r -> r >= out_of);
     estep;
     ewake = Engine.always;
@@ -76,7 +76,7 @@ let test_rejects_double_send () =
         else max st 1)
   in
   Alcotest.check_raises "double send"
-    (Runtime.Congestion_violation "round 0: node 0 sent twice over edge to 1")
+    (Engine.Congestion_violation "round 0: node 0 sent twice over edge to 1")
     (fun () -> ignore (Runtime.run g algo))
 
 let test_rejects_non_neighbor () =
@@ -90,7 +90,7 @@ let test_rejects_non_neighbor () =
         else max st 1)
   in
   Alcotest.check_raises "non neighbor"
-    (Runtime.Congestion_violation "round 0: node 0 sent to non-neighbor 2")
+    (Engine.Congestion_violation "round 0: node 0 sent to non-neighbor 2")
     (fun () -> ignore (Runtime.run g algo))
 
 let test_rejects_oversized_payload () =
@@ -108,7 +108,7 @@ let test_rejects_oversized_payload () =
   in
   (* the budget is enforced at each put: the fifth word is the violation *)
   Alcotest.check_raises "payload too big"
-    (Runtime.Congestion_violation "round 0: node 0 payload of 5 words exceeds 4")
+    (Engine.Congestion_violation "round 0: node 0 payload of 5 words exceeds 4")
     (fun () -> ignore (Runtime.run g algo))
 
 let test_rejects_message_to_halted () =
@@ -116,7 +116,7 @@ let test_rejects_message_to_halted () =
   (* node 2 halts immediately; node 1 sends to it on round 1 *)
   let algo =
     {
-      Runtime.einit = (fun _ v -> if v = 2 then 2 else 0);
+      Engine.einit = (fun _ v -> if v = 2 then 2 else 0);
       ehalted = (fun st -> st >= 2);
       estep =
         (fun _g ~round ~node st _inbox em ->
@@ -130,7 +130,7 @@ let test_rejects_message_to_halted () =
     }
   in
   Alcotest.check_raises "halted receiver"
-    (Runtime.Congestion_violation "round 2: halted node 2 received a message")
+    (Engine.Congestion_violation "round 2: halted node 2 received a message")
     (fun () -> ignore (Runtime.run g algo))
 
 let test_round_limit () =
@@ -138,13 +138,13 @@ let test_round_limit () =
   (* never halts *)
   let algo =
     {
-      Runtime.einit = (fun _ _ -> 0);
+      Engine.einit = (fun _ _ -> 0);
       ehalted = (fun _ -> false);
       estep = (fun _g ~round:_ ~node:_ st _ _ -> st);
       ewake = Engine.always;
     }
   in
-  Alcotest.check_raises "round limit" (Runtime.Round_limit_exceeded 11) (fun () ->
+  Alcotest.check_raises "round limit" (Engine.Round_limit_exceeded 11) (fun () ->
       ignore (Runtime.run ~max_rounds:10 g algo))
 
 let test_inbox_sender_order () =
@@ -154,7 +154,7 @@ let test_inbox_sender_order () =
   let received = ref [] in
   let algo =
     {
-      Runtime.einit = (fun _ _ -> 0);
+      Engine.einit = (fun _ _ -> 0);
       ehalted = (fun st -> st >= 1);
       estep =
         (fun _g ~round ~node st inbox em ->
@@ -183,8 +183,10 @@ let test_sparse_token_frontier () =
   in
   let sink, rounds = Engine.Sink.counters () in
   let states, stats = Runtime.run ~sink g sparse_token in
-  (* bit-identical to the dense schedule (wake hints degraded to Always) *)
-  let dstates, dstats = Runtime.run ~degrade:true g sparse_token in
+  (* bit-identical to the dense schedule (every wake hint Always) *)
+  let dstates, dstats =
+    Runtime.run g { sparse_token with Engine.ewake = Engine.always }
+  in
   Alcotest.(check bool) "states match dense run" true (states = dstates);
   Alcotest.(check bool) "stats match dense run" true (stats = dstats);
   List.iter
@@ -210,12 +212,12 @@ let test_wake_timer () =
   (* one isolated-by-silence node: sends nothing, wakes itself at round 3
      via an [At] hint and only then halts *)
   let g = Graph.of_edges ~n:2 [ (0, 1, 1) ] in
-  let algo : int Runtime.ealgorithm =
+  let algo : int Engine.ealgorithm =
     {
       einit = (fun _ _ -> 0);
       ehalted = (fun st -> st >= 1);
       estep = (fun _g ~round ~node:_ st _ _ -> if round >= 3 then 1 else st);
-      ewake = (fun _ -> Runtime.At 3);
+      ewake = (fun _ -> Engine.At 3);
     }
   in
   let sink, rounds = Engine.Sink.counters () in

@@ -13,7 +13,7 @@
      the union graph, burst/checkpoint shape.
    - dynamic: the grid end-to-end scenario (oracle clean at every
      checkpoint, incremental repair cheaper than the counterfactual
-     recompute, bit-identical reports across [Engine.default_domains]),
+     recompute, bit-identical reports across [Engine.with_domains]),
      and the targeted re-parenting scenario — an inserted chord strictly
      shortens a path cluster, the heartbeat rule must exploit it.
    - generators: the preferential-attachment family (connected, exact
@@ -113,9 +113,9 @@ let test_growth_engine_reference_differential () =
           "seed %d: engine and reference states differ under growth churn"
           seed;
       Alcotest.(check int) "same round count" st1.Engine.rounds
-        st2.Runtime.rounds;
+        st2.Engine.rounds;
       Alcotest.(check int) "same delivered count" st1.Engine.messages
-        st2.Runtime.messages;
+        st2.Engine.messages;
       let alive = Engine.Churn.final_alive churn in
       Alcotest.(check bool) "the arrival is finally alive" true alive.(10);
       Alcotest.(check bool) "the crash is finally dead" false alive.(5);
@@ -150,10 +150,10 @@ let test_growth_sharded_differential () =
               seed domains;
           Alcotest.(check int)
             (Printf.sprintf "seed %d domains=%d: rounds vs reference" seed domains)
-            str.Runtime.rounds std.Engine.rounds;
+            str.Engine.rounds std.Engine.rounds;
           Alcotest.(check int)
             (Printf.sprintf "seed %d domains=%d: messages vs reference" seed domains)
-            str.Runtime.messages std.Engine.messages;
+            str.Engine.messages std.Engine.messages;
           if sd <> s1 then
             Alcotest.failf "seed %d: growth states differ at domains=%d" seed
               domains;
@@ -331,18 +331,12 @@ let test_dynamic_domain_determinism () =
       Array.copy rep.Dynamic.final_plan.Repair.dominator,
       Array.copy rep.Dynamic.final_plan.Repair.depth )
   in
-  let saved = !Engine.default_domains in
-  Fun.protect
-    ~finally:(fun () -> Engine.default_domains := saved)
-    (fun () ->
-      Engine.default_domains := 1;
-      let f1 = fingerprint () in
-      List.iter
-        (fun d ->
-          Engine.default_domains := d;
-          if fingerprint () <> f1 then
-            Alcotest.failf "dynamic run differs at domains=%d" d)
-        [ 2; 4 ])
+  let f1 = Engine.with_domains 1 fingerprint in
+  List.iter
+    (fun d ->
+      if Engine.with_domains d fingerprint <> f1 then
+        Alcotest.failf "dynamic run differs at domains=%d" d)
+    [ 2; 4 ]
 
 (* An inserted chord from the dominator to the tail of a path cluster
    strictly shortens the cluster path; the heartbeat re-parenting rule

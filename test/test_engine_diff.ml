@@ -17,7 +17,7 @@ module S = Engine.Sink
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-let check_stats what (e : Runtime.stats) (r : Runtime.stats) =
+let check_stats what (e : Engine.stats) (r : Engine.stats) =
   Alcotest.(check int) (what ^ ": rounds") r.rounds e.rounds;
   Alcotest.(check int) (what ^ ": messages") r.messages e.messages;
   Alcotest.(check int) (what ^ ": max_inflight") r.max_inflight e.max_inflight
@@ -26,14 +26,14 @@ let check_stats what (e : Runtime.stats) (r : Runtime.stats) =
    state captured by the closures (e.g. Pipeline's stall counter) cannot
    leak between executions. *)
 let diff what ~max_words g mk =
-  let e_states, e_stats = Engine.run_emit ~max_words g (mk ()) in
+  let e_states, e_stats = Runtime.run ~max_words g (mk ()) in
   let r_states, r_stats = Runtime.run_reference ~max_words g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
   check_stats what e_stats r_stats;
   List.iter
     (fun d ->
       let what = Printf.sprintf "%s (domains=%d)" what d in
-      let d_states, d_stats = Engine.run_emit ~max_words ~domains:d g (mk ()) in
+      let d_states, d_stats = Runtime.run ~max_words ~domains:d g (mk ()) in
       if d_states <> e_states then Alcotest.failf "%s: final states differ" what;
       check_stats what d_stats e_stats)
     [ 2; 4 ];
@@ -246,7 +246,7 @@ let test_violations_agree () =
   in
   List.iter
     (fun (name, mk) ->
-      let e = outcome (fun g a -> Engine.run_emit g a) (mk ()) in
+      let e = outcome (fun g a -> Runtime.run g a) (mk ()) in
       let r = outcome (fun g a -> Runtime.run_reference g a) (mk ()) in
       match (e, r) with
       | Error me, Error mr ->
@@ -256,16 +256,16 @@ let test_violations_agree () =
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler differentials: the sparse event-driven scheduler against the
-   reference, round for round.  [~degrade:true] makes the engine ignore
-   wake hints entirely, so its per-round sink records must be bit-identical
-   to [run_reference]'s 0-projection (skipped = woken = 0, stepped = live)
-   for ARBITRARY — even dishonest — hints.  Without [degrade] the hints are
-   honored, and the per-round traffic (sent / delivered / words /
-   receivers) plus stepped+skipped = reference stepped must still agree. *)
+   reference, round for round.  With every hint [Always] (the dense
+   schedule, [{ a with ewake = Engine.always }]) the engine's per-round
+   sink records must be bit-identical to [run_reference]'s 0-projection
+   (skipped = woken = 0, stepped = live).  With the algorithm's own hints
+   the per-round traffic (sent / delivered / words / receivers) plus
+   stepped+skipped = reference stepped must still agree. *)
 
 type flood = { best : int; left : int }
 
-let flood_algorithm ?(wake = Engine.always) g rounds : flood Runtime.ealgorithm =
+let flood_algorithm ?(wake = Engine.always) g rounds : flood Engine.ealgorithm =
   {
     einit = (fun _ v -> { best = v; left = rounds });
     ehalted = (fun st -> st.left = 0);
@@ -283,7 +283,7 @@ let flood_algorithm ?(wake = Engine.always) g rounds : flood Runtime.ealgorithm 
   }
 
 (* a token walking a path: the canonical O(1)-frontier kernel *)
-let token_algorithm ?(wake = Engine.always) g : bool Runtime.ealgorithm =
+let token_algorithm ?(wake = Engine.always) g : bool Engine.ealgorithm =
   let n = Graph.n g in
   {
     einit = (fun _ _ -> false);
@@ -302,9 +302,11 @@ let token_algorithm ?(wake = Engine.always) g : bool Runtime.ealgorithm =
     ewake = wake;
   }
 
-let degraded_round_diff what ~max_words g mk =
+let dense_round_diff what ~max_words g mk =
   let es, er = Engine.Sink.counters () in
-  let e_states, e_stats = Engine.run_emit ~max_words ~sink:es ~degrade:true g (mk ()) in
+  let e_states, e_stats =
+    Runtime.run ~max_words ~sink:es g { (mk ()) with Engine.ewake = Engine.always }
+  in
   let rs, rr = Engine.Sink.counters () in
   let r_states, r_stats = Runtime.run_reference ~max_words ~sink:rs g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
@@ -319,7 +321,7 @@ let degraded_round_diff what ~max_words g mk =
 
 let sparse_round_diff what ~max_words g mk =
   let es, er = Engine.Sink.counters () in
-  let e_states, e_stats = Engine.run_emit ~max_words ~sink:es g (mk ()) in
+  let e_states, e_stats = Runtime.run ~max_words ~sink:es g (mk ()) in
   let rs, rr = Engine.Sink.counters () in
   let r_states, r_stats = Runtime.run_reference ~max_words ~sink:rs g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
@@ -335,33 +337,23 @@ let sparse_round_diff what ~max_words g mk =
         [ S.sent; S.delivered; S.words; S.receivers ])
     (er ()) (rr ())
 
-let prop_degrade_bit_identical =
+let prop_dense_bit_identical =
   QCheck2.Test.make
-    ~name:"degraded engine = reference round-for-round under random hints"
-    ~count:20
-    QCheck2.Gen.(pair seed_gen (int_bound 1000))
-    (fun (seed, hseed) ->
-      (* arbitrary — even dishonest — hints must be invisible under degrade *)
-      let wake _ =
-        match hseed mod 4 with
-        | 0 -> Runtime.Always
-        | 1 -> Runtime.Next
-        | 2 -> Runtime.OnMessage
-        | _ -> Runtime.At (hseed mod 17)
-      in
+    ~name:"dense engine = reference round-for-round"
+    ~count:20 seed_gen
+    (fun seed ->
       List.iter
         (fun (fam, g) ->
-          degraded_round_diff ("flood/" ^ fam) ~max_words:4 g (fun () ->
-              flood_algorithm ~wake g (2 + (seed mod 4)));
-          degraded_round_diff ("bfs/" ^ fam) ~max_words:Kdom.Bfs_tree.max_words
-            g (fun () -> { (Kdom.Bfs_tree.algorithm g ~root:0) with ewake = wake });
-          degraded_round_diff ("smc/" ^ fam)
+          dense_round_diff ("flood/" ^ fam) ~max_words:4 g (fun () ->
+              flood_algorithm g (2 + (seed mod 4)));
+          dense_round_diff ("bfs/" ^ fam) ~max_words:Kdom.Bfs_tree.max_words
+            g (fun () -> Kdom.Bfs_tree.algorithm g ~root:0);
+          dense_round_diff ("smc/" ^ fam)
             ~max_words:Kdom.Simple_mst_congest.max_words g (fun () ->
-              { (Kdom.Simple_mst_congest.algorithm g ~k:2) with ewake = wake }))
+              Kdom.Simple_mst_congest.algorithm g ~k:2))
         (graph_families seed);
       let p = Generators.path ~rng:(Rng.create seed) (2 + (seed mod 30)) in
-      degraded_round_diff "token/path" ~max_words:4 p (fun () ->
-          token_algorithm ~wake p);
+      dense_round_diff "token/path" ~max_words:4 p (fun () -> token_algorithm p);
       true)
 
 let prop_sparse_round_consistency =
@@ -384,7 +376,7 @@ let prop_sparse_round_consistency =
           t (fun () -> Kdom.Diam_dom.census_algorithm info ~k:2);
       let p = Generators.path ~rng:(Rng.create seed) (2 + (seed mod 30)) in
       sparse_round_diff "token/path" ~max_words:4 p (fun () ->
-          token_algorithm ~wake:(fun _ -> Runtime.OnMessage) p);
+          token_algorithm ~wake:(fun _ -> Engine.OnMessage) p);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -441,7 +433,7 @@ let sharded_diff what ?partition ~domains ~max_words g mk =
     ~reference:(fun () -> Runtime.run_reference ~max_words g (mk ()))
     (fun sink d ->
       let partition = if d = 1 then None else partition in
-      Engine.run_emit ~max_words ~sink ~domains:d ?partition g (mk ()))
+      Runtime.run ~max_words ~sink ~domains:d ?partition g (mk ()))
 
 let prop_sharded_bit_identical =
   QCheck2.Test.make
@@ -475,9 +467,9 @@ let prop_sharded_bit_identical =
       List.iter
         (fun domains ->
           sharded_diff "token/path" ~domains ~max_words:4 p (fun () ->
-              token_algorithm ~wake:(fun _ -> Runtime.OnMessage) p);
+              token_algorithm ~wake:(fun _ -> Engine.OnMessage) p);
           sharded_diff "flood/path" ~domains ~max_words:4 p (fun () ->
-              flood_algorithm ~wake:(fun _ -> Runtime.Next) p
+              flood_algorithm ~wake:(fun _ -> Engine.Next) p
                 (2 + (seed mod 4))))
         domain_counts;
       true)
@@ -492,7 +484,7 @@ let test_sharded_violations_agree () =
     | _ -> Ok ()
     | exception Engine.Congestion_violation m -> Error m
   in
-  let outcome domains = result (Engine.run_emit ~domains g) in
+  let outcome domains = result (Runtime.run ~domains g) in
   let cases =
     [
       ( "non-neighbor",
@@ -631,7 +623,7 @@ let test_reuse_after_abort () =
             (fun e ->
               counted (fun sink ->
                   Engine.exec_emit ~max_words:4 ~sink ~domains:d e
-                    (flood_algorithm ~wake:(fun _ -> Runtime.Next) g 5)))
+                    (flood_algorithm ~wake:(fun _ -> Engine.Next) g 5)))
             e)
         aborts)
     [ 1; 2; 4 ]
@@ -642,10 +634,10 @@ let test_reuse_after_abort () =
 let test_counters_merge_safe () =
   let g = Generators.gnp_connected ~rng:(Rng.create 41) ~n:40 ~p:0.12 in
   let c0, r0 = Engine.Sink.counters () in
-  let _ = Engine.run_emit ~sink:c0 g (Kdom.Leader.algorithm g) in
+  let _ = Runtime.run ~sink:c0 g (Kdom.Leader.algorithm g) in
   let c1, r1 = Engine.Sink.counters () in
   let c2, r2 = Engine.Sink.counters () in
-  let _ = Engine.run_emit ~sink:(Engine.Sink.tee c1 c2) g (Kdom.Leader.algorithm g) in
+  let _ = Runtime.run ~sink:(Engine.Sink.tee c1 c2) g (Kdom.Leader.algorithm g) in
   let single = r0 () in
   if r1 () <> single then Alcotest.fail "tee left != single";
   if r2 () <> single then Alcotest.fail "tee right != single";
@@ -677,7 +669,7 @@ let test_counters_merge_safe () =
 let test_async_matches_engine () =
   let g = Generators.gnp_connected ~rng:(Rng.create 21) ~n:45 ~p:0.12 in
   let sync_states, sync_stats =
-    Engine.run_emit ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
+    Runtime.run ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
   in
   List.iter
     (fun (seed, max_delay) ->
@@ -697,7 +689,7 @@ let test_async_matches_engine () =
 let test_async_bfs_matches_engine () =
   let g = Generators.random_tree ~rng:(Rng.create 22) 60 in
   let sync_states, _ =
-    Engine.run_emit ~max_words:Kdom.Bfs_tree.max_words g
+    Runtime.run ~max_words:Kdom.Bfs_tree.max_words g
       (Kdom.Bfs_tree.algorithm g ~root:0)
   in
   List.iter
@@ -719,7 +711,9 @@ let test_sink_consistency () =
   let counters, rounds_info = Engine.Sink.counters () in
   let activity, sent, received = Engine.Sink.activity ~n:(Graph.n g) in
   let sink = Engine.Sink.tee counters activity in
-  let stats = (Kdom.Leader.elect ~sink g).stats in
+  let _, stats =
+    Runtime.run ~max_words:Kdom.Leader.max_words ~sink g (Kdom.Leader.algorithm g)
+  in
   let infos = rounds_info () in
   let delivered =
     List.fold_left
@@ -760,7 +754,7 @@ let () =
           ] );
       ( "scheduler",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_degrade_bit_identical; prop_sparse_round_consistency ] );
+          [ prop_dense_bit_identical; prop_sparse_round_consistency ] );
       ( "deterministic",
         [
           Alcotest.test_case "fixed instances" `Quick test_fixed_instances;

@@ -289,9 +289,9 @@ let test_duplicates_not_delivered_twice () =
   if frep.duplicated = 0 then
     Alcotest.fail "a 100%-duplication link duplicated nothing";
   Alcotest.(check int) "alg_messages = synchronous message count"
-    sync_stats.Runtime.messages frep.report.alg_messages;
+    sync_stats.Engine.messages frep.report.alg_messages;
   Alcotest.(check int) "sink delivered = synchronous message count"
-    sync_stats.Runtime.messages delivered
+    sync_stats.Engine.messages delivered
 
 (* Determinism: same seeds, same everything. *)
 let test_deterministic () =

@@ -8,7 +8,7 @@
      port-indexed engine and the reference runtime (differential test on a
      deterministic gossip), and the [crashed] sink counter.
    - repair: quiescence (a churn-free run is heartbeat-only and leaves the
-     plan untouched, sparse and degraded schedules agreeing round for
+     plan untouched, sparse and dense schedules agreeing round for
      round), targeted dominator-crash and tree-edge-cut scenarios with
      detection-latency bounds, and the qcheck property — random trees,
      random k, seeded churn ending by round T, and every surviving
@@ -140,9 +140,9 @@ let test_engine_reference_churn_differential () =
         Alcotest.failf "seed %d: engine and reference states differ under churn"
           seed;
       Alcotest.(check int) "same round count" st1.Engine.rounds
-        st2.Runtime.rounds;
+        st2.Engine.rounds;
       Alcotest.(check int) "same delivered count" st1.Engine.messages
-        st2.Runtime.messages)
+        st2.Engine.messages)
     [ 5; 23; 71 ]
 
 (* A crash of a node in the [Always] set while other nodes run on hints
@@ -174,7 +174,7 @@ let test_crashed_always_node_sparse () =
       let s, st = Engine.exec_emit ~churn ~domains e alg in
       let what = Printf.sprintf "domains=%d" domains in
       Alcotest.(check (array int)) (what ^ ": states") rs s;
-      Alcotest.(check int) (what ^ ": messages") rst.Runtime.messages st.Engine.messages)
+      Alcotest.(check int) (what ^ ": messages") rst.Engine.messages st.Engine.messages)
     [ 1; 2 ]
 
 (* Every domain count must make the same churn observations: at 2 and 4
@@ -212,10 +212,10 @@ let test_sharded_churn_differential () =
               seed domains;
           Alcotest.(check int)
             (Printf.sprintf "seed %d domains=%d: rounds vs reference" seed domains)
-            str.Runtime.rounds std.Engine.rounds;
+            str.Engine.rounds std.Engine.rounds;
           Alcotest.(check int)
             (Printf.sprintf "seed %d domains=%d: messages vs reference" seed domains)
-            str.Runtime.messages std.Engine.messages;
+            str.Engine.messages std.Engine.messages;
           if sd <> s1 then
             Alcotest.failf "seed %d: states differ at domains=%d" seed domains;
           Alcotest.(check int)
@@ -292,12 +292,16 @@ let test_quiescent_run () =
   let g = Generators.random_tree ~rng:(Rng.create 11) 20 in
   let plan = plan_of g ~k:2 in
   let cfg = { Repair.plan; beta = 3; lease = 2; dmax = Repair.default_dmax plan; horizon = 40 } in
-  let run ~degrade =
+  let run algo =
     let counters, rounds_info = Engine.Sink.counters () in
-    let states, _ = Repair.run ~sink:counters ~degrade (Engine.create g) cfg in
+    let states, _ =
+      Runtime.run ~max_rounds:(cfg.horizon + 2) ~max_words:Repair.max_words
+        ~sink:counters g algo
+    in
     (states, rounds_info ())
   in
-  let states, infos = run ~degrade:false in
+  let algo = Repair.algorithm g cfg in
+  let states, infos = run algo in
   let rep = Repair.decode states in
   Alcotest.(check int) "no suspicions" 0 rep.suspicions;
   Alcotest.(check int) "no repair frames" 0 rep.repair_frames;
@@ -307,11 +311,11 @@ let test_quiescent_run () =
     rep.dominator_of;
   Alcotest.(check (array int)) "parents = plan" plan.parent rep.parent_of;
   Alcotest.(check (array int)) "depths = plan" plan.depth rep.depth_of;
-  (* the sparse schedule and the degraded dense schedule agree round for
-     round — same frames on the wire, same final states *)
-  let states_d, infos_d = run ~degrade:true in
+  (* the sparse schedule and the dense schedule agree round for round —
+     same frames on the wire, same final states *)
+  let states_d, infos_d = run { algo with ewake = Engine.always } in
   if states <> states_d then
-    Alcotest.fail "sparse and degraded runs reached different states";
+    Alcotest.fail "sparse and dense runs reached different states";
   Alcotest.(check int) "same round count" (List.length infos)
     (List.length infos_d);
   List.iter2
@@ -458,11 +462,7 @@ let test_crash_and_cut_same_round () =
     { Repair.plan; beta = 3; lease = 2; dmax = Repair.default_dmax plan; horizon = 200 }
   in
   let exec events domains =
-    let saved = !Engine.default_domains in
-    Fun.protect
-      ~finally:(fun () -> Engine.default_domains := saved)
-      (fun () ->
-        Engine.default_domains := domains;
+    Engine.with_domains domains (fun () ->
         let e = Engine.create g in
         let churn = Engine.Churn.compile e events in
         let states, _ = Repair.run ~churn e cfg in
@@ -592,16 +592,12 @@ let test_corrupt_churn_differential () =
     (fun (what, flip, truncate) ->
       let corrupt = Engine.Corrupt.make ~flip ~burst:2 ~truncate ~seed:44 () in
       let run domains =
-        let saved = !Engine.default_domains in
-        Fun.protect
-          ~finally:(fun () -> Engine.default_domains := saved)
-          (fun () ->
-            Engine.default_domains := domains;
+        Engine.with_domains domains (fun () ->
             let e = Engine.create g in
             let churn = Engine.Churn.compile e events in
-            let sink, rounds_info = Engine.Sink.counters () in
-            let states, _ = Repair.run ~sink ~churn ~corrupt e cfg in
-            (states, churn, rounds_info (), corrupt_tally corrupt))
+            let tr = Trace.create () in
+            let states, _ = Repair.run ~trace:tr ~churn ~corrupt e cfg in
+            (states, churn, Trace.rounds tr, corrupt_tally corrupt))
       in
       let s1, churn, infos, t1 = run 1 in
       let injected, detected, truncated = t1 in
@@ -615,7 +611,7 @@ let test_corrupt_churn_differential () =
           (fun a (i : Engine.Sink.round_info) -> a + i.counts.(S.corrupted))
           0 infos
       in
-      Alcotest.(check int) (what ^ ": sink corrupted = tally rejections")
+      Alcotest.(check int) (what ^ ": trace corrupted = tally rejections")
         (detected + truncated) rejected;
       if flip > 0.0 && injected = 0 then
         Alcotest.failf "%s: the storm never corrupted a frame" what;

@@ -4,8 +4,8 @@
    - tree_distance is the exact climb/descend hop count on known trees;
    - a steady-state run over a generated workload terminates losslessly
      and passes Serve.check (dominator identity, exact hop counts);
-   - the degrade differential: forcing every node awake each round must
-     not change a single outcome or frame count;
+   - the dense-schedule differential: forcing every node awake each
+     round must not change a single outcome or frame count;
    - crash-mid-traffic hands surviving requests to the healed forest
      (Serve.with_repair + check_handover);
    - qcheck: random graphs x mixes stay oracle-clean. *)
@@ -86,7 +86,7 @@ let test_steady_gnp () =
   (* hotspot skew concentrates load: some queueing must be visible *)
   Alcotest.(check bool) "queue observed" true (rep.Serve.queue_peak >= 1)
 
-let test_degrade_differential () =
+let test_dense_differential () =
   let g = Generators.gnp_connected ~rng:(rng 3) ~n:120 ~p:0.05 in
   let plan = plan_for g ~k:2 in
   let requests =
@@ -96,7 +96,8 @@ let test_degrade_differential () =
   let cfg = config_for g plan ~requests ~window:12 in
   let lazy_rep, lazy_stats = serve g cfg in
   let eager_states, eager_stats =
-    Serve.run ~degrade:true (Engine.create g) cfg
+    Runtime.run ~max_rounds:(cfg.horizon + 2) ~max_words:Serve.max_words g
+      { (Serve.algorithm g cfg) with ewake = Engine.always }
   in
   let eager_rep = Serve.decode cfg eager_states in
   Alcotest.(check bool) "same outcomes" true
@@ -205,8 +206,8 @@ let () =
           Alcotest.test_case "tree distance" `Quick test_tree_distance;
           Alcotest.test_case "steady tree workload" `Quick test_steady_tree;
           Alcotest.test_case "steady gnp hotspot" `Quick test_steady_gnp;
-          Alcotest.test_case "degrade differential" `Quick
-            test_degrade_differential;
+          Alcotest.test_case "dense-schedule differential" `Quick
+            test_dense_differential;
           Alcotest.test_case "validate rejects" `Quick test_validate_rejects;
         ] );
       ( "handover",

@@ -66,11 +66,11 @@ let test_argument_validation () =
     (raises (fun () ->
          Trace.add_span tr ~name:"bad" ~start_round:5 ~stop_round:4 ()))
 
-let test_wrap_zero_dispatch () =
-  (* no trace, no sink: the engine must stay on its zero-dispatch path,
-     which is guarded by physical equality with Sink.null *)
-  Alcotest.(check bool) "wrap () is Sink.null itself" true
-    (Trace.wrap () == Engine.Sink.null)
+let test_observe_zero_dispatch () =
+  (* no trace: the engine must stay on its zero-dispatch path, which is
+     guarded by physical equality with Sink.null *)
+  Alcotest.(check bool) "an untraced run gets Sink.null itself" true
+    (Trace.observe None ~max_words:1 "untraced" Fun.id == Engine.Sink.null)
 
 let test_synthetic_spans_and_tracks () =
   let tr = Trace.create () in
@@ -91,7 +91,7 @@ let test_synthetic_spans_and_tracks () =
 let test_engine_rounds_drive_clock () =
   let g = Generators.random_tree ~rng:(Rng.create 3) 24 in
   let tr = Trace.create () in
-  let _info, (stats : Runtime.stats) = Kdom.Bfs_tree.run ~trace:tr g ~root:0 in
+  let _info, (stats : Engine.stats) = Kdom.Bfs_tree.run ~trace:tr g ~root:0 in
   Alcotest.(check int) "clock = engine rounds" stats.rounds (Trace.clock tr);
   Alcotest.(check int) "one round record per round" stats.rounds
     (List.length (Trace.rounds tr));
@@ -341,8 +341,10 @@ let test_sink_jsonl_rounds_validate () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let oc = open_out file in
-      let _, (stats : Runtime.stats) =
-        Kdom.Bfs_tree.run ~sink:(Engine.Sink.jsonl oc) g ~root:0
+      let _, (stats : Engine.stats) =
+        Runtime.run ~max_words:Kdom.Bfs_tree.max_words
+          ~sink:(Engine.Sink.jsonl oc) g
+          (Kdom.Bfs_tree.algorithm g ~root:0)
       in
       close_out oc;
       let ic = open_in file in
@@ -557,8 +559,8 @@ let () =
             test_span_closes_on_exception;
           Alcotest.test_case "argument validation" `Quick
             test_argument_validation;
-          Alcotest.test_case "wrap keeps the zero-dispatch path" `Quick
-            test_wrap_zero_dispatch;
+          Alcotest.test_case "observe keeps the zero-dispatch path" `Quick
+            test_observe_zero_dispatch;
           Alcotest.test_case "synthetic spans and tracks" `Quick
             test_synthetic_spans_and_tracks;
         ] );
