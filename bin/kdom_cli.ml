@@ -73,6 +73,20 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A float that must satisfy [ok]; anything else is a usage error. *)
+let float_such_that what ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let probability = float_such_that "a probability in [0, 1]" (fun p -> p >= 0. && p <= 1.)
+
+let positive_float =
+  float_such_that "a positive finite number" (fun x -> Float.is_finite x && x > 0.)
+
 (* The composite drivers (FastDOM, FastMST, repair) call [Runtime.run]
    internally, so each command body runs under [Engine.with_domains]
    rather than threading the count through every call site; sound because
@@ -404,19 +418,19 @@ let algo_arg algos =
 let drop_arg =
   Arg.(
     value
-    & opt float 0.2
+    & opt probability 0.2
     & info [ "drop" ] ~docv:"P" ~doc:"Per-frame drop probability.")
 
 let dup_arg =
   Arg.(
     value
-    & opt float 0.1
+    & opt probability 0.1
     & info [ "dup" ] ~docv:"P" ~doc:"Per-frame duplication probability.")
 
 let slow_arg =
   Arg.(
     value
-    & opt float 0.0
+    & opt probability 0.0
     & info [ "slow" ] ~docv:"P" ~doc:"Per-delivery slowdown probability (10x delay).")
 
 let fifo_arg =
@@ -427,7 +441,7 @@ let fifo_arg =
 let max_delay_arg =
   Arg.(
     value
-    & opt float 1.0
+    & opt positive_float 1.0
     & info [ "max-delay" ] ~docv:"D" ~doc:"Upper bound of the (0, D] link delay.")
 
 let trace_file_arg =
@@ -504,12 +518,12 @@ let trace_algo_arg =
 
 let trace_drop_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt probability 0.0
     & info [ "drop" ] ~docv:"P" ~doc:"Per-frame drop probability (faulty run).")
 
 let trace_dup_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt probability 0.0
     & info [ "dup" ] ~docv:"P" ~doc:"Per-frame duplication probability (faulty run).")
 
 let validate_arg =

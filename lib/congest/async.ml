@@ -7,85 +7,6 @@ type report = {
   sync_messages : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* A minimal event queue: (time, sequence)-ordered binary heap. *)
-
-module Events = struct
-  type 'a t = { mutable data : (float * int * 'a) array; mutable len : int; mutable seq : int }
-
-  let create () = { data = [||]; len = 0; seq = 0 }
-  let is_empty q = q.len = 0
-  let before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
-
-  let swap q i j =
-    let tmp = q.data.(i) in
-    q.data.(i) <- q.data.(j);
-    q.data.(j) <- tmp
-
-  let push q time payload =
-    let item = (time, q.seq, payload) in
-    q.seq <- q.seq + 1;
-    if q.len = Array.length q.data then begin
-      let cap = max 16 (2 * q.len) in
-      let data = Array.make cap item in
-      Array.blit q.data 0 data 0 q.len;
-      q.data <- data
-    end;
-    q.data.(q.len) <- item;
-    let i = ref q.len in
-    q.len <- q.len + 1;
-    while !i > 0 && before q.data.(!i) q.data.((!i - 1) / 2) do
-      swap q !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let pop q =
-    if q.len = 0 then invalid_arg "Async.Events.pop: empty";
-    let top = q.data.(0) in
-    q.len <- q.len - 1;
-    q.data.(0) <- q.data.(q.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let best = ref !i in
-      if l < q.len && before q.data.(l) q.data.(!best) then best := l;
-      if r < q.len && before q.data.(r) q.data.(!best) then best := r;
-      if !best = !i then continue := false
-      else begin
-        swap q !i !best;
-        i := !best
-      end
-    done;
-    top
-end
-
-(* ------------------------------------------------------------------ *)
-
-(* Uniform on the half-open interval (0, max_delay], as documented:
-   [Rng.float rng 1.0] is uniform in [0, 1), so [1 - u] is in (0, 1].  The
-   historical sampler clamped [Rng.float rng max_delay] (uniform in
-   [0, max_delay)) to a 1e-9 floor, which neither matched the documented
-   interval nor could ever produce [max_delay]. *)
-let sample_delay rng ~max_delay =
-  if max_delay <= 0. then invalid_arg "Async: max_delay must be positive";
-  max_delay *. (1.0 -. Rng.float rng 1.0)
-
-type 'st node = {
-  mutable state : 'st;
-  mutable next_pulse : int;
-  mutable is_halted : bool;
-  mutable awaiting_acks : int;
-  mutable safe_pulse : int;     (* highest pulse this node is safe for *)
-  buffers : (int, (int * Engine.payload) list) Hashtbl.t;
-  safes : (int, int) Hashtbl.t; (* pulse -> SAFE announcements received *)
-  degree : int;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Reliable delivery over faulty links: a sequence-numbered DATA/LACK
-   link layer beneath the α-synchronizer. *)
-
 type fault_report = {
   report : report;
   frames : int;
@@ -99,39 +20,170 @@ type fault_report = {
 
 exception Delivery_failed of { src : int; dst : int; attempts : int }
 
-(* Every logical message of the synchronizer, tagged with the pulse it
-   belongs to so instrumentation can attribute link-layer work. *)
-type wire =
-  | WAlg of int * Engine.payload  (* sender's pulse, payload *)
-  | WAck of int                   (* pulse being acknowledged *)
-  | WSafe of int                  (* pulse declared safe *)
+(* ------------------------------------------------------------------ *)
+(* Events, as ints.  [code] is [pulse lsl 3 lor kind].  The first three
+   kinds are the synchronizer's logical messages, each carried by a data
+   frame with per-directed-link sequence number [b] on slot [a].  Every
+   copy is answered by a link-level ack [k_lack] of frame ([a], [b]) over
+   the reverse slot, subject to the same faults.  [k_garbled] is a copy
+   corrupted in flight, which the receiver [a]'s guard check rejects;
+   [k_timer] times out frame ([a], [b]); [k_wake] recovers node [a]. *)
 
-let wire_pulse = function WAlg (p, _) -> p | WAck p -> p | WSafe p -> p
+let k_alg = 0 (* algorithm payload sent at [pulse] *)
+and k_ack = 1 (* acknowledgment of an algorithm message of [pulse] *)
+and k_safe = 2 (* [pulse] declared safe *)
+and k_lack = 3 and k_garbled = 4 and k_timer = 5 and k_wake = 6
 
-(* Physical frames.  A [Data] frame carries one logical message with a
-   per-directed-link (slot) sequence number; the receiver answers with a
-   link-level ack [Lack] over the reverse slot of the same edge, itself
-   subject to the same faults. *)
-type frame =
-  | Data of { src : int; slot : int; seq : int; msg : wire }
-  | Lack of { slot : int; seq : int }
+(* Events pop in (time, seq) order, [seq] being one push counter shared
+   by every queue, so simultaneous events pop in push order. *)
+let[@inline] before (t1 : float) (s1 : int) (t2 : float) (s2 : int) =
+  t1 < t2 || (t1 = t2 && s1 < s2)
 
-type rev =
-  | Arrive of int * frame  (* destination, frame *)
-  | Garbled of int * int   (* destination, pulse: a copy whose wire bytes
-                              were corrupted in flight — the receiver's
-                              guard check rejects it, so it carries no
-                              usable frame, only its accounting identity *)
-  | Timer of int * int     (* slot, seq: retransmission timeout *)
-  | Wake of int            (* node recovers from a crash *)
-
-type pending = {
-  p_src : int;
-  p_dst : int;
-  p_msg : wire;
-  mutable attempts : int;
-  mutable rto : float;
+(* Columns of events: due time, push number and the event's ints. *)
+type cols = {
+  mutable time : float array; mutable seq : int array;
+  mutable code : int array; mutable a : int array; mutable b : int array;
 }
+
+let cols () = { time = [||]; seq = [||]; code = [||]; a = [||]; b = [||] }
+
+(* Double the columns; the [len] entries of the old ring that start at
+   [head] become the prefix of the new. *)
+let grow c ~head ~len =
+  let cap = Array.length c.seq in
+  let cap' = max 16 (2 * cap) in
+  let move x src =
+    let dst = Array.make cap' x in
+    for i = 0 to len - 1 do
+      dst.(i) <- src.((head + i) land (cap - 1))
+    done;
+    dst
+  in
+  c.time <- move 0. c.time;
+  c.seq <- move 0 c.seq;
+  c.code <- move 0 c.code;
+  c.a <- move 0 c.a;
+  c.b <- move 0 c.b
+
+let[@inline] set c i time seq code a b =
+  c.time.(i) <- time; c.seq.(i) <- seq; c.code.(i) <- code; c.a.(i) <- a; c.b.(i) <- b
+
+let[@inline] copy c ~src ~dst =
+  set c dst c.time.(src) c.seq.(src) c.code.(src) c.a.(src) c.b.(src)
+
+(* An event queue on the columns, its least event at [head]: the heap,
+   whose head stays 0, or a ring of retransmission timers that fire [rto]
+   after they are armed. *)
+type queue = { c : cols; mutable head : int; mutable len : int; rto : float }
+
+let queue rto = { c = cols (); head = 0; len = 0; rto }
+
+(* A binary min-heap. *)
+module Heap = struct
+  let[@inline] push h time seq code a b =
+    let c = h.c in
+    if h.len = Array.length c.seq then grow c ~head:0 ~len:h.len;
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    while !i > 0 && before time seq c.time.((!i - 1) / 2) c.seq.((!i - 1) / 2) do
+      copy c ~src:((!i - 1) / 2) ~dst:!i;
+      i := (!i - 1) / 2
+    done;
+    set c !i time seq code a b
+
+  let pop h =
+    let c = h.c in
+    let n = h.len - 1 in
+    h.len <- n;
+    let time = c.time.(n) and seq = c.seq.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let m =
+        if l + 1 < n && before c.time.(l + 1) c.seq.(l + 1) c.time.(l) c.seq.(l)
+        then l + 1
+        else l
+      in
+      if m < n && before c.time.(m) c.seq.(m) time seq then begin
+        copy c ~src:m ~dst:!i;
+        i := m
+      end
+      else sifting := false
+    done;
+    copy c ~src:n ~dst:!i
+end
+
+(* A timer ring.  Timers are armed at the current time, which never
+   decreases, so a ring's due times never decrease either: it stays
+   sorted by (time, seq) with no heap at all. *)
+module Fifo = struct
+  let[@inline] push f time seq a b =
+    let c = f.c in
+    let cap = Array.length c.seq in
+    if f.len > 0 && time < c.time.((f.head + f.len - 1) land (cap - 1)) then
+      invalid_arg "Async.Fifo.push: timer due before the one armed earlier";
+    if f.len = cap then begin
+      grow c ~head:f.head ~len:f.len;
+      f.head <- 0
+    end;
+    set c ((f.head + f.len) land (Array.length c.seq - 1)) time seq k_timer a b;
+    f.len <- f.len + 1
+
+  let pop f =
+    f.head <- (f.head + 1) land (Array.length f.c.seq - 1);
+    f.len <- f.len - 1
+end
+
+(* Per-slot windows over a link's sequence numbers.  The cells for seqs
+   [base, base + cap) of a slot sit in a power-of-two ring at
+   [seq land (cap - 1)], grown on demand; a cell outside the window, or
+   never set, reads [empty]. *)
+module Window = struct
+  type 'a t = { base : int array; ring : 'a array array; empty : 'a }
+
+  let create slots empty = { base = Array.make slots 0; ring = Array.make slots [||]; empty }
+
+  let get w slot seq =
+    let r = w.ring.(slot) in
+    let off = seq - w.base.(slot) in
+    if off < 0 || off >= Array.length r then w.empty
+    else r.(seq land (Array.length r - 1))
+
+  (* [seq] must not be below the base *)
+  let set w slot seq x =
+    let r = w.ring.(slot) and base = w.base.(slot) in
+    let r =
+      if seq - base < Array.length r then r
+      else begin
+        let cap = ref (max 4 (2 * Array.length r)) in
+        while seq - base >= !cap do
+          cap := 2 * !cap
+        done;
+        let r' = Array.make !cap w.empty in
+        for s = base to base + Array.length r - 1 do
+          r'.(s land (!cap - 1)) <- r.(s land (Array.length r - 1))
+        done;
+        w.ring.(slot) <- r';
+        r'
+      end
+    in
+    r.(seq land (Array.length r - 1)) <- x
+
+  (* Move the base over the cells for which [skip] holds, emptying them,
+     but not to or past [limit]; the slot must have been [set] before. *)
+  let advance w slot skip ~limit =
+    let r = w.ring.(slot) in
+    let mask = Array.length r - 1 in
+    let s = ref w.base.(slot) in
+    while !s < limit && skip r.(!s land mask) do
+      r.(!s land mask) <- w.empty;
+      incr s
+    done;
+    w.base.(slot) <- !s
+end
+
+(* A frame awaiting its link-level ack. *)
+type pending = { msg : int; mutable attempts : int; pay : Engine.payload }
 
 (* Per-pulse counter vectors ({!Engine.Sink.counter}-indexed), grown on
    demand, for end-of-run sink emission.  An empty slot is a pulse with
@@ -157,155 +209,201 @@ module Tally = struct
     else Array.make Engine.Sink.n_counters 0
 end
 
+type clock = { mutable now : float; mutable finish : float }
+
 let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
     ?ack_timeout ?(max_attempts = 60) ?(sink = Engine.Sink.null) g algo =
+  let positive what x =
+    if not (Float.is_finite x && x > 0.) then
+      invalid_arg
+        (Printf.sprintf "Async.run_reliable: %s must be positive and finite, got %g" what x)
+  in
+  positive "max_delay" max_delay;
+  let ack_timeout = Option.value ack_timeout ~default:(4.0 *. max_delay) in
+  positive "ack_timeout" ack_timeout;
+  if max_attempts < 1 then
+    invalid_arg "Async.run_reliable: max_attempts must be >= 1";
   let n = Graph.n g in
   let eng = Engine.create g in
   let flt = Faults.compile eng faults in
-  let max_words =
-    match max_words with Some w -> w | None -> Engine.default_max_words n
-  in
-  let ack_timeout =
-    match ack_timeout with Some t -> t | None -> 4.0 *. max_delay
-  in
-  if ack_timeout <= 0. then
-    invalid_arg "Async.run_reliable: ack_timeout must be positive";
-  if max_attempts < 1 then
-    invalid_arg "Async.run_reliable: max_attempts must be >= 1";
+  let max_words = Option.value max_words ~default:(Engine.default_max_words n) in
   let step = Engine.recorder ~max_words g algo in
-  let nodes =
-    Array.init n (fun v ->
-        let state = algo.Engine.einit g v in
-        {
-          state;
-          next_pulse = 0;
-          is_halted = algo.Engine.ehalted state;
-          awaiting_acks = 0;
-          safe_pulse = -1;
-          buffers = Hashtbl.create 8;
-          safes = Hashtbl.create 8;
-          degree = Engine.degree eng v;
-        })
+  (* the port map: node v's slots are [off.(v), off.(v + 1)), one per
+     neighbor in increasing id; [rev] is the slot of the reverse edge *)
+  let ports = max 1 (Engine.port_count eng) in
+  let off = Array.make (n + 1) 0 in
+  let slot_src = Array.make ports 0 and slot_dst = Array.make ports 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Engine.degree eng v;
+    let s = ref off.(v) in
+    Engine.iter_neighbors eng v (fun u ->
+        assert (Engine.find_port eng ~src:v ~dst:u = !s);
+        slot_src.(!s) <- v;
+        slot_dst.(!s) <- u;
+        incr s)
+  done;
+  let rev =
+    Array.init ports (fun s -> Engine.find_port eng ~src:slot_dst.(s) ~dst:slot_src.(s))
   in
+  (* the synchronizer, per node *)
+  let states = Array.init n (fun v -> algo.Engine.einit g v) in
+  let halted = Array.map algo.Engine.ehalted states in
   let halted_count = ref 0 in
-  Array.iter (fun nd -> if nd.is_halted then incr halted_count) nodes;
+  Array.iter (fun h -> if h then incr halted_count) halted;
+  let next_pulse = Array.make n 0 in
+  (* acks still due for the last pulse executed: 0 once it is safe *)
+  let awaiting = Array.make n 0 in
+  (* The skew bound.  Let node v have executed pulses [0, q) (its
+     [next_pulse] is q).  A neighbor u sends an algorithm message at
+     pulse p only after hearing SAFE(p-1) from v, which v announces after
+     executing p-1, so p <= q; and v cannot execute p+1 before u is safe
+     for p, which needs v's ack of that message, so p+1 >= q.  The
+     message is consumed at pulse p+1, in {q, q+1}.  Likewise u announces
+     SAFE(r) after executing r, which needs v's SAFE(r-1), so r <= q; and
+     v executes r+1 only after SAFE(r) from every neighbor, so r >= q-1.
+     Two slots per node therefore hold everything in flight to it, indexed
+     by pulse parity: inbox buffers for pulses q and q+1 and SAFE counts
+     for pulses q-1 and q.  A message outside that window raises. *)
+  let safes = Array.make (2 * max 1 n) 0 in
+  let absent : Engine.payload = [| 0 |] in
+  (* inbox.(p land 1).(s): the pulse-p message from slot s's neighbor,
+     indexed by the receiver's own slot s so that a node's messages lie
+     in sender order *)
+  let inbox = [| Array.make ports absent; Array.make ports absent |] in
+  (* most steps receive nothing; they share one empty view *)
+  let no_mail = Engine.Inbox.of_list [] in
+  let violation fmt = Printf.ksprintf (fun s -> raise (Engine.Congestion_violation s)) fmt in
+  let skew v what pulse =
+    invalid_arg
+      (Printf.sprintf
+         "Async.run_reliable: node %d at pulse %d received %s for pulse %d, \
+          outside the synchronizer's two-pulse window"
+         v next_pulse.(v) what pulse)
+  in
   (* used_at.(slot) = last pulse in which the slot carried an algorithm
      message; detects two sends over one edge within a pulse in O(1) *)
-  let used_at = Array.make (max 1 (Engine.port_count eng)) (-1) in
-  let queue : rev Events.t = Events.create () in
-  let alg_messages = ref 0 in
-  let sync_messages = ref 0 in
-  let max_pulse = ref 0 in
-  let finish_time = ref 0.0 in
+  let used_at = Array.make ports (-1) in
+  let alg_messages = ref 0 and sync_messages = ref 0 and max_pulse = ref 0 in
+  let clock = { now = 0.0; finish = 0.0 } in
   let pulse_cap = Engine.default_max_rounds n in
-  let delay () = sample_delay rng ~max_delay in
-  (* link layer state, indexed by directed-edge slot *)
-  let ports = max 1 (Engine.port_count eng) in
+  (* the link layer, per directed-edge slot *)
   let next_seq = Array.make ports 0 in
-  let pending : (int * int, pending) Hashtbl.t = Hashtbl.create 64 in
-  (* duplicate suppression: per-slot watermark plus the out-of-order set
-     above it, compacted as the watermark advances, so memory stays
-     bounded by the reorder window rather than the frame count *)
-  let seen_low = Array.make ports 0 in
-  let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let frames = ref 0 in
-  let retransmits = ref 0 in
-  let timeouts = ref 0 in
+  (* pend: the sender's unacked frames, its base the oldest of them;
+     seen: the receiver's dispatched frames above its base, the watermark
+     below which every frame was dispatched.  Both grow with the frames
+     outstanding on the link, never with the frame count. *)
+  let acked = { msg = 0; attempts = 0; pay = absent } in
+  let is_acked p = p == acked in
+  let pend = Window.create ports acked in
+  let seen = Window.create ports false in
+  let frames = ref 0 and retransmits = ref 0 and timeouts = ref 0 in
   let instrumented = sink != Engine.Sink.null in
   let tally = Tally.create () in
+  (* the event queues: !queues.(0) is the heap of arrivals, garbled
+     copies, wake-ups and postponed timers, !queues.(a) the ring of the
+     timers armed at attempt a *)
+  let heap = queue 0. in
+  let queues = ref [| heap |] in
+  let pushes = ref 0 in
+  let[@inline] push time code a b =
+    Heap.push heap time !pushes code a b;
+    incr pushes
+  in
+  let push_timer attempt slot seq =
+    let old = !queues in
+    if attempt >= Array.length old then
+      queues :=
+        Array.init (attempt + 1) (fun l ->
+            if l < Array.length old then old.(l) else queue (Float.ldexp ack_timeout (l - 1)));
+    let f = !queues.(attempt) in
+    Fifo.push f (clock.now +. f.rto) !pushes slot seq;
+    incr pushes
+  in
   (* With corruption enabled every frame is implicitly guarded, so its
      physical width gains the CRC wire word; control messages (acks,
      SAFE announcements, link-level acks) are one-word frames. *)
   let guarded = (Faults.spec flt).Faults.corrupt <> None in
   let gw = if guarded then Codec.guard_words else 0 in
-  let frame_wire = function
-    | Data { msg = WAlg (_, payload); _ } -> Codec.measure payload + gw
-    | Data _ | Lack _ -> 1 + gw
-  in
-  let transmit_frame now ~slot ~dst ~pulse frame =
+  let transmit_frame ~slot ~dst ~pulse ~pay code a b =
     incr frames;
-    let wire = frame_wire frame in
-    let copies =
-      Faults.transmit flt ~now ~slot ~base_delay:delay (fun at ->
-          (* per-copy verdict: a garbled copy still arrives — and is
-             rejected by the guard there — so its latency still occupies
-             the link and the sender's timer, like a real bad frame *)
-          if Faults.garble flt ~pulse ~wire then
-            Events.push queue at (Garbled (dst, pulse))
-          else Events.push queue at (Arrive (dst, frame)))
-    in
+    let copies = Faults.transmit flt ~now:clock.now ~slot ~rng ~max_delay in
+    for i = 0 to copies - 1 do
+      (* per-copy verdict: a garbled copy still arrives — and is rejected
+         by the guard there — so its latency still occupies the link and
+         the sender's timer, like a real bad frame *)
+      if
+        guarded
+        && Faults.garble flt ~pulse
+             ~wire:((if pay != absent then Codec.measure pay else 1) + gw)
+      then push (Faults.arrival flt i) ((pulse lsl 3) lor k_garbled) dst 0
+      else push (Faults.arrival flt i) code a b
+    done;
     if instrumented then
       if copies = 0 then Tally.add tally pulse Engine.Sink.dropped 1
       else if copies > 1 then Tally.add tally pulse Engine.Sink.duplicated 1
   in
-  let transmit_data now slot seq =
-    match Hashtbl.find_opt pending (slot, seq) with
-    | None -> ()
-    | Some p ->
-      transmit_frame now ~slot ~dst:p.p_dst ~pulse:(wire_pulse p.p_msg)
-        (Data { src = p.p_src; slot; seq; msg = p.p_msg })
+  let transmit_data slot seq p =
+    transmit_frame ~slot ~dst:slot_dst.(slot) ~pulse:(p.msg lsr 3) ~pay:p.pay p.msg
+      slot seq
   in
-  (* hand one logical message to the link layer; [slot] is the directed
-     edge (src, dst), already validated by the caller *)
-  let reliable_send now ~slot ~src ~dst msg =
+  (* hand one logical message to the link layer on a valid slot *)
+  let reliable_send slot code pay =
     let seq = next_seq.(slot) in
     next_seq.(slot) <- seq + 1;
-    Hashtbl.replace pending (slot, seq)
-      { p_src = src; p_dst = dst; p_msg = msg; attempts = 1; rto = ack_timeout };
-    transmit_data now slot seq;
-    Events.push queue (now +. ack_timeout) (Timer (slot, seq))
+    let p = { msg = code; attempts = 1; pay } in
+    Window.set pend slot seq p;
+    transmit_data slot seq p;
+    push_timer 1 slot seq
   in
-  let send_sync now ~src ~dst msg =
+  let send_sync slot code =
     incr sync_messages;
-    reliable_send now ~slot:(Engine.find_port eng ~src ~dst) ~src ~dst msg
+    reliable_send slot code absent
   in
-  let declare_safe now v pulse =
-    let nd = nodes.(v) in
-    nd.safe_pulse <- pulse;
-    Engine.iter_neighbors eng v (fun u -> send_sync now ~src:v ~dst:u (WSafe pulse))
+  let declare_safe v pulse =
+    for s = off.(v) to off.(v + 1) - 1 do
+      send_sync s ((pulse lsl 3) lor k_safe)
+    done
   in
-  let rec advance now v =
-    let nd = nodes.(v) in
-    let p = nd.next_pulse in
+  let rec advance v =
+    let p = next_pulse.(v) in
     if p > pulse_cap then raise (Engine.Round_limit_exceeded p);
+    let prev = (2 * v) + ((p - 1) land 1) in
     let ready =
-      p = 0
-      || (nd.safe_pulse >= p - 1
-         && Option.value ~default:0 (Hashtbl.find_opt nd.safes (p - 1)) = nd.degree)
+      p = 0 || (awaiting.(v) = 0 && safes.(prev) = off.(v + 1) - off.(v))
     in
     if ready && not (!halted_count = n) then begin
-      nd.next_pulse <- p + 1;
+      next_pulse.(v) <- p + 1;
+      if p > 0 then safes.(prev) <- 0;
       max_pulse := max !max_pulse p;
-      let inbox =
-        Option.value ~default:[] (Hashtbl.find_opt nd.buffers p)
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Hashtbl.remove nd.buffers p;
+      let buf = inbox.(p land 1) in
+      let msgs = ref [] in
+      for s = off.(v + 1) - 1 downto off.(v) do
+        if buf.(s) != absent then begin
+          msgs := (slot_dst.(s), buf.(s)) :: !msgs;
+          buf.(s) <- absent
+        end
+      done;
       let outbox =
-        if nd.is_halted then begin
-          if inbox <> [] then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: halted node %d received a message" p v));
+        if halted.(v) then begin
+          if !msgs <> [] then violation "async pulse %d: halted node %d received a message" p v;
           []
         end
         else begin
           if instrumented then begin
             Tally.add tally p Engine.Sink.stepped 1;
-            if inbox <> [] then Tally.add tally p Engine.Sink.receivers 1
+            if !msgs <> [] then Tally.add tally p Engine.Sink.receivers 1
           end;
           (* the synchronizer steps every live node every pulse — a pulse
              is only declared safe once all its messages are acked, so wake
              hints are not consulted here: the event queue itself is the
              wake source *)
-          let st, outbox =
-            step ~round:p ~node:v nd.state (Engine.Inbox.of_list inbox)
-          in
-          nd.state <- st;
-          if (not nd.is_halted) && algo.Engine.ehalted st then begin
-            nd.is_halted <- true;
+          let ib = if !msgs = [] then no_mail else Engine.Inbox.of_list !msgs in
+          let st, outbox = step ~round:p ~node:v states.(v) ib in
+          states.(v) <- st;
+          if algo.Engine.ehalted st then begin
+            halted.(v) <- true;
             incr halted_count;
-            finish_time := Float.max !finish_time now
+            clock.finish <- Float.max clock.finish clock.now
           end;
           outbox
         end
@@ -313,14 +411,9 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
       List.iter
         (fun (u, payload) ->
           let slot = Engine.find_port eng ~src:v ~dst:u in
-          if slot < 0 then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d sent to non-neighbor %d" p v u));
+          if slot < 0 then violation "async pulse %d: node %d sent to non-neighbor %d" p v u;
           if used_at.(slot) = p then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d sent twice over edge to %d" p v u));
+            violation "async pulse %d: node %d sent twice over edge to %d" p v u;
           used_at.(slot) <- p;
           incr alg_messages;
           if instrumented then begin
@@ -328,111 +421,156 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
             sink.Engine.Sink.on_message ~round:p ~src:v ~dst:u
               ~words:(Array.length payload)
           end;
-          reliable_send now ~slot ~src:v ~dst:u (WAlg (p, payload)))
+          reliable_send slot ((p lsl 3) lor k_alg) payload)
         outbox;
-      nd.awaiting_acks <- List.length outbox;
-      if nd.awaiting_acks = 0 then begin
-        declare_safe now v p;
-        advance now v
+      awaiting.(v) <- List.length outbox;
+      if awaiting.(v) = 0 then begin
+        declare_safe v p;
+        advance v
       end
     end
   in
-  (* dispatch one logical message — exactly once per (slot, seq) — into the
-     synchronizer layer *)
-  let dispatch time dst src msg =
-    let nd = nodes.(dst) in
-    (match msg with
-    | WAlg (src_pulse, payload) ->
-      let slot = src_pulse + 1 in
-      Hashtbl.replace nd.buffers slot
-        ((src, payload) :: Option.value ~default:[] (Hashtbl.find_opt nd.buffers slot));
+  (* dispatch the logical message of frame (slot, seq) — exactly once —
+     into the synchronizer layer *)
+  let dispatch slot seq code =
+    let v = slot_dst.(slot) and pulse = code lsr 3 in
+    let q = next_pulse.(v) in
+    let kind = code land 7 in
+    if kind = k_alg then begin
+      let target = pulse + 1 in
+      if target <> q && target <> q + 1 then skew v "a message" target;
+      (* the sender keeps the frame until an ack of it arrives, and v
+         has only just sent the first one *)
+      let p = Window.get pend slot seq in
+      assert (p != acked);
+      let payload = p.pay in
+      inbox.(target land 1).(rev.(slot)) <- payload;
       if instrumented then begin
-        Tally.add tally slot Engine.Sink.delivered 1;
-        Tally.add tally slot Engine.Sink.words (Array.length payload);
-        Tally.add tally slot Engine.Sink.bits
+        Tally.add tally target Engine.Sink.delivered 1;
+        Tally.add tally target Engine.Sink.words (Array.length payload);
+        Tally.add tally target Engine.Sink.bits
           (Codec.measured_bits payload + (Codec.word_bits * gw))
       end;
-      send_sync time ~src:dst ~dst:src (WAck src_pulse)
-    | WAck pulse ->
-      if pulse = nd.next_pulse - 1 then begin
-        nd.awaiting_acks <- nd.awaiting_acks - 1;
-        if nd.awaiting_acks = 0 then declare_safe time dst pulse
+      send_sync rev.(slot) ((pulse lsl 3) lor k_ack)
+    end
+    else if kind = k_ack then begin
+      if pulse = q - 1 then begin
+        awaiting.(v) <- awaiting.(v) - 1;
+        if awaiting.(v) = 0 then declare_safe v pulse
       end
-    | WSafe pulse ->
-      Hashtbl.replace nd.safes pulse
-        (1 + Option.value ~default:0 (Hashtbl.find_opt nd.safes pulse)));
-    advance time dst
+    end
+    else begin
+      if pulse <> q - 1 && pulse <> q then skew v "SAFE" pulse;
+      let i = (2 * v) + (pulse land 1) in
+      safes.(i) <- safes.(i) + 1
+    end;
+    advance v
   in
   let is_new slot seq =
-    if seq < seen_low.(slot) || Hashtbl.mem seen (slot, seq) then false
+    if seq < seen.Window.base.(slot) || Window.get seen slot seq then false
     else begin
-      Hashtbl.replace seen (slot, seq) ();
-      while Hashtbl.mem seen (slot, seen_low.(slot)) do
-        Hashtbl.remove seen (slot, seen_low.(slot));
-        seen_low.(slot) <- seen_low.(slot) + 1
-      done;
+      Window.set seen slot seq true;
+      Window.advance seen slot Fun.id ~limit:max_int;
       true
+    end
+  in
+  let down v = Faults.down flt ~node:v ~time:clock.now in
+  let fire_timer slot seq =
+    let p = Window.get pend slot seq in
+    if p != acked then begin
+      incr timeouts;
+      let src = slot_src.(slot) in
+      if down src then begin
+        (* a crashed sender fires no timers; postpone to recovery.  One
+           that never recovers arms nothing more, and its entry stays so a
+           copy still in flight is dispatched like any other. *)
+        match Faults.next_up flt ~node:src ~time:clock.now with
+        | Some t -> push t k_timer slot seq
+        | None -> ()
+      end
+      else begin
+        p.attempts <- p.attempts + 1;
+        if p.attempts > max_attempts then
+          raise
+            (Delivery_failed
+               { src; dst = slot_dst.(slot); attempts = p.attempts - 1 });
+        incr retransmits;
+        if instrumented then
+          Tally.add tally (p.msg lsr 3) Engine.Sink.retransmits 1;
+        transmit_data slot seq p;
+        push_timer p.attempts slot seq
+      end
+    end
+  in
+  let handle code a b =
+    let kind = code land 7 in
+    if kind = k_wake then advance a
+    else if kind = k_timer then fire_timer a b
+    else if kind = k_garbled then begin
+      (* the guard check fails: drop and count, send no link-level ack —
+         the sender's retransmission timer recovers delivery *)
+      if down a then Faults.note_crash_drop flt
+      else begin
+        Faults.note_corrupt flt;
+        if instrumented then Tally.add tally (code lsr 3) Engine.Sink.corrupted 1
+      end
+    end
+    else if kind = k_lack then begin
+      if down slot_src.(a) then Faults.note_crash_drop flt
+      else begin
+        if Window.get pend a b != acked then begin
+          Window.set pend a b acked;
+          Window.advance pend a is_acked ~limit:next_seq.(a)
+        end
+      end
+    end
+    else if down slot_dst.(a) then Faults.note_crash_drop flt
+    else begin
+      (* always re-ack: the previous ack may have been lost *)
+      transmit_frame ~slot:rev.(a) ~dst:slot_src.(a) ~pulse:(code lsr 3) ~pay:absent
+        ((code land lnot 7) lor k_lack) a b;
+      if is_new a b then dispatch a b code
     end
   in
   for v = 0 to n - 1 do
     if Faults.down flt ~node:v ~time:0.0 then begin
       match Faults.next_up flt ~node:v ~time:0.0 with
-      | Some t -> Events.push queue t (Wake v)
+      | Some t -> push t k_wake v 0
       | None -> ()
     end
-    else advance 0.0 v
+    else advance v
   done;
-  let all_halted () = !halted_count = n in
-  while (not (all_halted ())) && not (Events.is_empty queue) do
-    let time, _, ev = Events.pop queue in
-    match ev with
-    | Wake v -> advance time v
-    | Timer (slot, seq) -> (
-      match Hashtbl.find_opt pending (slot, seq) with
-      | None -> ()  (* acked in the meantime *)
-      | Some p ->
-        incr timeouts;
-        if Faults.down flt ~node:p.p_src ~time then begin
-          (* a crashed sender fires no timers; postpone to recovery *)
-          match Faults.next_up flt ~node:p.p_src ~time with
-          | Some t -> Events.push queue t (Timer (slot, seq))
-          | None -> Hashtbl.remove pending (slot, seq)
-        end
-        else begin
-          p.attempts <- p.attempts + 1;
-          if p.attempts > max_attempts then
-            raise
-              (Delivery_failed
-                 { src = p.p_src; dst = p.p_dst; attempts = p.attempts - 1 });
-          incr retransmits;
-          if instrumented then
-            Tally.add tally (wire_pulse p.p_msg) Engine.Sink.retransmits 1;
-          transmit_data time slot seq;
-          p.rto <- p.rto *. 2.0;
-          Events.push queue (time +. p.rto) (Timer (slot, seq))
-        end)
-    | Garbled (dst, pulse) ->
-      (* the guard check fails: drop and count, send no link-level ack —
-         the sender's retransmission timer recovers delivery *)
-      if Faults.down flt ~node:dst ~time then Faults.note_crash_drop flt
-      else begin
-        Faults.note_corrupt flt;
-        if instrumented then Tally.add tally pulse Engine.Sink.corrupted 1
+  let drained = ref false in
+  while !halted_count <> n && not !drained do
+    (* the least (time, seq) among the queues' heads; a timer whose frame
+       was acked in the meantime would do nothing, so it is dropped as
+       soon as it reaches its ring's head *)
+    let qs = !queues in
+    let best = ref (-1) and bt = ref 0. and bs = ref 0 in
+    for l = 0 to Array.length qs - 1 do
+      let q = qs.(l) in
+      let c = q.c in
+      if l > 0 then
+        while q.len > 0 && Window.get pend c.a.(q.head) c.b.(q.head) == acked do
+          Fifo.pop q
+        done;
+      if q.len > 0 && (!best < 0 || before c.time.(q.head) c.seq.(q.head) !bt !bs) then begin
+        best := l;
+        bt := c.time.(q.head);
+        bs := c.seq.(q.head)
       end
-    | Arrive (dst, frame) ->
-      if Faults.down flt ~node:dst ~time then Faults.note_crash_drop flt
-      else (
-        match frame with
-        | Data { src; slot; seq; msg } ->
-          (* always re-ack: the previous Lack may have been lost *)
-          transmit_frame time
-            ~slot:(Engine.find_port eng ~src:dst ~dst:src)
-            ~dst:src ~pulse:(wire_pulse msg)
-            (Lack { slot; seq });
-          if is_new slot seq then dispatch time dst src msg
-        | Lack { slot; seq } -> Hashtbl.remove pending (slot, seq))
+    done;
+    if !best < 0 then drained := true
+    else begin
+      let q = qs.(!best) in
+      let c = q.c and i = q.head in
+      let code = c.code.(i) and a = c.a.(i) and b = c.b.(i) in
+      if !best = 0 then Heap.pop q else Fifo.pop q;
+      clock.now <- !bt;
+      handle code a b
+    end
   done;
-  if not (all_halted ()) then
+  if !halted_count <> n then
     invalid_arg "Async.run_reliable: event queue drained before quiescence";
   if instrumented then
     for p = 0 to !max_pulse do
@@ -440,11 +578,11 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
     done;
   if instrumented then sink.Engine.Sink.on_finish ();
   let c = Faults.counters flt in
-  ( Array.map (fun nd -> nd.state) nodes,
+  ( states,
     {
       report =
         {
-          async_time = !finish_time;
+          async_time = clock.finish;
           pulses = !max_pulse + 1;
           alg_messages = !alg_messages;
           sync_messages = !sync_messages;

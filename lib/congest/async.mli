@@ -28,7 +28,21 @@
     engine.  The discrete-event queue (message arrivals, acks, SAFE
     announcements and retransmit timers) is this executor's wake source;
     the sparse scheduling happens at event granularity instead of round
-    granularity. *)
+    granularity.
+
+    The queue is flat.  Events are ints in struct-of-arrays columns —
+    due time, push number, kind/pulse code and two operands (a slot and
+    a sequence number, or a node) — with no boxed record per event.
+    Arrivals, garbled copies, wake-ups and timers postponed to a crashed
+    sender's recovery live in a binary heap.  Every other retransmit
+    timer skips it: a timer armed at attempt [a] is due
+    [ack_timeout * 2^(a-1)] after it is armed, at the current time, which
+    never decreases, so each attempt level is a FIFO ring that stays
+    sorted by itself (asserted on every push).  A pop takes the least
+    [(time, push number)] among the heap top and the ring heads, which is
+    exactly the order of a single heap: the same seeds give the same
+    events in the same order.  A timer whose frame was acked meanwhile
+    would do nothing and is dropped when it reaches its ring's head. *)
 
 open Kdom_graph
 
@@ -38,11 +52,6 @@ type report = {
   alg_messages : int;      (** algorithm messages delivered *)
   sync_messages : int;     (** acknowledgments + safety announcements *)
 }
-
-val sample_delay : Rng.t -> max_delay:float -> float
-(** One link-delay draw, uniform on the half-open interval
-    [(0, max_delay]] — strictly positive, can attain [max_delay].
-    Raises [Invalid_argument] when [max_delay <= 0]. *)
 
 (** {1 Reliable delivery over faulty links} *)
 
@@ -96,8 +105,14 @@ val run_reliable :
       backoff, giving up with {!Delivery_failed} after [max_attempts]
       (default 60) transmissions;
     - the receiver suppresses duplicates — injected by the fault layer or
-      by retransmission races — with a compacted per-link seen-window, so
-      every logical message is dispatched exactly once.
+      by retransmission races — so every logical message is dispatched
+      exactly once.
+
+    Both ends keep a per-link ring indexed by [seq - base]: the sender's
+    holds its unacked frames, its base the oldest of them, and the
+    receiver's marks the frames dispatched above its base, the watermark
+    below which all were.  A ring grows with the frames outstanding on
+    its link, never with the frame count.
 
     Exactly-once (unordered) delivery is all the α-synchronizer needs:
     its inboxes are keyed by pulse, so reordered deliveries land in the
@@ -110,6 +125,19 @@ val run_reliable :
     ([recover = None]) generally end in {!Delivery_failed} or a
     quiescence failure ([Invalid_argument]), as the paper's algorithms
     assume all nodes participate.
+
+    The skew bound.  A node that has executed pulses [0 .. q-1] can only
+    receive algorithm messages for pulses [q] and [q + 1] and [SAFE(r)]
+    for [r] in [{q - 1, q}]: a neighbor sends at pulse [p] only after the
+    node's [SAFE(p - 1)], and the node cannot pass pulse [p + 1] before
+    that neighbor's [SAFE(p)], which needs the node's ack.  So each node
+    keeps two pulse slots, by parity, for its inbox buffers and its SAFE
+    counts; a message outside them raises [Invalid_argument].  Inboxes
+    are filled in sender order with no sort.
+
+    Raises [Invalid_argument] up front unless [max_delay] and
+    [ack_timeout] are positive and finite, naming the parameter, and
+    when [max_attempts < 1].
 
     [sink] receives [on_message] per logical algorithm send (at its
     pulse) and, after quiescence, one {!Engine.Sink.round_info} per pulse

@@ -79,6 +79,8 @@ type t = {
                            stream, so enabling corruption leaves every
                            other fault decision unchanged *)
   counters : counters;
+  arrivals : float array;  (* the copies' delivery times of the last
+                              [transmit], reused frame after frame *)
 }
 
 let check_prob what p =
@@ -89,7 +91,8 @@ let check_link l =
   check_prob "drop" l.drop;
   check_prob "duplicate" l.duplicate;
   check_prob "slow" l.slow;
-  if l.slow_factor < 1. then invalid_arg "Faults: slow_factor must be >= 1"
+  if not (Float.is_finite l.slow_factor && l.slow_factor >= 1.) then
+    invalid_arg (Printf.sprintf "Faults: slow_factor %g must be finite and >= 1" l.slow_factor)
 
 let compile eng spec =
   let n = Graph.n (Engine.graph eng) in
@@ -160,15 +163,24 @@ let compile eng spec =
         crash_dropped = 0;
         corrupted = 0;
       };
+    arrivals = [| 0.; 0. |];
   }
 
 let spec t = t.spec
 let counters t = t.counters
 
-(* Decision order is fixed (drop, then duplicate, then per-copy slowdown and
-   delay) so that a run is a pure function of the seed and the call
-   sequence. *)
-let transmit t ~now ~slot ~base_delay deliver =
+(* Uniform on the half-open interval (0, max_delay], as documented:
+   [Rng.float rng 1.0] is uniform in [0, 1), so [1 - u] is in (0, 1]. *)
+let[@inline] sample_delay rng ~max_delay =
+  if not (Float.is_finite max_delay && max_delay > 0.) then
+    invalid_arg "Faults.sample_delay: max_delay must be positive and finite";
+  max_delay *. (1.0 -. Rng.float rng 1.0)
+
+(* Decision order is fixed (drop, then duplicate, then per copy its delay
+   and slowdown) so that a run is a pure function of the seeds and the
+   call sequence.  The delays come from [rng], the caller's stream; every
+   other decision from the fault model's own. *)
+let[@inline] transmit t ~now ~slot ~rng ~max_delay =
   let l = t.links.(slot) in
   let c = t.counters in
   c.transmitted <- c.transmitted + 1;
@@ -184,8 +196,8 @@ let transmit t ~now ~slot ~base_delay deliver =
       end
       else 1
     in
-    for _copy = 1 to copies do
-      let d = base_delay () in
+    for i = 0 to copies - 1 do
+      let d = sample_delay rng ~max_delay in
       let d =
         if l.slow > 0. && Rng.float t.rng 1.0 < l.slow then d *. l.slow_factor
         else d
@@ -193,26 +205,30 @@ let transmit t ~now ~slot ~base_delay deliver =
       let at = now +. d in
       let at = if t.spec.reorder then at else Float.max at t.last.(slot) in
       t.last.(slot) <- Float.max t.last.(slot) at;
-      deliver at
+      t.arrivals.(i) <- at
     done;
     copies
   end
 
-let down t ~node ~time =
-  List.exists
-    (fun c ->
-      c.at <= time
-      && match c.recover with None -> true | Some r -> time < r)
-    t.crashes_of.(node)
+let[@inline] arrival t i = t.arrivals.(i)
+
+(* The window of a node's crash list that contains [time], if any
+   (windows are half-open: [at <= time < recover]). *)
+let rec window_at time = function
+  | [] -> None
+  | c :: rest ->
+    if c.at <= time && match c.recover with None -> true | Some r -> time < r
+    then Some c
+    else window_at time rest
+
+(* the common crash-free node is answered without a call *)
+let[@inline] down t ~node ~time =
+  match t.crashes_of.(node) with
+  | [] -> false
+  | cs -> Option.is_some (window_at time cs)
 
 let rec next_up t ~node ~time =
-  match
-    List.find_opt
-      (fun c ->
-        c.at <= time
-        && match c.recover with None -> true | Some r -> time < r)
-      t.crashes_of.(node)
-  with
+  match window_at time t.crashes_of.(node) with
   | None -> Some time
   | Some { recover = None; _ } -> None
   | Some { recover = Some r; _ } -> next_up t ~node ~time:r

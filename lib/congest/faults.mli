@@ -130,21 +130,33 @@ val compile : Engine.t -> spec -> t
 (** Resolves the per-link parameter table through the port map (raises
     [Invalid_argument] on an override for a non-edge or a crash of a
     non-node, {!Overlapping_crashes} on overlapping crash windows of one
-    node) and seeds the decision stream.  The [churn] field is not
+    node; also [Invalid_argument] on a probability outside [[0, 1]] or a
+    [slow_factor] that is below 1, NaN or infinite) and seeds the decision
+    stream.  The [churn] field is not
     consumed here — compile it separately with {!churn}. *)
 
 val spec : t -> spec
 val counters : t -> counters
 
+val sample_delay : Kdom_graph.Rng.t -> max_delay:float -> float
+(** One link-delay draw, uniform on the half-open interval
+    [(0, max_delay]] — strictly positive, can attain [max_delay].
+    Raises [Invalid_argument] unless [max_delay] is positive and finite. *)
+
 val transmit :
-  t -> now:float -> slot:int -> base_delay:(unit -> float) -> (float -> unit) -> int
-(** [transmit t ~now ~slot ~base_delay deliver] decides the fate of one
-    frame sent on directed-edge slot [slot] at time [now]: calls [deliver]
-    once per surviving copy with its delivery time ([now] plus a
-    [base_delay ()] draw, scaled by [slow_factor] when slowed, clamped to
-    per-link FIFO order unless [reorder]).  Returns the number of copies
-    scheduled — 0 (dropped), 1, or 2 (duplicated) — and updates
-    {!counters}. *)
+  t -> now:float -> slot:int -> rng:Kdom_graph.Rng.t -> max_delay:float -> int
+(** [transmit t ~now ~slot ~rng ~max_delay] decides the fate of one frame
+    sent on directed-edge slot [slot] at time [now].  Returns the number
+    of copies scheduled — 0 (dropped), 1, or 2 (duplicated) — and updates
+    {!counters}.  Copy [i]'s delivery time is [arrival t i] until the next
+    call: [now] plus a {!sample_delay} draw from [rng], scaled by
+    [slow_factor] when slowed, clamped to per-link FIFO order unless
+    [reorder].  The drop, duplicate and slowdown decisions draw from the
+    fault model's own stream, in that order. *)
+
+val arrival : t -> int -> float
+(** [arrival t i] is the delivery time of copy [i] (0 or 1) scheduled by
+    the last {!transmit}. *)
 
 val down : t -> node:int -> time:float -> bool
 (** Whether [node] is crashed at [time] (crash windows are half-open:

@@ -125,6 +125,40 @@ let test_fixed_seeds () =
       Kdom.Battery.names
   done
 
+(* The synchronizer keeps two pulse slots per node and raises if a
+   message lands outside them, so a run that completes with the
+   synchronous states never broke the skew bound.  Random connected
+   graphs (trees for coloring and census) under drop <= 0.3, duplication,
+   reordering on or off and one crash-recovery window. *)
+let prop_skew_bound =
+  QCheck2.Test.make ~name:"skew bound: two pulse slots suffice" ~count:15
+    QCheck2.Gen.(
+      tup4 (int_bound 10_000) (float_bound_inclusive 0.3) (float_bound_inclusive 0.2)
+        bool)
+    (fun (seed, drop, dup, reorder) ->
+      let n = 6 + (seed mod 15) in
+      let rng = Rng.create seed in
+      let tree = Generators.random_tree ~rng n in
+      let g = Generators.gnp_connected ~rng ~n ~p:0.25 in
+      let at = Rng.float rng 3.0 in
+      let crashes =
+        [ { Faults.node = Rng.int rng n; at; recover = Some (at +. 0.5 +. Rng.float rng 5.0) } ]
+      in
+      let faults =
+        Faults.lossy ~drop ~duplicate:dup ~reorder ~crashes ~seed:(seed + 3) ()
+      in
+      List.iter
+        (fun name ->
+          let host = if name = "coloring" || name = "census" then tree else g in
+          Option.iter
+            (fun c ->
+              ignore
+                (check_case ~what:(Printf.sprintf "/skew seed=%d" seed) ~faults
+                   ~max_delay:(delay_of_seed seed) ~rng_seed:(seed + 5) host c))
+            (Kdom.Battery.case host ~k:(1 + (seed mod 3)) name))
+        Kdom.Battery.names;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Crashes *)
 
@@ -221,7 +255,7 @@ let test_delay_sampler () =
   let n = 100_000 in
   let sum = ref 0.0 in
   for _ = 1 to n do
-    let d = Async.sample_delay rng ~max_delay in
+    let d = Faults.sample_delay rng ~max_delay in
     if not (d > 0.0) then Alcotest.failf "sampled non-positive delay %g" d;
     if d > max_delay then Alcotest.failf "sampled %g > max_delay %g" d max_delay;
     sum := !sum +. d
@@ -232,9 +266,39 @@ let test_delay_sampler () =
   (* the documented interval is half-open at 0: a draw of u = 0 must map to
      max_delay exactly, so the endpoint is attainable *)
   Alcotest.(check bool) "rejects non-positive max_delay" true
-    (match Async.sample_delay rng ~max_delay:0.0 with
+    (match Faults.sample_delay rng ~max_delay:0.0 with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* A bad delay parameter is rejected before anything runs, naming the
+   parameter: a NaN delay once broke the event order and ended in
+   Delivery_failed, an infinite one "succeeded" with infinite times, and
+   max_delay = 0 was reported as a bad ack_timeout. *)
+let test_bad_delays_rejected () =
+  let g = Generators.grid ~rng:(Rng.create 1) ~rows:4 ~cols:4 in
+  let faults = Faults.lossy ~drop:0.1 ~seed:3 () in
+  let rejects what run =
+    match run () with
+    | _ -> Alcotest.failf "accepted a bad %s" what
+    | exception Invalid_argument msg ->
+      if not (List.mem what (String.split_on_char ' ' msg)) then
+        Alcotest.failf "error %S does not name %s" msg what
+  in
+  let run ?max_delay ?ack_timeout () =
+    Async.run_reliable ~rng:(Rng.create 2) ~faults ?max_delay ?ack_timeout
+      ~max_words:Kdom.Bfs_tree.max_words g (Kdom.Bfs_tree.algorithm g ~root:0)
+  in
+  List.iter
+    (fun d ->
+      rejects "max_delay" (run ~max_delay:d);
+      rejects "ack_timeout" (run ~ack_timeout:d))
+    [ Float.nan; 0.0; -1.0; Float.infinity ];
+  List.iter
+    (fun slow_factor ->
+      match Faults.compile (Engine.create g) (Faults.lossy ~slow:0.5 ~slow_factor ~seed:1 ()) with
+      | _ -> Alcotest.failf "accepted slow_factor %g" slow_factor
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; 0.5 ]
 
 (* Per-pulse sink records must be consistent with the returned report and
    fault counters. *)
@@ -307,6 +371,144 @@ let test_deterministic () =
   Alcotest.(check int) "same frame count" f1.frames f2.frames;
   Alcotest.(check int) "same retransmits" f1.retransmits f2.retransmits;
   Alcotest.(check int) "same drops" f1.dropped f2.dropped
+
+(* ------------------------------------------------------------------ *)
+(* Cross-version pins: the event order of the link layer *)
+
+(* Fixed-seed runs whose whole fault report and completion time are
+   pinned, so a rewrite of the executor that reorders a single event —
+   a timer popped before an arrival at the same instant, one more draw
+   from a stream — changes a number here.  Each config exercises one
+   path of the link layer: kbench async-lossy's lossy reordering grid,
+   the per-link FIFO clamp, slowed copies, a sender whose retransmit
+   timers fire while it is crashed (postponed to its recovery), garbled
+   copies, and a 90%-loss link whose frames reach attempt 4 and beyond. *)
+let pin_configs =
+  let tree n seed = Generators.random_tree ~rng:(Rng.create seed) n in
+  let gnp n seed = Generators.gnp_connected ~rng:(Rng.create seed) ~n ~p:0.2 in
+  let bad = { Faults.drop = 0.9; duplicate = 0.; slow = 0.; slow_factor = 1. } in
+  let path8 = Generators.path ~rng:(Rng.create 17) 8 in
+  [
+    ( "async-lossy grid",
+      Generators.grid ~rng:(Rng.create 1) ~rows:20 ~cols:20,
+      "bfs",
+      1,
+      Faults.lossy ~drop:0.1 ~duplicate:0.05 ~reorder:true ~seed:11 (),
+      1.0,
+      21 );
+    ( "fifo clamp",
+      gnp 24 3,
+      "leader",
+      1,
+      Faults.lossy ~drop:0.2 ~duplicate:0.1 ~reorder:false ~seed:12 (),
+      1.0,
+      22 );
+    ( "slow links",
+      tree 30 4,
+      "coloring",
+      1,
+      Faults.lossy ~drop:0.1 ~slow:0.3 ~slow_factor:8.0 ~seed:13 (),
+      0.5,
+      23 );
+    ( "slow pipeline",
+      gnp 20 5,
+      "pipeline",
+      2,
+      Faults.lossy ~drop:0.15 ~duplicate:0.1 ~slow:0.2 ~seed:14 (),
+      1.0,
+      24 );
+    ( "crashed sender",
+      tree 24 6,
+      "census",
+      2,
+      Faults.lossy ~drop:0.1 ~duplicate:0.05
+        ~crashes:
+          [
+            { Faults.node = 3; at = 1.5; recover = Some 14.0 };
+            { Faults.node = 7; at = 4.0; recover = Some 30.0 };
+            { Faults.node = 0; at = 0.0; recover = Some 2.0 };
+          ]
+        ~seed:15 (),
+      1.0,
+      25 );
+    ( "garbled copies",
+      gnp 20 7,
+      "smc",
+      2,
+      Faults.lossy ~drop:0.05
+        ~corrupt:(Engine.Corrupt.make ~flip:5e-3 ~burst:2 ~truncate:2e-3 ~seed:8 ())
+        ~seed:16 (),
+      1.0,
+      26 );
+    ( "90%-loss link",
+      path8,
+      "bfs",
+      1,
+      {
+        Faults.link = Faults.reliable_link;
+        overrides = [ ((3, 4), bad); ((4, 3), bad) ];
+        reorder = true;
+        crashes = [];
+        churn = [];
+        seed = 23;
+        corrupt = None;
+      },
+      1.0,
+      3 );
+  ]
+
+let pin_run (_, g, name, k, faults, max_delay, rng_seed) =
+  let (Chaos.Case (_, max_words, mk, _)) = Option.get (Kdom.Battery.case g ~k name) in
+  let sync_states, _ = Runtime.run ~max_words g (mk ()) in
+  let states, f =
+    Async.run_reliable ~rng:(Rng.create rng_seed) ~faults ~max_delay ~max_words g
+      (mk ())
+  in
+  ( states = sync_states,
+    [|
+      f.Async.frames;
+      f.retransmits;
+      f.timeouts;
+      f.dropped;
+      f.duplicated;
+      f.crash_dropped;
+      f.corrupted;
+      f.report.pulses;
+      f.report.alg_messages;
+      f.report.sync_messages;
+    |],
+    Printf.sprintf "%h" f.report.async_time )
+
+(* Recorded before the executor moved to flat arrays; a mismatch means
+   the event order changed.  Counts: frames, retransmits, timeouts,
+   dropped, duplicated, crash_dropped, corrupted, pulses, alg_messages,
+   sync_messages; then async_time as a hex float. *)
+let pin_expected =
+  [
+    ("async-lossy grid", [| 432373; 40797; 40797; 42932; 19662; 0; 0; 121; 2318; 179080 |], "0x1.1af63948761b7p+10");
+    ("fifo clamp", [| 5952; 1028; 1028; 1154; 467; 0; 0; 13; 381; 1766 |], "0x1.cdd1bd24c34e7p+7");
+    ("slow links", [| 3457; 607; 607; 352; 0; 0; 0; 16; 261; 974 |], "0x1.132f1edc5918ep+6");
+    ("slow pipeline", [| 2305; 405; 405; 340; 197; 0; 0; 12; 89; 707 |], "0x1.c04faaf5af156p+6");
+    ("crashed sender", [| 3103; 290; 291; 308; 144; 12; 0; 27; 92; 1222 |], "0x1.01366165d6addp+7");
+    ("garbled copies", [| 9921; 594; 594; 491; 0; 0; 111; 51; 247; 4290 |], "0x1.e5bf455ac593fp+7");
+    ("90%-loss link", [| 2526; 1657; 1657; 1686; 0; 0; 0; 25; 28; 353 |], "0x1.404012c121999p+48");
+  ]
+
+let pin_fields =
+  [| "frames"; "retransmits"; "timeouts"; "dropped"; "duplicated"; "crash_dropped";
+     "corrupted"; "pulses"; "alg_messages"; "sync_messages" |]
+
+let test_pinned_event_order () =
+  List.iter2
+    (fun ((name, _, _, _, _, _, _) as c) (name', counts, time) ->
+      assert (name = name');
+      let same, got, got_time = pin_run c in
+      if not same then Alcotest.failf "%s: states differ from the synchronous run" name;
+      Array.iteri
+        (fun i field -> Alcotest.(check int) (name ^ " " ^ field) counts.(i) got.(i))
+        pin_fields;
+      Alcotest.(check string) (name ^ " async_time") time got_time)
+    pin_configs pin_expected
 
 (* ------------------------------------------------------------------ *)
 (* Corruption storms *)
@@ -429,6 +631,7 @@ let () =
         @ [
             Alcotest.test_case "20 fixed seeds at drop 0.2, dup 0.1" `Quick
               test_fixed_seeds;
+            QCheck_alcotest.to_alcotest prop_skew_bound;
           ] );
       ( "crashes",
         [
@@ -444,11 +647,14 @@ let () =
           Alcotest.test_case "zero faults, zero retransmits" `Quick
             test_zero_faults_zero_retransmits;
           Alcotest.test_case "delay sampler interval" `Quick test_delay_sampler;
+          Alcotest.test_case "bad delays rejected up front" `Quick
+            test_bad_delays_rejected;
           Alcotest.test_case "sink consistency under faults" `Quick
             test_sink_consistency_under_faults;
           Alcotest.test_case "duplicates delivered exactly once" `Quick
             test_duplicates_not_delivered_twice;
           Alcotest.test_case "determinism" `Quick test_deterministic;
+          Alcotest.test_case "pinned event order" `Quick test_pinned_event_order;
         ] );
       ( "corruption",
         [
