@@ -282,6 +282,14 @@ let repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file =
     (List.length !centers) verdict;
   if verdict <> "ok" then exit 1
 
+(* A link that loses every frame makes reliable delivery give up: a
+   [kdom:] failure, not an internal error. *)
+let reliably f =
+  try f ()
+  with Kdom_congest.Async.Delivery_failed { src; dst; attempts } ->
+    fail "reliable delivery gave up on frame %d -> %d after %d attempts" src dst
+      attempts
+
 let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
     repair domains trace_file =
   let open Kdom_congest in
@@ -297,6 +305,7 @@ let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
   let tr = make_trace trace_file in
   let sync_states, sync_stats = Runtime.run ~max_words g (mk ()) in
   let states, frep =
+    reliably @@ fun () ->
     Trace.observe tr ~max_words (algo ^ ".reliable") (fun sink ->
         Async.run_reliable ~rng:(Rng.create (seed + 2)) ~faults ~max_delay
           ~max_words ~sink g (mk ()))
@@ -384,6 +393,7 @@ let trace_cmd family n k seed algo out (_, write) drop dup validate =
        let (Chaos.Case (_, max_words, mk, _)) = fault_case g ~k algo in
        let faults = Faults.lossy ~drop ~duplicate:dup ~seed:(seed + 1) () in
        let _states, frep =
+         reliably @@ fun () ->
          Trace.observe (Some tr) ~max_words (algo ^ ".reliable") (fun sink ->
              Async.run_reliable ~rng:(Rng.create (seed + 2)) ~faults ~max_words
                ~sink g (mk ()))

@@ -465,9 +465,8 @@ type xarena = {
 }
 
 type shard = {
-  sh_live : int array;    (* owned live nodes, ascending *)
-  mutable sh_live_len : int;
-  sh_frontier : int array;
+  mutable sh_nlive : int; (* owned live nodes *)
+  sh_frontier : int array; (* woken timers and non-Always receivers *)
   mutable sh_plen : int;  (* frontier length this round *)
   sh_always : int array;  (* owned nodes in Always mode, ascending when clean *)
   mutable sh_alen : int;
@@ -483,11 +482,8 @@ type shard = {
   mutable sh_delivered_bits : int;
   mutable sh_emitted : int;
   mutable sh_send_dropped : int;
-  mutable sh_hinted : bool;
   mutable sh_vmin : int;  (* halted-receiver candidate for the next round *)
   (* control flags written serially / by the owner *)
-  mutable sh_crashed_live : int;
-  mutable sh_compact : bool;
   mutable sh_hit : bool;  (* an in-flight frame to this shard was dropped *)
   mutable sh_always_dirty : bool;
   mutable sh_always_unsorted : bool;
@@ -689,16 +685,15 @@ module Churn = struct
 
   let no_delta = { d_crashed = 0; d_arrived = 0; d_departed = 0; d_inserted = 0 }
 
+  type engine = t
+
   type t = {
+    eng : engine;          (* the compiling engine, for (src, dst) lookups *)
     events : event array;  (* sorted by round, compile-order stable *)
     ops : op array;        (* events.(i) resolved against the port map *)
-    pairs : (int * int) array;  (* (src, dst) of edge events; (-1, -1) else *)
     crashed : bool array;  (* n: current liveness view *)
     dormant : bool array;  (* n: reserved node not yet arrived *)
     edge_down : bool array;  (* ports: current per-slot view *)
-    down_pairs : (int * int, unit) Hashtbl.t;
-        (* the (src, dst) view [advance] maintains for port-map-less
-           consumers (the reference runtime) *)
     mutable cursor : int;
   }
 
@@ -744,19 +739,12 @@ module Churn = struct
     in
     let events = Array.of_list (List.map (fun (_, _, ev) -> ev) sorted) in
     {
+      eng = e;
       events;
       ops = Array.map resolve events;
-      pairs =
-        Array.map
-          (function
-            | Edge_down { src; dst; _ } | Edge_up { src; dst; _ }
-            | Edge_add { src; dst; _ } -> (src, dst)
-            | Crash _ | Arrive _ | Depart _ -> (-1, -1))
-          events;
       crashed = Array.make (max 1 n) false;
       dormant = Array.make (max 1 n) false;
       edge_down = Array.make (max 1 e.ports) false;
-      down_pairs = Hashtbl.create 8;
       cursor = 0;
     }
 
@@ -768,13 +756,9 @@ module Churn = struct
     Array.fill t.crashed 0 (Array.length t.crashed) false;
     Array.fill t.dormant 0 (Array.length t.dormant) false;
     Array.fill t.edge_down 0 (Array.length t.edge_down) false;
-    Hashtbl.reset t.down_pairs;
-    Array.iteri
-      (fun i op ->
-        match op with
-        | Op_add slot ->
-          t.edge_down.(slot) <- true;
-          Hashtbl.replace t.down_pairs t.pairs.(i) ()
+    Array.iter
+      (function
+        | Op_add slot -> t.edge_down.(slot) <- true
         | Op_arrive v -> t.dormant.(v) <- true
         | _ -> ())
       t.ops;
@@ -782,14 +766,18 @@ module Churn = struct
 
   let crashed t v = t.crashed.(v)
   let dormant t v = t.dormant.(v)
-  let edge_down t ~src ~dst = Hashtbl.mem t.down_pairs (src, dst)
 
-  (* The buffer-less application used by the reference runtime: advance the
-     cursor through every event due by [round], updating the liveness views
-     only.  (The engine's own exec inlines this so it can also drop the
-     in-flight frames the events kill.)  Returns the per-kind counts of
-     events that took effect. *)
-  let advance t ~round =
+  let edge_down t ~src ~dst =
+    let slot = find_port t.eng ~src ~dst in
+    slot >= 0 && t.edge_down.(slot)
+
+  (* Advance the cursor through every event due by [round], updating the
+     liveness views, and call a hook for each event that takes effect:
+     [kill v] for a crash or departure (a graceful departure is
+     mechanically a fail-stop, but counted separately), [arrive v] for an
+     arrival, [cut slot] for an edge going down.  Returns the per-kind
+     counts of the events that took effect. *)
+  let apply t ~round ~kill ~arrive ~cut =
     let len = Array.length t.ops in
     let d = ref no_delta in
     while t.cursor < len && round_of t.events.(t.cursor) <= round do
@@ -797,33 +785,39 @@ module Churn = struct
       | Op_crash v ->
         if not t.crashed.(v) then begin
           t.crashed.(v) <- true;
-          d := { !d with d_crashed = !d.d_crashed + 1 }
+          d := { !d with d_crashed = !d.d_crashed + 1 };
+          kill v
         end
       | Op_depart v ->
         if not t.crashed.(v) then begin
           t.crashed.(v) <- true;
-          d := { !d with d_departed = !d.d_departed + 1 }
+          d := { !d with d_departed = !d.d_departed + 1 };
+          kill v
         end
       | Op_arrive v ->
         if t.dormant.(v) then begin
           t.dormant.(v) <- false;
-          d := { !d with d_arrived = !d.d_arrived + 1 }
+          d := { !d with d_arrived = !d.d_arrived + 1 };
+          arrive v
         end
       | Op_down slot ->
-        t.edge_down.(slot) <- true;
-        Hashtbl.replace t.down_pairs t.pairs.(t.cursor) ()
-      | Op_up slot ->
-        t.edge_down.(slot) <- false;
-        Hashtbl.remove t.down_pairs t.pairs.(t.cursor)
+        if not t.edge_down.(slot) then begin
+          t.edge_down.(slot) <- true;
+          cut slot
+        end
+      | Op_up slot -> t.edge_down.(slot) <- false
       | Op_add slot ->
+        (* reserved capacity coming online: the slot was pre-downed at
+           reset, nothing can be in flight through it *)
         if t.edge_down.(slot) then begin
           t.edge_down.(slot) <- false;
-          Hashtbl.remove t.down_pairs t.pairs.(t.cursor);
           d := { !d with d_inserted = !d.d_inserted + 1 }
         end);
       t.cursor <- t.cursor + 1
     done;
     !d
+
+  let advance t ~round = apply t ~round ~kill:ignore ~arrive:ignore ~cut:ignore
 
   (* Replay the whole schedule, regardless of when the run stopped: the
      oracle judges eventual k-domination against the post-churn topology.
@@ -914,6 +908,13 @@ module Corrupt = struct
         last := r)
       s.ramp
 
+  (* every executor's entry: validate, then zero the tally for the run *)
+  let arm s =
+    validate s;
+    s.tally.injected <- 0;
+    s.tally.detected <- 0;
+    s.tally.truncated <- 0
+
   let intensity s ~round =
     let m = ref 1.0 in
     List.iter (fun (r, mult) -> if r <= round then m := mult) s.ramp;
@@ -980,10 +981,10 @@ end
 
 exception Stop_shard
 
-(* In-place heapsort of [a.(0) .. a.(len-1)]: the frontier must be stepped
-   in ascending node id (the reference's visiting order), and its three
-   sources — timer buckets, receiver stack, always-list — append out of
-   order.  Heapsort keeps the cost a guaranteed O(f log f) with zero
+(* In-place heapsort of [a.(0) .. a.(len-1)]: nodes are stepped in
+   ascending id (the reference's visiting order), but the frontier's two
+   sources — timer buckets, receiver stack — append out of order, and so
+   do re-entries and arrivals on the Always list.  Heapsort keeps the cost a guaranteed O(f log f) with zero
    allocation — [sift] is top level, since a local helper closing over
    [a] would be a closure allocated on every sort.  The [int array]
    annotations matter: left polymorphic, every comparison would be a
@@ -1060,8 +1061,7 @@ let build_layout e ~d shard_of =
            so the written-stack capacity is its in-port count *)
         let wcap = max 1 inports.(s) in
         {
-          sh_live = Array.make cap 0;
-          sh_live_len = 0;
+          sh_nlive = 0;
           sh_frontier = Array.make cap 0;
           sh_plen = 0;
           sh_always = Array.make cap 0;
@@ -1077,10 +1077,7 @@ let build_layout e ~d shard_of =
           sh_delivered_bits = 0;
           sh_emitted = 0;
           sh_send_dropped = 0;
-          sh_hinted = false;
           sh_vmin = -1;
-          sh_crashed_live = 0;
-          sh_compact = false;
           sh_hit = false;
           sh_always_dirty = false;
           sh_always_unsorted = false;
@@ -1133,15 +1130,13 @@ let reset_sbuf b =
 (* Rewind a shard's run state; an aborted run may leave any of it set,
    including an open frame on the emitter. *)
 let reset_shard sh =
-  sh.sh_live_len <- 0;
+  sh.sh_nlive <- 0;
   sh.sh_plen <- 0;
   sh.sh_alen <- 0;
   Timers.clear sh.sh_timers;
   reset_sbuf sh.sh_dv;
   reset_sbuf sh.sh_sd;
   sh.sh_vmin <- -1;
-  sh.sh_crashed_live <- 0;
-  sh.sh_compact <- false;
   sh.sh_hit <- false;
   sh.sh_always_dirty <- false;
   sh.sh_always_unsorted <- false;
@@ -1194,13 +1189,7 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
     then invalid_arg "Engine.exec_emit: churn compiled against a different engine";
     Churn.reset c
   | None -> ());
-  (match corrupt with
-  | Some (cs : Corrupt.spec) ->
-    Corrupt.validate cs;
-    cs.Corrupt.tally.Corrupt.injected <- 0;
-    cs.Corrupt.tally.Corrupt.detected <- 0;
-    cs.Corrupt.tally.Corrupt.truncated <- 0
-  | None -> ());
+  Option.iter Corrupt.arm corrupt;
   (* corruption is only detectable with the guard word on every frame *)
   let guard = guard || corrupt <> None in
   let max_rounds =
@@ -1305,34 +1294,32 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
     | None -> ([||], [||], [||])
   in
   let churn_on = churn <> None in
-  (* Initial liveness.  Every node starts in Always mode: hints are
-     consulted only after a step, and round 0 (the init round) steps every
-     live node regardless. *)
+  (* Put node [v] in the schedule in Always mode: hints are consulted only
+     after a step, so the init round, and an arrival's round, step it
+     regardless. *)
+  let enlist v =
+    let sh = shards.(shard_of.(v)) in
+    is_live.(v) <- true;
+    is_always.(v) <- true;
+    sh.sh_nlive <- sh.sh_nlive + 1;
+    sh.sh_always.(sh.sh_alen) <- v;
+    sh.sh_alen <- sh.sh_alen + 1
+  in
+  (* Initial liveness; visiting the nodes in ascending id leaves each
+     Always list sorted. *)
   for v = 0 to n - 1 do
     if (not (a_halted states.(v))) && not (churn_on && churn_dormant.(v))
-    then begin
-      let sh = shards.(shard_of.(v)) in
-      is_live.(v) <- true;
-      is_always.(v) <- true;
-      sh.sh_live.(sh.sh_live_len) <- v;
-      sh.sh_live_len <- sh.sh_live_len + 1
-    end
+    then enlist v
     else begin
       is_live.(v) <- false;
       is_always.(v) <- false
     end
   done;
-  (* Serially-written controls read by the phase bodies.  [hinted] stays
-     false — and every round steps the whole live set, the legacy dense
-     schedule — until some step returns a non-Always hint. *)
-  let hinted = ref false in
-  let transition = ref false in
-  let trans_flag = ref false in
-  let dense_flag = ref true in
+  (* the halted-receiver minimum, written serially, read by phase A *)
   let vmin_flag = ref (-1) in
   let messages = ref 0 and max_inflight = ref 0 in
   let live_total = ref 0 in
-  Array.iter (fun sh -> live_total := !live_total + sh.sh_live_len) shards;
+  Array.iter (fun sh -> live_total := !live_total + sh.sh_nlive) shards;
   let pending_next = ref 0 in
   let schedule sh v k =
     wake_at.(v) <- k;
@@ -1349,7 +1336,6 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
       end;
       wake_at.(v) <- -1
     | hint ->
-      sh.sh_hinted <- true;
       if is_always.(v) then begin
         is_always.(v) <- false;
         sh.sh_always_dirty <- true
@@ -1588,6 +1574,17 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
               end
             done))
     shards;
+  (* Take live node [v] of shard [sh] out of the schedule: it halted, or
+     churn killed it. *)
+  let retire sh v =
+    is_live.(v) <- false;
+    sh.sh_nlive <- sh.sh_nlive - 1;
+    if is_always.(v) then begin
+      is_always.(v) <- false;
+      sh.sh_always_dirty <- true
+    end;
+    wake_at.(v) <- -1
+  in
   (* Step one node of shard [sh] in round [!round].  Defined once per run,
      not per phase: a per-phase local closure would allocate every round. *)
   let step_node sh v =
@@ -1623,19 +1620,9 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
            (Invalid_argument "Engine.Emit: frame left open at end of step"))
     end;
     states.(v) <- st;
-    if a_halted st then begin
-      is_live.(v) <- false;
-      sh.sh_compact <- true;
-      if is_always.(v) then begin
-        is_always.(v) <- false;
-        sh.sh_always_dirty <- true
-      end;
-      wake_at.(v) <- -1
-    end
-    else apply_wake sh v st r
+    if a_halted st then retire sh v else apply_wake sh v st r
   in
-  (* frontier insertion for shard [sh]'s sparse path, deduplicated per
-     round *)
+  (* frontier insertion for shard [sh], deduplicated per round *)
   let push sh v =
     if fstamp.(v) <> !round then begin
       fstamp.(v) <- !round;
@@ -1643,79 +1630,79 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
       sh.sh_plen <- sh.sh_plen + 1
     end
   in
-  (* phase A: step this shard's frontier for round [!round] *)
+  (* phase A: step this shard for round [!round] — the merge, in ascending
+     node id, of the Always list with the frontier of woken timers and
+     non-Always receivers.  The two are disjoint: a pending timer belongs
+     to a node whose last hint was [Next] or [At]. *)
   let phase_step s =
     let sh = shards.(s) in
     let r = !round in
     let dvb = sh.sh_dv in
     let dv = !dside in
     Inbox.attach sh.sh_ib ~data:dv.data ~wire:dv.wire ~wlog:dv.wlog ~stride;
-    sh.sh_stepped <- 0;
     sh.sh_woken <- 0;
     sh.sh_emitted <- 0;
     sh.sh_send_dropped <- 0;
-    sh.sh_hinted <- false;
     sh.sh_ev_len <- 0;
-    if !trans_flag then begin
-      (* first non-Always hint last round: seed the Always set from the
-         live list (ascending, so it starts sorted) *)
-      sh.sh_alen <- 0;
-      for i = 0 to sh.sh_live_len - 1 do
-        let v = sh.sh_live.(i) in
-        if is_always.(v) then begin
-          sh.sh_always.(sh.sh_alen) <- v;
-          sh.sh_alen <- sh.sh_alen + 1
-        end
-      done;
-      sh.sh_always_dirty <- false;
+    (* arrivals append to the Always list out of order *)
+    if sh.sh_always_unsorted then begin
+      sort_prefix sh.sh_always sh.sh_alen;
       sh.sh_always_unsorted <- false
     end;
+    sh.sh_plen <- 0;
+    let v = ref (Timers.pop sh.sh_timers r) in
+    while !v >= 0 do
+      (* lazy invalidation: a rescheduled or cancelled wake leaves a stale
+         entry behind; only the latest hint counts *)
+      if wake_at.(!v) = r then begin
+        wake_at.(!v) <- -1;
+        if is_live.(!v) then begin
+          sh.sh_woken <- sh.sh_woken + 1;
+          push sh !v
+        end
+      end;
+      v := Timers.pop sh.sh_timers r
+    done;
+    for i = 0 to dvb.s_alen - 1 do
+      let v = dvb.s_active.(i) in
+      (* the count guard matters only under churn / corruption: a
+         receiver whose whole inbox was dropped is not woken *)
+      if (not is_always.(v)) && is_live.(v) && dv.count.(v) > 0 then push sh v
+    done;
+    sort_prefix sh.sh_frontier sh.sh_plen;
+    (* a step that re-enters Always appends to the list, so only the
+       entries present now are merged; a node churn crashed this round
+       stays listed until the end-of-round compaction *)
+    let plen = sh.sh_plen and alen = sh.sh_alen in
+    let front = sh.sh_frontier and alist = sh.sh_always in
+    let i = ref 0 and j = ref 0 and stepped = ref plen in
     (try
-       if !dense_flag then begin
-         (* dense path: every live node steps (the guard only skips nodes
-            churn crashed before compaction) *)
-         sh.sh_stepped <- sh.sh_live_len - sh.sh_crashed_live;
-         for i = 0 to sh.sh_live_len - 1 do
-           let v = sh.sh_live.(i) in
-           if is_live.(v) then step_node sh v
-         done
-       end
-       else begin
-         (* sparse path: frontier = valid timer wake-ups + receivers + the
-            Always set, stepped in ascending node id *)
-         sh.sh_plen <- 0;
-         let v = ref (Timers.pop sh.sh_timers r) in
-         while !v >= 0 do
-           (* lazy invalidation: a rescheduled or cancelled wake leaves a
-              stale entry behind; only the latest hint counts *)
-           if wake_at.(!v) = r then begin
-             wake_at.(!v) <- -1;
-             if is_live.(!v) then begin
-               sh.sh_woken <- sh.sh_woken + 1;
-               push sh !v
-             end
+       while !i < plen && !j < alen do
+         let f = front.(!i) and a = alist.(!j) in
+         if f < a then begin
+           step_node sh f;
+           incr i
+         end
+         else begin
+           if is_live.(a) then begin
+             incr stepped;
+             step_node sh a
            end;
-           v := Timers.pop sh.sh_timers r
-         done;
-         for i = 0 to dvb.s_alen - 1 do
-           let v = dvb.s_active.(i) in
-           (* the count guard matters only under churn / corruption: a
-              receiver whose whole inbox was dropped is not woken *)
-           if is_live.(v) && dv.count.(v) > 0 then push sh v
-         done;
-         for i = 0 to sh.sh_alen - 1 do
-           (* a node churn crashed this round is still listed until the
-              end-of-round compaction *)
-           let v = sh.sh_always.(i) in
-           if is_live.(v) then push sh v
-         done;
-         sort_prefix sh.sh_frontier sh.sh_plen;
-         sh.sh_stepped <- sh.sh_plen;
-         for i = 0 to sh.sh_plen - 1 do
-           step_node sh sh.sh_frontier.(i)
-         done
-       end
+           incr j
+         end
+       done;
+       for k = !i to plen - 1 do
+         step_node sh front.(k)
+       done;
+       for k = !j to alen - 1 do
+         let a = alist.(k) in
+         if is_live.(a) then begin
+           incr stepped;
+           step_node sh a
+         end
+       done
      with Stop_shard -> ());
+    sh.sh_stepped <- !stepped;
     if sh.sh_vnode < 0 then begin
       (* receivers / delivered words before clearing; a receiver whose whole
          inbox was dropped received nothing *)
@@ -1737,21 +1724,7 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
         dv.count.(dvb.s_active.(i)) <- 0
       done;
       reset_sbuf dvb;
-      if sh.sh_compact then begin
-        (* stable compaction keeps the live list ascending *)
-        let w = ref 0 in
-        for i = 0 to sh.sh_live_len - 1 do
-          let v = sh.sh_live.(i) in
-          if is_live.(v) then begin
-            sh.sh_live.(!w) <- v;
-            incr w
-          end
-        done;
-        sh.sh_live_len <- !w;
-        sh.sh_compact <- false
-      end;
-      if not !trans_flag && (sh.sh_always_dirty || sh.sh_always_unsorted)
-      then begin
+      if sh.sh_always_dirty || sh.sh_always_unsorted then begin
         let w = ref 0 in
         for i = 0 to sh.sh_alen - 1 do
           let v = sh.sh_always.(i) in
@@ -1790,14 +1763,49 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
       then sh.sh_vmin <- v
     done
   in
-  (* Per-round counters of the serial section, declared once and reset
-     every round (the churn and corruption closures capture them, so
-     declared per round they would be heap-allocated every round). *)
-  let churn_dropped = ref 0 and newly_crashed = ref 0 in
-  let newly_arrived = ref 0 and newly_departed = ref 0 in
-  let newly_inserted = ref 0 and churn_applied = ref false in
-  let live_unsorted = ref false and corrupt_dropped = ref 0 in
-  let corrupt_killed = ref false in
+  (* The churn hooks, defined once per run (a closure built per round
+     would allocate every round).  A crash or departure loses the frames
+     in flight to the node, an edge going down the frame it carries, and
+     an arrival is enlisted like an init-round node (out of order, so its
+     Always list is sorted at the next phase start). *)
+  let churn_dropped = ref 0 in
+  let kill v =
+    let sh = shards.(shard_of.(v)) in
+    let dv = !dside in
+    if dv.count.(v) > 0 then begin
+      for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
+        let slot = e.in_slot.(j) in
+        let wv = dv.wire.(slot) in
+        if wv >= 0 then begin
+          drop_frame sh.sh_dv dv slot v wv;
+          incr churn_dropped
+        end
+      done;
+      sh.sh_hit <- true
+    end;
+    if is_live.(v) then retire sh v
+  in
+  let arrive v =
+    if (not churn_crashed.(v)) && not (a_halted states.(v)) then begin
+      enlist v;
+      shards.(shard_of.(v)).sh_always_unsorted <- true
+    end
+  in
+  let cut slot =
+    let dv = !dside in
+    let wv = dv.wire.(slot) in
+    if wv >= 0 then begin
+      let u = e.out_dst.(slot) in
+      let sh = shards.(shard_of.(u)) in
+      drop_frame sh.sh_dv dv slot u wv;
+      incr churn_dropped;
+      sh.sh_hit <- true
+    end
+  in
+  (* Per-round counters of the corruption pass, declared once and reset
+     every round (its kill closure captures them, so declared per round
+     they would be heap-allocated every round). *)
+  let corrupt_dropped = ref 0 and corrupt_killed = ref false in
   let body pool =
     while !live_total > 0 || !pending_next > 0 do
       if !round > max_rounds then raise (Round_limit_exceeded !round);
@@ -1810,7 +1818,6 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
         let b = sh.sh_sd in
         sh.sh_sd <- sh.sh_dv;
         sh.sh_dv <- b;
-        sh.sh_crashed_live <- 0;
         sh.sh_hit <- false
       done;
       (* Apply the churn events due this round before anything is
@@ -1822,106 +1829,12 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
          rare, touches arbitrary shards, and must be globally ordered
          before the halted-receiver minimum. *)
       churn_dropped := 0;
-      newly_crashed := 0;
-      newly_arrived := 0;
-      newly_departed := 0;
-      newly_inserted := 0;
-      churn_applied := false;
-      live_unsorted := false;
+      let delta = ref Churn.no_delta and churn_applied = ref false in
       (match churn with
       | Some c ->
-        let len = Array.length c.Churn.ops in
-        let kill v =
-          let sh = shards.(shard_of.(v)) in
-          let dvb = sh.sh_dv in
-          if dv.count.(v) > 0 then begin
-            for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
-              let slot = e.in_slot.(j) in
-              let wv = dv.wire.(slot) in
-              if wv >= 0 then begin
-                drop_frame dvb dv slot v wv;
-                incr churn_dropped
-              end
-            done;
-            sh.sh_hit <- true
-          end;
-          if is_live.(v) then begin
-            is_live.(v) <- false;
-            sh.sh_crashed_live <- sh.sh_crashed_live + 1;
-            sh.sh_compact <- true;
-            if is_always.(v) then begin
-              is_always.(v) <- false;
-              sh.sh_always_dirty <- true
-            end;
-            wake_at.(v) <- -1
-          end
-        in
-        while
-          c.Churn.cursor < len
-          && Churn.round_of c.Churn.events.(c.Churn.cursor) <= r
-        do
-          churn_applied := true;
-          (match c.Churn.ops.(c.Churn.cursor) with
-          | Churn.Op_crash v ->
-            if not c.Churn.crashed.(v) then begin
-              c.Churn.crashed.(v) <- true;
-              incr newly_crashed;
-              kill v
-            end
-          | Churn.Op_depart v ->
-            (* a graceful departure is mechanically a fail-stop — the node
-               leaves without ceremony — but accounted separately *)
-            if not c.Churn.crashed.(v) then begin
-              c.Churn.crashed.(v) <- true;
-              incr newly_departed;
-              kill v
-            end
-          | Churn.Op_arrive v ->
-            if c.Churn.dormant.(v) then begin
-              c.Churn.dormant.(v) <- false;
-              incr newly_arrived;
-              if (not c.Churn.crashed.(v)) && not (a_halted states.(v))
-              then begin
-                let sh = shards.(shard_of.(v)) in
-                is_live.(v) <- true;
-                sh.sh_live.(sh.sh_live_len) <- v;
-                sh.sh_live_len <- sh.sh_live_len + 1;
-                live_unsorted := true;
-                (* the arrival round steps the node unconditionally, like
-                   the init round steps every live node: it enters Always
-                   mode until its own first hint says otherwise *)
-                is_always.(v) <- true;
-                if !hinted then begin
-                  sh.sh_always.(sh.sh_alen) <- v;
-                  sh.sh_alen <- sh.sh_alen + 1;
-                  sh.sh_always_unsorted <- true
-                end
-              end
-            end
-          | Churn.Op_down slot ->
-            if not c.Churn.edge_down.(slot) then begin
-              c.Churn.edge_down.(slot) <- true;
-              let wv = dv.wire.(slot) in
-              if wv >= 0 then begin
-                let u = e.out_dst.(slot) in
-                let sh = shards.(shard_of.(u)) in
-                drop_frame sh.sh_dv dv slot u wv;
-                incr churn_dropped;
-                sh.sh_hit <- true
-              end
-            end
-          | Churn.Op_add slot ->
-            (* reserved capacity coming online: the slot was pre-downed at
-               reset, nothing can be in flight through it *)
-            if c.Churn.edge_down.(slot) then begin
-              c.Churn.edge_down.(slot) <- false;
-              incr newly_inserted
-            end
-          | Churn.Op_up slot -> c.Churn.edge_down.(slot) <- false);
-          c.Churn.cursor <- c.Churn.cursor + 1
-        done;
-        if !live_unsorted then
-          Array.iter (fun sh -> sort_prefix sh.sh_live sh.sh_live_len) shards
+        let cursor = c.Churn.cursor in
+        delta := Churn.apply c ~round:r ~kill ~arrive ~cut;
+        churn_applied := c.Churn.cursor <> cursor
       | None -> ());
       (* Deterministic wire corruption: a serial pass over the delivery-side
          written stacks, after churn (a frame churn killed cannot also be
@@ -2013,7 +1926,7 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
       for s = 0 to d - 1 do
         let sh = shards.(s) in
         this_round := !this_round + sh.sh_dv.s_total;
-        live_snapshot := !live_snapshot + sh.sh_live_len - sh.sh_crashed_live
+        live_snapshot := !live_snapshot + sh.sh_nlive
       done;
       max_inflight := max !max_inflight !this_round;
       messages := !messages + !this_round;
@@ -2039,9 +1952,6 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
             v_min := sh.sh_vmin
         done;
       vmin_flag := !v_min;
-      dense_flag := not !hinted;
-      trans_flag := !transition;
-      transition := false;
       Pool.run pool phase_step;
       (* violation resolution: the lexicographically smallest (node,
          priority) is the one an ascending sweep would have raised *)
@@ -2068,13 +1978,6 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
              (Printf.sprintf "round %d: halted node %d received a message" r
                 !v_min))
       end;
-      if not !hinted then
-        for s = 0 to d - 1 do
-          if shards.(s).sh_hinted then begin
-            hinted := true;
-            transition := true
-          end
-        done;
       if instrumented then begin
         emit_events ~round:r ~limit:max_int ~owner:(-1);
         (* sum the per-shard counters into one fresh vector, then add
@@ -2096,10 +1999,10 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
         c.(Sink.skipped) <- !live_snapshot - c.(Sink.stepped);
         add Sink.dropped !churn_dropped;
         c.(Sink.corrupted) <- !corrupt_dropped;
-        c.(Sink.crashed) <- !newly_crashed;
-        c.(Sink.arrived) <- !newly_arrived;
-        c.(Sink.departed) <- !newly_departed;
-        c.(Sink.inserted) <- !newly_inserted;
+        c.(Sink.crashed) <- !delta.Churn.d_crashed;
+        c.(Sink.arrived) <- !delta.Churn.d_arrived;
+        c.(Sink.departed) <- !delta.Churn.d_departed;
+        c.(Sink.inserted) <- !delta.Churn.d_inserted;
         sink.on_round { Sink.round = r; counts = c }
       end;
       Pool.run pool phase_exchange;
@@ -2108,7 +2011,7 @@ let exec_core ?max_rounds ?max_words ?(sink = Sink.null) ?churn
       for s = 0 to d - 1 do
         let sh = shards.(s) in
         pending_next := !pending_next + sh.sh_sd.s_total;
-        live_total := !live_total + sh.sh_live_len
+        live_total := !live_total + sh.sh_nlive
       done;
       incr round
     done

@@ -22,12 +22,14 @@
       ({!Sink.bits}) report genuine O(log n)-bit
       model cost, not declared array lengths;
     - {e event-driven rounds}: with {!wake} hints, a round costs
-      O(receivers + woken), not O(live) — a node is stepped only when it
-      received a message, its self-scheduled timer fired, it declared
-      [Always], or it is in the init round.  Quiescent regions of the graph
-      cost nothing, so long sparse executions (token walks, deep pipelined
-      convergecasts, fixed-schedule phase windows) no longer pay an O(n)
-      sweep every round;
+      O(receivers + woken + |always|), not O(live) — a node is stepped
+      only when it received a message, its self-scheduled timer fired, it
+      declared [Always], or it is in the init round.  One schedule runs
+      every round: the merge of the sorted [Always] list with a sorted
+      frontier of woken timers and the other receivers.  Quiescent
+      regions of the graph cost nothing, so long sparse executions (token
+      walks, deep pipelined convergecasts, fixed-schedule phase windows)
+      no longer pay an O(n) sweep every round;
     - a pluggable instrumentation {!Sink} observing every delivery round
       and, optionally, every message.
 
@@ -268,13 +270,13 @@ module Sink : sig
   val stepped : counter  (** live nodes that executed [step] *)
 
   val skipped : counter
-  (** live nodes the sparse scheduler did {e not} step (no mail, no
-      timer, not [Always]); always 0 on the dense path (every hint
-      {!Always}) and for the reference runtime *)
+  (** live nodes the scheduler did {e not} step (no mail, no timer, not
+      [Always]); always 0 on the dense schedule (every hint {!Always})
+      and for the reference runtime *)
 
   val woken : counter
   (** nodes stepped because a [Next]/[At] timer fired (they may also have
-      received mail); 0 on the dense path *)
+      received mail); 0 on the dense schedule *)
 
   val sent : counter  (** messages emitted (deliver next round) *)
 
@@ -395,7 +397,7 @@ val find_port : t -> src:int -> dst:int -> int
     The port map is never rebuilt: a dead port silently drops the frames
     routed through it (counted in {!Sink.dropped}) and a crashed
     node's slots read as empty to the arena inbox fill, so churn composes
-    with the sparse scheduler and with {!Runtime.run_reference} unchanged.
+    with the scheduler and with {!Runtime.run_reference} unchanged.
 
     Semantics, per event at round [r] (applied before round [r] executes):
     {ul
@@ -471,15 +473,28 @@ module Churn : sig
       arrived yet ([Arrive] pending). *)
 
   val edge_down : t -> src:int -> dst:int -> bool
-  (** Current view: whether the directed edge is down.  Only tracks events
-      applied through {!advance} (the reference runtime's path); the
-      engine's own exec uses the slot-indexed view internally. *)
+  (** Current view: whether the directed edge is down, looked up through
+      the compiling engine's port map ({!find_port}); [false] for a
+      non-edge. *)
+
+  val apply :
+    t ->
+    round:int ->
+    kill:(int -> unit) ->
+    arrive:(int -> unit) ->
+    cut:(int -> unit) ->
+    delta
+  (** Apply every event due at or before [round] to the liveness views and
+      return the per-kind counts of the events that took effect.  Each
+      such event also calls its hook: [kill v] when node [v] crashes or
+      departs, [arrive v] when dormant node [v] arrives, [cut slot] when
+      the directed edge of [slot] goes down.  An [Edge_up] or [Edge_add]
+      calls none.  The engine drops the frames in flight through its
+      hooks; this is the one place the event semantics live. *)
 
   val advance : t -> round:int -> delta
-  (** Apply every event due at or before [round] to the liveness views
-      (no frame dropping — that is the caller's job) and return the
-      per-kind counts of events that took effect.  For executors without a
-      port map, i.e. {!Runtime.run_reference}. *)
+  (** {!apply} with every hook ignored: the liveness views only, for an
+      executor that drops frames itself ({!Runtime.run_reference}). *)
 
   val final_alive : t -> bool array
   (** Liveness after the {e whole} schedule, regardless of where the run
@@ -546,7 +561,12 @@ module Corrupt : sig
 
   val validate : spec -> unit
   (** [Invalid_argument] on probabilities outside [0, 1], [burst < 1], or
-      a malformed ramp.  Also run by the executors on entry. *)
+      a malformed ramp. *)
+
+  val arm : spec -> unit
+  (** {!validate} the spec, then zero its [tally]: what every executor
+      (the engine, {!Runtime.run_reference}, {!Faults.compile}) does on
+      entry. *)
 
   val intensity : spec -> round:int -> float
   (** The ramp multiplier in force at [round]. *)

@@ -141,10 +141,7 @@ let compile eng spec =
   let crng =
     match spec.corrupt with
     | Some cs ->
-      Engine.Corrupt.validate cs;
-      cs.Engine.Corrupt.tally.Engine.Corrupt.injected <- 0;
-      cs.Engine.Corrupt.tally.Engine.Corrupt.detected <- 0;
-      cs.Engine.Corrupt.tally.Engine.Corrupt.truncated <- 0;
+      Engine.Corrupt.arm cs;
       Some (Rng.create cs.Engine.Corrupt.cseed)
     | None -> None
   in

@@ -25,13 +25,7 @@ let run_reference ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
     match max_words with Some w -> w | None -> Engine.default_max_words n
   in
   (match churn with Some c -> Engine.Churn.reset c | None -> ());
-  (match corrupt with
-  | Some (cs : Engine.Corrupt.spec) ->
-    Engine.Corrupt.validate cs;
-    cs.Engine.Corrupt.tally.Engine.Corrupt.injected <- 0;
-    cs.Engine.Corrupt.tally.Engine.Corrupt.detected <- 0;
-    cs.Engine.Corrupt.tally.Engine.Corrupt.truncated <- 0
-  | None -> ());
+  Option.iter Engine.Corrupt.arm corrupt;
   let guard = guard || corrupt <> None in
   (* Wire accounting matches the engine: a guarded frame carries one extra
      CRC wire word, charged to delivered bits like any other. *)

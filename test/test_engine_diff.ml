@@ -474,6 +474,202 @@ let prop_sharded_bit_identical =
         domain_counts;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Mixed hints under churn: a node program whose hint cycles Always ->
+   At k -> OnMessage -> Next -> Always while nodes halt, arrive, crash,
+   depart and lose an edge, so the round loop merges its Always list with
+   a frontier of timers and receivers in every round, and its live count
+   moves both ways.
+
+   Termination needs every node stepped at its halting round [hend.(v)]
+   even when it sleeps on [OnMessage]: the test picks a dominating set of
+   pacers, nodes that stay [Always] to the end and send to each neighbour
+   every third round and in the round before the neighbour's halting
+   round.  Churn never touches a pacer or a pacer's outgoing edge, and
+   nobody sends to a node at or after its halting round, so no halted
+   node ever receives.  Steps are the identity on an empty inbox wherever
+   the hint lets the engine skip them. *)
+
+type mixed = { id : int; best : int; phase : int; due : int; halted : bool }
+
+let mixed_algorithm g ~pacer ~hend : mixed Engine.ealgorithm =
+  let send_best em ~round ~node best keep =
+    Array.iter
+      (fun (u, _) ->
+        if round + 1 <= hend.(u) && keep u then Engine.Emit.frame1 em ~dst:u best)
+      (Graph.neighbors g node)
+  in
+  {
+    einit = (fun _ v -> { id = v; best = v; phase = 0; due = 0; halted = false });
+    ehalted = (fun st -> st.halted);
+    estep =
+      (fun _ ~round ~node st inbox em ->
+        let len = Engine.Inbox.length inbox in
+        let best = ref st.best in
+        for i = 0 to len - 1 do
+          best := max !best (Codec.get (Engine.Inbox.read inbox i))
+        done;
+        let best = !best in
+        let all _ = true in
+        if round >= hend.(node) then { st with best; halted = true }
+        else if pacer.(node) then begin
+          send_best em ~round ~node best (fun u ->
+              round mod 3 = 0 || round + 1 = hend.(u));
+          { st with best }
+        end
+        else
+          match st.phase with
+          | 0 ->
+            send_best em ~round ~node best all;
+            if round >= 2 && (round + node) mod 3 = 2 then
+              { st with best; phase = 1; due = round + 2 + ((round + node) mod 3) }
+            else { st with best }
+          | 1 ->
+            if round >= st.due then begin
+              send_best em ~round ~node best all;
+              { st with best; phase = 2 }
+            end
+            else if len = 0 then st
+            else { st with best }
+          | 2 -> if len = 0 then st else { st with best; phase = 3 }
+          | _ ->
+            send_best em ~round ~node best all;
+            { st with best; phase = 0 });
+    ewake =
+      (fun st ->
+        if pacer.(st.id) then Engine.Always
+        else
+          match st.phase with
+          | 0 -> Engine.Always
+          | 1 -> Engine.At st.due
+          | 2 -> Engine.OnMessage
+          | _ -> Engine.Next);
+  }
+
+(* Pacers: a greedy dominating set that never picks the arriving node
+   [avoid]; every other node has a pacer neighbour. *)
+let pacers g ~avoid =
+  let n = Graph.n g in
+  let pacer = Array.make n false and covered = Array.make n false in
+  let pick v =
+    pacer.(v) <- true;
+    covered.(v) <- true;
+    Array.iter (fun (u, _) -> covered.(u) <- true) (Graph.neighbors g v)
+  in
+  for v = 0 to n - 1 do
+    if v <> avoid && not covered.(v) then pick v
+  done;
+  if not covered.(avoid) then pick (fst (Graph.neighbors g avoid).(0));
+  pacer
+
+let prop_mixed_hints_churn =
+  QCheck2.Test.make ~name:"mixed hints under churn: d in {1,2,4} = reference"
+    ~count:20 seed_gen (fun seed ->
+      List.iter
+        (fun (fam, g) ->
+          let n = Graph.n g in
+          (* a mid-range arrival lands out of order in its Always list *)
+          let arrival = n / 2 in
+          let pacer = pacers g ~avoid:arrival in
+          let last = 16 + (seed mod 5) in
+          let hend =
+            Array.init n (fun v ->
+                if (not pacer.(v)) && v mod 4 = 1 then 6 + (v mod 5) else last)
+          in
+          let others =
+            List.filter
+              (fun v -> v <> arrival && not pacer.(v))
+              (List.init n Fun.id)
+          in
+          let first = 2 + (seed mod 2) in
+          let node_events =
+            match others with
+            | c :: d :: _ ->
+              [
+                Engine.Churn.Crash { node = c; at = first + 1 };
+                Engine.Churn.Depart { node = d; at = first + 5 };
+              ]
+            | _ -> []
+          in
+          let edge_events =
+            (* a non-pacer's edge into a pacer: pacers need no mail *)
+            match
+              List.find_opt
+                (fun v -> Array.exists (fun (u, _) -> pacer.(u)) (Graph.neighbors g v))
+                others
+            with
+            | Some v ->
+              let p =
+                fst
+                  (List.find
+                     (fun (u, _) -> pacer.(u))
+                     (Array.to_list (Graph.neighbors g v)))
+              in
+              [
+                Engine.Churn.Edge_down { src = v; dst = p; at = first };
+                Engine.Churn.Edge_up { src = v; dst = p; at = first + 3 };
+              ]
+            | None -> []
+          in
+          let events =
+            (Engine.Churn.Arrive { node = arrival; at = first } :: node_events)
+            @ edge_events
+          in
+          let e = Engine.create g in
+          let churn = Engine.Churn.compile e events in
+          let mk () = mixed_algorithm g ~pacer ~hend in
+          let what = Printf.sprintf "mixed/%s seed %d" fam seed in
+          let rs, rr = record_sink () in
+          let r_states, r_stats =
+            Runtime.run_reference ~max_words:2 ~sink:rs ~churn g (mk ())
+          in
+          let r, r_msgs = rr () in
+          let run d =
+            let es, er = record_sink () in
+            let states, stats =
+              Engine.exec_emit ~max_words:2 ~sink:es ~churn ~domains:d e (mk ())
+            in
+            (states, stats, er ())
+          in
+          let b_states, b_stats, (b, _) = run 1 in
+          List.iter
+            (fun d ->
+              let what = Printf.sprintf "%s (domains=%d)" what d in
+              let states, stats, (recs, msgs) = run d in
+              if states <> r_states then
+                Alcotest.failf "%s: final states differ from the reference" what;
+              check_stats what stats r_stats;
+              if states <> b_states then
+                Alcotest.failf "%s: final states differ from domains=1" what;
+              check_stats what stats b_stats;
+              if recs <> b then Alcotest.failf "%s: records differ from domains=1" what;
+              if msgs <> r_msgs then
+                Alcotest.failf "%s: on_message stream differs from the reference" what;
+              Alcotest.(check int) (what ^ ": round record count") (List.length r)
+                (List.length recs);
+              List.iter2
+                (fun (ei : S.round_info) (ri : S.round_info) ->
+                  let ctx = Printf.sprintf "%s round %d: " what ri.round in
+                  let e = Array.get ei.counts and r = Array.get ri.counts in
+                  Alcotest.(check int) (ctx ^ "stepped+skipped = reference stepped")
+                    (r S.stepped) (e S.stepped + e S.skipped);
+                  for c = 0 to S.n_counters - 1 do
+                    if c <> S.stepped && c <> S.skipped && c <> S.woken then
+                      Alcotest.(check int) (ctx ^ S.key c) (r c) (e c)
+                  done)
+                recs r)
+            [ 1; 2; 4 ];
+          if List.length node_events + List.length edge_events < 4 then
+            Alcotest.failf "%s: churn schedule incomplete" what)
+        [
+          ( "tree",
+            Generators.random_tree ~rng:(Rng.create seed) (12 + (seed mod 36)) );
+          ( "gnp",
+            Generators.gnp_connected ~rng:(Rng.create (seed + 1))
+              ~n:(12 + (seed mod 36)) ~p:0.15 );
+        ];
+      true)
+
 (* Violations must be raised identically at every domain count, including
    which of several concurrent offenders wins (the reference's
    first-in-id-order one). *)
@@ -754,7 +950,11 @@ let () =
           ] );
       ( "scheduler",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_dense_bit_identical; prop_sparse_round_consistency ] );
+          [
+            prop_dense_bit_identical;
+            prop_sparse_round_consistency;
+            prop_mixed_hints_churn;
+          ] );
       ( "deterministic",
         [
           Alcotest.test_case "fixed instances" `Quick test_fixed_instances;
