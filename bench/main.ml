@@ -585,13 +585,20 @@ let wall f =
 
 (* [wall] plus the GC's allocation deltas over the timed closure:
    (result, secs, minor_words, promoted_words).  Minor words are the
-   honest cost of a "zero-allocation" claim — [Gc.quick_stat] reads the
-   counters without forcing a collection. *)
+   honest cost of a "zero-allocation" claim.  Both counters are read after
+   a forced minor collection on each side: [Gc.quick_stat] adds a domain's
+   minor words up only when its minor heap is emptied (unforced, the delta
+   moves by up to a minor heap between identical runs), and it sums every
+   domain ([Gc.minor_words] counts the calling domain only, so it would
+   miss the shards of a [~domains] run).  Promoted words then count
+   everything the closure allocated that outlives it. *)
 let wall_alloc f =
+  Gc.minor ();
   let s0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let secs = Unix.gettimeofday () -. t0 in
+  Gc.minor ();
   let s1 = Gc.quick_stat () in
   ( r,
     secs,

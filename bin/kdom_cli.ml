@@ -126,32 +126,42 @@ let dom_cmd family n k seed domains trace_file =
   describe g;
   let tr = make_trace trace_file in
   Option.iter (fun t -> Kdom_congest.Trace.set_shards t domains) tr;
-  (if Tree.is_tree g then begin
-    let r = Kdom.Fastdom_tree.run ?trace:tr g ~k in
-    Format.printf "FastDOM_T: |D| = %d (n/(k+1) = %d), valid = %b, rounds = %d@."
-      (List.length r.dominating)
-      (Graph.n g / (k + 1))
-      (Domination.is_k_dominating g ~k r.dominating)
-      r.rounds;
-    Format.printf "partition: %d clusters, max radius %d@."
-      (List.length r.partition.clusters)
-      (Kdom.Cluster.max_radius r.partition);
-    Format.printf "@[<v2>rounds:@,%a@]@." Kdom.Ledger.pp r.ledger
-  end
-  else begin
-    let r = Kdom.Fastdom_graph.run ?trace:tr g ~k in
-    Format.printf "FastDOM_G: |D| = %d (n/(k+1) = %d), valid = %b, rounds = %d@."
-      (List.length r.dominating)
-      (Graph.n g / (k + 1))
-      (Domination.is_k_dominating g ~k r.dominating)
-      r.rounds;
-    Format.printf "fragments: %d, partition clusters: %d (max radius %d)@."
-      (List.length r.fragments)
-      (List.length r.partition.clusters)
-      (Kdom.Cluster.max_radius r.partition);
-    Format.printf "@[<v2>rounds:@,%a@]@." Kdom.Ledger.pp r.ledger
-  end);
-  write_trace tr trace_file
+  (* Corollary 3.9: D k-dominates g and every cluster has radius <= k *)
+  let check dominating partition =
+    (Domination.is_k_dominating g ~k dominating, Kdom.Cluster.max_radius partition)
+  in
+  let valid, radius =
+    if Tree.is_tree g then begin
+      let r = Kdom.Fastdom_tree.run ?trace:tr g ~k in
+      let valid, radius = check r.dominating r.partition in
+      Format.printf "FastDOM_T: |D| = %d (n/(k+1) = %d), valid = %b, rounds = %d@."
+        (List.length r.dominating)
+        (Graph.n g / (k + 1))
+        valid r.rounds;
+      Format.printf "partition: %d clusters, max radius %d@."
+        (List.length r.partition.clusters)
+        radius;
+      Format.printf "@[<v2>rounds:@,%a@]@." Kdom.Ledger.pp r.ledger;
+      (valid, radius)
+    end
+    else begin
+      let r = Kdom.Fastdom_graph.run ?trace:tr g ~k in
+      let valid, radius = check r.dominating r.partition in
+      Format.printf "FastDOM_G: |D| = %d (n/(k+1) = %d), valid = %b, rounds = %d@."
+        (List.length r.dominating)
+        (Graph.n g / (k + 1))
+        valid r.rounds;
+      Format.printf "fragments: %d, partition clusters: %d (max radius %d)@."
+        (List.length r.fragments)
+        (List.length r.partition.clusters)
+        radius;
+      Format.printf "@[<v2>rounds:@,%a@]@." Kdom.Ledger.pp r.ledger;
+      (valid, radius)
+    end
+  in
+  write_trace tr trace_file;
+  if radius > k then Format.printf "partition radius %d exceeds k = %d@." radius k;
+  if not (valid && radius <= k) then exit 1
 
 let mst_cmd family n seed elect domains trace_file =
   Kdom_congest.Engine.with_domains domains @@ fun () ->
@@ -557,7 +567,11 @@ let trace_t =
 
 let dom_t =
   Cmd.v
-    (Cmd.info "dom" ~doc:"Compute a small k-dominating set (FastDOM_T / FastDOM_G).")
+    (Cmd.info "dom"
+       ~doc:
+         "Compute a small k-dominating set (FastDOM_T / FastDOM_G).  Exits 1 \
+          unless the set k-dominates the graph and every cluster of the \
+          partition has radius at most k.")
     Term.(
       const dom_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ domains_arg
       $ trace_file_arg)

@@ -62,12 +62,6 @@ let run ?(small = Small_dom_set.via_mis) (t : Tree.t) =
     nodes;
   { dominating; dominator; rounds = sds.rounds + 4 }
 
-let stars (t : Tree.t) r =
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun v ->
-      let c = r.dominator.(v) in
-      Hashtbl.replace groups c (v :: Option.value ~default:[] (Hashtbl.find_opt groups c)))
-    (Tree.nodes t);
-  Hashtbl.fold (fun c members acc -> (c, members) :: acc) groups []
-  |> List.sort compare
+let stars t r =
+  Small_dom_set.stars t
+    { Small_dom_set.dominating = r.dominating; dominator = r.dominator; rounds = r.rounds }

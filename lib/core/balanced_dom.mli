@@ -29,4 +29,4 @@ val run : ?small:(Tree.t -> Small_dom_set.t) -> Tree.t -> t
 (** [small] defaults to {!Small_dom_set.via_mis} — the paper's choice. *)
 
 val stars : Tree.t -> t -> (int * int list) list
-(** [(center, members)] clusters; members include the center. *)
+(** [(center, members)] clusters, as {!Small_dom_set.stars}. *)

@@ -31,39 +31,46 @@ let cluster_of_array p =
 
 let centers p = List.map (fun c -> c.center) p.clusters
 
-(* BFS restricted to the member set. *)
-let restricted_distances host c =
-  let inside = Hashtbl.create (size c) in
-  List.iter (fun v -> Hashtbl.replace inside v ()) c.members;
-  let dist = Hashtbl.create (size c) in
-  Hashtbl.replace dist c.center 0;
-  let q = Queue.create () in
-  Queue.add c.center q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    let dv = Hashtbl.find dist v in
+(* BFS from the center restricted to the member set, calling [visit u v]
+   when it reaches [u] from [v].  Every member maps to its distance, or to
+   -1 when the BFS does not reach it. *)
+let restricted_bfs host c visit =
+  let dist = Int_table.create 16 in
+  List.iter (fun v -> Int_table.replace dist v (-1)) c.members;
+  Int_table.replace dist c.center 0;
+  let queue = Array.make (Int_table.length dist) c.center in
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let dv = Int_table.find dist v in
     Array.iter
       (fun (u, _) ->
-        if Hashtbl.mem inside u && not (Hashtbl.mem dist u) then begin
-          Hashtbl.replace dist u (dv + 1);
-          Queue.add u q
-        end)
+        match Int_table.find_opt dist u with
+        | Some -1 ->
+          Int_table.replace dist u (dv + 1);
+          visit u v;
+          queue.(!tail) <- u;
+          incr tail
+        | _ -> ())
       (Graph.neighbors host v)
   done;
   dist
+
+let restricted_distances host c = restricted_bfs host c (fun _ _ -> ())
 
 let radius host c =
   let dist = restricted_distances host c in
   List.fold_left
     (fun acc v ->
-      match Hashtbl.find_opt dist v with
-      | Some d -> max acc d
-      | None -> invalid_arg "Cluster.radius: induced subgraph disconnected")
+      let d = Int_table.find dist v in
+      if d < 0 then invalid_arg "Cluster.radius: induced subgraph disconnected";
+      max acc d)
     0 c.members
 
 let induced_connected host c =
   let dist = restricted_distances host c in
-  List.for_all (fun v -> Hashtbl.mem dist v) c.members
+  List.for_all (fun v -> Int_table.find dist v >= 0) c.members
 
 let max_radius p = List.fold_left (fun acc c -> max acc (radius p.host c)) 0 p.clusters
 
@@ -73,29 +80,16 @@ let min_size p =
   | cs -> List.fold_left (fun acc c -> min acc (size c)) max_int cs
 
 let write_tree host c ~parent ~depth =
-  let inside = Hashtbl.create (size c) in
-  List.iter (fun v -> Hashtbl.replace inside v ()) c.members;
-  let seen = Hashtbl.create (size c) in
-  Hashtbl.replace seen c.center ();
   parent.(c.center) <- -1;
   depth.(c.center) <- 0;
-  let q = Queue.create () in
-  Queue.add c.center q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    Array.iter
-      (fun (u, _) ->
-        if Hashtbl.mem inside u && not (Hashtbl.mem seen u) then begin
-          Hashtbl.replace seen u ();
-          parent.(u) <- v;
-          depth.(u) <- depth.(v) + 1;
-          Queue.add u q
-        end)
-      (Graph.neighbors host v)
-  done;
+  let dist =
+    restricted_bfs host c (fun u v ->
+        parent.(u) <- v;
+        depth.(u) <- depth.(v) + 1)
+  in
   List.iter
     (fun v ->
-      if not (Hashtbl.mem seen v) then
+      if Int_table.find dist v < 0 then
         invalid_arg "Cluster.write_tree: induced subgraph disconnected")
     c.members
 
@@ -139,16 +133,30 @@ let plan_of_centers g centers =
 
 let induced g members =
   let members = Array.of_list members in
-  let local = Hashtbl.create (Array.length members) in
-  Array.iteri (fun i v -> Hashtbl.replace local v i) members;
-  let edges = ref [] in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      match (Hashtbl.find_opt local e.u, Hashtbl.find_opt local e.v) with
-      | Some a, Some b -> edges := (a, b, e.w) :: !edges
-      | _ -> ())
-    (Graph.edges g);
-  (Graph.of_edges ~n:(Array.length members) (List.rev !edges), members)
+  let nm = Array.length members in
+  let local = Int_table.create 16 in
+  Array.iteri (fun i v -> Int_table.replace local v i) members;
+  (* each induced edge once, from its lower endpoint (a repeated member at
+     its last position only), then listed in host edge-id order *)
+  let ids = ref [] in
+  Array.iteri
+    (fun i v ->
+      if v >= 0 && v < Graph.n g && Int_table.find local v = i then
+        Array.iter
+          (fun (u, (e : Graph.edge)) ->
+            if e.u = v && Int_table.mem local u then ids := e.id :: !ids)
+          (Graph.neighbors g v))
+    members;
+  let ids = Array.of_list !ids in
+  Array.sort Int.compare ids;
+  let edges =
+    Array.map
+      (fun id ->
+        let e = Graph.edge g id in
+        (Int_table.find local e.u, Int_table.find local e.v, e.w))
+      ids
+  in
+  (Graph.of_edge_array ~n:nm edges, members)
 
 let quotient_graph p =
   let owner = cluster_of_array p in

@@ -33,8 +33,8 @@ let six_color (t : Tree.t) =
   let nodes = component_nodes t in
   List.iter (fun v -> colors.(v) <- v) nodes;
   let iterations = cv_iterations n in
+  let next = Array.make n (-1) in
   for _it = 1 to iterations do
-    let next = Array.copy colors in
     List.iter
       (fun v ->
         let parent_color =
@@ -42,7 +42,7 @@ let six_color (t : Tree.t) =
         in
         next.(v) <- cv_step ~parent_color ~color:colors.(v))
       nodes;
-    Array.blit next 0 colors 0 n
+    List.iter (fun v -> colors.(v) <- next.(v)) nodes
   done;
   (* +1 round: the initial dissemination of identifier colors. *)
   { colors; palette = 6; rounds = iterations + 1 }

@@ -25,12 +25,11 @@ let run ?small ?variant ?stage ?trace g ~k =
     (fun fi (f : Simple_mst.fragment) ->
       (* materialize the fragment tree with local numbering *)
       let members = Array.of_list f.members in
-      let local = Hashtbl.create (Array.length members) in
-      Array.iteri (fun i v -> Hashtbl.replace local v i) members;
+      let local = Int_table.create 16 in
+      Array.iteri (fun i v -> Int_table.replace local v i) members;
       let edges =
         List.map
-          (fun (e : Graph.edge) ->
-            (Hashtbl.find local e.u, Hashtbl.find local e.v, e.w))
+          (fun (e : Graph.edge) -> (Int_table.find local e.u, Int_table.find local e.v, e.w))
           f.tree_edges
       in
       let sub = Graph.of_edges ~n:(Array.length members) edges in

@@ -73,11 +73,10 @@ let via_matching (t : Tree.t) =
   { dominating; dominator; rounds = rounds + 2 }
 
 let stars (t : Tree.t) r =
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun v ->
-      let c = r.dominator.(v) in
-      Hashtbl.replace groups c (v :: Option.value ~default:[] (Hashtbl.find_opt groups c)))
-    (Tree.nodes t);
-  Hashtbl.fold (fun c members acc -> (c, members) :: acc) groups []
-  |> List.sort compare
+  let groups = Array.make (Array.length r.dominator) [] in
+  List.iter (fun v -> groups.(r.dominator.(v)) <- v :: groups.(r.dominator.(v))) (Tree.nodes t);
+  let acc = ref [] in
+  for c = Array.length groups - 1 downto 0 do
+    match groups.(c) with [] -> () | members -> acc := (c, members) :: !acc
+  done;
+  !acc

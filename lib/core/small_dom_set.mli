@@ -36,5 +36,5 @@ val via_matching : Tree.t -> t
 (** Requires a component of size >= 2. *)
 
 val stars : Tree.t -> t -> (int * int list) list
-(** [(center, members)] clusters of the star partition, members including
-    the center. *)
+(** [(center, members)] clusters of the star partition, in ascending center
+    order; members include the center and are listed in descending id. *)

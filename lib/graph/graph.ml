@@ -20,18 +20,13 @@ let other_endpoint e v =
 
 let of_edge_array ~n:nn arr =
   if nn < 0 then invalid_arg "Graph.of_edge_array: negative n";
-  let seen = Hashtbl.create (Array.length arr) in
   let edges =
     Array.mapi
       (fun id (a, b, w) ->
         if a = b then invalid_arg "Graph.of_edge_array: self-loop";
         if a < 0 || a >= nn || b < 0 || b >= nn then
           invalid_arg "Graph.of_edge_array: endpoint out of range";
-        let u, v = if a < b then (a, b) else (b, a) in
-        if Hashtbl.mem seen (u, v) then
-          invalid_arg "Graph.of_edge_array: duplicate edge";
-        Hashtbl.add seen (u, v) ();
-        { u; v; w; id })
+        if a < b then { u = a; v = b; w; id } else { u = b; v = a; w; id })
       arr
   in
   let deg = Array.make nn 0 in
@@ -49,7 +44,15 @@ let of_edge_array ~n:nn arr =
       adj.(e.v).(fill.(e.v)) <- (e.u, e);
       fill.(e.v) <- fill.(e.v) + 1)
     edges;
-  Array.iter (fun a -> Array.sort (fun (x, _) (y, _) -> compare x y) a) adj;
+  (* a parallel edge shows as two equal neighbours side by side once the
+     adjacency is sorted *)
+  Array.iter
+    (fun a ->
+      Array.sort (fun ((x : int), _) (y, _) -> Int.compare x y) a;
+      for i = 1 to Array.length a - 1 do
+        if fst a.(i - 1) = fst a.(i) then invalid_arg "Graph.of_edge_array: duplicate edge"
+      done)
+    adj;
   { n = nn; edges; adj }
 
 let of_edges ~n es = of_edge_array ~n (Array.of_list es)
@@ -69,12 +72,12 @@ let find_edge g a b =
 let total_weight g = Array.fold_left (fun acc e -> acc + e.w) 0 g.edges
 
 let has_distinct_weights g =
-  let tbl = Hashtbl.create (m g) in
+  let tbl = Int_table.create (m g) in
   Array.for_all
     (fun e ->
-      if Hashtbl.mem tbl e.w then false
+      if Int_table.mem tbl e.w then false
       else (
-        Hashtbl.add tbl e.w ();
+        Int_table.add tbl e.w ();
         true))
     g.edges
 

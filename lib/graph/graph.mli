@@ -16,8 +16,10 @@ type t
 
 val of_edges : n:int -> (int * int * int) list -> t
 (** [of_edges ~n es] builds a graph on [n] nodes from [(u, v, w)] triples.
-    Raises [Invalid_argument] on self-loops, duplicate edges, or endpoints
-    outside [0 .. n-1]. *)
+    Raises [Invalid_argument] on a negative [n], self-loops, endpoints
+    outside [0 .. n-1], or duplicate edges (checked in that order: a
+    duplicate is reported only when no edge is a self-loop or out of
+    range). *)
 
 val of_edge_array : n:int -> (int * int * int) array -> t
 (** Array variant of {!of_edges}. *)

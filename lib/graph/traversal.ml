@@ -11,35 +11,33 @@ let bfs_from_sources g sources source_label =
   let dist = Array.make n max_int in
   let parent = Array.make n (-1) in
   let parent_edge = Array.make n (-1) in
-  let order = Queue.create () in
-  let q = Queue.create () in
+  (* the visit order is the FIFO queue itself: [queue.(0 .. tail-1)] *)
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   List.iter
     (fun s ->
       if dist.(s) = max_int then begin
         dist.(s) <- 0;
-        Queue.add s q
+        queue.(!tail) <- s;
+        incr tail
       end)
     sources;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    Queue.add v order;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
     Array.iter
       (fun (u, (e : Graph.edge)) ->
         if dist.(u) = max_int then begin
           dist.(u) <- dist.(v) + 1;
           parent.(u) <- v;
           parent_edge.(u) <- e.id;
-          Queue.add u q
+          queue.(!tail) <- u;
+          incr tail
         end)
       (Graph.neighbors g v)
   done;
-  {
-    source = source_label;
-    dist;
-    parent;
-    parent_edge;
-    order = Array.of_seq (Queue.to_seq order);
-  }
+  { source = source_label; dist; parent; parent_edge; order = Array.sub queue 0 !tail }
 
 let bfs g s = bfs_from_sources g [ s ] s
 let bfs_multi g sources = bfs_from_sources g sources (-1)

@@ -27,11 +27,7 @@ let root_component_at g r =
   (* A BFS from r visits every component node along exactly one edge iff the
      component is acyclic; check it. *)
   let comp_nodes = Array.length b.order in
-  let comp_edges =
-    Array.fold_left
-      (fun acc (e : Graph.edge) -> if depth.(e.u) >= 0 && depth.(e.v) >= 0 then acc + 1 else acc)
-      0 (Graph.edges g)
-  in
+  let comp_edges = Array.fold_left (fun acc v -> acc + Graph.degree g v) 0 b.order / 2 in
   if comp_edges <> comp_nodes - 1 then
     invalid_arg "Tree.root_component_at: component contains a cycle";
   let children = Array.map (fun c -> Array.make c (-1)) child_count in
@@ -53,8 +49,10 @@ let root_at g r =
 
 let nodes t =
   let acc = ref [] in
-  Array.iter (fun v -> if t.depth.(v) >= 0 then acc := v :: !acc) (Array.init (Graph.n t.graph) Fun.id);
-  List.rev !acc
+  for v = Array.length t.depth - 1 downto 0 do
+    if t.depth.(v) >= 0 then acc := v :: !acc
+  done;
+  !acc
 
 let size t =
   Array.fold_left (fun acc d -> if d >= 0 then acc + 1 else acc) 0 t.depth

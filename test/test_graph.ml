@@ -33,6 +33,40 @@ let test_graph_rejects_duplicate () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Graph.of_edge_array: duplicate edge")
     (fun () -> ignore (Graph.of_edges ~n:3 [ (0, 1, 5); (1, 0, 2) ]))
 
+let test_graph_rejects_out_of_range () =
+  let bad = Invalid_argument "Graph.of_edge_array: endpoint out of range" in
+  Alcotest.check_raises "endpoint = n" bad (fun () -> ignore (Graph.of_edges ~n:3 [ (0, 3, 5) ]));
+  Alcotest.check_raises "negative endpoint" bad (fun () ->
+      ignore (Graph.of_edges ~n:3 [ (0, 1, 1); (-1, 2, 5) ]))
+
+let test_graph_rejects_negative_n () =
+  Alcotest.check_raises "negative n" (Invalid_argument "Graph.of_edge_array: negative n")
+    (fun () -> ignore (Graph.of_edges ~n:(-1) []))
+
+(* [neighbors] lists each adjacency in ascending neighbour id whatever the
+   order of the input edges: local numbering and the smallest-id
+   tie-breaks of the partition stages rely on it. *)
+let test_graph_neighbors_ascending () =
+  let g =
+    Graph.of_edges ~n:6 [ (5, 0, 1); (0, 3, 2); (2, 0, 3); (0, 1, 4); (4, 0, 5); (3, 5, 6) ]
+  in
+  let ids v = Array.to_list (Array.map fst (Graph.neighbors g v)) in
+  Alcotest.(check (list int)) "hub" [ 1; 2; 3; 4; 5 ] (ids 0);
+  Alcotest.(check (list int)) "node 5" [ 0; 3 ] (ids 5);
+  for v = 0 to 5 do
+    Array.iter
+      (fun (u, (e : Graph.edge)) ->
+        Alcotest.(check int) "opposite endpoint" u (Graph.other_endpoint e v))
+      (Graph.neighbors g v)
+  done;
+  let big = Generators.gnp_connected ~rng:(rng ()) ~n:200 ~p:0.05 in
+  for v = 0 to Graph.n big - 1 do
+    let a = Array.map fst (Graph.neighbors big v) in
+    Array.iteri
+      (fun i u -> if i > 0 && a.(i - 1) >= u then Alcotest.failf "node %d not ascending" v)
+      a
+  done
+
 let test_graph_other_endpoint () =
   let g = Graph.of_edges ~n:2 [ (0, 1, 1) ] in
   let e = Graph.edge g 0 in
@@ -44,6 +78,37 @@ let test_subgraph () =
   let sub = Graph.subgraph_of_edges g [ Graph.edge g 0; Graph.edge g 2 ] in
   Alcotest.(check int) "n preserved" 4 (Graph.n sub);
   Alcotest.(check int) "m" 2 (Graph.m sub)
+
+(* ------------------------------------------------------------------ *)
+(* Rng *)
+
+(* The first draws of every stream function, recorded from the boxed
+   [int64]-state generator: (seed, int64, int 1000, float 1.0, eight bools,
+   int64 of a split child, the parent's next int64). *)
+let rng_pins =
+  [
+    (0, -2152535657050944081L, 700, 0x1.b1174620025p-6, "01010101", 1610036449582822964L,
+     -8781561602181964933L);
+    (1, -4616330145664149646L, 695, 0x1.c0cd7f0f6bcf6p-2, "01000100", -2220894878700164257L,
+     -1424582745090185746L);
+    (42, -7450291807549245335L, 191, 0x1.54c85f31d00d8p-3, "01110110", -368807618069055893L,
+     -1845073873574444724L);
+  ]
+
+let test_rng_streams () =
+  List.iter
+    (fun (seed, i64, i, f, bools, child, next) ->
+      let name s = Printf.sprintf "seed %d %s" seed s in
+      let r = Rng.create seed in
+      Alcotest.(check int64) (name "int64") i64 (Rng.int64 r);
+      Alcotest.(check int) (name "int") i (Rng.int r 1000);
+      Alcotest.(check (float 0.)) (name "float") f (Rng.float r 1.0);
+      Alcotest.(check string) (name "bool") bools
+        (String.init 8 (fun _ -> if Rng.bool r then '1' else '0'));
+      let s = Rng.split r in
+      Alcotest.(check int64) (name "split child") child (Rng.int64 s);
+      Alcotest.(check int64) (name "after split") next (Rng.int64 r))
+    rng_pins
 
 (* ------------------------------------------------------------------ *)
 (* Union_find *)
@@ -501,9 +566,13 @@ let () =
           Alcotest.test_case "find_edge" `Quick test_graph_find_edge;
           Alcotest.test_case "rejects self-loops" `Quick test_graph_rejects_self_loop;
           Alcotest.test_case "rejects duplicates" `Quick test_graph_rejects_duplicate;
+          Alcotest.test_case "rejects out-of-range endpoints" `Quick test_graph_rejects_out_of_range;
+          Alcotest.test_case "rejects negative n" `Quick test_graph_rejects_negative_n;
+          Alcotest.test_case "neighbors ascending" `Quick test_graph_neighbors_ascending;
           Alcotest.test_case "other_endpoint" `Quick test_graph_other_endpoint;
           Alcotest.test_case "subgraph_of_edges" `Quick test_subgraph;
         ] );
+      ("rng", [ Alcotest.test_case "pinned streams" `Quick test_rng_streams ]);
       ("union_find", [ Alcotest.test_case "union/find/count" `Quick test_union_find ]);
       ( "traversal",
         [
