@@ -862,7 +862,9 @@ let faults_rows ~smoke =
 
 let repair_case ~scenario g ~k ~events ~fault_round : row =
   let open Kdom_congest in
-  let plan = Dom_partition.repair_plan g (Dom_partition.run g ~k) in
+  let plan =
+    Cluster.plan_of_partition (Dom_partition.partition g (Dom_partition.run g ~k))
+  in
   let maxdepth = Array.fold_left max 0 plan.Repair.depth in
   let beta = max 2 (k + 1) and lease = 2 in
   let dmax = Repair.default_dmax plan in
@@ -877,15 +879,11 @@ let repair_case ~scenario g ~k ~events ~fault_round : row =
   in
   let rep = Repair.decode states in
   let alive = Engine.Churn.final_alive churn in
-  let centers = ref [] in
-  Array.iteri
-    (fun v d -> if alive.(v) && d = v then centers := v :: !centers)
-    rep.Repair.dominator_of;
   let what = Printf.sprintf "repair bench: %s at k=%d" scenario k in
   Oracle.expect_ok what
     (Oracle.eventual_k_domination g ~alive
        ~dead_edges:(Engine.Churn.final_edges_down churn)
-       ~centers:!centers ~bound:(Graph.n g));
+       ~centers:(Repair.live_centers rep alive) ~bound:(Graph.n g));
   let detect, repair =
     if events = [] then begin
       if rep.Repair.suspicions > 0 || rep.Repair.repair_frames > 0 then
@@ -941,7 +939,9 @@ let repair_rows ~smoke =
   List.concat_map
     (fun k ->
       let g = Generators.random_tree ~rng:(seeded (seed + k)) n in
-      let plan = Dom_partition.repair_plan g (Dom_partition.run g ~k) in
+      let plan =
+        Cluster.plan_of_partition (Dom_partition.partition g (Dom_partition.run g ~k))
+      in
       let dom = busiest_dominator g plan in
       let child, parent = deepest_tree_edge plan in
       let open Kdom_congest.Engine in

@@ -102,9 +102,21 @@ let domains_arg =
 (* ------------------------------------------------------------------ *)
 (* subcommands *)
 
-let describe g =
-  Format.printf "graph: n=%d m=%d diameter=%d@." (Graph.n g) (Graph.m g)
-    (Traversal.diameter g)
+(* Two BFS sweeps, the second from the node the first reached last: the
+   farthest distance it finds is the diameter of a tree and a lower bound
+   on any other graph (the exact diameter costs n BFS runs). *)
+let graph_line g =
+  let farthest s =
+    let b = Traversal.bfs g s in
+    let v = b.order.(Array.length b.order - 1) in
+    (v, b.dist.(v))
+  in
+  let d = if Graph.n g = 0 then 0 else snd (farthest (fst (farthest 0))) in
+  Printf.sprintf "graph: n=%d m=%d diameter%s%d" (Graph.n g) (Graph.m g)
+    (if Tree.is_tree g then "=" else ">=")
+    d
+
+let describe g = Format.printf "%s@." (graph_line g)
 
 (* --trace FILE support: create a trace when requested, export it after. *)
 let make_trace file = Option.map (fun _ -> Kdom_congest.Trace.create ()) file
@@ -238,7 +250,10 @@ let verdict oracle states =
 let repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file =
   let open Kdom_congest in
   need_tree g "--repair";
-  let plan = Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k) in
+  let plan =
+    Kdom.Cluster.plan_of_partition
+      (Kdom.Dom_partition.partition g (Kdom.Dom_partition.run g ~k))
+  in
   let beta = max 2 (k + 1) and lease = 2 in
   let dmax = Repair.default_dmax plan in
   let last = 3 * beta in
@@ -279,17 +294,13 @@ let repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file =
    else Format.printf "detection latency: - (nothing suspected)@.");
   let alive = Engine.Churn.final_alive churn in
   let dead_edges = Engine.Churn.final_edges_down churn in
-  let centers = ref [] in
-  Array.iteri
-    (fun v d -> if alive.(v) && d = v then centers := v :: !centers)
-    rep.dominator_of;
+  let centers = Repair.live_centers rep alive in
   let verdict =
     Oracle.describe
-      (Oracle.eventual_k_domination g ~alive ~dead_edges ~centers:!centers
-         ~bound:(Graph.n g))
+      (Oracle.eventual_k_domination g ~alive ~dead_edges ~centers ~bound:(Graph.n g))
   in
   Format.printf "oracle (eventual k-domination, %d live centers): %s@."
-    (List.length !centers) verdict;
+    (List.length centers) verdict;
   if verdict <> "ok" then exit 1
 
 (* A link that loses every frame makes reliable delivery give up: a
@@ -392,8 +403,7 @@ let trace_cmd family n k seed algo out (_, write) drop dup validate =
       exit 1)
   | None ->
     let g = make_graph ~family ~n ~seed in
-    Format.eprintf "graph: n=%d m=%d diameter=%d@." (Graph.n g) (Graph.m g)
-      (Traversal.diameter g);
+    Format.eprintf "%s@." (graph_line g);
     let tr = Trace.create () in
     (if drop > 0.0 || dup > 0.0 then begin
        (* faulty run: reliable delivery over fault injection *)
@@ -620,7 +630,8 @@ let centers_t =
 
 let serve_plan g ~k =
   if Tree.is_tree g then
-    Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k)
+    Kdom.Cluster.plan_of_partition
+      (Kdom.Dom_partition.partition g (Kdom.Dom_partition.run g ~k))
   else
     let dom = Kdom.Fastdom_graph.run g ~k in
     Kdom.Cluster.plan_of_partition dom.partition
@@ -851,7 +862,10 @@ let chaos_cmd family n k seed algo (storm_name, storm) validate domains =
       storm.Chaos.crashes storm.Chaos.kills storm.Chaos.cuts;
     if algo = "repair" then begin
       need_tree g "chaos repair";
-      let plan = Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k) in
+      let plan =
+        Kdom.Cluster.plan_of_partition
+          (Kdom.Dom_partition.partition g (Kdom.Dom_partition.run g ~k))
+      in
       let v, rep = Chaos.run_repair ~seed ~storm g plan in
       Format.printf "%a@." Chaos.pp_verdict v;
       Format.printf

@@ -101,7 +101,9 @@ let () =
   (* 4. Permanent churn: crash the busiest dominator mid-run and let the
      self-healing layer (heartbeats, leases, reattach, takeover) restore
      the k-domination invariant on the survivors (DESIGN.md §10). *)
-  let plan = Dom_partition.repair_plan t (Dom_partition.run t ~k) in
+  let plan =
+    Cluster.plan_of_partition (Dom_partition.partition t (Dom_partition.run t ~k))
+  in
   let count = Array.make n 0 in
   Array.iter (fun d -> count.(d) <- count.(d) + 1) plan.dominator;
   let dom = ref 0 in
@@ -132,15 +134,11 @@ let () =
     (rep.first_suspect - crash_at)
     (max 0 (rep.last_repair - rep.first_suspect));
   let alive = Engine.Churn.final_alive churn in
-  let centers = ref [] in
-  Array.iteri
-    (fun v d -> if alive.(v) && d = v then centers := v :: !centers)
-    rep.dominator_of;
   pf "  oracle (eventual k-domination on the survivors): %s@."
     (Oracle.describe
        (Oracle.eventual_k_domination t ~alive
           ~dead_edges:(Engine.Churn.final_edges_down churn)
-          ~centers:!centers ~bound:n));
+          ~centers:(Repair.live_centers rep alive) ~bound:n));
   (* the distributed takeover vs the centralized DiamDOM re-run on each
      severed fragment of the dead cluster *)
   let members =

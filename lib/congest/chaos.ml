@@ -310,13 +310,6 @@ let traffic_of tr =
     sum.(Engine.Sink.corrupted),
     sum.(Engine.Sink.crashed) )
 
-let live_centers (rep : Repair.report) alive =
-  let cs = ref [] in
-  Array.iteri
-    (fun v d -> if alive.(v) && d = v then cs := v :: !cs)
-    rep.Repair.dominator_of;
-  !cs
-
 let run_repair ?(beta = 3) ?(lease = 2) ~seed ~storm g plan =
   validate storm;
   let what = "chaos/repair" in
@@ -367,7 +360,7 @@ let run_repair ?(beta = 3) ?(lease = 2) ~seed ~storm g plan =
     alive;
   Oracle.expect_ok what
     (Oracle.eventual_k_domination g ~alive ~dead_edges
-       ~centers:(live_centers rep alive) ~bound:n);
+       ~centers:(Repair.live_centers rep alive) ~bound:n);
   let injected, detected, truncated = tally in
   let pulses, frames, dropped, corrupted, crashed = traffic_of tr in
   ( {

@@ -314,4 +314,3 @@ let get r =
   unzigzag z
 
 let remaining r = r.rwords - r.rread
-let reader_words r = r.rwords

@@ -42,9 +42,6 @@ exception Corrupt_frame of { wire : int }
     failures are reported by {!verify} returning [false]; the engine
     drops such frames and counts them rather than decoding. *)
 
-val wire_length : int -> int
-(** Wire words needed to encode one logical word (1..5). *)
-
 val measure : int array -> int
 (** Total wire words needed to encode a payload. *)
 
@@ -161,5 +158,3 @@ val get : reader -> int
 val remaining : reader -> int
 (** Logical words not yet read. *)
 
-val reader_words : reader -> int
-(** Total logical words in the attached frame. *)

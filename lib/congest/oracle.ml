@@ -2,8 +2,6 @@ open Kdom_graph
 
 type failure = { check : string; detail : string }
 
-let pp_failure ppf f = Format.fprintf ppf "%s: %s" f.check f.detail
-
 let describe = function
   | [] -> "ok"
   | fs ->

@@ -21,8 +21,6 @@ type failure = {
   detail : string;  (** what was violated, with a witness where possible *)
 }
 
-val pp_failure : Format.formatter -> failure -> unit
-
 val describe : failure list -> string
 (** ["ok"] for an empty list; otherwise the failures, one per line. *)
 

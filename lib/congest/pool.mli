@@ -2,7 +2,7 @@
 
     The single coordination pattern the sharded engine needs: run one
     closure per shard index in parallel, then barrier.  The calling domain
-    doubles as worker 0, so [create ~domains:d] spawns [d - 1] domains.
+    doubles as worker 0, so [with_pool ~domains:d] spawns [d - 1] domains.
 
     The mutex hand-off around each job gives the usual happens-before
     guarantee: writes performed inside [run t f] by any worker are visible
@@ -12,11 +12,6 @@
 
 type t
 
-val create : domains:int -> t
-(** Spawn [domains - 1] worker domains.  [domains = 1] spawns nothing and
-    [run] degenerates to a direct call.  Raises [Invalid_argument] when
-    [domains < 1]. *)
-
 val size : t -> int
 
 val run : t -> (int -> unit) -> unit
@@ -25,8 +20,8 @@ val run : t -> (int -> unit) -> unit
     raises, the exception of the lowest-indexed failing worker is re-raised
     after the barrier. *)
 
-val shutdown : t -> unit
-(** Join all workers.  Idempotent; the pool must not be [run] afterwards. *)
-
 val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] wraps [create]/[shutdown] around [f]. *)
+(** [with_pool ~domains f] spawns [domains - 1] worker domains, calls [f]
+    and joins the workers however [f] returns.  [domains = 1] spawns
+    nothing and [run] degenerates to a direct call.  Raises
+    [Invalid_argument] when [domains < 1]. *)

@@ -481,6 +481,11 @@ let decode states =
     repair_frames = !repair_frames;
   }
 
+let live_centers rep alive =
+  let cs = ref [] in
+  Array.iteri (fun v d -> if alive.(v) && d = v then cs := v :: !cs) rep.dominator_of;
+  !cs
+
 (* ------------------------------------------------------------------ *)
 (* execution *)
 

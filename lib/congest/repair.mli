@@ -76,7 +76,7 @@ type plan = {
   depth : int array;      (** cluster-tree depth; 0 for a dominator *)
 }
 (** The maintained structure: a forest of cluster trees, one rooted at
-    each dominator (e.g. [Dom_partition.repair_plan]). *)
+    each dominator (e.g. [Cluster.plan_of_partition]). *)
 
 type config = {
   plan : plan;
@@ -143,6 +143,11 @@ val decode : state array -> report
 (** Aggregate a final state vector, whichever executor produced it.
     Crashed nodes are frozen at their pre-crash state; intersect with the
     churn's final liveness view before drawing conclusions. *)
+
+val live_centers : report -> bool array -> int list
+(** [live_centers rep alive]: the live nodes that claim themselves as
+    dominator (takeover leaders included), descending — the centers to
+    hand {!Oracle.eventual_k_domination}. *)
 
 val run :
   ?trace:Trace.t ->

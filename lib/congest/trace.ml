@@ -23,7 +23,6 @@ type t = {
   buf : rounds_buf;
   mutable msgs : int;
   mutable peak : int;
-  mutable hist : int array;       (* index = message width *)
   edges : (int * int, int) Hashtbl.t;  (* directed edge -> peak width *)
   mutable budget : int;           (* -1 = unset *)
   mutable shards : int;           (* engine domain count; 1 = one shard *)
@@ -40,7 +39,6 @@ let create () =
     buf = { rb = Array.make 64 dummy_round; rlen = 0 };
     msgs = 0;
     peak = 0;
-    hist = Array.make 8 0;
     edges = Hashtbl.create 64;
     budget = -1;
     shards = 1;
@@ -72,12 +70,6 @@ let sink t =
       (fun ~round:_ ~src ~dst ~words ->
         t.msgs <- t.msgs + 1;
         if words > t.peak then t.peak <- words;
-        if words >= Array.length t.hist then begin
-          let h = Array.make (max (words + 1) (2 * Array.length t.hist)) 0 in
-          Array.blit t.hist 0 h 0 (Array.length t.hist);
-          t.hist <- h
-        end;
-        t.hist.(words) <- t.hist.(words) + 1;
         let key = (src, dst) in
         match Hashtbl.find_opt t.edges key with
         | Some p when p >= words -> ()
@@ -208,18 +200,6 @@ let totals t = sum_rounds t 0 t.buf.rlen
 
 let messages t = t.msgs
 let peak_words t = t.peak
-
-let word_hist t =
-  let acc = ref [] in
-  for w = Array.length t.hist - 1 downto 0 do
-    if t.hist.(w) > 0 then acc := (w, t.hist.(w)) :: !acc
-  done;
-  !acc
-
-let edge_congestion t =
-  Hashtbl.fold (fun e p acc -> (e, p) :: acc) t.edges []
-  |> List.sort (fun (e1, p1) (e2, p2) ->
-         match compare p2 p1 with 0 -> compare e1 e2 | c -> c)
 
 let edge_peak_hist t =
   let h = Hashtbl.create 8 in

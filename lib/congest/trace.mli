@@ -148,14 +148,6 @@ val messages : t -> int
 val peak_words : t -> int
 (** Widest single message observed. *)
 
-val word_hist : t -> (int * int) list
-(** [(width, messages of that width)], ascending, zero-count widths
-    omitted. *)
-
-val edge_congestion : t -> ((int * int) * int) list
-(** Per directed edge [(src, dst)], the peak single-message width carried,
-    sorted heaviest first. *)
-
 val edge_peak_hist : t -> (int * int) list
 (** [(peak width, number of directed edges whose peak is that width)],
     ascending — the congestion histogram to hold against the word

@@ -24,85 +24,78 @@ let partition host clusters =
     invalid_arg "Cluster.partition: clusters do not cover all nodes";
   { host; clusters }
 
-let cluster_of_array p =
-  let owner = Array.make (Graph.n p.host) (-1) in
-  List.iteri (fun i c -> List.iter (fun v -> owner.(v) <- i) c.members) p.clusters;
+let owners host members =
+  let owner = Array.make (Graph.n host) (-1) in
+  Array.iteri (fun i ms -> List.iter (fun v -> owner.(v) <- i) ms) members;
   owner
+
+let members_of clusters = Array.map (fun c -> c.members) clusters
+let cluster_of_array p = owners p.host (members_of (Array.of_list p.clusters))
 
 let centers p = List.map (fun c -> c.center) p.clusters
 
-(* BFS from the center restricted to the member set, calling [visit u v]
-   when it reaches [u] from [v].  Every member maps to its distance, or to
-   -1 when the BFS does not reach it. *)
-let restricted_bfs host c visit =
-  let dist = Int_table.create 16 in
-  List.iter (fun v -> Int_table.replace dist v (-1)) c.members;
-  Int_table.replace dist c.center 0;
-  let queue = Array.make (Int_table.length dist) c.center in
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let v = queue.(!head) in
-    incr head;
-    let dv = Int_table.find dist v in
-    Array.iter
-      (fun (u, _) ->
-        match Int_table.find_opt dist u with
-        | Some -1 ->
-          Int_table.replace dist u (dv + 1);
-          visit u v;
-          queue.(!tail) <- u;
-          incr tail
-        | _ -> ())
-      (Graph.neighbors host v)
-  done;
-  dist
+let bfs_trees host ~owner ~queue ~visit clusters =
+  Array.mapi
+    (fun i c ->
+      if owner.(c.center) <> i then invalid_arg "Cluster.radius: center outside its cluster";
+      owner.(c.center) <- -2;
+      queue.(0) <- c.center;
+      (* level by level: [queue.(lo .. hi-1)] is the current level *)
+      let lo = ref 0 and hi = ref 1 and radius = ref 0 in
+      while !lo < !hi do
+        let next = ref !hi in
+        for j = !lo to !hi - 1 do
+          let v = queue.(j) in
+          Array.iter
+            (fun (u, _) ->
+              if owner.(u) = i then begin
+                owner.(u) <- -2;
+                visit u v;
+                queue.(!next) <- u;
+                incr next
+              end)
+            (Graph.neighbors host v)
+        done;
+        if !next > !hi then incr radius;
+        lo := !hi;
+        hi := !next
+      done;
+      if not (List.for_all (fun v -> owner.(v) = -2) c.members) then
+        invalid_arg "Cluster.radius: induced subgraph disconnected";
+      !radius)
+    clusters
 
-let restricted_distances host c = restricted_bfs host c (fun _ _ -> ())
+(* [bfs_trees] with fresh host-sized scratch. *)
+let trees host clusters ~visit =
+  bfs_trees host ~owner:(owners host (members_of clusters))
+    ~queue:(Array.make (Graph.n host) 0)
+    ~visit clusters
 
-let radius host c =
-  let dist = restricted_distances host c in
-  List.fold_left
-    (fun acc v ->
-      let d = Int_table.find dist v in
-      if d < 0 then invalid_arg "Cluster.radius: induced subgraph disconnected";
-      max acc d)
-    0 c.members
+let no_visit _ _ = ()
+
+let radius host c = (trees host [| c |] ~visit:no_visit).(0)
 
 let induced_connected host c =
-  let dist = restricted_distances host c in
-  List.for_all (fun v -> Int_table.find dist v >= 0) c.members
+  match radius host c with _ -> true | exception Invalid_argument _ -> false
 
-let max_radius p = List.fold_left (fun acc c -> max acc (radius p.host c)) 0 p.clusters
+let max_radius p =
+  Array.fold_left max 0 (trees p.host (Array.of_list p.clusters) ~visit:no_visit)
 
 let min_size p =
   match p.clusters with
   | [] -> 0
   | cs -> List.fold_left (fun acc c -> min acc (size c)) max_int cs
 
-let write_tree host c ~parent ~depth =
-  parent.(c.center) <- -1;
-  depth.(c.center) <- 0;
-  let dist =
-    restricted_bfs host c (fun u v ->
-        parent.(u) <- v;
-        depth.(u) <- depth.(v) + 1)
-  in
-  List.iter
-    (fun v ->
-      if Int_table.find dist v < 0 then
-        invalid_arg "Cluster.write_tree: induced subgraph disconnected")
-    c.members
-
 let plan_of_partition p =
   let n = Graph.n p.host in
   let dominator = Array.make n (-1) in
   let parent = Array.make n (-1) in
   let depth = Array.make n 0 in
-  List.iter
-    (fun c ->
-      List.iter (fun v -> dominator.(v) <- c.center) c.members;
-      write_tree p.host c ~parent ~depth)
-    p.clusters;
+  List.iter (fun c -> List.iter (fun v -> dominator.(v) <- c.center) c.members) p.clusters;
+  ignore
+    (trees p.host (Array.of_list p.clusters) ~visit:(fun u v ->
+         parent.(u) <- v;
+         depth.(u) <- depth.(v) + 1));
   { Kdom_congest.Repair.dominator; parent; depth }
 
 let plan_of_centers g centers =
@@ -158,22 +151,29 @@ let induced g members =
   in
   (Graph.of_edge_array ~n:nm edges, members)
 
-let quotient_graph p =
-  let owner = cluster_of_array p in
-  let k = List.length p.clusters in
-  let seen = Hashtbl.create 16 in
-  let pairs = ref [] in
+let quotient host ~owner nc =
+  (* a cluster pair (a, b), a < b, is the int a * nc + b *)
+  let seen = Int_table.create 16 in
   let witnesses = ref [] in
   Array.iter
     (fun (e : Graph.edge) ->
       let a = owner.(e.u) and b = owner.(e.v) in
-      if a <> b then begin
-        let key = if a < b then (a, b) else (b, a) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          pairs := (fst key, snd key, 1) :: !pairs;
-          witnesses := (e.u, e.v) :: !witnesses
+      if a >= 0 && b >= 0 && a <> b then begin
+        let key = if a < b then (a * nc) + b else (b * nc) + a in
+        if not (Int_table.mem seen key) then begin
+          Int_table.add seen key ();
+          witnesses := e :: !witnesses
         end
       end)
-    (Graph.edges p.host);
-  (Graph.of_edges ~n:k (List.rev !pairs), List.rev !witnesses)
+    (Graph.edges host);
+  let witnesses = Array.of_list (List.rev !witnesses) in
+  ( Graph.of_edge_array ~n:nc
+      (Array.map (fun (e : Graph.edge) -> (owner.(e.u), owner.(e.v), 1)) witnesses),
+    witnesses )
+
+let quotient_graph p =
+  let clusters = Array.of_list p.clusters in
+  let q, witnesses =
+    quotient p.host ~owner:(owners p.host (members_of clusters)) (Array.length clusters)
+  in
+  (q, List.map (fun (e : Graph.edge) -> (e.u, e.v)) (Array.to_list witnesses))

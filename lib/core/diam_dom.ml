@@ -126,7 +126,6 @@ let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
 let census_max_words = 3
 
 let dominating_of_states states = Array.map (fun st -> st.member) states
-let decided_level states ~root = states.(root).decided
 
 let run ?trace g ~root ~k =
   if k < 1 then invalid_arg "Diam_dom.run: k must be >= 1";
@@ -178,7 +177,7 @@ let run ?trace g ~root ~k =
     let dominating = dominating_of_states states in
     {
       dominating;
-      level = Some (decided_level states ~root);
+      level = Some states.(root).decided;
       init = info;
       init_stats;
       census_stats = Some census_stats;

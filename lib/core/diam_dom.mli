@@ -46,9 +46,6 @@ val dominating_of_states : census_state array -> bool array
 (** Decode membership in the output set D from an execution's final state
     vector, whichever executor produced it. *)
 
-val decided_level : census_state array -> root:int -> int
-(** The level class the root selected ([-1] while undecided). *)
-
 val run : ?trace:Trace.t -> Graph.t -> root:int -> k:int -> result
 (** Requires a tree ([m = n-1], connected) and [k >= 1].  With [?trace]
     the run is recorded as [diam_dom] > [diam_dom.init] + [diam_dom.census],

@@ -256,19 +256,6 @@ let run ?small ?trace g ~k =
 
 let partition g r = Cluster.partition g (Forest.to_clusters r.clusters)
 
-let repair_plan g r =
-  let p = partition g r in
-  let n = Graph.n g in
-  let dominator = Array.make n (-1) in
-  let parent = Array.make n (-1) in
-  let depth = Array.make n 0 in
-  List.iter
-    (fun (c : Cluster.t) ->
-      List.iter (fun v -> dominator.(v) <- c.center) c.members;
-      Cluster.write_tree g c ~parent ~depth)
-    p.Cluster.clusters;
-  { Kdom_congest.Repair.dominator; parent; depth }
-
 let max_radius r =
   List.fold_left (fun acc (c : Forest.cluster) -> max acc c.radius) 0 r.clusters
 

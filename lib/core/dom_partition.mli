@@ -71,13 +71,8 @@ val run :
     span when the S-set resolution pays its [2k + 2] rounds). *)
 
 val partition : Graph.t -> result -> Cluster.partition
-(** Package the clusters as a checked {!Cluster.partition}. *)
-
-val repair_plan : Graph.t -> result -> Kdom_congest.Repair.plan
-(** Package the partition for the self-healing layer: per node, its
-    dominator (cluster center) and its parent/depth in a BFS cluster tree
-    rooted at the center — the structure [Kdom_congest.Repair] maintains
-    under churn. *)
+(** Package the clusters as a checked {!Cluster.partition};
+    {!Cluster.plan_of_partition} turns it into a repair/serving plan. *)
 
 val max_radius : result -> int
 val min_size : result -> int

@@ -26,28 +26,6 @@ type scenario = {
    members into clusters of the nearest new dominator.  Charged what the
    distributed run would pay: the DiamDOM rounds on each component's tree
    (components rebuild in parallel, so the max, not the sum). *)
-(* The induced subgraph restricted to usable edges: both endpoints in
-   [members] and the undirected pair not in [down]. *)
-let induced_surviving g ~down members =
-  let dead = Hashtbl.create 16 in
-  List.iter (fun (a, b) -> Hashtbl.replace dead (min a b, max a b) ()) down;
-  let members = Array.of_list members in
-  let local = Hashtbl.create (Array.length members) in
-  Array.iteri (fun i v -> Hashtbl.replace local v i) members;
-  let edges = ref [] in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      match (Hashtbl.find_opt local e.Graph.u, Hashtbl.find_opt local e.Graph.v)
-      with
-      | Some a, Some b
-        when not
-               (Hashtbl.mem dead
-                  (min e.Graph.u e.Graph.v, max e.Graph.u e.Graph.v)) ->
-        edges := (a, b, e.Graph.w) :: !edges
-      | _ -> ())
-    (Graph.edges g);
-  (Graph.of_edges ~n:(Array.length members) !edges, members)
-
 let rebuild_cluster g ~k ~plan ~members ~down =
   match members with
   | [] -> 0
@@ -57,7 +35,24 @@ let rebuild_cluster g ~k ~plan ~members ~down =
     plan.Repair.depth.(v) <- 0;
     1
   | _ ->
-    let sub, host_of = induced_surviving g ~down members in
+    (* the members' induced subgraph without the [down] edges *)
+    let sub, host_of = Cluster.induced g members in
+    let host_id (e : Graph.edge) =
+      (Option.get (Graph.find_edge g host_of.(e.u) host_of.(e.v))).id
+    in
+    let dead = Int_table.create 16 in
+    List.iter
+      (fun (a, b) ->
+        Option.iter
+          (fun (e : Graph.edge) -> Int_table.replace dead e.id ())
+          (Graph.find_edge g a b))
+      down;
+    let sub =
+      Graph.subgraph_of_edges sub
+        (List.filter
+           (fun e -> not (Int_table.mem dead (host_id e)))
+           (Array.to_list (Graph.edges sub)))
+    in
     let comp, ncomp = Traversal.components sub in
     let charged = ref 0 in
     for c = 0 to ncomp - 1 do
@@ -291,15 +286,12 @@ let scenario ?(arrivals = 0) ?(insertions = 0) ?(cuts = 0) ?(crashes = 0)
       |> List.mapi (fun i (a, b) -> (a, b, ws.(i))))
   in
   let fd = Fastdom_graph.run base' ~k in
-  let dominator = Array.make n_union (-1) in
-  let parent = Array.make n_union (-1) in
-  let depth = Array.make n_union 0 in
-  List.iter
-    (fun (c : Cluster.t) ->
-      List.iter (fun v -> dominator.(v) <- c.Cluster.center) c.Cluster.members;
-      Cluster.write_tree base' c ~parent ~depth)
-    fd.Fastdom_graph.partition.Cluster.clusters;
-  let plan = Repair.{ dominator; parent; depth } in
+  let p = Cluster.plan_of_partition fd.Fastdom_graph.partition in
+  let pad a x = Array.append a (Array.make arrivals x) in
+  let plan =
+    Repair.
+      { dominator = pad p.dominator (-1); parent = pad p.parent (-1); depth = pad p.depth 0 }
+  in
   let script =
     Faults.churn_script union ~seed:(seed + 1) ~bursts ~quiescence
       ~arrivals:arrival_nodes ~insertions:insert_pairs ~cuts:cut_pairs

@@ -178,7 +178,8 @@ let prop_message_storms =
 
 let plan_of g ~k =
   if Graph.m g = Graph.n g - 1 then
-    Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k)
+    Kdom.Cluster.plan_of_partition
+      (Kdom.Dom_partition.partition g (Kdom.Dom_partition.run g ~k))
   else
     let dom = Kdom.Fastdom_graph.run g ~k in
     Kdom.Cluster.plan_of_partition dom.partition

@@ -135,7 +135,8 @@ let prop_pipeline =
    cluster forest. *)
 let tree_plan seed =
   let g = Generators.random_tree ~rng:(Rng.create seed) (8 + (seed mod 24)) in
-  (g, Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k:2))
+  (g, Kdom.Cluster.plan_of_partition
+        (Kdom.Dom_partition.partition g (Kdom.Dom_partition.run g ~k:2)))
 
 let prop_repair =
   QCheck2.Test.make ~name:"engine = reference: Repair" ~count:8 seed_gen

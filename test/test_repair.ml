@@ -263,18 +263,10 @@ let test_crashed_counter_sums () =
 (* Repair *)
 
 let plan_of g ~k =
-  Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k)
+  Kdom.Cluster.plan_of_partition
+    (Kdom.Dom_partition.partition g (Kdom.Dom_partition.run g ~k))
 
 let max_depth (plan : Repair.plan) = Array.fold_left max 0 plan.depth
-
-(* Final self-claimed dominators among the survivors — takeover leaders
-   included. *)
-let live_centers (rep : Repair.report) alive =
-  let cs = ref [] in
-  Array.iteri
-    (fun v d -> if alive.(v) && d = v then cs := v :: !cs)
-    rep.dominator_of;
-  !cs
 
 let check_survivors_dominated ~what g rep churn ~bound =
   let alive = Engine.Churn.final_alive churn in
@@ -286,7 +278,7 @@ let check_survivors_dominated ~what g rep churn ~bound =
     alive;
   Oracle.expect_ok what
     (Oracle.eventual_k_domination g ~alive ~dead_edges
-       ~centers:(live_centers rep alive) ~bound)
+       ~centers:(Repair.live_centers rep alive) ~bound)
 
 let test_quiescent_run () =
   let g = Generators.random_tree ~rng:(Rng.create 11) 20 in

@@ -490,7 +490,10 @@ let golden_faulty () =
    serve.hops, serve.edge_load) alongside notes and spans *)
 let golden_serve () =
   let g = golden_graph () in
-  let plan = Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k:2) in
+  let plan =
+    Kdom.Cluster.plan_of_partition
+      (Kdom.Dom_partition.partition g (Kdom.Dom_partition.run g ~k:2))
+  in
   let requests =
     Kdom.Workload.generate g plan Kdom.Workload.uniform ~seed:3 ~requests:12
       ~window:4
