@@ -161,6 +161,16 @@ let prop_serve =
         { Serve.plan; requests; horizon = 8 + (2 * retry_after); retry_after; retries = 1 }
       in
       diff "serve" ~max_words:Serve.max_words g (fun () -> Serve.algorithm g cfg);
+      (* retry-heavy: a hotspot load against a 3-round timer, so re-sends,
+         stray replies and exhausted requests are all exercised *)
+      let requests =
+        Kdom.Workload.generate g plan Kdom.Workload.hotspot ~seed ~requests:40 ~window:8
+      in
+      let retry_after = 3 and retries = 2 in
+      let cfg =
+        { Serve.plan; requests; horizon = 8 + ((retries + 1) * retry_after) + 40; retry_after; retries }
+      in
+      diff "serve/retry-heavy" ~max_words:Serve.max_words g (fun () -> Serve.algorithm g cfg);
       true)
 
 (* ------------------------------------------------------------------ *)
