@@ -1297,14 +1297,15 @@ let serve_case ~family ~mix_name g ~k ~seed ~requests ~crashes : row =
   let cfg = { Serve.plan; requests = reqs; horizon; retry_after; retries } in
   let e = Engine.create g in
   let label = Printf.sprintf "serve bench (%s/%s, n=%d)" family mix_name (Graph.n g) in
-  let row ~answered ~rejected ~lost ~frames ~qpeak ~hops ~lats ~rounds ~secs
-      ~minor ~promoted =
+  let row ~answered ~rejected ~lost ~frames ~(peak : Serve.report) ~hops ~lats ~rounds
+      ~secs ~minor ~promoted =
     [
       ("family", str family); ("mix", str mix_name);
       ("n", int (Graph.n g)); ("m", int (Graph.m g)); ("k", int k);
       ("requests", int requests); ("crashes", int crashes);
       ("answered", int answered); ("rejected", int rejected); ("lost", int lost);
-      ("frames", int frames); ("queue_peak", int qpeak);
+      ("frames", int frames); ("queue_peak", int peak.queue_peak);
+      ("queue_peak_node", int peak.queue_peak_node);
       ("hops_p50", int (Serve.percentile hops 50));
       ("hops_p99", int (Serve.percentile hops 99));
       ("latency_p50", int (Serve.percentile lats 50));
@@ -1327,7 +1328,7 @@ let serve_case ~family ~mix_name g ~k ~seed ~requests ~crashes : row =
       failwith (label ^ ": non-terminal requests in a churn-free run");
     row ~answered:rep.Serve.answered ~rejected:rep.Serve.rejected
       ~lost:rep.Serve.lost ~frames:rep.Serve.frames
-      ~qpeak:rep.Serve.queue_peak ~hops:rep.Serve.hop_counts
+      ~peak:rep ~hops:rep.Serve.hop_counts
       ~lats:rep.Serve.latencies ~rounds:stats.Engine.rounds ~secs ~minor
       ~promoted
   end
@@ -1362,7 +1363,7 @@ let serve_case ~family ~mix_name g ~k ~seed ~requests ~crashes : row =
       ~rejected:(ph1.Serve.rejected + p2_rejected)
       ~lost:(ph1.Serve.lost - Array.length h.Serve.retried + p2_lost)
       ~frames:(ph1.Serve.frames + p2_frames)
-      ~qpeak:ph1.Serve.queue_peak ~hops:ph1.Serve.hop_counts
+      ~peak:ph1 ~hops:ph1.Serve.hop_counts
       ~lats:ph1.Serve.latencies ~rounds:cfg.Serve.horizon ~secs ~minor
       ~promoted
   end

@@ -655,14 +655,18 @@ let serve_cmd family n k seed (mix_name, mix) requests window crashes retries
   let e = Engine.create g in
   let tr = make_trace trace_file in
   Option.iter (fun t -> Trace.set_shards t domains) tr;
+  let peak_at (rep : Serve.report) =
+    let v = rep.queue_peak_node in
+    if v < 0 then "" else Printf.sprintf " at node %d (dominator %d)" v plan.dominator.(v)
+  in
   let failures =
     if crashes = 0 then begin
       let states, stats = Serve.run ?trace:tr e cfg in
       let rep = Serve.decode cfg states in
       Format.printf
-        "run: %d rounds, %d frames, queue peak %d; answered %d, rejected %d, \
+        "run: %d rounds, %d frames, queue peak %d%s; answered %d, rejected %d, \
          lost %d (%d local, %d retries)@."
-        stats.Engine.rounds rep.Serve.frames rep.Serve.queue_peak
+        stats.Engine.rounds rep.Serve.frames rep.Serve.queue_peak (peak_at rep)
         rep.Serve.answered rep.Serve.rejected rep.Serve.lost rep.Serve.local
         rep.Serve.retries_used;
       Format.printf "latency p50/p99 = %d/%d rounds, hops p50/p99 = %d/%d@."
@@ -681,10 +685,11 @@ let serve_cmd family n k seed (mix_name, mix) requests window crashes retries
       let settle = last + (2 * ((lease * beta) + (3 * dmax) + 12)) + Graph.n g in
       let h = Serve.with_repair ?trace:tr ~beta ~lease ~settle e cfg ~churn:events in
       Format.printf
-        "phase 1 (under %d crashes): answered %d, rejected %d, lost %d; \
-         repair: %d suspicions, %d reparents@."
+        "phase 1 (under %d crashes): answered %d, rejected %d, lost %d, \
+         queue peak %d%s; repair: %d suspicions, %d reparents@."
         crashes h.Serve.phase1.Serve.answered h.Serve.phase1.Serve.rejected
-        h.Serve.phase1.Serve.lost h.Serve.repair.Repair.suspicions
+        h.Serve.phase1.Serve.lost h.Serve.phase1.Serve.queue_peak
+        (peak_at h.Serve.phase1) h.Serve.repair.Repair.suspicions
         h.Serve.repair.Repair.reparents;
       (match h.Serve.phase2 with
       | None -> Format.printf "phase 2: nothing survived unanswered@."

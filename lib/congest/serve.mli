@@ -16,9 +16,10 @@
       the write and acknowledges down the breadcrumb path, so the origin
       learns completion.
     - {e Route}: deliver a payload to a node of the same cluster.  The
-      frame climbs until the first ancestor holding the destination in
-      its subtree table (the tree LCA), then descends next-hop tables to
-      the destination, which acknowledges back along the breadcrumbs.  A
+      frame climbs until the first ancestor of the destination (the tree
+      LCA), then descends to it — each relay finds its next hop by
+      climbing the plan's parents from the destination — and the
+      destination acknowledges back along the breadcrumbs.  A
       destination outside the tree is NACKed by the root — the request
       terminates {e rejected} rather than lost.
 
@@ -77,13 +78,17 @@ val validate : Graph.t -> config -> unit
     [retries >= 0]. *)
 
 type state
-(** Per-node protocol state (abstract; decode with {!decode}). *)
+(** Per-node protocol state (abstract; decode with {!decode}).  The states
+    of one run share the per-run tables of the {!algorithm} value that
+    produced them. *)
 
 val algorithm : Graph.t -> config -> state Engine.ealgorithm
 (** The node program: queued 4-word frames are drained straight into the
     packed send arena.  This is the kernel {!run} executes; it is exposed
     for custom executions.  Validate with {!validate} (or use {!run})
-    first. *)
+    first.  One value may run any number of times, on any executor and
+    domain count: each node's [einit] resets the table cells it owns.
+    Decode a run before starting the next one on the same value. *)
 
 type outcome =
   | Answered of { round : int; hops : int; answer : int }
@@ -114,6 +119,9 @@ type report = {
           carried that many)], ascending, edges with zero frames
           omitted *)
   queue_peak : int;     (** largest per-node outgoing queue observed *)
+  queue_peak_node : int;
+      (** smallest node id whose outgoing queue reached [queue_peak]; -1
+          when nothing queued *)
 }
 
 val decode : config -> state array -> report
@@ -123,7 +131,8 @@ val percentile : int array -> int -> int
     0 on an empty array. *)
 
 val hist : int array -> (int * int) list
-(** [(value, count)] histogram of an array, ascending by value. *)
+(** [(value, count)] histogram of an array of non-negative ints,
+    ascending by value. *)
 
 val tree_distance : Repair.plan -> int -> int -> int option
 (** Hop distance between two nodes of the same cluster tree (via their
