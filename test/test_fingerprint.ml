@@ -679,13 +679,245 @@ let expected_serve =
     ("serve squall storm d=2", "706d1b6a4542cea4e6695c39fc0629d4");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Node state: the four message-level node programs Bfs_tree, DiamDOM's
+   census, the 3-colouring step and Simple_mst_congest.  Each case writes
+   out, by name, the program's decoded result, its stats and the per-round
+   stepped/woken counts of the run and every send in emission order, at 1
+   and 2 domains; four more run each program under reliable delivery over
+   a lossy, duplicating, reordering network and write the decoded states,
+   the fault report and the sends. *)
+
+module Runtime = Kdom_congest.Runtime
+module Async = Kdom_congest.Async
+
+let arr b a = ints b (Array.to_list a)
+
+let bfs_info b (i : Bfs_tree.info) =
+  Printf.bprintf b "root=%d height=%d\ndepth=" i.root i.height;
+  arr b i.depth;
+  Buffer.add_string b "\nparent=";
+  arr b i.parent;
+  Buffer.add_string b "\nchildren=";
+  Array.iter (fun c -> ints b c; Buffer.add_char b '|') i.children;
+  Buffer.add_string b "\nm_known=";
+  arr b i.m_known
+
+let bools b a = arr b (Array.map Bool.to_int a)
+
+let smc_fragments b frags =
+  List.iter
+    (fun (f : Simple_mst.fragment) ->
+      Printf.bprintf b "\nroot=%d depth=%d members=" f.root f.depth;
+      ints b f.members;
+      Buffer.add_string b " edges=";
+      ints b (List.map (fun (e : Graph.edge) -> e.id) f.tree_edges))
+    frags
+
+(* [sink] extended to log every send, in emission order. *)
+let sends (sink : Engine.Sink.t) =
+  let log = Buffer.create 4096 in
+  ( log,
+    {
+      sink with
+      on_message =
+        (fun ~round ~src ~dst ~words ->
+          Printf.bprintf log "%d:%d>%d/%d," round src dst words;
+          sink.on_message ~round ~src ~dst ~words);
+    } )
+
+let stats b (st : Engine.stats) =
+  Printf.bprintf b "\nrounds=%d messages=%d max_inflight=%d" st.rounds st.messages
+    st.max_inflight
+
+let fault_report b (r : Async.fault_report) =
+  Printf.bprintf b
+    "\nasync_time=%h pulses=%d alg_messages=%d sync_messages=%d frames=%d retransmits=%d \
+     timeouts=%d dropped=%d duplicated=%d crash_dropped=%d corrupted=%d"
+    r.report.async_time r.report.pulses r.report.alg_messages r.report.sync_messages
+    r.frames r.retransmits r.timeouts r.dropped r.duplicated r.crash_dropped r.corrupted
+
+(* One node program with its word budget and result decoder. *)
+type program =
+  | Program : string * int * (unit -> 'st Engine.ealgorithm) * (Buffer.t -> 'st array -> unit)
+      -> program
+
+let node_programs name g =
+  let t = mst_tree g in
+  let info, _ = Bfs_tree.run g ~root:0 in
+  let p what max_words mk dec = Program (Printf.sprintf "%s %s" name what, max_words, mk, dec) in
+  [
+    p "bfs" Bfs_tree.max_words (fun () -> Bfs_tree.algorithm g ~root:0) (fun b s ->
+        bfs_info b (Bfs_tree.info_of_states g ~root:0 s));
+    p "coloring" Coloring.congest_max_words (fun () -> Coloring.congest_algorithm t ~root:0)
+      (fun b s -> arr b (Coloring.colors_of_states s));
+  ]
+  @ List.map
+      (fun k ->
+        p (Printf.sprintf "census k=%d" k) Diam_dom.census_max_words
+          (fun () -> Diam_dom.census_algorithm info ~k)
+          (fun b s -> bools b (Diam_dom.dominating_of_states s)))
+      [ 2; 8 ]
+  @ List.map
+      (fun k ->
+        p (Printf.sprintf "smc k=%d" k) Simple_mst_congest.max_words
+          (fun () -> Simple_mst_congest.algorithm g ~k)
+          (fun b s -> smc_fragments b (Simple_mst_congest.fragments_of_states g s)))
+      [ 2; 8; 30 ]
+
+(* The coloring program runs on the graph's MST, every other one on the
+   graph itself. *)
+let host_of name g = if String.ends_with ~suffix:"coloring" name then mst_tree g else g
+
+let node_state_inputs () =
+  [
+    ("grid 30x30", Generators.grid ~rng:(Rng.create 31) ~rows:30 ~cols:30);
+    ("gnp 300", Generators.gnp_connected ~rng:(Rng.create 32) ~n:300 ~p:0.02);
+    ("pa 2000", Generators.preferential_attachment ~rng:(Rng.create 33) ~n:2000 ~m:2);
+    ("random-tree 500", Generators.random_tree ~rng:(Rng.create 34) 500);
+  ]
+
+let node_state_cases () =
+  List.concat_map
+    (fun d ->
+      List.concat_map
+        (fun (name, g) ->
+          List.map
+            (fun (Program (what, max_words, mk, dec)) ->
+              let tr = Kdom_congest.Trace.create () in
+              let sends, sink = sends (Kdom_congest.Trace.sink tr) in
+              let states, st =
+                Engine.with_domains d (fun () ->
+                    Runtime.run ~max_words ~sink (host_of what g) (mk ()))
+              in
+              let out b () =
+                dec b states;
+                stats b st;
+                Printf.bprintf b "\nsends=%s" (Digest.to_hex (Digest.string (Buffer.contents sends)));
+                Buffer.add_string b "\nstepped/woken=";
+                List.iter
+                  (fun (ri : Engine.Sink.round_info) ->
+                    Printf.bprintf b "%d:%d/%d," ri.round ri.counts.(Engine.Sink.stepped)
+                      ri.counts.(Engine.Sink.woken))
+                  (Kdom_congest.Trace.rounds tr)
+              in
+              (Printf.sprintf "%s d=%d" what d, digest out ()))
+            (node_programs name g))
+        (node_state_inputs ()))
+    [ 1; 2 ]
+
+(* Under reliable delivery with 20% loss, 10% duplication and reordering:
+   the decoded states and the fault report. *)
+let node_state_async_cases () =
+  let g = Generators.random_tree ~rng:(Rng.create 35) 150 in
+  List.filter_map
+    (fun (Program (what, max_words, mk, dec)) ->
+      if not (List.mem what [ "t150 bfs"; "t150 coloring"; "t150 census k=2"; "t150 smc k=8" ])
+      then None
+      else begin
+        let faults = Kdom_congest.Faults.lossy ~drop:0.2 ~duplicate:0.1 ~reorder:true ~seed:36 () in
+        let sends, sink = sends Engine.Sink.null in
+        let states, rep =
+          Async.run_reliable ~rng:(Rng.create 37) ~faults ~max_words ~sink (host_of what g)
+            (mk ())
+        in
+        let out b () =
+          dec b states;
+          fault_report b rep;
+          Printf.bprintf b "\nsends=%s" (Digest.to_hex (Digest.string (Buffer.contents sends)))
+        in
+        Some (Printf.sprintf "%s async lossy" what, digest out ())
+      end)
+    (node_programs "t150" g)
+
+(* One algorithm value runs twice on one engine, then on the reference
+   simulator: the three runs agree on the states and the stats. *)
+let test_node_state_rerun () =
+  let g = Generators.gnp_connected ~rng:(Rng.create 38) ~n:120 ~p:0.05 in
+  List.iter
+    (fun (Program (what, max_words, mk, _)) ->
+      let h = host_of what g in
+      let a = mk () in
+      let e = Engine.create h in
+      let first = Engine.exec_emit ~max_words e a in
+      let second = Engine.exec_emit ~max_words e a in
+      let reference = Runtime.run_reference ~max_words h a in
+      if first <> second then Alcotest.failf "%s: a second run on one engine differs" what;
+      if first <> reference then Alcotest.failf "%s: the reference run differs" what)
+    (node_programs "gnp 120" g)
+
+(* Recorded with the immutable per-node records. *)
+let expected_node_state =
+  [
+    ("gnp 300 bfs d=1", "cecb696b19402d3d44aff7b4c6f0668b");
+    ("gnp 300 bfs d=2", "cecb696b19402d3d44aff7b4c6f0668b");
+    ("gnp 300 census k=2 d=1", "a70416d8c0efb4ccef6346a5986aa2e4");
+    ("gnp 300 census k=2 d=2", "a70416d8c0efb4ccef6346a5986aa2e4");
+    ("gnp 300 census k=8 d=1", "8c4eefde329f983e2cce25bf46fe1423");
+    ("gnp 300 census k=8 d=2", "8c4eefde329f983e2cce25bf46fe1423");
+    ("gnp 300 coloring d=1", "fb41527e75ce19f13137ef04303e4b0e");
+    ("gnp 300 coloring d=2", "fb41527e75ce19f13137ef04303e4b0e");
+    ("gnp 300 smc k=2 d=1", "3edc8e770c27d255f1ab14dd2dd06c79");
+    ("gnp 300 smc k=2 d=2", "3edc8e770c27d255f1ab14dd2dd06c79");
+    ("gnp 300 smc k=30 d=1", "551a54c1822b57b0374a73b35413fdcc");
+    ("gnp 300 smc k=30 d=2", "551a54c1822b57b0374a73b35413fdcc");
+    ("gnp 300 smc k=8 d=1", "4902d3e4a226a9ccbd4e22539fa699e7");
+    ("gnp 300 smc k=8 d=2", "4902d3e4a226a9ccbd4e22539fa699e7");
+    ("grid 30x30 bfs d=1", "cc9233f9ea8289e3978bf0d4203daec1");
+    ("grid 30x30 bfs d=2", "cc9233f9ea8289e3978bf0d4203daec1");
+    ("grid 30x30 census k=2 d=1", "71063656fdd18665cab00124d8fdc41a");
+    ("grid 30x30 census k=2 d=2", "71063656fdd18665cab00124d8fdc41a");
+    ("grid 30x30 census k=8 d=1", "5104b0e5635a687e243813964de23c3e");
+    ("grid 30x30 census k=8 d=2", "5104b0e5635a687e243813964de23c3e");
+    ("grid 30x30 coloring d=1", "e4530c208688a2c6bee84f376ed254ca");
+    ("grid 30x30 coloring d=2", "e4530c208688a2c6bee84f376ed254ca");
+    ("grid 30x30 smc k=2 d=1", "ea67db22a0be88fca66cc4466c5f57fe");
+    ("grid 30x30 smc k=2 d=2", "ea67db22a0be88fca66cc4466c5f57fe");
+    ("grid 30x30 smc k=30 d=1", "3110fc6bb37d29ddab25dc8aee13999d");
+    ("grid 30x30 smc k=30 d=2", "3110fc6bb37d29ddab25dc8aee13999d");
+    ("grid 30x30 smc k=8 d=1", "07c812b1e66863ff8219b4576952a801");
+    ("grid 30x30 smc k=8 d=2", "07c812b1e66863ff8219b4576952a801");
+    ("pa 2000 bfs d=1", "abc0571e75d5c8c62da954b4c2a8e2db");
+    ("pa 2000 bfs d=2", "abc0571e75d5c8c62da954b4c2a8e2db");
+    ("pa 2000 census k=2 d=1", "7b08565700cb6eafda6c5d84c08cf438");
+    ("pa 2000 census k=2 d=2", "7b08565700cb6eafda6c5d84c08cf438");
+    ("pa 2000 census k=8 d=1", "8936e6684ea783f467aee0547f280377");
+    ("pa 2000 census k=8 d=2", "8936e6684ea783f467aee0547f280377");
+    ("pa 2000 coloring d=1", "cdef6a8d79f68c3857accaa901bce0e9");
+    ("pa 2000 coloring d=2", "cdef6a8d79f68c3857accaa901bce0e9");
+    ("pa 2000 smc k=2 d=1", "150e281add436cef4d4c62a814277df1");
+    ("pa 2000 smc k=2 d=2", "150e281add436cef4d4c62a814277df1");
+    ("pa 2000 smc k=30 d=1", "9ab8561d8b9e133541290ac061541d9b");
+    ("pa 2000 smc k=30 d=2", "9ab8561d8b9e133541290ac061541d9b");
+    ("pa 2000 smc k=8 d=1", "697c97c880a2f4a53db8fde36334198b");
+    ("pa 2000 smc k=8 d=2", "697c97c880a2f4a53db8fde36334198b");
+    ("random-tree 500 bfs d=1", "bb2d57eea956e48d735074f41364817c");
+    ("random-tree 500 bfs d=2", "bb2d57eea956e48d735074f41364817c");
+    ("random-tree 500 census k=2 d=1", "7365394bfe9b469c66d3a84c4c93117e");
+    ("random-tree 500 census k=2 d=2", "7365394bfe9b469c66d3a84c4c93117e");
+    ("random-tree 500 census k=8 d=1", "bd319a03cbd5ee226b3d09014a007c38");
+    ("random-tree 500 census k=8 d=2", "bd319a03cbd5ee226b3d09014a007c38");
+    ("random-tree 500 coloring d=1", "73e187bfb538075c42bea863ceeea3d7");
+    ("random-tree 500 coloring d=2", "73e187bfb538075c42bea863ceeea3d7");
+    ("random-tree 500 smc k=2 d=1", "30810cc0acfe641f41bda7d3d5c461db");
+    ("random-tree 500 smc k=2 d=2", "30810cc0acfe641f41bda7d3d5c461db");
+    ("random-tree 500 smc k=30 d=1", "4b7406af5b8573315486931f8b503df5");
+    ("random-tree 500 smc k=30 d=2", "4b7406af5b8573315486931f8b503df5");
+    ("random-tree 500 smc k=8 d=1", "53d50a86d30148890e0f601c1966005c");
+    ("random-tree 500 smc k=8 d=2", "53d50a86d30148890e0f601c1966005c");
+    ("t150 bfs async lossy", "faf9405fb669bff7473de866267eed98");
+    ("t150 census k=2 async lossy", "232a06816725f218c8da8688040b9a12");
+    ("t150 coloring async lossy", "60c731e9a8e84874fb23f97a10054839");
+    ("t150 smc k=8 async lossy", "fe56a9883d3fca89f06922c359dc5b82");
+  ]
+
 (* Every case of one test is checked before failing, and the failure lists
    the computed digests of the cases that differ. *)
 let check_cases cases () =
   let differ =
     List.filter_map
       (fun (name, got) ->
-        if List.assoc_opt name (expected @ expected_geometry @ expected_serve) = Some got then None
+        if List.assoc_opt name (expected @ expected_geometry @ expected_serve @ expected_node_state) = Some got then None
         else Some (Printf.sprintf "(%S, %S);" name got))
       (cases ())
   in
@@ -714,5 +946,13 @@ let () =
         [
           Alcotest.test_case "reports, traffic and schedules at 1 and 2 domains" `Quick
             (check_cases serve_cases);
+        ] );
+      ( "node state",
+        [
+          Alcotest.test_case "bfs, census, coloring, smc at 1 and 2 domains" `Quick
+            (check_cases node_state_cases);
+          Alcotest.test_case "bfs, census, coloring, smc under reliable delivery" `Quick
+            (check_cases node_state_async_cases);
+          Alcotest.test_case "one algorithm value runs again" `Quick test_node_state_rerun;
         ] );
     ]
