@@ -151,29 +151,38 @@ let induced g members =
   in
   (Graph.of_edge_array ~n:nm edges, members)
 
-let quotient host ~owner nc =
-  (* a cluster pair (a, b), a < b, is the int a * nc + b *)
-  let seen = Int_table.create 16 in
-  let witnesses = ref [] in
+(* A pair of clusters (a, b) as the int a * nc + b, a < b. *)
+let pair_key nc a b = if a < b then (a * nc) + b else (b * nc) + a
+
+(* [f e key] for each host edge [e] between two clusters. *)
+let iter_joins host ~owner nc f =
   Array.iter
     (fun (e : Graph.edge) ->
       let a = owner.(e.u) and b = owner.(e.v) in
-      if a >= 0 && b >= 0 && a <> b then begin
-        let key = if a < b then (a * nc) + b else (b * nc) + a in
-        if not (Int_table.mem seen key) then begin
-          Int_table.add seen key ();
-          witnesses := e :: !witnesses
-        end
-      end)
-    (Graph.edges host);
-  let witnesses = Array.of_list (List.rev !witnesses) in
-  ( Graph.of_edge_array ~n:nc
-      (Array.map (fun (e : Graph.edge) -> (owner.(e.u), owner.(e.v), 1)) witnesses),
-    witnesses )
+      if a >= 0 && b >= 0 && a <> b then f e (pair_key nc a b))
+    (Graph.edges host)
+
+(* Each pair of adjacent clusters, by key, mapped to its rank among the
+   pairs in the order of their first host edges' ids. *)
+let adjacent_pairs host ~owner nc =
+  let rank = Int_table.create 16 in
+  iter_joins host ~owner nc (fun _ key ->
+      if not (Int_table.mem rank key) then Int_table.add rank key (Int_table.length rank));
+  rank
+
+let contract nc rank =
+  let edges = Array.make (Int_table.length rank) (0, 0, 0) in
+  Int_table.iter (fun key i -> edges.(i) <- (key / nc, key mod nc, 1)) rank;
+  Graph.of_edge_array ~n:nc edges
+
+let quotient host ~owner nc = contract nc (adjacent_pairs host ~owner nc)
 
 let quotient_graph p =
   let clusters = Array.of_list p.clusters in
-  let q, witnesses =
-    quotient p.host ~owner:(owners p.host (members_of clusters)) (Array.length clusters)
-  in
-  (q, List.map (fun (e : Graph.edge) -> (e.u, e.v)) (Array.to_list witnesses))
+  let owner = owners p.host (members_of clusters) and nc = Array.length clusters in
+  let rank = adjacent_pairs p.host ~owner nc in
+  let witness = Array.make (Int_table.length rank) (-1, -1) in
+  iter_joins p.host ~owner nc (fun e key ->
+      let i = Int_table.find rank key in
+      if fst witness.(i) < 0 then witness.(i) <- (e.u, e.v));
+  (contract nc rank, Array.to_list witness)

@@ -84,14 +84,13 @@ val induced : Graph.t -> int list -> Graph.t * int array
     nodes renumbered [0 .. |members|-1]; returns it with the
     local-to-host index map.  Edge weights are preserved. *)
 
-val quotient : Graph.t -> owner:int array -> int -> Graph.t * Graph.edge array
+val quotient : Graph.t -> owner:int array -> int -> Graph.t
 (** [quotient host ~owner nc] contracts the clusters [0 .. nc-1] of the
     owner map to one node each (nodes with a negative owner are ignored)
     and keeps one unit-weight edge per pair of adjacent clusters.  The
-    pair's witness is its first host edge in edge-id order; quotient edge
-    [i] has witness [witnesses.(i)], so quotient edges are listed in the
-    order of their witnesses' ids.  [Hierarchy] weights the quotient's
-    edges by id, so this order is load-bearing. *)
+    pair's witness is its first host edge in edge-id order, and quotient
+    edges are listed in the order of their witnesses' ids.  [Hierarchy]
+    weights the quotient's edges by id, so this order is load-bearing. *)
 
 val quotient_graph : partition -> Graph.t * (int * int) list
 (** [quotient_graph p] contracts every cluster to one node (numbered by the

@@ -17,12 +17,12 @@ let lowest_differing_bit a b =
   let rec go i x = if x land 1 = 1 then i else go (i + 1) (x lsr 1) in
   go 0 (a lxor b)
 
-(* One Cole–Vishkin step. The root pretends its parent differs in bit 0. *)
+(* One Cole–Vishkin step; [parent_color] is -1 at the root, which pretends
+   its parent differs in bit 0. *)
 let cv_step ~parent_color ~color =
-  match parent_color with
-  | None -> color land 1
-  | Some p ->
-    let i = lowest_differing_bit color p in
+  if parent_color < 0 then color land 1
+  else
+    let i = lowest_differing_bit color parent_color in
     (2 * i) + ((color lsr i) land 1)
 
 let component_nodes (t : Tree.t) = Tree.nodes t
@@ -37,9 +37,7 @@ let six_color (t : Tree.t) =
   for _it = 1 to iterations do
     List.iter
       (fun v ->
-        let parent_color =
-          if t.parent.(v) = -1 then None else Some colors.(t.parent.(v))
-        in
+        let parent_color = if t.parent.(v) = -1 then -1 else colors.(t.parent.(v)) in
         next.(v) <- cv_step ~parent_color ~color:colors.(v))
       nodes;
     List.iter (fun v -> colors.(v) <- next.(v)) nodes
@@ -47,11 +45,8 @@ let six_color (t : Tree.t) =
   (* +1 round: the initial dissemination of identifier colors. *)
   { colors; palette = 6; rounds = iterations + 1 }
 
-let smallest_free used =
-  let rec go c = if List.mem c used then go (c + 1) else c in
-  let c = go 0 in
-  assert (c <= 2);
-  c
+(* The smallest colour in {0, 1, 2} other than [a] and [b] (-1 = none). *)
+let smallest_free a b = if a <> 0 && b <> 0 then 0 else if a <> 1 && b <> 1 then 1 else 2
 
 (* Shift-down: every node adopts its parent's color; the root picks a fresh
    color in {0,1,2}. Preserves properness and makes all siblings equal. *)
@@ -59,7 +54,7 @@ let shift_down (t : Tree.t) colors nodes =
   let next = Array.copy colors in
   List.iter
     (fun v ->
-      if t.parent.(v) = -1 then next.(v) <- smallest_free [ colors.(v) ]
+      if t.parent.(v) = -1 then next.(v) <- smallest_free colors.(v) (-1)
       else next.(v) <- colors.(t.parent.(v)))
     nodes;
   next
@@ -76,11 +71,10 @@ let three_color (t : Tree.t) =
       (fun v ->
         if shifted.(v) = c then begin
           (* After the shift all children of v share v's pre-shift color. *)
-          let constraints =
-            (if t.parent.(v) = -1 then [] else [ shifted.(t.parent.(v)) ])
-            @ if Array.length t.children.(v) = 0 then [] else [ pre_shift.(v) ]
-          in
-          shifted.(v) <- smallest_free constraints
+          shifted.(v) <-
+            smallest_free
+              (if t.parent.(v) = -1 then -1 else shifted.(t.parent.(v)))
+              (if Array.length t.children.(v) = 0 then -1 else pre_shift.(v))
         end)
       nodes;
     colors := shifted;
@@ -138,74 +132,65 @@ let maximal_matching (t : Tree.t) =
 (* ------------------------------------------------------------------ *)
 (* Message-level CONGEST execution of three_color.                     *)
 
+(* Mutable per-node state, updated in place by [estep]. *)
 type congest_state = {
-  parent : int;             (* -1 at the root *)
-  children : int list;
-  color : int;
-  parent_color : int;       (* latest color heard from the parent *)
-  pre_shift : int;          (* own color before the current shift-down *)
-  done_ : bool;
+  parent : int;                 (* -1 at the root *)
+  children : int array;
+  mutable color : int;
+  mutable parent_color : int;   (* latest color heard from the parent *)
+  mutable pre_shift : int;      (* own color before the current shift-down *)
+  mutable done_ : bool;
 }
 
 let congest_algorithm g ~root =
   let t = Tree.root_at g root in
   let iterations = cv_iterations (Graph.n g) in
   let last_round = iterations + 6 in
+  let estep _g ~round ~node:_ st inbox em =
+    (match Engine.Inbox.length inbox with
+    | 0 -> ()
+    | 1 -> st.parent_color <- Codec.get (Engine.Inbox.read inbox 0)
+    | _ -> invalid_arg "three_color_congest: more than one parent message");
+    let root = st.parent = -1 in
+    if round = 0 then ()
+    else if round <= iterations then
+      (* Cole–Vishkin iteration [round]. *)
+      st.color <-
+        cv_step ~parent_color:(if root then -1 else st.parent_color) ~color:st.color
+    else if (round - iterations - 1) mod 2 = 0 then begin
+      (* shift-down using the cached parent color *)
+      st.pre_shift <- st.color;
+      st.color <- (if root then smallest_free st.color (-1) else st.parent_color)
+    end
+    else if st.color = 5 - ((round - iterations - 1) / 2) then
+      st.color <-
+        smallest_free
+          (if root then -1 else st.parent_color)
+          (if Array.length st.children = 0 then -1 else st.pre_shift);
+    if round >= last_round then st.done_ <- true
+    else
+      for i = 0 to Array.length st.children - 1 do
+        Engine.Emit.frame1 em ~dst:st.children.(i) st.color
+      done;
+    st
+  in
   {
     Engine.einit =
       (fun _g v ->
         {
           parent = t.parent.(v);
-          children = Array.to_list t.children.(v);
+          children = t.children.(v);
           color = v;
           parent_color = -1;
           pre_shift = -1;
           done_ = false;
         });
+    estep;
     ehalted = (fun st -> st.done_);
     (* Genuinely dense: every node recolors every round of the fixed
        [last_round]-length schedule, so the legacy schedule is the right
        one. *)
     ewake = Engine.always;
-    estep =
-      (fun _g ~round ~node:_ st inbox em ->
-        let parent_color =
-          match Engine.Inbox.length inbox with
-          | 1 -> Codec.get (Engine.Inbox.read inbox 0)
-          | 0 -> st.parent_color
-          | _ -> invalid_arg "three_color_congest: more than one parent message"
-        in
-        let st = { st with parent_color } in
-        let st =
-          if round = 0 then st
-          else if round <= iterations then begin
-            (* Cole–Vishkin iteration [round]. *)
-            let pc = if st.parent = -1 then None else Some parent_color in
-            { st with color = cv_step ~parent_color:pc ~color:st.color }
-          end
-          else begin
-            let j = (round - iterations - 1) / 2 in
-            let c = 5 - j in
-            if (round - iterations - 1) mod 2 = 0 then
-              (* shift-down using the cached parent color *)
-              if st.parent = -1 then
-                { st with pre_shift = st.color; color = smallest_free [ st.color ] }
-              else { st with pre_shift = st.color; color = parent_color }
-            else if st.color = c then begin
-              let constraints =
-                (if st.parent = -1 then [] else [ parent_color ])
-                @ if st.children = [] then [] else [ st.pre_shift ]
-              in
-              { st with color = smallest_free constraints }
-            end
-            else st
-          end
-        in
-        if round >= last_round then { st with done_ = true }
-        else begin
-          List.iter (fun child -> Engine.Emit.frame1 em ~dst:child st.color) st.children;
-          st
-        end);
   }
 
 (* Word budget: every message is a bare [| color |] — 1 word. *)

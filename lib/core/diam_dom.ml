@@ -13,26 +13,31 @@ type result = {
 let tag_census = 0 (* [tag; l; counter] *)
 let tag_result = 1 (* [tag; selected level] *)
 
+(* Mutable per-node state, updated in place by [estep]. *)
 type census_state = {
   depth : int;
   parent : int;
-  children : int list;
-  m : int;
-  k : int;
-  member : bool;
-  totals : int array;   (* root only: census totals per level *)
-  decided : int;        (* selected level, -1 until known *)
-  wake_round : int;     (* next round this node must act without mail; -1 = none *)
-  halted : bool;
+  children : int list;          (* ascending *)
+  totals : int array;           (* root only: census totals per level *)
+  mutable member : bool;
+  mutable decided : int;        (* selected level, -1 until known *)
+  mutable wake : Engine.wake;
+  mutable halted : bool;
 }
+
+let rec send_result em level = function
+  | [] -> ()
+  | c :: rest ->
+    Engine.Emit.frame2 em ~dst:c tag_result level;
+    send_result em level rest
 
 (* Census schedule: a node at depth [i] upcasts its census(l) counter at
    round [l + (M - i)]; the root owns totals at round [l + M]; the decision
    broadcast of round [k + M + 1] reaches depth [i] at [k + M + 1 + i].
 
-   Emit-native: frames are read in place through the packed-inbox decoder
-   and written with the fixed-arity [Emit.frame*] helpers, so a census
-   step allocates only its own (immutable) state record. *)
+   Frames are read in place through the packed-inbox decoder and written
+   with the fixed-arity [Emit.frame*] helpers; a step allocates only the
+   [At] of a node's first wake-up. *)
 let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
     =
   let m = info.height in
@@ -41,14 +46,18 @@ let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
       depth = info.depth.(v);
       parent = info.parent.(v);
       children = info.children.(v);
-      m;
-      k;
-      member = false;
       totals = (if v = info.root then Array.make (k + 1) 0 else [||]);
+      member = false;
       decided = -1;
-      wake_round = m - info.depth.(v);
+      wake = Engine.OnMessage;
       halted = false;
     }
+  in
+  let decide st em level ~member =
+    st.decided <- level;
+    st.member <- member;
+    send_result em level st.children;
+    st.halted <- true
   in
   let estep _g ~round ~node:_ st inbox em =
     let below = ref 0 in
@@ -62,63 +71,37 @@ let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
       | t when t = tag_result -> result := Codec.get rd
       | t -> invalid_arg (Printf.sprintf "Diam_dom: unknown tag %d" t)
     done;
-    let l = round - (st.m - st.depth) in
-    let st =
-      if l >= 0 && l <= st.k then begin
-        let counter = !below + if st.depth mod (st.k + 1) = l then 1 else 0 in
-        if st.parent = -1 then begin
-          (* The root both counts itself and adds itself to classes l <> 0
-             (the augmentation that repairs the Lemma 2.1 gap). *)
-          st.totals.(l) <- counter + (if l = 0 then 0 else 1);
-          st
-        end
-        else begin
-          Engine.Emit.frame3 em ~dst:st.parent tag_census l counter;
-          st
-        end
-      end
-      else st
-    in
-    let st =
-      if st.parent = -1 && round = st.k + st.m then begin
-        let best = ref 0 in
-        for l = 1 to st.k do
-          if st.totals.(l) < st.totals.(!best) then best := l
-        done;
-        let st = { st with decided = !best; member = true } in
-        List.iter
-          (fun c -> Engine.Emit.frame2 em ~dst:c tag_result !best)
-          st.children;
-        { st with halted = true }
-      end
-      else if !result >= 0 then begin
-        List.iter
-          (fun c -> Engine.Emit.frame2 em ~dst:c tag_result !result)
-          st.children;
-        {
-          st with
-          decided = !result;
-          member = st.depth mod (st.k + 1) = !result;
-          halted = true;
-        }
-      end
-      else st
-    in
+    let start = m - st.depth in
+    let l = round - start in
+    if l >= 0 && l <= k then begin
+      let counter = !below + if st.depth mod (k + 1) = l then 1 else 0 in
+      if st.parent = -1 then
+        (* The root both counts itself and adds itself to classes l <> 0
+           (the augmentation that repairs the Lemma 2.1 gap). *)
+        st.totals.(l) <- counter + if l = 0 then 0 else 1
+      else Engine.Emit.frame3 em ~dst:st.parent tag_census l counter
+    end;
+    if st.parent = -1 && round = k + m then begin
+      let best = ref 0 in
+      for l = 1 to k do
+        if st.totals.(l) < st.totals.(!best) then best := l
+      done;
+      decide st em !best ~member:true
+    end
+    else if !result >= 0 then
+      decide st em !result ~member:(st.depth mod (k + 1) = !result);
     (* Outside its census window [M - depth, M - depth + k] a node is
        purely message-driven (the decision broadcast); inside it, a node —
-       leaves included — must upcast every round even on an empty inbox. *)
-    let start = st.m - st.depth in
-    let wake_round =
-      if round < start then start
-      else if round < start + st.k then round + 1
-      else -1
-    in
-    { st with wake_round }
+       leaves included — must upcast every round even on an empty inbox.
+       The one [At] is the window's start. *)
+    if round < start then begin
+      match st.wake with Engine.At _ -> () | _ -> st.wake <- Engine.At start
+    end
+    else st.wake <- (if round < start + k then Engine.Next else Engine.OnMessage);
+    st
   in
   let ehalted st = st.halted in
-  let ewake st =
-    if st.wake_round >= 0 then Engine.At st.wake_round else Engine.OnMessage
-  in
+  let ewake st = st.wake in
   { Engine.einit; estep; ehalted; ewake }
 
 (* Word budget: the widest message is [| tag_census; l; counter |] — 3
@@ -129,6 +112,9 @@ let dominating_of_states states = Array.map (fun st -> st.member) states
 
 let run ?trace g ~root ~k =
   if k < 1 then invalid_arg "Diam_dom.run: k must be >= 1";
+  if Graph.n g = 0 then invalid_arg "Diam_dom.run: empty graph";
+  if root < 0 || root >= Graph.n g then
+    invalid_arg (Printf.sprintf "Diam_dom.run: root %d out of range [0, %d)" root (Graph.n g));
   if not (Tree.is_tree g) then invalid_arg "Diam_dom.run: graph must be a tree";
   Trace.span_opt trace "diam_dom" @@ fun () ->
   let info, init_stats =

@@ -18,9 +18,7 @@ let isqrt_ceil n =
   go 1
 
 let run_with ?small ?trace g ~(bfs : Bfs_tree.info) ~tree_stage_label ~tree_stage_stats =
-  let n = Graph.n g in
-  if n < 1 then invalid_arg "Fast_mst.run: empty graph";
-  let k = isqrt_ceil n in
+  let k = isqrt_ceil (Graph.n g) in
   let dom = Fastdom_graph.run ?small ?trace g ~k in
   let ledger = Ledger.create () in
   Ledger.charge ledger "FastDOM_G (k = ceil sqrt n)" dom.rounds;
@@ -47,11 +45,16 @@ let run_with ?small ?trace g ~(bfs : Bfs_tree.info) ~tree_stage_label ~tree_stag
   }
 
 let run ?(root = 0) ?small ?trace g =
+  let n = Graph.n g in
+  if n = 0 then invalid_arg "Fast_mst.run: empty graph";
+  if root < 0 || root >= n then
+    invalid_arg (Printf.sprintf "Fast_mst.run: root %d out of range [0, %d)" root n);
   Trace.span_opt trace "fast_mst" @@ fun () ->
   let bfs, bfs_stats = Bfs_tree.run ?trace g ~root in
   run_with ?small ?trace g ~bfs ~tree_stage_label:"BFS tree" ~tree_stage_stats:bfs_stats
 
 let run_elected ?small ?trace g =
+  if Graph.n g = 0 then invalid_arg "Fast_mst.run_elected: empty graph";
   Trace.span_opt trace "fast_mst" @@ fun () ->
   let elected = Leader.elect ?trace g in
   let bfs =

@@ -13,7 +13,7 @@ let size c = List.length c.members
 let owners g clusters = Cluster.owners g (Array.map (fun c -> c.members) clusters)
 
 let quotient g clusters =
-  fst (Cluster.quotient g ~owner:(owners g clusters) (Array.length clusters))
+  Cluster.quotient g ~owner:(owners g clusters) (Array.length clusters)
 
 let isolated q =
   let acc = ref [] in
@@ -27,7 +27,7 @@ let merge_into g ~target c = make g ~center:target.center (target.members @ c.me
 let balanced_contraction ?small g clusters =
   (* one host-sized owner map serves the quotient and then the new radii *)
   let owner = owners g clusters in
-  let q, _ = Cluster.quotient g ~owner (Array.length clusters) in
+  let q = Cluster.quotient g ~owner (Array.length clusters) in
   let label, ncomp = Traversal.components q in
   (* representative position of each component *)
   let comp_positions = Array.make ncomp [] in

@@ -19,314 +19,280 @@ let tag_connect = 6 (* [tag; sender id] *)
 let phases_for k = max 1 (Log_star.ceil_log2 (k + 1))
 let phase_len i = (5 * (1 lsl i)) + 10
 
-let schedule_length ~k =
-  let p = phases_for k in
-  let rec go i acc = if i > p then acc else go (i + 1) (acc + phase_len i) in
-  go 1 0
+(* First round of phase [i]: the sum of [phase_len j] over [j < i]. *)
+let phase_start i = (5 * ((1 lsl i) - 2)) + (10 * (i - 1))
 
-(* Locate the current phase and the offset inside it. *)
-let locate round =
-  let rec go i start =
-    if round < start + phase_len i then (i, round - start) else go (i + 1) (start + phase_len i)
-  in
-  go 1 0
+let schedule_length ~k = phase_start (phases_for k + 1)
 
-(* The next round at which a node may have to act on an empty inbox.  The
-   §4.3 schedule is global and fixed, so the checkpoints are too: the
-   phase-start reset (every node), the verdict / fragment-id exchange /
-   classification / rootship / connect / absorption slots, and the final
-   halting round.  Everything between checkpoints (probe propagation, echo
-   and candidate convergecasts, rootship walks) is message-driven. *)
-let next_checkpoint ~total round =
-  let i, r = locate round in
-  let cap = 1 lsl i in
-  let offsets =
-    [
-      (2 * cap) + 2;  (* verdict *)
-      (3 * cap) + 4;  (* fragment-id exchange *)
-      (3 * cap) + 5;  (* classification *)
-      (4 * cap) + 6;  (* rootship launch *)
-      (5 * cap) + 7;  (* connect *)
-      (5 * cap) + 8;  (* absorption-by-silence *)
-      phase_len i;    (* next phase start *)
-    ]
-  in
-  let next_off = List.find (fun o -> o > r) offsets in
-  min (round - r + next_off) (total - 1)
+(* The phase that [round] falls in, searching from phase [i]. *)
+let rec phase_of round i = if round < phase_start (i + 1) then i else phase_of round (i + 1)
 
+(* The next round at which a node may have to act on an empty inbox, as an
+   offset in a phase of cap [cap] after offset [r].  The §4.3 schedule is
+   global and fixed, so the checkpoints are too: the verdict, fragment-id
+   exchange, classification, rootship, connect and absorption slots, and
+   the next phase start.  Everything between checkpoints (probe
+   propagation, echo and candidate convergecasts, rootship walks) is
+   message-driven. *)
+let next_checkpoint ~cap r =
+  if r < (2 * cap) + 2 then (2 * cap) + 2 (* verdict *)
+  else if r < (3 * cap) + 4 then (3 * cap) + 4 (* fragment-id exchange *)
+  else if r < (3 * cap) + 5 then (3 * cap) + 5 (* classification *)
+  else if r < (4 * cap) + 6 then (4 * cap) + 6 (* rootship launch *)
+  else if r < (5 * cap) + 7 then (5 * cap) + 7 (* connect *)
+  else if r < (5 * cap) + 8 then (5 * cap) + 8 (* absorption-by-silence *)
+  else (5 * cap) + 10 (* next phase start *)
+
+(* Mutable per-node state, updated in place by [estep].  The two pending
+   counters stand in for sets of children, exact because every child
+   sends one echo and one candidate per phase; [same] replaces the list of
+   fragment ids heard, one flag byte per neighbour in ascending order. *)
 type state = {
-  wake_round : int;            (* next schedule checkpoint this node must attend *)
-  tree : int list;             (* fragment tree neighbors *)
-  parent : int;                (* -1 at the fragment root *)
-  frag_id : int;               (* latest root identity heard (may be stale) *)
+  same : Bytes.t;              (* neighbour confirmed our fragment id this phase *)
+  mutable wake : Engine.wake;  (* the next schedule checkpoint, rebuilt when it moves *)
+  mutable tree : int list;     (* fragment tree neighbors, newest first *)
+  mutable parent : int;        (* -1 at the fragment root *)
+  mutable frag_id : int;       (* latest root identity heard (may be stale) *)
   (* per-phase scratch, reset at every phase start *)
-  active : bool;
-  probe_seen : bool;
-  echo_pending : int list;
-  echo_deep : bool;
-  echo_sent : bool;
-  verdict_sent : bool;
-  fragids : (int * int) list;  (* (neighbor, fragment id) heard this phase *)
-  classified : bool;
-  own_min : (int * int) option;     (* weight, neighbor over own best outgoing edge *)
-  cand_pending : int list;
-  cand_sent : bool;
-  best_w : int;                (* lightest candidate weight, max_int = none *)
-  best_owner : int;            (* -2 = own edge, else the child that sent it *)
-  rootship_here : bool;
-  connect_to : int;            (* neighbor the connect was sent to, -1 *)
-  halted : bool;
+  mutable active : bool;
+  mutable probe_seen : bool;
+  mutable echo_pending : int;
+  mutable echo_deep : bool;
+  mutable echo_sent : bool;
+  mutable verdict_sent : bool;
+  mutable classified : bool;
+  mutable own_w : int;         (* weight of own best outgoing edge, max_int = none *)
+  mutable own_u : int;         (* its other end, -1 = none *)
+  mutable cand_pending : int;
+  mutable cand_sent : bool;
+  mutable best_w : int;        (* lightest candidate weight, max_int = none *)
+  mutable best_owner : int;    (* -2 = own edge, else the child that sent it *)
+  mutable rootship_here : bool;
+  mutable connect_to : int;    (* neighbor the connect was sent to, -1 *)
+  mutable halted : bool;
 }
 
-let children st = List.filter (fun u -> u <> st.parent) st.tree
+let rec count_children parent acc = function
+  | [] -> acc
+  | u :: rest -> count_children parent (if u <> parent then acc + 1 else acc) rest
+
+let children st = count_children st.parent 0 st.tree
+
+(* Frames to the children go out oldest tree edge first: the asynchronous
+   executor draws each frame's delay and fault verdict in emission order,
+   so the order is part of what a faulty run reproduces.  The §4.3
+   schedule gives every send its own slot, so a step sends from at most
+   one site. *)
+let rec send_children em parent tag a b = function
+  | [] -> ()
+  | u :: rest ->
+    send_children em parent tag a b rest;
+    if u <> parent then Engine.Emit.frame3 em ~dst:u tag a b
 
 let fresh_phase st =
-  {
-    st with
-    active = false;
-    probe_seen = false;
-    echo_pending = [];
-    echo_deep = false;
-    echo_sent = false;
-    verdict_sent = false;
-    fragids = [];
-    classified = false;
-    own_min = None;
-    cand_pending = [];
-    cand_sent = false;
-    best_w = max_int;
-    best_owner = -2;
-    rootship_here = false;
-    connect_to = -1;
-  }
+  Bytes.fill st.same 0 (Bytes.length st.same) '\000';
+  st.active <- false;
+  st.probe_seen <- false;
+  st.echo_pending <- 0;
+  st.echo_deep <- false;
+  st.echo_sent <- false;
+  st.verdict_sent <- false;
+  st.classified <- false;
+  st.own_w <- max_int;
+  st.own_u <- -1;
+  st.cand_pending <- 0;
+  st.cand_sent <- false;
+  st.best_w <- max_int;
+  st.best_owner <- -2;
+  st.rootship_here <- false;
+  st.connect_to <- -1
 
-(* Frames to a group of nodes go out in descending list order: the
-   asynchronous executor draws each frame's delay and fault verdict in
-   emission order, so the order is part of what a faulty run reproduces.
-   The §4.3 schedule gives every send its own slot, so a step sends from
-   at most one site. *)
-let rec iter_rev f = function
-  | [] -> ()
-  | x :: rest ->
-    iter_rev f rest;
-    f x
+(* Index of neighbour [u] in the ascending adjacency: the engine only
+   delivers frames from neighbours, so the search always succeeds. *)
+let index_of (nbrs : (int * Graph.edge) array) u =
+  let lo = ref 0 and hi = ref (Array.length nbrs - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst nbrs.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let algorithm g ~k : state Engine.ealgorithm =
   let total = schedule_length ~k in
   let einit _g v =
-    fresh_phase
-      {
-        wake_round = 0;
-        tree = [];
-        parent = -1;
-        frag_id = v;
-        active = false;
-        probe_seen = false;
-        echo_pending = [];
-        echo_deep = false;
-        echo_sent = false;
-        verdict_sent = false;
-        fragids = [];
-        classified = false;
-        own_min = None;
-        cand_pending = [];
-        cand_sent = false;
-        best_w = max_int;
-        best_owner = -2;
-        rootship_here = false;
-        connect_to = -1;
-        halted = false;
-      }
+    {
+      same = Bytes.make (Graph.degree g v) '\000';
+      wake = Engine.OnMessage;
+      tree = [];
+      parent = -1;
+      frag_id = v;
+      active = false;
+      probe_seen = false;
+      echo_pending = 0;
+      echo_deep = false;
+      echo_sent = false;
+      verdict_sent = false;
+      classified = false;
+      own_w = max_int;
+      own_u = -1;
+      cand_pending = 0;
+      cand_sent = false;
+      best_w = max_int;
+      best_owner = -2;
+      rootship_here = false;
+      connect_to = -1;
+      halted = false;
+    }
   in
   let estep _g ~round ~node st inbox em =
-    let i, r = locate round in
+    let i = phase_of round 1 in
+    let r = round - phase_start i in
     let cap = 1 lsl i in
     let verdict_at = (2 * cap) + 2 in
     let fragid_at = (3 * cap) + 4 in
     let rootship_at = (4 * cap) + 6 in
     let connect_at = (5 * cap) + 7 in
+    let nbrs = Graph.neighbors g node in
     (* phase start: reset scratch; the root fires the depth probe *)
-    let st = if r = 0 then fresh_phase st else st in
-    let st =
-      if r = 0 && st.parent = -1 then begin
-        let kids = children st in
-        iter_rev (fun c -> Engine.Emit.frame3 em ~dst:c tag_probe (cap - 1) node) kids;
-        { st with echo_pending = kids; frag_id = node; probe_seen = true }
+    if r = 0 then begin
+      fresh_phase st;
+      if st.parent = -1 then begin
+        send_children em st.parent tag_probe (cap - 1) node st.tree;
+        st.echo_pending <- children st;
+        st.frag_id <- node;
+        st.probe_seen <- true
       end
-      else st
-    in
+    end;
     (* consume the inbox *)
-    let st = ref st in
     for ix = 0 to Engine.Inbox.length inbox - 1 do
       let u = Engine.Inbox.sender inbox ix in
       let rd = Engine.Inbox.read inbox ix in
-      let s = !st in
-      st :=
-        match Codec.get rd with
-        | t when t = tag_probe ->
-          let hop = Codec.get rd in
-          let id = Codec.get rd in
-          assert (u = s.parent);
-          let s = { s with frag_id = id; probe_seen = true } in
-          let kids = children s in
-          if kids = [] then begin
-            Engine.Emit.frame2 em ~dst:s.parent tag_echo 0;
-            { s with echo_sent = true }
-          end
-          else if hop = 0 then begin
-            (* the tree continues below the probe's reach: too deep *)
-            Engine.Emit.frame2 em ~dst:s.parent tag_echo 1;
-            { s with echo_sent = true }
-          end
-          else begin
-            iter_rev (fun c -> Engine.Emit.frame3 em ~dst:c tag_probe (hop - 1) id) kids;
-            { s with echo_pending = kids }
-          end
-        | t when t = tag_echo ->
-          {
-            s with
-            echo_pending = List.filter (fun x -> x <> u) s.echo_pending;
-            echo_deep = s.echo_deep || Codec.get rd = 1;
-          }
-        | t when t = tag_verdict ->
-          let a = Codec.get rd in
-          let hop = Codec.get rd in
-          if hop > 0 then
-            iter_rev
-              (fun c -> Engine.Emit.frame3 em ~dst:c tag_verdict a (hop - 1))
-              (children s);
-          { s with active = a = 1 }
-        | t when t = tag_fragid -> { s with fragids = (u, Codec.get rd) :: s.fragids }
-        | t when t = tag_cand ->
-          let w = Codec.get rd in
-          let s =
-            if w >= 0 && w < s.best_w then { s with best_w = w; best_owner = u } else s
-          in
-          { s with cand_pending = List.filter (fun x -> x <> u) s.cand_pending }
-        | t when t = tag_rootship ->
-          (* walk on towards the winning edge, flipping orientation *)
-          if s.best_owner = -2 then { s with parent = -1; rootship_here = true }
-          else begin
-            Engine.Emit.frame1 em ~dst:s.best_owner tag_rootship;
-            { s with parent = s.best_owner }
-          end
-        | t when t = tag_connect ->
-          let s = if List.mem u s.tree then s else { s with tree = u :: s.tree } in
-          if s.connect_to = u then
-            (* mutual connect over the same edge: the higher id roots *)
-            if Codec.get rd > node then { s with parent = u } else s
-          else s
-        | t -> invalid_arg (Printf.sprintf "Simple_mst_congest: unknown tag %d" t)
-    done;
-    let st = !st in
-    (* echo aggregation towards the root *)
-    let st =
-      if st.probe_seen && st.echo_pending = [] && (not st.echo_sent)
-         && children st <> [] && r > 0 && r < verdict_at
-      then
-        if st.parent = -1 then st (* the root just waits for the verdict slot *)
-        else begin
-          Engine.Emit.frame2 em ~dst:st.parent tag_echo (if st.echo_deep then 1 else 0);
-          { st with echo_sent = true }
+      match Codec.get rd with
+      | t when t = tag_probe ->
+        let hop = Codec.get rd in
+        let id = Codec.get rd in
+        assert (u = st.parent);
+        st.frag_id <- id;
+        st.probe_seen <- true;
+        let kids = children st in
+        if kids = 0 || hop = 0 then begin
+          (* a leaf is shallow; below the probe's reach the tree is too deep *)
+          Engine.Emit.frame2 em ~dst:st.parent tag_echo (if kids = 0 then 0 else 1);
+          st.echo_sent <- true
         end
-      else st
-    in
-    (* the root announces the verdict *)
-    let st =
-      if r = verdict_at && st.parent = -1 && not st.verdict_sent then begin
-        let active = st.echo_pending = [] && not st.echo_deep in
-        iter_rev
-          (fun c ->
-            Engine.Emit.frame3 em ~dst:c tag_verdict (if active then 1 else 0) (cap - 1))
-          (children st);
-        { st with active; verdict_sent = true }
-      end
-      else st
-    in
-    (* active nodes exchange fragment identities over every edge *)
-    let st =
-      if r = fragid_at && st.active then begin
-        let nbrs = Graph.neighbors g node in
-        for ix = Array.length nbrs - 1 downto 0 do
-          Engine.Emit.frame2 em ~dst:(fst nbrs.(ix)) tag_fragid st.frag_id
-        done;
-        st
-      end
-      else st
-    in
-    (* classification: edges that did not confirm our fragment id are outgoing *)
-    let st =
-      if r = fragid_at + 1 && st.active && not st.classified then begin
-        let own_min = ref None in
-        Array.iter
-          (fun (u, (e : Graph.edge)) ->
-            let same =
-              match List.assoc_opt u st.fragids with
-              | Some id -> id = st.frag_id
-              | None -> false
-            in
-            if not same then
-              match !own_min with
-              | Some (w, _) when w <= e.w -> ()
-              | _ -> own_min := Some (e.w, u))
-          (Graph.neighbors g node);
-        let best_w, best_owner =
-          match !own_min with Some (w, _) -> (w, -2) | None -> (max_int, -2)
-        in
-        { st with classified = true; own_min = !own_min; cand_pending = children st;
-          best_w; best_owner }
-      end
-      else st
-    in
-    (* minimum-weight-outgoing-edge convergecast *)
-    let st =
-      if st.active && st.classified && st.cand_pending = [] && (not st.cand_sent)
-         && st.parent <> -1 && r >= fragid_at + 1 && r < rootship_at
-      then begin
-        Engine.Emit.frame2 em ~dst:st.parent tag_cand
-          (if st.best_w = max_int then -1 else st.best_w);
-        { st with cand_sent = true }
-      end
-      else st
-    in
-    (* the root launches the rootship transfer *)
-    let st =
-      if r = rootship_at && st.active && st.parent = -1 && st.best_w < max_int then
-        if st.best_owner = -2 then { st with rootship_here = true }
+        else begin
+          send_children em st.parent tag_probe (hop - 1) id st.tree;
+          st.echo_pending <- kids
+        end
+      | t when t = tag_echo ->
+        st.echo_pending <- st.echo_pending - 1;
+        if Codec.get rd = 1 then st.echo_deep <- true
+      | t when t = tag_verdict ->
+        let a = Codec.get rd in
+        let hop = Codec.get rd in
+        if hop > 0 then send_children em st.parent tag_verdict a (hop - 1) st.tree;
+        st.active <- a = 1
+      | t when t = tag_fragid ->
+        if Codec.get rd = st.frag_id then Bytes.set st.same (index_of nbrs u) '\001'
+      | t when t = tag_cand ->
+        let w = Codec.get rd in
+        if w >= 0 && w < st.best_w then begin
+          st.best_w <- w;
+          st.best_owner <- u
+        end;
+        st.cand_pending <- st.cand_pending - 1
+      | t when t = tag_rootship ->
+        (* walk on towards the winning edge, flipping orientation *)
+        if st.best_owner = -2 then begin
+          st.parent <- -1;
+          st.rootship_here <- true
+        end
         else begin
           Engine.Emit.frame1 em ~dst:st.best_owner tag_rootship;
-          { st with parent = st.best_owner }
+          st.parent <- st.best_owner
         end
-      else st
-    in
+      | t when t = tag_connect ->
+        (* u is a tree neighbour already only if the connect is mutual: u
+           sent over its outgoing edge, so u was in another fragment *)
+        if st.connect_to = u then begin
+          (* mutual connect over the same edge: the higher id roots *)
+          if Codec.get rd > node then st.parent <- u
+        end
+        else st.tree <- u :: st.tree
+      | t -> invalid_arg (Printf.sprintf "Simple_mst_congest: unknown tag %d" t)
+    done;
+    (* echo aggregation towards the root; the root just waits for the
+       verdict slot *)
+    if st.probe_seen && st.echo_pending = 0 && (not st.echo_sent) && st.parent <> -1
+       && r > 0 && r < verdict_at && children st > 0
+    then begin
+      Engine.Emit.frame2 em ~dst:st.parent tag_echo (if st.echo_deep then 1 else 0);
+      st.echo_sent <- true
+    end;
+    (* the root announces the verdict *)
+    if r = verdict_at && st.parent = -1 && not st.verdict_sent then begin
+      st.active <- st.echo_pending = 0 && not st.echo_deep;
+      send_children em (-1) tag_verdict (if st.active then 1 else 0) (cap - 1) st.tree;
+      st.verdict_sent <- true
+    end;
+    (* active nodes exchange fragment identities over every edge *)
+    if r = fragid_at && st.active then
+      for ix = Array.length nbrs - 1 downto 0 do
+        Engine.Emit.frame2 em ~dst:(fst nbrs.(ix)) tag_fragid st.frag_id
+      done;
+    (* classification: edges that did not confirm our fragment id are outgoing *)
+    if r = fragid_at + 1 && st.active && not st.classified then begin
+      for ix = 0 to Array.length nbrs - 1 do
+        let u, (e : Graph.edge) = nbrs.(ix) in
+        if Bytes.get st.same ix = '\000' && (st.own_u < 0 || e.w < st.own_w) then begin
+          st.own_w <- e.w;
+          st.own_u <- u
+        end
+      done;
+      st.classified <- true;
+      st.cand_pending <- children st;
+      st.best_w <- st.own_w;
+      st.best_owner <- -2
+    end;
+    (* minimum-weight-outgoing-edge convergecast *)
+    if st.active && st.classified && st.cand_pending = 0 && (not st.cand_sent)
+       && st.parent <> -1 && r >= fragid_at + 1 && r < rootship_at
+    then begin
+      Engine.Emit.frame2 em ~dst:st.parent tag_cand
+        (if st.best_w = max_int then -1 else st.best_w);
+      st.cand_sent <- true
+    end;
+    (* the root launches the rootship transfer *)
+    if r = rootship_at && st.active && st.parent = -1 && st.best_w < max_int then
+      if st.best_owner = -2 then st.rootship_here <- true
+      else begin
+        Engine.Emit.frame1 em ~dst:st.best_owner tag_rootship;
+        st.parent <- st.best_owner
+      end;
     (* the new root connects over the chosen edge *)
-    let st =
-      if r = connect_at && st.rootship_here then begin
-        match st.own_min with
-        | Some (_, u) ->
-          Engine.Emit.frame2 em ~dst:u tag_connect node;
-          { st with connect_to = u; tree = u :: st.tree; parent = -1 }
-        | None -> invalid_arg "Simple_mst_congest: rootship without a winning edge"
-      end
-      else st
-    in
+    if r = connect_at && st.rootship_here then begin
+      if st.own_u < 0 then invalid_arg "Simple_mst_congest: rootship without a winning edge";
+      Engine.Emit.frame2 em ~dst:st.own_u tag_connect node;
+      st.connect_to <- st.own_u;
+      st.tree <- st.own_u :: st.tree;
+      st.parent <- -1
+    end;
     (* silence on the connect edge means absorption into the other side *)
-    let st =
-      if r = connect_at + 1 && st.connect_to >= 0 && st.parent = -1 then begin
-        let mutual = ref false in
-        for ix = 0 to Engine.Inbox.length inbox - 1 do
-          if Engine.Inbox.sender inbox ix = st.connect_to then mutual := true
-        done;
-        if !mutual then st (* resolved while consuming the inbox *)
-        else { st with parent = st.connect_to }
-      end
-      else st
-    in
-    let st = if round = total - 1 then { st with halted = true } else st in
-    { st with wake_round = next_checkpoint ~total round }
+    if r = connect_at + 1 && st.connect_to >= 0 && st.parent = -1 then begin
+      let mutual = ref false in
+      for ix = 0 to Engine.Inbox.length inbox - 1 do
+        if Engine.Inbox.sender inbox ix = st.connect_to then mutual := true
+      done;
+      (* a mutual connect was resolved while consuming the inbox *)
+      if not !mutual then st.parent <- st.connect_to
+    end;
+    if round = total - 1 then st.halted <- true;
+    let next = min (round - r + next_checkpoint ~cap r) (total - 1) in
+    (match st.wake with Engine.At w when w = next -> () | _ -> st.wake <- Engine.At next);
+    st
   in
   let ehalted st = st.halted in
-  let ewake st = Engine.At st.wake_round in
+  let ewake st = st.wake in
   { Engine.einit; estep; ehalted; ewake }
 
 (* Word budget: the widest messages are [| tag_probe; hop; root id |] and

@@ -560,6 +560,34 @@ let test_alloc_leader () =
     Alcotest.failf "Leader.elect allocates %.2f minor words per message (budget 4)"
       per_msg
 
+(* A node program's minor words per delivered message on a prebuilt
+   engine, its state array and [einit] included: the second of two runs,
+   so the engine's one-time growth is excluded. *)
+let words_per_message g ~max_words a =
+  let e = Engine.create g in
+  ignore (Engine.exec_emit ~max_words ~domains:1 e a);
+  let w0 = Gc.minor_words () in
+  let _, (st : Engine.stats) = Engine.exec_emit ~max_words ~domains:1 e a in
+  (Gc.minor_words () -. w0) /. float_of_int st.messages
+
+let check_budget what budget per_msg =
+  if per_msg > budget then
+    Alcotest.failf "%s allocates %.2f minor words per message (budget %g)" what per_msg budget
+
+(* Mutable per-node records: Bfs_tree keeps its acceptance-order children
+   list and one [At] per adoption, Simple_mst_congest one [At] per
+   schedule checkpoint. *)
+let test_alloc_bfs_tree () =
+  let g = Generators.grid ~rng:(Rng.create 6) ~rows:100 ~cols:100 in
+  check_budget "Bfs_tree" 5.
+    (words_per_message g ~max_words:Kdom.Bfs_tree.max_words (Kdom.Bfs_tree.algorithm g ~root:0))
+
+let test_alloc_simple_mst_congest () =
+  let g = Generators.preferential_attachment ~rng:(Rng.create 7) ~n:5_000 ~m:2 in
+  check_budget "Simple_mst_congest" 10.
+    (words_per_message g ~max_words:Kdom.Simple_mst_congest.max_words
+       (Kdom.Simple_mst_congest.algorithm g ~k:8))
+
 let () =
   Alcotest.run "codec"
     [
@@ -595,6 +623,10 @@ let () =
           Alcotest.test_case "emit frames allocate nothing" `Quick test_alloc_frames;
           Alcotest.test_case "leader within 4 words per message" `Quick
             test_alloc_leader;
+          Alcotest.test_case "bfs_tree within 5 words per message" `Quick
+            test_alloc_bfs_tree;
+          Alcotest.test_case "simple_mst_congest within 10 words per message" `Quick
+            test_alloc_simple_mst_congest;
           Alcotest.test_case "repeated exec reuses engine buffers" `Quick
             test_alloc_repeated_exec;
         ] );

@@ -109,6 +109,53 @@ let prop_pipeline_no_stalls =
       let pipe = Pipeline.run g ~bfs ~fragment_of in
       pipe.stalls = 0)
 
+(* Typed rejection at entry: on an empty graph, a one-node graph and a
+   root out of range, each runner either succeeds with an oracle-clean
+   result or raises [Invalid_argument] whose message starts with its own
+   name — never an index error or a round-limit abort. *)
+let mst_check g (mst : Graph.edge list) =
+  if Mst.same_edge_set mst (Mst.kruskal g) then []
+  else [ { Kdom_congest.Oracle.check = "kruskal"; detail = "MST differs from Kruskal's" } ]
+
+let entry_runners =
+  [
+    ( "Bfs_tree.run",
+      fun g ~root ->
+        let info, _ = Bfs_tree.run g ~root in
+        Kdom_congest.Oracle.bfs_tree g ~root ~parent:info.parent ~depth:info.depth );
+    ( "Diam_dom.run",
+      fun g ~root ->
+        Kdom_congest.Oracle.k_domination g ~k:2
+          (Diam_dom.dominating_list (Diam_dom.run g ~root ~k:2)) );
+    ("Fast_mst.run", fun g ~root -> mst_check g (Fast_mst.run ~root g).mst);
+    ("Collect_all.run", fun g ~root -> mst_check g (Collect_all.run ~root g).mst);
+  ]
+
+let test_entry_rejection () =
+  let tree = Generators.random_tree ~rng:(Rng.create 7) 12 in
+  let inputs =
+    [
+      ("n = 0", Graph.of_edges ~n:0 [], 0);
+      ("n = 1", Graph.of_edges ~n:1 [], 0);
+      ("root -1", tree, -1);
+      ("root n", tree, Graph.n tree);
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun (what, g, root) ->
+          match run g ~root with
+          | [] -> ()
+          | failures ->
+            Alcotest.failf "%s on %s: %s" name what (Kdom_congest.Oracle.describe failures)
+          | exception Invalid_argument msg when String.starts_with ~prefix:(name ^ ": ") msg
+            -> ()
+          | exception e ->
+            Alcotest.failf "%s on %s raised %s" name what (Printexc.to_string e))
+        inputs)
+    entry_runners
+
 let () =
   Alcotest.run "invariants"
     [
@@ -120,6 +167,7 @@ let () =
           Alcotest.test_case "clusters refine fragments" `Quick
             test_clusters_within_fragments;
           Alcotest.test_case "ledger composition" `Quick test_ledger_composition;
+          Alcotest.test_case "typed rejection at entry" `Quick test_entry_rejection;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
