@@ -143,6 +143,11 @@ type congest_state = {
 }
 
 let congest_algorithm g ~root =
+  let n = Graph.n g in
+  if n = 0 then invalid_arg "Coloring.three_color_congest: empty graph";
+  if root < 0 || root >= n then
+    invalid_arg
+      (Printf.sprintf "Coloring.three_color_congest: root %d out of range [0, %d)" root n);
   let t = Tree.root_at g root in
   let iterations = cv_iterations (Graph.n g) in
   let last_round = iterations + 6 in

@@ -127,6 +127,10 @@ let entry_runners =
       fun g ~root ->
         Kdom_congest.Oracle.k_domination g ~k:2
           (Diam_dom.dominating_list (Diam_dom.run g ~root ~k:2)) );
+    ( "Coloring.three_color_congest",
+      fun g ~root ->
+        Kdom_congest.Oracle.proper_coloring g ~palette:3
+          (fst (Coloring.three_color_congest g ~root)) );
     ("Fast_mst.run", fun g ~root -> mst_check g (Fast_mst.run ~root g).mst);
     ("Collect_all.run", fun g ~root -> mst_check g (Collect_all.run ~root g).mst);
   ]
