@@ -137,7 +137,8 @@ type congest_state = {
   parent : int;                 (* -1 at the root *)
   children : int array;
   mutable color : int;
-  mutable parent_color : int;   (* latest color heard from the parent *)
+  mutable parent_color : int;   (* latest color heard from the parent; -1 at
+                                   the root, which nothing sends to *)
   mutable pre_shift : int;      (* own color before the current shift-down *)
   mutable done_ : bool;
 }
@@ -156,21 +157,18 @@ let congest_algorithm g ~root =
     | 0 -> ()
     | 1 -> st.parent_color <- Codec.get (Engine.Inbox.read inbox 0)
     | _ -> invalid_arg "three_color_congest: more than one parent message");
-    let root = st.parent = -1 in
     if round = 0 then ()
     else if round <= iterations then
       (* Cole–Vishkin iteration [round]. *)
-      st.color <-
-        cv_step ~parent_color:(if root then -1 else st.parent_color) ~color:st.color
+      st.color <- cv_step ~parent_color:st.parent_color ~color:st.color
     else if (round - iterations - 1) mod 2 = 0 then begin
       (* shift-down using the cached parent color *)
       st.pre_shift <- st.color;
-      st.color <- (if root then smallest_free st.color (-1) else st.parent_color)
+      st.color <- (if st.parent = -1 then smallest_free st.color (-1) else st.parent_color)
     end
     else if st.color = 5 - ((round - iterations - 1) / 2) then
       st.color <-
-        smallest_free
-          (if root then -1 else st.parent_color)
+        smallest_free st.parent_color
           (if Array.length st.children = 0 then -1 else st.pre_shift);
     if round >= last_round then st.done_ <- true
     else

@@ -350,7 +350,7 @@ let run ?trace g ~k =
   Trace.observe trace ~max_words "simple_mst" (fun sink ->
       let c0 = match trace with Some t -> Trace.clock t | None -> 0 in
       let states, stats = Runtime.run ~max_words ~sink g (algorithm g ~k) in
-      (* The phase boundaries are a fixed global schedule ({!locate}); lay
+      (* The phase boundaries are a fixed global schedule ({!phase_start}); lay
          each phase down as a synthetic span, clamped to the rounds the
          execution actually used (it quiesces after the last real merge). *)
       Option.iter
